@@ -9,8 +9,8 @@ energy-gap and runtime predictions, and a numerical rebuild of the
 degenerate-perturbation-theory picture that explains why the walk works.
 """
 
-from .errors import (ConvergenceError, SearchBracketError, SingularPivotError,
-                     VertexCapError, WalkError)
+from .errors import (SearchBracketError, SingularPivotError, VertexCapError,
+                     WalkError)
 from .johnson import (DEFAULT_VERTEX_CAP, FullGraph, binomial, class_sizes,
                       distance_classes, enumerate_vertices, full_adjacency)
 from .reduced import (IntersectionArray, ReducedModel, basis_change_T,
@@ -30,8 +30,7 @@ from .output import render_svg, write_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "SearchBracketError", "SingularPivotError",
-    "VertexCapError", "WalkError",
+    "SearchBracketError", "SingularPivotError", "VertexCapError", "WalkError",
     "DEFAULT_VERTEX_CAP", "FullGraph", "binomial", "class_sizes",
     "distance_classes", "enumerate_vertices", "full_adjacency",
     "IntersectionArray", "ReducedModel", "basis_change_T", "initial_state",

@@ -24,8 +24,6 @@ from .errors import SearchBracketError, SingularPivotError
 from .johnson import DEFAULT_VERTEX_CAP
 from .linalg import eig_sym, success_curve
 
-#: Bisection terminates once the gamma bracket is narrower than this.
-BISECTION_TOL = 1e-12
 #: Maximum number of geometric bracket expansions before giving up.
 MAX_BRACKET_EXPANSIONS = 10
 
@@ -70,8 +68,10 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     Starts from the bracket [1/(2kn), 2/(kn)] and widens it geometrically
     (up to MAX_BRACKET_EXPANSIONS times) if the balance does not change
     sign across it; raises SearchBracketError when no sign change can be
-    found.  The bracket is narrowed to below BISECTION_TOL, so the result
-    is deterministic for a given (n, k).
+    found.  The bracket is halved until its midpoint no longer lies strictly
+    inside it, i.e. down to adjacent floats, so the result is as close to
+    the balance point as double precision allows at any n, and is
+    deterministic for a given (n, k).
     """
     reduced._check_reduced_params(n, k)
     lo, hi = 1.0 / (2.0 * k * n), 2.0 / (k * n)
@@ -92,8 +92,8 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
         raise SearchBracketError(
             f"overlap balance has no sign change on [{lo:.3e}, {hi:.3e}] "
             f"after {expansions} expansions (J({n},{k}))")
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         f_mid = overlap_balance(n, k, mid)
         if f_mid == 0.0:
             return CriticalGammaResult(gamma=mid, method="numeric", residual=0.0)
@@ -101,9 +101,9 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    gamma = 0.5 * (lo + hi)
-    return CriticalGammaResult(gamma=gamma, method="numeric",
-                               residual=overlap_balance(n, k, gamma))
+        mid = 0.5 * (lo + hi)
+    return CriticalGammaResult(gamma=mid, method="numeric",
+                               residual=overlap_balance(n, k, mid))
 
 
 def energy_gap(n: int, k: int, gamma: float) -> float:
@@ -115,9 +115,12 @@ def energy_gap(n: int, k: int, gamma: float) -> float:
 
 
 def predicted_peak_time(n: int, k: int) -> float:
-    """Time pi*sqrt(N)/2 at which the marked amplitude should peak."""
+    """Time pi*sqrt(N)/2 at which the marked amplitude should peak.
+
+    Raises ValueError when N = C(n,k) does not fit in a float.
+    """
     reduced._check_reduced_params(n, k)
-    return math.pi * math.sqrt(johnson.binomial(n, k)) / 2.0
+    return math.pi * math.sqrt(reduced._float_vertex_count(n, k)) / 2.0
 
 
 def _check_k3_params(n: int) -> None:
@@ -339,8 +342,7 @@ def run_verification(n: int, k: int, gamma: float,
     """
     graph = johnson.full_adjacency(n, k, cap=cap)
     n_vertices = graph.n_vertices
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    model = reduced.search_hamiltonian(n, k, gamma)
     if t_max is None:
         t_max = 2.0 * math.pi * math.sqrt(n_vertices)
     if t_max < 0:
@@ -358,7 +360,6 @@ def run_verification(n: int, k: int, gamma: float,
     h_full = -float(gamma) * graph.adjacency.astype(float)
     h_full[0, 0] -= 1.0
     full_curve = success_curve(h_full, s_full, 0, t_max, steps)
-    model = reduced.search_hamiltonian(n, k, gamma)
     reduced_curve = success_curve(model.hamiltonian, psi0, model.marked_index,
                                   t_max, steps)
     deviation = float(np.abs(full_curve.probabilities

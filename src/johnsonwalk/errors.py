@@ -24,14 +24,6 @@ class VertexCapError(WalkError):
         )
 
 
-class ConvergenceError(WalkError):
-    """Iterative eigensolver hit its sweep limit before reaching tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(f"{message} (off-diagonal residual {residual:.3e})")
-
-
 class SearchBracketError(WalkError):
     """Root bracketing failed: no sign change after the allowed expansions."""
 

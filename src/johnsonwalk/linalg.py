@@ -1,30 +1,22 @@
 """Dense symmetric eigendecomposition and spectral time evolution.
 
-The eigensolver is a self-contained cyclic Jacobi implementation: the
-matrices here are either tiny (the (k+1)-dimensional reduced model) or
-modest (the capped brute-force graph), and Jacobi delivers symmetric-exact
-eigenvalues with excellently orthogonal eigenvectors at that scale without
-pulling in LAPACK bindings beyond numpy itself.
+``eig_sym`` is a thin wrapper over LAPACK's symmetric eigensolver as shipped
+with numpy (``np.linalg.eigh``).  It adds the input checks and a
+deterministic eigenvector sign convention, so output built from the
+eigenvectors is reproducible.
 
-Evolution under exp(-iHt) is computed spectrally; the decomposition of a
-given Hamiltonian is cached, so sweeping many times t against one H costs a
-single diagonalization.
+Evolution under exp(-iHt) is computed spectrally: one decomposition of H
+serves every time on a grid.  Every call decomposes afresh and returns
+arrays that the caller owns.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError
-
-#: Convergence: off-diagonal Frobenius norm below this multiple of the
-#: diagonal Frobenius norm ends the sweep loop.
-OFF_DIAGONAL_TOL = 1e-13
-MAX_SWEEPS = 100
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
 SIGN_EPS = 1e-8
 
@@ -49,111 +41,37 @@ class OverlapSpectrum(NamedTuple):
     overlap_w: np.ndarray
 
 
-def _offdiagonal_norm(a: np.ndarray) -> float:
-    # Subtracting the diagonal contribution from the total Frobenius norm
-    # cancels catastrophically once the matrix is nearly diagonal, so zero
-    # the diagonal explicitly instead.
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
+    """Diagonalize a real symmetric matrix with LAPACK (``np.linalg.eigh``).
 
-
-def eig_sym(matrix: np.ndarray, *, off_tol: float = OFF_DIAGONAL_TOL,
-            max_sweeps: int = MAX_SWEEPS) -> SpectralDecomposition:
-    """Diagonalize a real symmetric matrix by cyclic Jacobi rotations.
-
-    Each sweep visits every above-diagonal pair (p,q) and annihilates the
-    entry with the classic rotation
-
-        tau = (a_qq - a_pp) / (2 a_pq),
-        t   = sign(tau) / (|tau| + sqrt(1 + tau^2)),
-
-    chosen with |t| <= 1 for stability.  Sweeping repeats until the
-    off-diagonal Frobenius norm drops below ``off_tol`` times the diagonal
-    Frobenius norm, or ``max_sweeps`` is exhausted (raising
-    :class:`ConvergenceError` with the residual).
+    The matrix must be square, and symmetric to within 1e-12 times
+    max(1, largest |entry|); anything else raises ValueError.
 
     Eigenvalues come back ascending; eigenvector signs are fixed so that the
     first component of magnitude above ``SIGN_EPS`` is non-negative, keeping
     CSV output reproducible across platforms.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
     scale = float(np.abs(a).max()) if a.size else 0.0
     if float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1.0):
         raise ValueError("eig_sym requires a symmetric matrix")
 
-    dim = a.shape[0]
-    vecs = np.eye(dim)
-    converged = False
-    for _ in range(max_sweeps):
-        off = _offdiagonal_norm(a)
-        if off <= off_tol * float(np.linalg.norm(np.diag(a))):
-            converged = True
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                diff = a[q, q] - a[p, p]
-                if abs(apq) <= 1e-300 * max(1.0, abs(diff)):
-                    # Denormal-scale entry: the rotation angle underflows,
-                    # so just clear it.
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                tau = diff / (2.0 * apq)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    else:
-        converged = _offdiagonal_norm(a) <= off_tol * float(np.linalg.norm(np.diag(a)))
-    if not converged:
-        raise ConvergenceError(
-            f"jacobi did not converge within {max_sweeps} sweeps", _offdiagonal_norm(a))
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vecs = vecs[:, order]
-    for j in range(dim):
-        column = vecs[:, j]
-        significant = np.nonzero(np.abs(column) > SIGN_EPS)[0]
-        if significant.size and column[significant[0]] < 0.0:
-            vecs[:, j] = -column
+    eigenvalues, vecs = np.linalg.eigh(a)
+    significant = np.abs(vecs) > SIGN_EPS
+    lead = vecs[significant.argmax(axis=0), np.arange(vecs.shape[1])]
+    vecs[:, significant.any(axis=0) & (lead < 0.0)] *= -1.0
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
 
 
-@lru_cache(maxsize=64)
-def _cached_decomposition(buffer: bytes, dim: int) -> SpectralDecomposition:
-    matrix = np.frombuffer(buffer, dtype=np.float64).reshape(dim, dim)
-    return eig_sym(matrix)
-
-
-def _decomposition(hamiltonian: np.ndarray) -> SpectralDecomposition:
-    h = np.ascontiguousarray(hamiltonian, dtype=np.float64)
-    return _cached_decomposition(h.tobytes(), h.shape[0])
-
-
 def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt) to ``psi0`` through the cached eigendecomposition."""
+    """Apply exp(-iHt) to ``psi0`` through the eigendecomposition of H."""
     psi0 = np.asarray(psi0)
     hamiltonian = np.asarray(hamiltonian)
     if hamiltonian.ndim != 2 or psi0.shape != (hamiltonian.shape[0],):
         raise ValueError("hamiltonian/state dimension mismatch")
-    evals, evecs = _decomposition(hamiltonian)
+    evals, evecs = eig_sym(hamiltonian)
     coeffs = evecs.T @ psi0.astype(complex)
     return evecs @ (np.exp(-1j * evals * t) * coeffs)
 
@@ -164,17 +82,19 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
 
     The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1; one
     eigendecomposition is shared by the whole grid, with only the marked
-    component assembled per time.
+    component assembled per time.  ``t_max`` must be finite.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     psi0 = np.asarray(psi0)
     hamiltonian = np.asarray(hamiltonian)
     if hamiltonian.ndim != 2 or psi0.shape != (hamiltonian.shape[0],):
         raise ValueError("hamiltonian/state dimension mismatch")
     if not 0 <= marked_index < hamiltonian.shape[0]:
         raise ValueError(f"marked index {marked_index} out of range")
-    evals, evecs = _decomposition(hamiltonian)
+    evals, evecs = eig_sym(hamiltonian)
     times = np.linspace(0.0, float(t_max), int(steps))
     weights = evecs[marked_index] * (evecs.T @ psi0.astype(complex))
     amplitudes = weights @ np.exp(-1j * np.outer(evals, times))
@@ -193,7 +113,7 @@ def overlap_spectrum(hamiltonian: np.ndarray, s: np.ndarray,
         raise ValueError("hamiltonian/state dimension mismatch")
     if not 0 <= marked_index < hamiltonian.shape[0]:
         raise ValueError(f"marked index {marked_index} out of range")
-    evals, evecs = _decomposition(hamiltonian)
+    evals, evecs = eig_sym(hamiltonian)
     overlap_s = (evecs.T @ s) ** 2
     overlap_w = evecs[marked_index] ** 2
     return OverlapSpectrum(energies=evals, overlap_s=overlap_s, overlap_w=overlap_w)

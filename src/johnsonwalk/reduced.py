@@ -12,6 +12,7 @@ the Hamiltonian becomes amenable to degenerate perturbation theory.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -83,11 +84,11 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> ReducedModel:
 
     The marked vertex sits alone in class 0, so the oracle projector is the
     single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
-    negative values are rejected (gamma = 0 is admitted and leaves just the
-    oracle term).
+    negative and non-finite values are rejected (gamma = 0 is admitted and
+    leaves just the oracle term).
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     adjacency = reduced_adjacency(n, k)
     hamiltonian = -float(gamma) * adjacency
     hamiltonian[0, 0] -= 1.0
@@ -95,15 +96,30 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> ReducedModel:
                         hamiltonian=hamiltonian, marked_index=0)
 
 
+def _float_vertex_count(n: int, k: int) -> float:
+    """The vertex count N = C(n,k) as a float.
+
+    Raises ValueError when C(n,k) is beyond the float range; every class
+    size |d_i| is at most N, so it then fits as well.
+    """
+    count = binomial(n, k)
+    if count > sys.float_info.max:
+        raise ValueError(f"C({n},{k}) vertices exceed the float range "
+                         f"(about {sys.float_info.max:.1e})")
+    return float(count)
+
+
 def initial_state(n: int, k: int) -> np.ndarray:
     """Uniform superposition over all vertices, written in the distance basis.
 
     Component i is sqrt(|d_i| / N): the full-space uniform state projected
-    onto the normalized class indicator vectors.
+    onto the normalized class indicator vectors.  Raises ValueError when N
+    does not fit in a float.
     """
     sizes = class_sizes(n, k)
+    n_vertices = _float_vertex_count(n, k)
     state = np.sqrt(np.array(sizes, dtype=float))
-    return state / math.sqrt(binomial(n, k))
+    return state / math.sqrt(n_vertices)
 
 
 def basis_change_T(n: int) -> np.ndarray:

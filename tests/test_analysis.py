@@ -52,6 +52,15 @@ def test_gamma_c_numeric_j100_3():
     assert analysis.gamma_c_numeric(100, 3).gamma == res.gamma
 
 
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
+def test_gamma_c_numeric_next_order_k3(n):
+    """(numeric - formula) * n^3 settles near 4.83: the bisection resolves
+    the n^-3 term beyond the closed form 1/(3n) + 7/(6n^2) at every n."""
+    numeric = analysis.gamma_c_numeric(n, 3).gamma
+    offset = (numeric - analysis.gamma_c_formula_k3(n).gamma) * n ** 3
+    assert abs(offset - 4.83) <= 0.5
+
+
 @pytest.mark.parametrize("n", [4, 16, 100])
 def test_gamma_c_numeric_complete_graph(n):
     """On K_n the balance point sits at (n-2)/n^2 (the two-dimensional
@@ -80,6 +89,11 @@ def test_predicted_peak_time():
     assert analysis.predicted_peak_time(100, 3) == pytest.approx(631.65, abs=0.01)
     assert analysis.predicted_peak_time(1000, 3) == pytest.approx(20248.5, abs=0.1)
     assert analysis.predicted_peak_time(4, 1) == math.pi
+
+
+def test_predicted_peak_time_rejects_vertex_count_beyond_float():
+    with pytest.raises(ValueError, match="float range"):
+        analysis.predicted_peak_time(3000, 500)
 
 
 def test_naive_splitting_structure():
@@ -259,3 +273,7 @@ def test_run_verification_honors_cap():
         analysis.run_verification(30, 3, 0.01, cap=100)
     with pytest.raises(ValueError):
         analysis.run_verification(6, 3, -0.5)
+    with pytest.raises(ValueError, match="finite"):
+        analysis.run_verification(6, 3, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        analysis.run_verification(6, 3, 0.1, t_max=math.inf)

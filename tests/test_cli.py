@@ -168,6 +168,20 @@ def test_domain_error_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "150", "--k", "3", "--gamma", "nan"],
+    ["simulate", "--n", "100", "--k", "3", "--t-max", "inf", "--steps", "5"],
+    ["spectrum", "--n", "3000", "--k", "500", "--gamma", "0.001"],
+], ids=["gamma-nan", "t-max-inf", "binomial-overflow"])
+def test_non_finite_input_exits_one(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cap_error_exits_one(capsys):
     assert cli.main(["verify", "--n", "30", "--k", "3", "--cap", "50"]) == 1
     assert "cap" in capsys.readouterr().err

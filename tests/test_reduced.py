@@ -90,6 +90,22 @@ def test_search_hamiltonian_rejects_negative_gamma():
         reduced.search_hamiltonian(6, 3, -0.1)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_search_hamiltonian_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="finite"):
+        reduced.search_hamiltonian(6, 3, gamma)
+
+
+def test_initial_state_rejects_vertex_count_beyond_float():
+    # C(3000, 500) ~ 1e585 and C(1100, 500) ~ 1e327 overflow; C(1000, 500) ~ 1e299 fits
+    with pytest.raises(ValueError, match="float range"):
+        reduced.initial_state(3000, 500)
+    with pytest.raises(ValueError, match="float range"):
+        reduced.initial_state(1100, 500)
+    s = reduced.initial_state(1000, 500)
+    assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_initial_state_j63():
     s = reduced.initial_state(6, 3)
     assert np.allclose(s, np.sqrt([1, 9, 9, 1]) / math.sqrt(20), atol=1e-15)
