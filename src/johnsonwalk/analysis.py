@@ -45,6 +45,7 @@ def gamma_c_formula_k3(n: int) -> CriticalGammaResult:
     """Closed-form critical jumping rate 1/(3n) + 7/(6n^2) for k = 3."""
     if not isinstance(n, (int, np.integer)) or n < 6:
         raise ValueError(f"closed-form gamma_c requires integer n >= 6, got {n}")
+    reduced._check_reduced_params(n, 3)
     gamma = 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
     return CriticalGammaResult(gamma=gamma, method="formula_k3")
 
@@ -106,10 +107,14 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
                                residual=overlap_balance(n, k, mid))
 
 
+def _check_positive_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+
+
 def energy_gap(n: int, k: int, gamma: float) -> float:
     """E_1 - E_0 of the reduced search Hamiltonian."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive_gamma(gamma)
     evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma).hamiltonian)
     return float(evals[1] - evals[0])
 
@@ -126,6 +131,7 @@ def predicted_peak_time(n: int, k: int) -> float:
 def _check_k3_params(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 6:
         raise ValueError(f"the k=3 analysis requires integer n >= 6, got {n}")
+    reduced._check_reduced_params(n, 3)
 
 
 @dataclass(frozen=True)
@@ -227,8 +233,7 @@ def vector_u(n: int, gamma: float, lam: float) -> np.ndarray:
     SingularPivotError rather than returning garbage.
     """
     _check_k3_params(n)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive_gamma(gamma)
     evals, _ = eig_sym(pt_block(n, gamma))
     if float(np.abs(evals - lam).min()) > 1e-8:
         raise ValueError(
@@ -303,6 +308,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n).gamma
+    _check_positive_gamma(gamma)
     lam = lambda_u(n, gamma)
     u = vector_u(n, gamma, lam)
     system = effective_two_level(n, gamma)

@@ -11,7 +11,8 @@ Subcommands:
 
 CSV goes to stdout unless --output is given; simulate and sweep-gamma can
 emit an SVG chart instead via --format svg.  Exit status is 0 on success,
-1 for domain or computation errors, 2 for usage errors.
+1 for domain or computation errors, 2 for usage errors.  An exit-1 run
+writes exactly one line, starting "error: ", to stderr.
 """
 
 from __future__ import annotations
@@ -134,31 +135,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           x_label="time", y_label="success probability")
     else:
         output.write_csv(args.output, ["time", "probability"],
-                         zip(curve.times, curve.probabilities))
+                         [curve.times, curve.probabilities])
     return 0
 
 
 def cmd_sweep_gamma(args: argparse.Namespace) -> int:
+    # Validates (n, k) before the default bounds divide by them.
+    s = reduced.initial_state(args.n, args.k)
     lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * args.k * args.n)
     hi = args.gamma_max if args.gamma_max is not None else 2.0 / (args.k * args.n)
     if args.points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {args.points}")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"gamma range [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
     gammas = np.linspace(lo, hi, args.points)
-    s = reduced.initial_state(args.n, args.k)
-    rows = []
-    overlaps_s = np.empty((args.points, args.k + 1))
+    energies, overlaps_s, overlaps_w = np.empty((3, args.points, args.k + 1))
     for row_index, gamma in enumerate(gammas):
         model = reduced.search_hamiltonian(args.n, args.k, gamma)
         spectrum = linalg.overlap_spectrum(model.hamiltonian, s,
                                            model.marked_index)
+        energies[row_index] = spectrum.energies
         overlaps_s[row_index] = spectrum.overlap_s
-        for eig_index in range(args.k + 1):
-            rows.append((gamma, eig_index,
-                         spectrum.energies[eig_index],
-                         spectrum.overlap_s[eig_index],
-                         spectrum.overlap_w[eig_index]))
+        overlaps_w[row_index] = spectrum.overlap_w
     if args.format == "svg":
         series = [(gammas, overlaps_s[:, j]) for j in range(args.k + 1)]
         output.render_svg(args.output, series,
@@ -166,7 +166,9 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     else:
         output.write_csv(args.output,
                          ["gamma", "eig_index", "energy", "overlap_s", "overlap_w"],
-                         rows)
+                         [np.repeat(gammas, args.k + 1),
+                          np.tile(np.arange(args.k + 1), args.points),
+                          energies.ravel(), overlaps_s.ravel(), overlaps_w.ravel()])
     return 0
 
 
@@ -186,11 +188,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spectrum = linalg.overlap_spectrum(model.hamiltonian,
                                        reduced.initial_state(args.n, args.k),
                                        model.marked_index)
-    rows = [(eig_index, spectrum.energies[eig_index],
-             spectrum.overlap_s[eig_index], spectrum.overlap_w[eig_index])
-            for eig_index in range(spectrum.energies.size)]
     output.write_csv(args.output,
-                     ["eig_index", "energy", "overlap_s", "overlap_w"], rows)
+                     ["eig_index", "energy", "overlap_s", "overlap_w"],
+                     [np.arange(spectrum.energies.size), spectrum.energies,
+                      spectrum.overlap_s, spectrum.overlap_w])
     return 0
 
 
@@ -203,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           f"max |p_full - p_reduced| = {result.max_deviation:.3e} "
           f"over {result.steps} points")
     if result.max_deviation > VERIFY_TOLERANCE:
-        print(f"verification FAILED (tolerance {VERIFY_TOLERANCE:.1e})",
+        print(f"error: verification FAILED (tolerance {VERIFY_TOLERANCE:.1e})",
               file=sys.stderr)
         return 1
     return 0
@@ -231,7 +232,8 @@ def cmd_analyze_pt(args: argparse.Namespace) -> int:
         ("predicted_gap", report.predicted_gap),
         ("predicted_runtime", report.predicted_runtime),
     ]
-    output.write_csv(args.output, ["key", "value"], rows)
+    keys, values = zip(*rows)
+    output.write_csv(args.output, ["key", "value"], [keys, values])
     return 0
 
 

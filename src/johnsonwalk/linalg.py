@@ -44,7 +44,7 @@ class OverlapSpectrum(NamedTuple):
 def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a real symmetric matrix with LAPACK (``np.linalg.eigh``).
 
-    The matrix must be square, and symmetric to within 1e-12 times
+    The matrix must be square, finite, and symmetric to within 1e-12 times
     max(1, largest |entry|); anything else raises ValueError.
 
     Eigenvalues come back ascending; eigenvector signs are fixed so that the
@@ -54,6 +54,8 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("eig_sym requires a finite matrix")
     scale = float(np.abs(a).max()) if a.size else 0.0
     if float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1.0):
         raise ValueError("eig_sym requires a symmetric matrix")
@@ -82,7 +84,8 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
 
     The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1; one
     eigendecomposition is shared by the whole grid, with only the marked
-    component assembled per time.  ``t_max`` must be finite.
+    component assembled per time.  ``t_max`` must be finite, and so must
+    every phase E * t_max.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
@@ -95,6 +98,8 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
     if not 0 <= marked_index < hamiltonian.shape[0]:
         raise ValueError(f"marked index {marked_index} out of range")
     evals, evecs = eig_sym(hamiltonian)
+    if not math.isfinite(float(np.abs(evals).max()) * abs(t_max)):
+        raise ValueError(f"phases E*t overflow at t_max={t_max}")
     times = np.linspace(0.0, float(t_max), int(steps))
     weights = evecs[marked_index] * (evecs.T @ psi0.astype(complex))
     amplitudes = weights @ np.exp(-1j * np.outer(evals, times))

@@ -2,16 +2,19 @@
 
 CSV is the interchange format: UTF-8, header row, LF line endings, floats
 printed with 17 significant digits so parsing the file back reproduces the
-exact float64 values.  The SVG writer draws a small standalone line chart
-(fixed 800x500 canvas) for eyeballing success curves and overlap sweeps
-without a plotting stack.
+exact float64 values.  ``write_csv`` takes the data as columns, not rows:
+a float or integer ndarray is formatted in bulk, one printf template per
+chunk of rows, and each chunk goes out in one write, so memory stays
+bounded for any row count.  Other columns are formatted value by value and
+quoted the way ``csv.writer(lineterminator="\n")`` quotes.  The SVG writer
+draws a small standalone line chart (fixed 800x500 canvas) for eyeballing
+success curves and overlap sweeps without a plotting stack.
 """
 
 from __future__ import annotations
 
-import csv
 import sys
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +27,9 @@ _MARGIN_BOTTOM = 55.0
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                   "#ff7f0e", "#8c564b")
 
+#: Rows formatted and written per chunk by ``write_csv``.
+_CHUNK_ROWS = 1 << 16
+
 
 def _format_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -35,26 +41,73 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _write_rows(handle: IO[str], header: Sequence[str],
-                rows: Iterable[Sequence]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_format_value(value) for value in row])
+def _quote(text: str, lone: bool) -> str:
+    """Quote a CSV field as ``csv.writer`` does.
+
+    That is a field holding a comma, a double quote or a newline, and an
+    empty field that is the whole row (``lone``), which would otherwise
+    read as a blank line.
+    """
+    if "," in text or '"' in text or "\n" in text or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_cells(column, lone: bool) -> tuple[str, Sequence]:
+    """A column's printf conversion and the values it formats.
+
+    Float and integer ndarrays stay arrays, formatted by ``%.17g`` and
+    ``%d``; anything else becomes a list of quoted ``_format_value`` texts.
+    """
+    if isinstance(column, np.ndarray):
+        if column.ndim != 1:
+            raise ValueError(f"CSV columns must be 1-d, got shape {column.shape}")
+        if column.dtype.kind == "f":
+            return "%.17g", column
+        if column.dtype.kind in "iu":
+            return "%d", column
+    return "%s", [_quote(_format_value(value), lone) for value in column]
+
+
+def _write_columns(handle: IO[str], header: Sequence[str],
+                   columns: Sequence) -> None:
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    width = len(columns)
+    cells = [_column_cells(column, width == 1) for column in columns]
+    n_rows = len(cells[0][1]) if cells else 0
+    if any(len(values) != n_rows for _, values in cells):
+        raise ValueError("CSV columns must all have the same length")
+    handle.write(",".join(_quote(str(name), width == 1) for name in header) + "\n")
+    row_template = ",".join(conversion for conversion, _ in cells) + "\n"
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        interleaved: list = [None] * ((stop - start) * width)
+        for j, (_, values) in enumerate(cells):
+            chunk = values[start:stop]
+            interleaved[j::width] = (chunk.tolist() if isinstance(chunk, np.ndarray)
+                                     else chunk)
+        handle.write(row_template * (stop - start) % tuple(interleaved))
 
 
 def write_csv(path: Optional[str], header: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
-    """Write one header row plus data rows; path None means stdout.
+              columns: Sequence) -> None:
+    """Write one header row plus one data row per index; path None means stdout.
 
-    An empty ``rows`` iterable produces a header-only file, which keeps
-    downstream concatenation and diffing predictable.
+    ``columns`` holds one sequence per header field, all of one length.  A
+    float ndarray is written with 17 significant digits and an integer
+    ndarray as decimal integers, a chunk of rows at a time; any other
+    sequence (list, mixed values, str, bool) is formatted value by value.
+    Text fields containing a comma, a double quote or a newline are quoted
+    with doubled inner quotes, as ``csv.writer`` does.  Zero-length
+    columns produce a header-only file, which keeps downstream
+    concatenation and diffing predictable.
     """
     if path is None:
-        _write_rows(sys.stdout, header, rows)
+        _write_columns(sys.stdout, header, columns)
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_rows(handle, header, rows)
+        _write_columns(handle, header, columns)
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -137,7 +190,11 @@ def render_svg(path: Optional[str],
             parts.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(ys[0]):.2f}" '
                          f'r="4" fill="{color}"/>')
             continue
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # Same operation order as px/py, so every rounded pixel matches.
+        coords = np.empty(2 * xs.size)
+        coords[0::2] = _MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * plot_w
+        coords[1::2] = base_y - (ys - y_lo) / (y_hi - y_lo) * plot_h
+        points = " ".join(["%.2f,%.2f"] * xs.size) % tuple(coords.tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{points}"/>')
     parts.append("</svg>")

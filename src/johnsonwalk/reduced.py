@@ -33,6 +33,8 @@ def _check_reduced_params(n: int, k: int) -> None:
     _check_params(n, k)
     if n < 2 * k:
         raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
+    # N >= n, so this also keeps n and the entries built from it in range.
+    _float_vertex_count(n, k)
 
 
 def intersection_array(n: int, k: int) -> IntersectionArray:
@@ -85,12 +87,16 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> ReducedModel:
     The marked vertex sits alone in class 0, so the oracle projector is the
     single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
     negative and non-finite values are rejected (gamma = 0 is admitted and
-    leaves just the oracle term).
+    leaves just the oracle term), and so is a gamma so large that
+    gamma * A overflows.
     """
     if not math.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     adjacency = reduced_adjacency(n, k)
-    hamiltonian = -float(gamma) * adjacency
+    with np.errstate(over="ignore"):
+        hamiltonian = -float(gamma) * adjacency
+    if not np.isfinite(hamiltonian).all():
+        raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
     hamiltonian[0, 0] -= 1.0
     return ReducedModel(n=n, k=k, gamma=float(gamma), adjacency=adjacency,
                         hamiltonian=hamiltonian, marked_index=0)
@@ -140,6 +146,7 @@ def basis_change_T(n: int) -> np.ndarray:
         raise ValueError("n must be an integer")
     if n < 6:
         raise ValueError(f"basis change requires n >= 6, got n={n}")
+    _check_reduced_params(n, 3)
     T = np.zeros((4, 4))
     T[0, 0] = 1.0
     c_r = math.sqrt(18.0 / (n * n + 2))
@@ -178,8 +185,9 @@ def transformed_hamiltonian_closed(n: int, gamma: float) -> np.ndarray:
         raise ValueError("n must be an integer")
     if n < 6:
         raise ValueError(f"closed-form H' requires n >= 6, got n={n}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_reduced_params(n, 3)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     s = math.sqrt
     q = n * n + 2
     m01 = 3 * s(6 * (n - 3)) / s(q)

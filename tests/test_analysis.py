@@ -197,6 +197,21 @@ def test_vector_u_rejects_non_eigenvalue():
         analysis.vector_u(100, GAMMA_C_100, -0.5)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_vector_u_and_energy_gap_reject_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="finite and positive"):
+        analysis.vector_u(100, gamma, -1.005)
+    with pytest.raises(ValueError, match="finite and positive"):
+        analysis.energy_gap(100, 3, gamma)
+    with pytest.raises(ValueError, match="finite and positive"):
+        analysis.perturbation_report(100, gamma)
+
+
+def test_perturbation_report_rejects_overflowing_gamma():
+    with pytest.raises(ValueError, match="finite matrix"):
+        analysis.perturbation_report(100, 1e308)
+
+
 def test_vector_u_singular_pivot():
     # n=9, gamma=1: lam=-1 is an exact block eigenvalue and the pivot
     # 2n - 17 + lam/gamma vanishes identically

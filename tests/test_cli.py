@@ -1,10 +1,15 @@
 """CLI dispatch, CSV/SVG emission, and exit codes."""
 
+import contextlib
 import csv
+import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from johnsonwalk import cli, output, reduced, linalg
 
@@ -51,13 +56,79 @@ def test_csv_determinism(tmp_path):
 
 def test_write_csv_header_only(tmp_path):
     target = tmp_path / "empty.csv"
-    output.write_csv(str(target), ["x", "y"], [])
+    output.write_csv(str(target), ["x", "y"], [[], []])
     assert target.read_text(encoding="utf-8") == "x,y\n"
 
 
 def test_write_csv_stdout(capsys):
-    output.write_csv(None, ["a"], [(1.5,), (2,)])
+    output.write_csv(None, ["a"], [[1.5, 2]])
     assert capsys.readouterr().out == "a\n1.5\n2\n"
+
+
+def _reference_csv(header, columns):
+    """The row-at-a-time writer that write_csv replaced."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in zip(*columns):
+        writer.writerow([output._format_value(value) for value in row])
+    return buffer.getvalue().encode("utf-8")
+
+
+def _written_csv(tmp_path, header, columns):
+    target = tmp_path / "out.csv"
+    output.write_csv(str(target), header, columns)
+    return target.read_bytes()
+
+
+def test_write_csv_matches_row_writer_on_curve(tmp_path):
+    model = reduced.search_hamiltonian(100, 3, 0.00345)
+    curve = linalg.success_curve(model.hamiltonian, reduced.initial_state(100, 3),
+                                 0, 700.0, 2801)
+    header = ["time", "probability"]
+    columns = [curve.times, curve.probabilities]
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path):
+    header = ["text", "flag", "np_flag", "i64", "u8", "py_int", "f64", "f32",
+              "py_mixed", "obj"]
+    columns = [
+        ["plain", "a,b", 'say "hi"', "two\nlines", "", " "],
+        [True, False, True, False, True, False],
+        np.array([True, False, False, True, True, False]),
+        np.array([0, -1, 2**62, -(2**63), 7, 42], dtype=np.int64),
+        np.array([0, 1, 2, 200, 254, 255], dtype=np.uint8),
+        [0, -5, 2**70, np.int32(3), np.int64(-4), 10],
+        np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]),
+        np.array([0.1, -0.0, math.nan, 1e38, 3.5, -2.25], dtype=np.float32),
+        [1.5, 2, "x,y", None, np.float32(0.1), np.float64(-0.0)],
+        np.array(["s", 1, 2.5, True, None, 'q"'], dtype=object),
+    ]
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_write_csv_matches_row_writer_on_lone_text_column(tmp_path):
+    # csv.writer quotes an empty field that is the whole row
+    header, columns = [""], [["", "a", "", "b,c"]]
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("rows", [0, output._CHUNK_ROWS + 1])
+def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    header = ["x", "i", "label"]
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+               rng.integers(-(2**40), 2**40, rows),
+               [f"row {i}" if i % 3 else f"row,{i}" for i in range(rows)]]
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_write_csv_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="same length"):
+        output.write_csv(None, ["a", "b"], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError, match="header"):
+        output.write_csv(None, ["a", "b"], [np.zeros(3)])
 
 
 def test_sweep_gamma_csv(tmp_path):
@@ -115,6 +186,43 @@ def test_render_svg_flat_series(tmp_path):
     ts = np.linspace(0.0, 1.0, 5)
     output.render_svg(str(target), [(ts, np.full(5, 0.25))])
     assert "<polyline" in target.read_text(encoding="utf-8")
+
+
+def _scalar_points(series):
+    """Polyline points by the per-point px/py formula render_svg replaced."""
+    x_lo, x_hi = output._padded(min(float(xs.min()) for xs, _ in series),
+                                max(float(xs.max()) for xs, _ in series))
+    y_lo, y_hi = output._padded(min(float(ys.min()) for _, ys in series),
+                                max(float(ys.max()) for _, ys in series))
+    plot_w = output.CANVAS_WIDTH - output._MARGIN_LEFT - output._MARGIN_RIGHT
+    plot_h = output.CANVAS_HEIGHT - output._MARGIN_TOP - output._MARGIN_BOTTOM
+    base_y = output.CANVAS_HEIGHT - output._MARGIN_BOTTOM
+
+    def px(x):
+        return output._MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return base_y - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            for xs, ys in series]
+
+
+@pytest.mark.parametrize("case", ["random", "flat", "several"])
+def test_render_svg_points_match_scalar_formula(tmp_path, case):
+    rng = np.random.default_rng(17)
+    ts = np.sort(rng.uniform(-3.0, 40.0, 500))
+    if case == "random":
+        series = [(ts, rng.standard_normal(500))]
+    elif case == "flat":
+        series = [(ts, np.full(500, 0.25))]
+    else:
+        series = [(ts, np.sin(j * ts) * 10.0 ** -j) for j in range(7)]
+        series.append((ts[:3] * 1e-3, np.array([1e5, -1e5, 0.0])))
+    target = tmp_path / "chart.svg"
+    output.render_svg(str(target), series)
+    points = re.findall(r'points="([^"]*)"', target.read_text(encoding="utf-8"))
+    assert points == _scalar_points(series)
 
 
 def test_spectrum_csv(capsys):
@@ -182,6 +290,36 @@ def test_non_finite_input_exits_one(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["analyze-pt", "--n", "100", "--gamma", "nan"],
+    ["analyze-pt", "--n", "100", "--gamma", "inf"],
+    ["analyze-pt", "--n", "100", "--gamma", "1e308"],
+    ["verify", "--n", "7", "--k", "3", "--gamma", "1e308"],
+    ["sweep-gamma", "--n", "10", "--k", "3", "--points", "2",
+     "--gamma-max", "1e308"],
+    ["sweep-gamma", "--n", "10", "--k", "3", "--gamma-min=-inf",
+     "--gamma-max=inf"],
+    ["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"],
+], ids=["pt-nan", "pt-inf", "pt-1e308", "verify-1e308", "sweep-1e308",
+        "sweep-infinite-range", "simulate-phase-overflow"])
+def test_overflowing_input_exits_one(argv, capsys):
+    # Warnings are errors here: a RuntimeWarning would reach stderr in a
+    # real run, next to the error line.
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_failure_is_one_error_line(capsys):
+    # Phases near 1e308 keep no precision, so the two curves disagree.
+    argv = ["verify", "--n", "7", "--k", "2", "--t-max", "1e308"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: verification FAILED (tolerance 1.0e-08)\n"
+
+
 def test_cap_error_exits_one(capsys):
     assert cli.main(["verify", "--n", "30", "--k", "3", "--cap", "50"]) == 1
     assert "cap" in capsys.readouterr().err
@@ -212,3 +350,66 @@ def test_sweep_rejects_bad_grid(capsys):
     assert cli.main(["sweep-gamma", "--n", "12", "--k", "3",
                      "--gamma-min", "0.2", "--gamma-max", "0.1"]) == 1
     capsys.readouterr()
+
+
+def _run_cli(argv):
+    """Exit code and stderr of cli.main, with warnings raised as errors."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_ADVERSE = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+_N = st.sampled_from(_ADVERSE + ["-7", "1", "2", "6", "7", "10", "100",
+                                 "10000000", str(10**308)])
+_K = st.sampled_from(_ADVERSE + ["1", "2", "3", "4"])
+_GAMMA = st.sampled_from(_ADVERSE + ["-1e308", "5e-324", "0.01", "0.3"])
+_T_MAX = st.sampled_from(_ADVERSE + ["1e-300", "20"])
+_STEPS = st.sampled_from(_ADVERSE + ["1", "2", "37", "500"])
+_POINTS = st.sampled_from(_ADVERSE + ["1", "2", "20"])
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_SUBCOMMANDS = {
+    "simulate": ["n", "k", "gamma", "t-max", "steps"],
+    "sweep-gamma": ["n", "k", "gamma-min", "gamma-max", "points"],
+    "critical-gamma": ["n", "k"],
+    "spectrum": ["n", "k", "gamma"],
+    "verify": ["n", "k", "gamma", "t-max", "steps"],
+    "analyze-pt": ["n", "gamma"],
+}
+_VALUES = {"n": _N, "k": _K, "gamma": _GAMMA, "gamma-min": _GAMMA,
+           "gamma-max": _GAMMA, "t-max": _T_MAX, "steps": _STEPS,
+           "points": _POINTS}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for name in _SUBCOMMANDS[command]:
+        argv += draw(_option(name, _VALUES[name]))
+    if command == "verify":
+        argv.append("--cap=200")
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_contract_on_adversarial_arguments(argv):
+    code, err = _run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err

@@ -65,6 +65,16 @@ def test_eig_sym_rejects_asymmetric_and_nonsquare():
         linalg.eig_sym(np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eig_sym_rejects_non_finite(bad):
+    # nan > x is False, so a symmetry test alone would let these through
+    a = np.array([[1.0, bad], [bad, 2.0]])
+    with pytest.raises(ValueError, match="eig_sym requires a finite matrix"):
+        linalg.eig_sym(a)
+    with pytest.raises(ValueError, match="finite"):
+        linalg.eig_sym(np.diag([bad, 1.0]))
+
+
 def test_eig_sym_handles_tiny_offdiagonal():
     a = np.array([[1.0, 1e-305], [1e-305, 2.0]])
     evals, _ = linalg.eig_sym(a)
@@ -153,6 +163,13 @@ def test_success_curve_rejects_non_finite_t_max(t_max):
     psi0 = reduced.initial_state(8, 3)
     with pytest.raises(ValueError, match="t_max must be finite"):
         linalg.success_curve(h, psi0, 0, t_max, 5)
+
+
+def test_success_curve_rejects_phase_overflow():
+    # J(2,1) at gamma = 1e308 is finite, but E * t_max is not
+    h = reduced.search_hamiltonian(2, 1, 1e308).hamiltonian
+    with pytest.raises(ValueError, match="overflow"):
+        linalg.success_curve(h, reduced.initial_state(2, 1), 0, 10.0, 5)
 
 
 def test_overlap_spectrum_completeness():

@@ -96,6 +96,25 @@ def test_search_hamiltonian_rejects_non_finite_gamma(gamma):
         reduced.search_hamiltonian(6, 3, gamma)
 
 
+def test_search_hamiltonian_rejects_overflowing_gamma():
+    with pytest.raises(ValueError, match="overflows"):
+        reduced.search_hamiltonian(7, 3, 1e308)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0])
+def test_transformed_hamiltonian_closed_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="finite and positive"):
+        reduced.transformed_hamiltonian_closed(100, gamma)
+
+
+def test_k3_basis_change_rejects_vertex_count_beyond_float():
+    # C(1e200, 3) overflows a float, and so would n * n inside the formulas
+    with pytest.raises(ValueError, match="float range"):
+        reduced.basis_change_T(10**200)
+    with pytest.raises(ValueError, match="float range"):
+        reduced.transformed_hamiltonian_closed(10**200, 0.1)
+
+
 def test_initial_state_rejects_vertex_count_beyond_float():
     # C(3000, 500) ~ 1e585 and C(1100, 500) ~ 1e327 overflow; C(1000, 500) ~ 1e299 fits
     with pytest.raises(ValueError, match="float range"):
