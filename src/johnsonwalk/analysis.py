@@ -22,7 +22,7 @@ import numpy as np
 from . import johnson, reduced
 from .errors import SearchBracketError, SingularPivotError
 from .johnson import DEFAULT_VERTEX_CAP
-from .linalg import eig_sym, success_curve
+from .linalg import eig_sym, overlap_spectrum, success_curve
 
 #: Maximum number of geometric bracket expansions before giving up.
 MAX_BRACKET_EXPANSIONS = 10
@@ -43,9 +43,7 @@ class CriticalGammaResult:
 
 def gamma_c_formula_k3(n: int) -> CriticalGammaResult:
     """Closed-form critical jumping rate 1/(3n) + 7/(6n^2) for k = 3."""
-    if not isinstance(n, (int, np.integer)) or n < 6:
-        raise ValueError(f"closed-form gamma_c requires integer n >= 6, got {n}")
-    reduced._check_reduced_params(n, 3)
+    reduced._check_k3_params(n)
     gamma = 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
     return CriticalGammaResult(gamma=gamma, method="formula_k3")
 
@@ -58,8 +56,8 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
     is the zero crossing.
     """
     model = reduced.search_hamiltonian(n, k, gamma)
-    _, vecs = eig_sym(model.hamiltonian)
-    overlaps = (vecs.T @ reduced.initial_state(n, k)) ** 2
+    overlaps = overlap_spectrum(model.hamiltonian, reduced.initial_state(n, k),
+                                model.marked_index).overlap_s
     return float(overlaps[0] - overlaps[1])
 
 
@@ -107,14 +105,9 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
                                residual=overlap_balance(n, k, mid))
 
 
-def _check_positive_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-
-
 def energy_gap(n: int, k: int, gamma: float) -> float:
     """E_1 - E_0 of the reduced search Hamiltonian."""
-    _check_positive_gamma(gamma)
+    reduced._check_positive_gamma(gamma)
     evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma).hamiltonian)
     return float(evals[1] - evals[0])
 
@@ -124,14 +117,7 @@ def predicted_peak_time(n: int, k: int) -> float:
 
     Raises ValueError when N = C(n,k) does not fit in a float.
     """
-    reduced._check_reduced_params(n, k)
-    return math.pi * math.sqrt(reduced._float_vertex_count(n, k)) / 2.0
-
-
-def _check_k3_params(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 6:
-        raise ValueError(f"the k=3 analysis requires integer n >= 6, got {n}")
-    reduced._check_reduced_params(n, 3)
+    return math.pi * math.sqrt(reduced._check_reduced_params(n, k)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -151,7 +137,7 @@ class NaiveSplitting:
 
 def naive_splitting_diagnostic(n: int, gamma: float) -> NaiveSplitting:
     """Split H (k = 3) into the naive leading and first-order pieces."""
-    _check_k3_params(n)
+    reduced._check_k3_params(n)
     h0 = np.diag([-1.0, -gamma * n, -2.0 * gamma * n, -3.0 * gamma * n])
     h1 = -gamma * np.array([
         [0.0, math.sqrt(3.0 * n), 0.0, 0.0],
@@ -169,7 +155,7 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
     over (d0, r', r''), expanded in closed form; its roots are the block
     eigenvalues, one of which is lambda_u.
     """
-    _check_k3_params(n)
+    reduced._check_k3_params(n)
     g = float(gamma)
     return (
         -1.0,
@@ -181,7 +167,7 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
 
 def pt_block(n: int, gamma: float) -> np.ndarray:
     """3x3 leading-order Hamiltonian block over (d0, r', r'')."""
-    _check_k3_params(n)
+    reduced._check_k3_params(n)
     g = float(gamma)
     return np.array([
         [-1.0, 0.0, -g * math.sqrt(3.0 * n)],
@@ -232,8 +218,8 @@ def vector_u(n: int, gamma: float, lam: float) -> np.ndarray:
     lam/gamma means the ratio form breaks down, reported as
     SingularPivotError rather than returning garbage.
     """
-    _check_k3_params(n)
-    _check_positive_gamma(gamma)
+    reduced._check_k3_params(n)
+    reduced._check_positive_gamma(gamma)
     evals, _ = eig_sym(pt_block(n, gamma))
     if float(np.abs(evals - lam).min()) > 1e-8:
         raise ValueError(
@@ -308,7 +294,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n).gamma
-    _check_positive_gamma(gamma)
+    reduced._check_positive_gamma(gamma)
     lam = lambda_u(n, gamma)
     u = vector_u(n, gamma, lam)
     system = effective_two_level(n, gamma)

@@ -61,11 +61,13 @@ def create_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
     commands = parser.add_subparsers(dest="command", required=True)
+    n_only = argparse.ArgumentParser(add_help=False)
+    n_only.add_argument("--n", type=int, required=True)
+    n_and_k = argparse.ArgumentParser(add_help=False, parents=[n_only])
+    n_and_k.add_argument("--k", type=int, required=True)
 
-    sim = commands.add_parser("simulate",
+    sim = commands.add_parser("simulate", parents=[n_and_k],
                               help="success probability as a function of time")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--k", type=int, required=True)
     sim.add_argument("--gamma", type=float, default=None,
                      help="jumping rate (default: critical)")
     sim.add_argument("--t-max", type=float, default=None,
@@ -74,10 +76,8 @@ def create_parser() -> argparse.ArgumentParser:
                      help="number of grid points (default: 1000)")
     _add_output_options(sim, formats=True)
 
-    sweep = commands.add_parser("sweep-gamma",
+    sweep = commands.add_parser("sweep-gamma", parents=[n_and_k],
                                 help="eigenstate overlaps across a gamma grid")
-    sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--k", type=int, required=True)
     sweep.add_argument("--gamma-min", type=float, default=None,
                        help="grid start (default: 1/(2kn))")
     sweep.add_argument("--gamma-max", type=float, default=None,
@@ -86,23 +86,17 @@ def create_parser() -> argparse.ArgumentParser:
                        help="grid size (default: 100)")
     _add_output_options(sweep, formats=True)
 
-    crit = commands.add_parser("critical-gamma",
+    crit = commands.add_parser("critical-gamma", parents=[n_and_k],
                                help="critical jumping rate (formula and numeric)")
-    crit.add_argument("--n", type=int, required=True)
-    crit.add_argument("--k", type=int, required=True)
 
-    spec = commands.add_parser("spectrum",
+    spec = commands.add_parser("spectrum", parents=[n_and_k],
                                help="eigenvalues and overlaps at one gamma")
-    spec.add_argument("--n", type=int, required=True)
-    spec.add_argument("--k", type=int, required=True)
     spec.add_argument("--gamma", type=float, default=None,
                       help="jumping rate (default: critical)")
     _add_output_options(spec, formats=False)
 
-    verify = commands.add_parser("verify",
+    verify = commands.add_parser("verify", parents=[n_and_k],
                                  help="compare against the brute-force graph")
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--k", type=int, required=True)
     verify.add_argument("--gamma", type=float, default=None,
                         help="jumping rate (default: critical)")
     verify.add_argument("--t-max", type=float, default=None,
@@ -113,9 +107,8 @@ def create_parser() -> argparse.ArgumentParser:
                         help="brute-force vertex cap "
                              f"(default: {DEFAULT_VERTEX_CAP})")
 
-    pt = commands.add_parser("analyze-pt",
+    pt = commands.add_parser("analyze-pt", parents=[n_only],
                              help="perturbation-theory report (k = 3)")
-    pt.add_argument("--n", type=int, required=True)
     pt.add_argument("--gamma", type=float, default=None,
                     help="jumping rate (default: critical formula)")
     _add_output_options(pt, formats=False)
@@ -257,6 +250,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handler(args)
     except (ValueError, WalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -147,10 +147,11 @@ def render_svg(path: Optional[str],
     plot_h = CANVAS_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     base_y = CANVAS_HEIGHT - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # Both take a float or an array of floats.
+    def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return base_y - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -190,10 +191,9 @@ def render_svg(path: Optional[str],
             parts.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(ys[0]):.2f}" '
                          f'r="4" fill="{color}"/>')
             continue
-        # Same operation order as px/py, so every rounded pixel matches.
         coords = np.empty(2 * xs.size)
-        coords[0::2] = _MARGIN_LEFT + (xs - x_lo) / (x_hi - x_lo) * plot_w
-        coords[1::2] = base_y - (ys - y_lo) / (y_hi - y_lo) * plot_h
+        coords[0::2] = px(xs)
+        coords[1::2] = py(ys)
         points = " ".join(["%.2f,%.2f"] * xs.size) % tuple(coords.tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{points}"/>')

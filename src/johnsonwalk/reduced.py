@@ -29,12 +29,32 @@ class IntersectionArray(NamedTuple):
     b: tuple[int, ...]  # b_0 ... b_{k-1}
 
 
-def _check_reduced_params(n: int, k: int) -> None:
+def _check_reduced_params(n: int, k: int) -> float:
+    """Validate integers n >= 2k >= 2 and return N = C(n,k) as a float.
+
+    N must be within the float range; every class size |d_i| is at most N,
+    and N >= n, so n and the entries built from it are then in range too.
+    """
     _check_params(n, k)
     if n < 2 * k:
         raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
-    # N >= n, so this also keeps n and the entries built from it in range.
-    _float_vertex_count(n, k)
+    count = binomial(n, k)
+    if count > sys.float_info.max:
+        raise ValueError(f"C({n},{k}) vertices exceed the float range "
+                         f"(about {sys.float_info.max:.1e})")
+    return float(count)
+
+
+def _check_k3_params(n: int) -> None:
+    """Validate n for the k = 3 perturbation picture: an integer n >= 6."""
+    if not isinstance(n, (int, np.integer)) or n < 6:
+        raise ValueError(f"the k=3 analysis requires integer n >= 6, got {n}")
+    _check_reduced_params(n, 3)
+
+
+def _check_positive_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 def intersection_array(n: int, k: int) -> IntersectionArray:
@@ -57,7 +77,6 @@ def reduced_adjacency(n: int, k: int) -> np.ndarray:
     (i+1) * sqrt((k-i)(n-k-i)), the geometric mean sqrt(b_i * c_{i+1}) that
     symmetrizes the up/down neighbor counts.
     """
-    _check_reduced_params(n, k)
     arr = intersection_array(n, k)
     adj = np.zeros((k + 1, k + 1))
     for i in range(k + 1):
@@ -102,19 +121,6 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> ReducedModel:
                         hamiltonian=hamiltonian, marked_index=0)
 
 
-def _float_vertex_count(n: int, k: int) -> float:
-    """The vertex count N = C(n,k) as a float.
-
-    Raises ValueError when C(n,k) is beyond the float range; every class
-    size |d_i| is at most N, so it then fits as well.
-    """
-    count = binomial(n, k)
-    if count > sys.float_info.max:
-        raise ValueError(f"C({n},{k}) vertices exceed the float range "
-                         f"(about {sys.float_info.max:.1e})")
-    return float(count)
-
-
 def initial_state(n: int, k: int) -> np.ndarray:
     """Uniform superposition over all vertices, written in the distance basis.
 
@@ -122,9 +128,8 @@ def initial_state(n: int, k: int) -> np.ndarray:
     onto the normalized class indicator vectors.  Raises ValueError when N
     does not fit in a float.
     """
-    sizes = class_sizes(n, k)
-    n_vertices = _float_vertex_count(n, k)
-    state = np.sqrt(np.array(sizes, dtype=float))
+    n_vertices = _check_reduced_params(n, k)
+    state = np.sqrt(np.array(class_sizes(n, k), dtype=float))
     return state / math.sqrt(n_vertices)
 
 
@@ -142,11 +147,7 @@ def basis_change_T(n: int) -> np.ndarray:
 
     Requires n >= 6 so all radicands are non-negative.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError("n must be an integer")
-    if n < 6:
-        raise ValueError(f"basis change requires n >= 6, got n={n}")
-    _check_reduced_params(n, 3)
+    _check_k3_params(n)
     T = np.zeros((4, 4))
     T[0, 0] = 1.0
     c_r = math.sqrt(18.0 / (n * n + 2))
@@ -181,13 +182,8 @@ def transformed_hamiltonian_closed(n: int, gamma: float) -> np.ndarray:
     structural zeros.  Useful as an independent check on the numerically
     transformed matrix.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError("n must be an integer")
-    if n < 6:
-        raise ValueError(f"closed-form H' requires n >= 6, got n={n}")
-    _check_reduced_params(n, 3)
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    _check_k3_params(n)
+    _check_positive_gamma(gamma)
     s = math.sqrt
     q = n * n + 2
     m01 = 3 * s(6 * (n - 3)) / s(q)

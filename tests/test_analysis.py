@@ -292,3 +292,37 @@ def test_run_verification_honors_cap():
         analysis.run_verification(6, 3, math.nan)
     with pytest.raises(ValueError, match="finite"):
         analysis.run_verification(6, 3, 0.1, t_max=math.inf)
+
+
+# Every k=3 entry point with a valid jumping rate (and, for vector_u, an
+# eigenvalue of the n=100 block); n and gamma are swapped in per case.
+K3_ENTRY_POINTS = {
+    "gamma_c_formula_k3": lambda n, g: analysis.gamma_c_formula_k3(n),
+    "naive_splitting_diagnostic": analysis.naive_splitting_diagnostic,
+    "char_cubic_coeffs": analysis.char_cubic_coeffs,
+    "pt_block": analysis.pt_block,
+    "vector_u": lambda n, g: analysis.vector_u(n, g, LAMBDA_U_100),
+    "basis_change_T": lambda n, g: reduced.basis_change_T(n),
+    "transformed_hamiltonian": reduced.transformed_hamiltonian,
+    "transformed_hamiltonian_closed": reduced.transformed_hamiltonian_closed,
+    "perturbation_report": analysis.perturbation_report,
+}
+#: The entry points that refuse a jumping rate that is not finite and positive.
+K3_POSITIVE_GAMMA = ("vector_u", "transformed_hamiltonian_closed",
+                     "perturbation_report")
+
+
+@pytest.mark.parametrize("name", sorted(K3_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [5, 6.0, 10**200])
+def test_k3_entry_points_share_the_n_domain(name, n):
+    entry = K3_ENTRY_POINTS[name]
+    entry(100, GAMMA_C_100)
+    with pytest.raises(ValueError, match="float range" if n == 10**200 else None):
+        entry(n, GAMMA_C_100)
+
+
+@pytest.mark.parametrize("name", K3_POSITIVE_GAMMA)
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_k3_entry_points_share_the_gamma_domain(name, gamma):
+    with pytest.raises(ValueError, match="finite and positive"):
+        K3_ENTRY_POINTS[name](100, gamma)

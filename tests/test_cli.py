@@ -413,3 +413,20 @@ def test_cli_contract_on_adversarial_arguments(argv):
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                "(4, 100000000) and data type complex128"),
+    MemoryError(),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_exits_one(exc, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(linalg, "success_curve", exhausted)
+    assert cli.main(["simulate", "--n", "100", "--k", "3", "--steps", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0] == f"error: {str(exc) or 'out of memory'}"

@@ -197,3 +197,33 @@ def test_search_hamiltonian_eigensolver_matches_lapack():
     h = reduced.search_hamiltonian(100, 3, gamma).hamiltonian
     evals, _ = linalg.eig_sym(h)
     assert np.abs(evals - np.linalg.eigvalsh(h)).max() < 1e-13
+
+
+def _one_product_curve(h, psi0, t_max, steps):
+    """The success curve as one product over the whole time grid."""
+    evals, evecs = linalg.eig_sym(h)
+    times = np.linspace(0.0, t_max, steps)
+    weights = evecs[0] * (evecs.T @ psi0.astype(complex))
+    return np.abs(weights @ np.exp(-1j * np.outer(evals, times))) ** 2
+
+
+@pytest.mark.parametrize("block_elements,n,k,steps,atol", [
+    # 64-time blocks, 15 full and one of 40: each product is too small for
+    # BLAS to thread, and every block is whole 4-wide kernel groups, so the
+    # curve is equal bit for bit.
+    (256, 8, 3, 1000, 0.0),
+    # The default, 32 blocks of 3072 times and one of 1696.  Equal bit for
+    # bit too where BLAS splits every product into whole groups (1, 2, 4, 8
+    # or 16 threads); other thread counts move a few times to the scalar path.
+    (1 << 16, 2000, 20, 100000, 1e-14),
+], ids=["small-blocks", "default-blocks"])
+def test_success_curve_blocks_match_one_product(monkeypatch, block_elements,
+                                                n, k, steps, atol):
+    monkeypatch.setattr(linalg, "_BLOCK_ELEMENTS", block_elements)
+    model = reduced.search_hamiltonian(n, k, 1.0 / (k * n))
+    psi0 = reduced.initial_state(n, k)
+    curve = linalg.success_curve(model.hamiltonian, psi0, 0, 3000.0, steps)
+    np.testing.assert_allclose(
+        curve.probabilities,
+        _one_product_curve(model.hamiltonian, psi0, 3000.0, steps),
+        rtol=0.0, atol=atol)
