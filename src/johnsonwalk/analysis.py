@@ -237,13 +237,16 @@ def vector_u(n: int, gamma: float, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoLevelSystem:
-    """Effective two-level Hamiltonian over (r, u) with its eigenpairs."""
+    """Effective two-level Hamiltonian over (r, u) with its eigenpairs, and
+    the block eigenpair (lambda_u, u) it is built from."""
 
     matrix: np.ndarray
     e_minus: float
     e_plus: float
     alpha_minus: np.ndarray
     alpha_plus: np.ndarray
+    lambda_u: float
+    u: np.ndarray
 
 
 def effective_two_level(n: int, gamma: float) -> TwoLevelSystem:
@@ -267,7 +270,8 @@ def effective_two_level(n: int, gamma: float) -> TwoLevelSystem:
     evals, evecs = eig_sym(matrix)
     return TwoLevelSystem(matrix=matrix,
                           e_minus=float(evals[0]), e_plus=float(evals[1]),
-                          alpha_minus=evecs[:, 0], alpha_plus=evecs[:, 1])
+                          alpha_minus=evecs[:, 0], alpha_plus=evecs[:, 1],
+                          lambda_u=lam, u=u)
 
 
 @dataclass(frozen=True)
@@ -295,8 +299,6 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     if gamma is None:
         gamma = gamma_c_formula_k3(n).gamma
     reduced._check_positive_gamma(gamma)
-    lam = lambda_u(n, gamma)
-    u = vector_u(n, gamma, lam)
     system = effective_two_level(n, gamma)
     gap = system.e_plus - system.e_minus
     if gap <= 0:
@@ -304,7 +306,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     return PerturbationReport(
         n=n, gamma=float(gamma),
         cubic_coefficients=char_cubic_coeffs(n, gamma),
-        lambda_u=lam, u=u,
+        lambda_u=system.lambda_u, u=system.u,
         effective_2x2=system.matrix,
         e_minus=system.e_minus, e_plus=system.e_plus,
         predicted_gap=gap, predicted_runtime=math.pi / gap)
@@ -337,8 +339,6 @@ def run_verification(n: int, k: int, gamma: float,
     model = reduced.search_hamiltonian(n, k, gamma)
     if t_max is None:
         t_max = 2.0 * math.pi * math.sqrt(n_vertices)
-    if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
 
     s_full = np.full(n_vertices, 1.0 / math.sqrt(n_vertices))
     psi0 = reduced.initial_state(n, k)

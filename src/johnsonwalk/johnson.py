@@ -31,6 +31,13 @@ def _check_params(n: int, k: int) -> None:
         raise ValueError(f"require 1 <= k < n, got n={n}, k={k}")
 
 
+def _check_class_params(n: int, k: int) -> None:
+    """Validate integers n >= 2k >= 2, where all k+1 distance classes exist."""
+    _check_params(n, k)
+    if n < 2 * k:
+        raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
+
+
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n,k).
 
@@ -110,10 +117,8 @@ def distance_classes(graph: FullGraph, w: int = 0) -> list[np.ndarray]:
 def class_sizes(n: int, k: int) -> list[int]:
     """Sizes |d_i| = C(k,i) * C(n-k,i) of the k+1 distance classes.
 
-    Requires n >= 2k so that all k+1 classes are nonempty and the reduced
-    model below has full dimension k+1.
+    Requires n >= 2k so that all k+1 classes are nonempty.  The sizes sum
+    to C(n,k).
     """
-    _check_params(n, k)
-    if n < 2 * k:
-        raise ValueError(f"class_sizes requires n >= 2k, got n={n}, k={k}")
+    _check_class_params(n, k)
     return [binomial(k, i) * binomial(n - k, i) for i in range(k + 1)]

@@ -7,7 +7,9 @@ eigenvectors is reproducible.
 
 Evolution under exp(-iHt) is computed spectrally: one decomposition of H
 serves every time on a grid.  Every call decomposes afresh and returns
-arrays that the caller owns.
+arrays that the caller owns.  ``evolve``, ``success_curve`` and
+``overlap_spectrum`` share one checked decomposition; the success curve is
+summed in a fixed order, so its bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import numpy as np
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
 SIGN_EPS = 1e-8
 
-#: Phase-matrix elements (eigenvalues x times) ``success_curve`` builds at once.
-_BLOCK_ELEMENTS = 1 << 16
-#: ``success_curve`` blocks span a multiple of this many times.
-_BLOCK_ALIGN = 64
+#: Times ``success_curve`` evaluates at once, bounding its working memory.
+_BLOCK_TIMES = 1 << 14
 
 
 class SpectralDecomposition(NamedTuple):
@@ -53,15 +53,19 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     max(1, largest |entry|); anything else raises ValueError.
 
     Eigenvalues come back ascending; eigenvector signs are fixed so that the
-    first component of magnitude above ``SIGN_EPS`` is non-negative, keeping
-    CSV output reproducible across platforms.
+    first component of magnitude above ``SIGN_EPS`` is non-negative.  With
+    that convention and ``success_curve``'s fixed summation order, CSV output
+    does not depend on the number of BLAS threads (the tests check
+    ``simulate`` at 1, 2 and 3).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
+    if a.size == 0:
+        raise ValueError("eig_sym requires a non-empty matrix")
     if not np.isfinite(a).all():
         raise ValueError("eig_sym requires a finite matrix")
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    scale = float(np.abs(a).max())
     if float(np.abs(a - a.T).max()) > 1e-12 * max(scale, 1.0):
         raise ValueError("eig_sym requires a symmetric matrix")
 
@@ -72,14 +76,24 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
 
 
+def _eigenbasis(hamiltonian: np.ndarray, state: np.ndarray,
+                marked_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of H, and the array ``state`` in that basis.
+
+    Checks that ``state`` and ``marked_index`` fit H before decomposing it.
+    """
+    hamiltonian = np.asarray(hamiltonian)
+    if hamiltonian.ndim != 2 or state.shape != (hamiltonian.shape[0],):
+        raise ValueError("hamiltonian/state dimension mismatch")
+    if not 0 <= marked_index < hamiltonian.shape[0]:
+        raise ValueError(f"marked index {marked_index} out of range")
+    evals, evecs = eig_sym(hamiltonian)
+    return evals, evecs, evecs.T @ state
+
+
 def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Apply exp(-iHt) to ``psi0`` through the eigendecomposition of H."""
-    psi0 = np.asarray(psi0)
-    hamiltonian = np.asarray(hamiltonian)
-    if hamiltonian.ndim != 2 or psi0.shape != (hamiltonian.shape[0],):
-        raise ValueError("hamiltonian/state dimension mismatch")
-    evals, evecs = eig_sym(hamiltonian)
-    coeffs = evecs.T @ psi0.astype(complex)
+    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
     return evecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
@@ -88,35 +102,32 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
 
     The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1; one
-    eigendecomposition is shared by the whole grid, with only the marked
-    component assembled per time.  The phases are built a block of times at
-    a time, so memory beyond the output stays bounded for any ``steps`` and
-    dimension.  ``t_max`` must be finite, and so must every phase E * t_max.
+    eigendecomposition is shared by the whole grid.  The marked amplitude
+    sum_j w_j exp(-i E_j t) is added one eigenvalue at a time, in ascending
+    order and elementwise in t, so no time's bits depend on how the grid is
+    split; ``_BLOCK_TIMES`` times at a time keep memory beyond the output
+    bounded for any ``steps`` and dimension.  ``t_max`` must be finite and
+    non-negative, and every phase E * t_max finite.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
-    psi0 = np.asarray(psi0)
-    hamiltonian = np.asarray(hamiltonian)
-    if hamiltonian.ndim != 2 or psi0.shape != (hamiltonian.shape[0],):
-        raise ValueError("hamiltonian/state dimension mismatch")
-    if not 0 <= marked_index < hamiltonian.shape[0]:
-        raise ValueError(f"marked index {marked_index} out of range")
-    evals, evecs = eig_sym(hamiltonian)
-    if not math.isfinite(float(np.abs(evals).max()) * abs(t_max)):
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
+    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex),
+                                       marked_index)
+    if not math.isfinite(float(np.abs(evals).max()) * t_max):
         raise ValueError(f"phases E*t overflow at t_max={t_max}")
     times = np.linspace(0.0, float(t_max), int(steps))
-    weights = evecs[marked_index] * (evecs.T @ psi0.astype(complex))
+    weights = evecs[marked_index] * coeffs
     probabilities = np.empty(times.size)
-    # BLAS gives each thread a share of the times and computes them in
-    # 4-wide groups, the last 1-3 on a scalar path that rounds differently.
-    # Blocks of a multiple of 64 times split into whole groups on 1, 2, 4, 8
-    # or 16 threads, so where the whole grid does too, no bit changes.
-    block = max(1, _BLOCK_ELEMENTS // (evals.size * _BLOCK_ALIGN)) * _BLOCK_ALIGN
-    for start in range(0, times.size, block):
-        phases = np.exp(-1j * np.outer(evals, times[start:start + block]))
-        probabilities[start:start + block] = np.abs(weights @ phases) ** 2
+    for start in range(0, times.size, _BLOCK_TIMES):
+        block = times[start:start + _BLOCK_TIMES]
+        amplitude = np.zeros(block.size, dtype=complex)
+        for energy, weight in zip(evals, weights):
+            amplitude += weight * np.exp(-1j * energy * block)
+        probabilities[start:start + _BLOCK_TIMES] = np.abs(amplitude) ** 2
     return TimeSeries(times=times, probabilities=probabilities)
 
 
@@ -126,13 +137,7 @@ def overlap_spectrum(hamiltonian: np.ndarray, s: np.ndarray,
 
     Both overlap columns sum to one (completeness of the eigenbasis).
     """
-    s = np.asarray(s, dtype=float)
-    hamiltonian = np.asarray(hamiltonian)
-    if hamiltonian.ndim != 2 or s.shape != (hamiltonian.shape[0],):
-        raise ValueError("hamiltonian/state dimension mismatch")
-    if not 0 <= marked_index < hamiltonian.shape[0]:
-        raise ValueError(f"marked index {marked_index} out of range")
-    evals, evecs = eig_sym(hamiltonian)
-    overlap_s = (evecs.T @ s) ** 2
-    overlap_w = evecs[marked_index] ** 2
-    return OverlapSpectrum(energies=evals, overlap_s=overlap_s, overlap_w=overlap_w)
+    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(s, dtype=float),
+                                       marked_index)
+    return OverlapSpectrum(energies=evals, overlap_s=coeffs ** 2,
+                           overlap_w=evecs[marked_index] ** 2)

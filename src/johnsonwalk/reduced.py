@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .johnson import _check_params, binomial, class_sizes
+from .johnson import _check_class_params, binomial, class_sizes
 
 
 class IntersectionArray(NamedTuple):
@@ -35,9 +35,7 @@ def _check_reduced_params(n: int, k: int) -> float:
     N must be within the float range; every class size |d_i| is at most N,
     and N >= n, so n and the entries built from it are then in range too.
     """
-    _check_params(n, k)
-    if n < 2 * k:
-        raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
+    _check_class_params(n, k)
     count = binomial(n, k)
     if count > sys.float_info.max:
         raise ValueError(f"C({n},{k}) vertices exceed the float range "

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from johnsonwalk import analysis, reduced
+from johnsonwalk.linalg import eig_sym
 from johnsonwalk.errors import (SearchBracketError, SingularPivotError,
                                 VertexCapError)
 
@@ -205,6 +206,23 @@ def test_vector_u_and_energy_gap_reject_non_finite_gamma(gamma):
         analysis.energy_gap(100, 3, gamma)
     with pytest.raises(ValueError, match="finite and positive"):
         analysis.perturbation_report(100, gamma)
+
+
+def test_perturbation_report_solves_three_times(monkeypatch):
+    # lambda_u and vector_u solve the 3x3 block once each, and the 2x2 system
+    # is solved once; the report reuses the pair the two-level system built.
+    calls = []
+
+    def counting_eig_sym(matrix):
+        calls.append(np.shape(matrix))
+        return eig_sym(matrix)
+
+    monkeypatch.setattr(analysis, "eig_sym", counting_eig_sym)
+    report = analysis.perturbation_report(100)
+    assert calls == [(3, 3), (3, 3), (2, 2)]
+    system = analysis.effective_two_level(100, report.gamma)
+    assert report.lambda_u == system.lambda_u
+    assert np.array_equal(report.u, system.u)
 
 
 def test_perturbation_report_rejects_overflowing_gamma():

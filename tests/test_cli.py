@@ -4,13 +4,17 @@ import contextlib
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import johnsonwalk
 from johnsonwalk import cli, output, reduced, linalg
 
 
@@ -311,6 +315,35 @@ def test_overflowing_input_exits_one(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_t_max_exits_one(command, capsys):
+    argv = [command, "--n", "8", "--k", "3", "--t-max", "-3", "--steps", "3"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_max must be non-negative, got -3.0\n"
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count when it loads, so each count needs its
+    # own process.  A curve built from BLAS products changed bytes here.
+    src =os.path.dirname(os.path.dirname(johnsonwalk.__file__))
+    argv = [sys.executable, "-m", "johnsonwalk.cli", "simulate", "--n", "2000",
+            "--k", "20", "--gamma", "2.5e-05", "--steps", "50001"]
+    outputs = []
+    for threads in ("1", "2", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(argv, env=env, capture_output=True, check=True,
+                             timeout=120)
+        assert run.stderr == b""
+        outputs.append(run.stdout)
+    assert outputs[0].count(b"\n") == 50002
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_verify_failure_is_one_error_line(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from johnsonwalk import johnson
+from johnsonwalk import johnson, reduced
 from johnsonwalk.errors import VertexCapError
 
 
@@ -137,6 +137,14 @@ def test_class_sizes_sum_to_vertex_count(k, data):
 def test_class_sizes_requires_majority_complement():
     with pytest.raises(ValueError):
         johnson.class_sizes(5, 3)
+
+
+def test_class_sizes_and_reduced_model_share_the_n_2k_rule():
+    message = "reduced model requires n >= 2k, got n=5, k=3"
+    for call in (johnson.class_sizes, reduced.initial_state,
+                 reduced.intersection_array):
+        with pytest.raises(ValueError, match=message):
+            call(5, 3)
 
 
 def test_parameter_validation():

@@ -207,23 +207,63 @@ def _one_product_curve(h, psi0, t_max, steps):
     return np.abs(weights @ np.exp(-1j * np.outer(evals, times))) ** 2
 
 
-@pytest.mark.parametrize("block_elements,n,k,steps,atol", [
-    # 64-time blocks, 15 full and one of 40: each product is too small for
-    # BLAS to thread, and every block is whole 4-wide kernel groups, so the
-    # curve is equal bit for bit.
-    (256, 8, 3, 1000, 0.0),
-    # The default, 32 blocks of 3072 times and one of 1696.  Equal bit for
-    # bit too where BLAS splits every product into whole groups (1, 2, 4, 8
-    # or 16 threads); other thread counts move a few times to the scalar path.
-    (1 << 16, 2000, 20, 100000, 1e-14),
-], ids=["small-blocks", "default-blocks"])
-def test_success_curve_blocks_match_one_product(monkeypatch, block_elements,
-                                                n, k, steps, atol):
-    monkeypatch.setattr(linalg, "_BLOCK_ELEMENTS", block_elements)
+def _curve(n, k, steps):
     model = reduced.search_hamiltonian(n, k, 1.0 / (k * n))
     psi0 = reduced.initial_state(n, k)
-    curve = linalg.success_curve(model.hamiltonian, psi0, 0, 3000.0, steps)
-    np.testing.assert_allclose(
-        curve.probabilities,
-        _one_product_curve(model.hamiltonian, psi0, 3000.0, steps),
-        rtol=0.0, atol=atol)
+    return model.hamiltonian, psi0, linalg.success_curve(
+        model.hamiltonian, psi0, 0, 3000.0, steps).probabilities
+
+
+@pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
+@pytest.mark.parametrize("block_times", [7, 1000, 20001, 1 << 20])
+def test_success_curve_bits_do_not_depend_on_blocks(monkeypatch, n, k, steps,
+                                                    block_times):
+    # Each time's amplitude is summed over the eigenvalues in one fixed
+    # order, so splitting the grid differently moves no bit.
+    _, _, default = _curve(n, k, steps)
+    monkeypatch.setattr(linalg, "_BLOCK_TIMES", block_times)
+    _, _, blocked = _curve(n, k, steps)
+    assert np.array_equal(blocked, default)
+
+
+@pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 100000)])
+def test_success_curve_matches_one_product(n, k, steps):
+    h, psi0, probabilities = _curve(n, k, steps)
+    np.testing.assert_allclose(probabilities,
+                               _one_product_curve(h, psi0, 3000.0, steps),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_success_curve_rejects_negative_t_max():
+    h = reduced.search_hamiltonian(8, 3, 0.03).hamiltonian
+    with pytest.raises(ValueError,
+                       match="t_max must be non-negative, got -3.0"):
+        linalg.success_curve(h, reduced.initial_state(8, 3), 0, -3.0, 3)
+
+
+def test_eig_sym_rejects_empty_matrix():
+    with pytest.raises(ValueError, match="eig_sym requires a non-empty matrix"):
+        linalg.eig_sym(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, s: linalg.evolve(h, s, 1.0),
+    lambda h, s: linalg.success_curve(h, s, 0, 1.0, 5),
+    lambda h, s: linalg.overlap_spectrum(h, s),
+], ids=["evolve", "success_curve", "overlap_spectrum"])
+def test_spectral_entry_points_share_input_checks(call):
+    h = reduced.search_hamiltonian(7, 2, 0.1).hamiltonian
+    with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
+        call(h, np.ones(4))
+    with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
+        call(h[0], np.ones(3))
+
+
+@pytest.mark.parametrize("marked_index", [-1, 3])
+def test_marked_index_out_of_range(marked_index):
+    h = reduced.search_hamiltonian(7, 2, 0.1).hamiltonian
+    s = reduced.initial_state(7, 2)
+    with pytest.raises(ValueError, match=f"marked index {marked_index} out of range"):
+        linalg.success_curve(h, s, marked_index, 1.0, 5)
+    with pytest.raises(ValueError, match=f"marked index {marked_index} out of range"):
+        linalg.overlap_spectrum(h, s, marked_index)
