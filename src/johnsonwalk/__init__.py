@@ -9,8 +9,7 @@ energy-gap and runtime predictions, and a numerical rebuild of the
 degenerate-perturbation-theory picture that explains why the walk works.
 """
 
-from .errors import (SearchBracketError, SingularPivotError, VertexCapError,
-                     WalkError)
+from .errors import SearchBracketError, VertexCapError, WalkError
 from .johnson import (DEFAULT_VERTEX_CAP, FullGraph, binomial, class_sizes,
                       distance_classes, enumerate_vertices, full_adjacency)
 from .reduced import (IntersectionArray, ReducedModel, basis_change_T,
@@ -22,15 +21,15 @@ from .linalg import (OverlapSpectrum, SpectralDecomposition, TimeSeries,
 from .analysis import (CriticalGammaResult, NaiveSplitting, PerturbationReport,
                        TwoLevelSystem, VerificationResult, char_cubic_coeffs,
                        effective_two_level, energy_gap, gamma_c_formula_k3,
-                       gamma_c_numeric, lambda_u, naive_splitting_diagnostic,
+                       gamma_c_numeric, naive_splitting_diagnostic,
                        overlap_balance, perturbation_report, predicted_peak_time,
-                       pt_block, run_verification, vector_u)
+                       pt_block, run_verification)
 from .output import render_svg, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SearchBracketError", "SingularPivotError", "VertexCapError", "WalkError",
+    "SearchBracketError", "VertexCapError", "WalkError",
     "DEFAULT_VERTEX_CAP", "FullGraph", "binomial", "class_sizes",
     "distance_classes", "enumerate_vertices", "full_adjacency",
     "IntersectionArray", "ReducedModel", "basis_change_T", "initial_state",
@@ -41,9 +40,9 @@ __all__ = [
     "CriticalGammaResult", "NaiveSplitting", "PerturbationReport",
     "TwoLevelSystem", "VerificationResult", "char_cubic_coeffs",
     "effective_two_level", "energy_gap", "gamma_c_formula_k3",
-    "gamma_c_numeric", "lambda_u", "naive_splitting_diagnostic",
+    "gamma_c_numeric", "naive_splitting_diagnostic",
     "overlap_balance", "perturbation_report", "predicted_peak_time",
-    "pt_block", "run_verification", "vector_u",
+    "pt_block", "run_verification",
     "render_svg", "write_csv",
     "__version__",
 ]

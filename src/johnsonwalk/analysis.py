@@ -6,9 +6,9 @@ which the uniform superposition is equally supported on the two lowest
 eigenstates of the search Hamiltonian.  Around that point the walk behaves
 as a two-level system, and the functions in the second half of this module
 rebuild that picture numerically: the characteristic cubic of the
-(d0, r', r'') block, its root lambda_u near -1 - 1/(2n), the associated
-eigenvector |u>, and the effective 2x2 Hamiltonian over (r, u) whose gap
-sets the runtime pi/(E_plus - E_minus).
+(d0, r', r'') block, the block eigenpair (lambda_u, |u>) with lambda_u
+nearest -1 - 1/(2n), and the effective 2x2 Hamiltonian over (r, u) whose
+gap sets the runtime pi/(E_plus - E_minus).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import johnson, reduced
-from .errors import SearchBracketError, SingularPivotError
+from .errors import SearchBracketError
 from .johnson import DEFAULT_VERTEX_CAP
 from .linalg import eig_sym, overlap_spectrum, success_curve
 
@@ -176,65 +176,6 @@ def pt_block(n: int, gamma: float) -> np.ndarray:
     ])
 
 
-def lambda_u(n: int, gamma: float) -> float:
-    """Root of the block cubic closest to -1 - 1/(2n).
-
-    Newton iteration from the seed -1 - 1/(2n) (tolerance 1e-14, at most
-    100 steps); the result is cross-checked against the block spectrum and
-    replaced by the nearest exact eigenvalue if the iteration wandered.
-    """
-    c3, c2, c1, c0 = char_cubic_coeffs(n, gamma)
-    seed = -1.0 - 1.0 / (2.0 * n)
-    lam = seed
-    converged = False
-    for _ in range(100):
-        p = ((c3 * lam + c2) * lam + c1) * lam + c0
-        dp = (3.0 * c3 * lam + 2.0 * c2) * lam + c1
-        if dp == 0.0:
-            break
-        step = p / dp
-        lam -= step
-        if abs(step) < 1e-14:
-            converged = True
-            break
-    evals, _ = eig_sym(pt_block(n, gamma))
-    if converged:
-        nearest = float(evals[np.argmin(np.abs(evals - lam))])
-        if abs(lam - nearest) <= 1e-9 * max(1.0, abs(nearest)):
-            return lam
-    return float(evals[np.argmin(np.abs(evals - seed))])
-
-
-def vector_u(n: int, gamma: float, lam: float) -> np.ndarray:
-    """Eigenvector (u_d0, u_r', u_r'') of the block for eigenvalue lam.
-
-    Built from the closed-form component ratios
-
-        u_r'' = -(1 + lam) / (gamma sqrt(3n)) * u_d0,
-        u_r'  = 2 sqrt(2n) / (2n - 17 + lam/gamma) * u_r'',
-
-    then normalized with u_d0 > 0.  ``lam`` must actually belong to the
-    block spectrum (checked to 1e-8); a vanishing pivot 2n - 17 +
-    lam/gamma means the ratio form breaks down, reported as
-    SingularPivotError rather than returning garbage.
-    """
-    reduced._check_k3_params(n)
-    reduced._check_positive_gamma(gamma)
-    evals, _ = eig_sym(pt_block(n, gamma))
-    if float(np.abs(evals - lam).min()) > 1e-8:
-        raise ValueError(
-            f"lam={lam} is not an eigenvalue of the (d0, r', r'') block")
-    pivot = 2.0 * n - 17.0 + lam / gamma
-    if abs(pivot) < 1e-10:
-        raise SingularPivotError(
-            f"component ratio for u_r' is singular at n={n}, gamma={gamma}, "
-            f"lam={lam} (pivot {pivot:.3e})")
-    u_rpp = -(1.0 + lam) / (gamma * math.sqrt(3.0 * n))
-    u_rp = 2.0 * math.sqrt(2.0 * n) / pivot * u_rpp
-    u = np.array([1.0, u_rp, u_rpp])
-    return u / np.linalg.norm(u)
-
-
 @dataclass(frozen=True)
 class TwoLevelSystem:
     """Effective two-level Hamiltonian over (r, u) with its eigenpairs, and
@@ -252,14 +193,21 @@ class TwoLevelSystem:
 def effective_two_level(n: int, gamma: float) -> TwoLevelSystem:
     """Project the transformed Hamiltonian onto span{|r>, |u>}.
 
+    (lambda_u, |u>) is the eigenpair of the (d0, r', r'') block whose
+    eigenvalue is nearest -1 - 1/(2n), from one ``eig_sym`` call; its sign
+    convention makes u_d0 > 0 whenever |u> has a d0 component above
+    ``linalg.SIGN_EPS``.  gamma must be finite and positive.
+
     |u> is embedded with a zero r-component, so the 2x2 entries are plain
     quadratic forms of the full transformed Hamiltonian.  Eigenvalues come
     back ordered (e_minus <= e_plus); near the critical jumping rate the
     eigenvectors tend to (1, +-1)/sqrt(2) and the gap e_plus - e_minus
     shrinks like 2*sqrt(6)/n^(3/2).
     """
-    lam = lambda_u(n, gamma)
-    u = vector_u(n, gamma, lam)
+    reduced._check_positive_gamma(gamma)
+    evals, evecs = eig_sym(pt_block(n, gamma))
+    index = int(np.argmin(np.abs(evals - (-1.0 - 1.0 / (2.0 * n)))))
+    lam, u = float(evals[index]), evecs[:, index]
     hp = reduced.transformed_hamiltonian(n, gamma)
     r4 = np.array([0.0, 1.0, 0.0, 0.0])
     u4 = np.array([u[0], 0.0, u[1], u[2]])
@@ -298,7 +246,6 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n).gamma
-    reduced._check_positive_gamma(gamma)
     system = effective_two_level(n, gamma)
     gap = system.e_plus - system.e_minus
     if gap <= 0:
@@ -334,9 +281,11 @@ def run_verification(n: int, k: int, gamma: float,
     the maximum pointwise deviation; anything beyond ~1e-10 indicates a
     broken quotient, not numerical noise.
     """
+    # The reduced model refuses a C(n,k) beyond the float range quickly;
+    # full_adjacency would compute it exactly first.
+    model = reduced.search_hamiltonian(n, k, gamma)
     graph = johnson.full_adjacency(n, k, cap=cap)
     n_vertices = graph.n_vertices
-    model = reduced.search_hamiltonian(n, k, gamma)
     if t_max is None:
         t_max = 2.0 * math.pi * math.sqrt(n_vertices)
 

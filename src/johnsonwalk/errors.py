@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for ordinary domain errors (bad n, k, gamma,
-shape mismatches).  The classes here cover resource limits and numerical
-failure modes that callers may want to catch separately.
+shape mismatches).  The classes here cover the brute-force vertex cap and a
+root search that finds no bracket, which callers may want to catch
+separately.
 """
 
 from __future__ import annotations
@@ -26,7 +27,3 @@ class VertexCapError(WalkError):
 
 class SearchBracketError(WalkError):
     """Root bracketing failed: no sign change after the allowed expansions."""
-
-
-class SingularPivotError(WalkError):
-    """A closed-form eigenvector expression hit a vanishing denominator."""

@@ -34,13 +34,19 @@ def _check_reduced_params(n: int, k: int) -> float:
 
     N must be within the float range; every class size |d_i| is at most N,
     and N >= n, so n and the entries built from it are then in range too.
+
+    The lower bound C(n,k) >= (n/k)^k refuses a far-out N before the exact
+    value is computed, which takes most of a minute at k ~ 1e6.  Where the
+    bound passes, k <= n/2 and C(n,k) <= (e n/k)^k keep k below 1030 and N
+    below e^1740, so the exact value is cheap.
     """
     _check_class_params(n, k)
-    count = binomial(n, k)
-    if count > sys.float_info.max:
-        raise ValueError(f"C({n},{k}) vertices exceed the float range "
-                         f"(about {sys.float_info.max:.1e})")
-    return float(count)
+    if k * (math.log(n) - math.log(k)) <= math.log(sys.float_info.max) + 1.0:
+        count = binomial(n, k)
+        if count <= sys.float_info.max:
+            return float(count)
+    raise ValueError(f"C({n},{k}) vertices exceed the float range "
+                     f"(about {sys.float_info.max:.1e})")
 
 
 def _check_k3_params(n: int) -> None:

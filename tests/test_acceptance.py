@@ -120,7 +120,7 @@ def test_criterion_6_perturbation_report():
         target = math.sqrt(6.0) / n ** 1.5
         off_rel = abs(abs(system.matrix[0, 1]) - target) / target
         gap_rel = abs((system.e_plus - system.e_minus) - 2 * target) / (2 * target)
-        lam_dev = abs(analysis.lambda_u(n, gamma) + 1.0 + 1.0 / (2.0 * n))
+        lam_dev = abs(system.lambda_u + 1.0 + 1.0 / (2.0 * n))
         details.append(f"n={n}: off {off_rel:.3f}, gap {gap_rel:.3f}, "
                        f"lambda_u dev {lam_dev:.2e}")
         passed = passed and off_rel <= 0.25 and gap_rel <= 0.25
@@ -132,7 +132,7 @@ def test_criterion_6_perturbation_report():
         target = math.sqrt(6.0) / n ** 1.5
         assert abs(abs(system.matrix[0, 1]) - target) / target <= 0.25
         assert abs((system.e_plus - system.e_minus) - 2 * target) / (2 * target) <= 0.25
-        assert abs(analysis.lambda_u(n, gamma) + 1.0 + 1.0 / (2.0 * n)) <= 10.0 / n ** 2
+        assert abs(system.lambda_u + 1.0 + 1.0 / (2.0 * n)) <= 10.0 / n ** 2
 
 
 def test_criterion_7_structural_identities():

@@ -9,10 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from johnsonwalk import analysis, reduced
+from johnsonwalk import analysis, johnson, reduced
 from johnsonwalk.linalg import eig_sym
-from johnsonwalk.errors import (SearchBracketError, SingularPivotError,
-                                VertexCapError)
+from johnsonwalk.errors import SearchBracketError, VertexCapError
 
 GAMMA_C_100 = 1.0 / 300.0 + 7.0 / 60000.0
 # bisection result for J(100,3) from the reference pipeline
@@ -144,18 +143,23 @@ def test_cubic_roots_are_block_spectrum():
     assert np.abs(np.sort(roots.real) - evals).max() < 1e-9
 
 
+def _pair(n, gamma):
+    system = analysis.effective_two_level(n, gamma)
+    return system.lambda_u, system.u
+
+
 def test_lambda_u_frozen_values():
-    lam = analysis.lambda_u(100, GAMMA_C_100)
+    lam, _ = _pair(100, GAMMA_C_100)
     assert lam == pytest.approx(LAMBDA_U_100, abs=1e-12)
     assert abs(lam + 1.005) < 1e-3
     assert abs(lam + 1.0 + 1.0 / 200.0) <= 10.0 / 100 ** 2
-    lam_big = analysis.lambda_u(1000, analysis.gamma_c_formula_k3(1000).gamma)
+    lam_big, _ = _pair(1000, analysis.gamma_c_formula_k3(1000).gamma)
     assert lam_big == pytest.approx(LAMBDA_U_1000, abs=1e-12)
 
 
 def test_lambda_u_is_block_eigenvalue():
     for n, gamma in [(50, 0.008), (100, GAMMA_C_100), (300, 0.0012)]:
-        lam = analysis.lambda_u(n, gamma)
+        lam, _ = _pair(n, gamma)
         evals = np.linalg.eigvalsh(analysis.pt_block(n, gamma))
         assert np.abs(evals - lam).min() < 1e-9
 
@@ -166,12 +170,11 @@ def test_lambda_u_near_degenerate_with_e_r():
     for n in (100, 1000):
         gamma = analysis.gamma_c_formula_k3(n).gamma
         e_r = -gamma * (3.0 * n - 9.0)
-        assert abs(analysis.lambda_u(n, gamma) - e_r) <= 20.0 / n ** 2
+        assert abs(_pair(n, gamma)[0] - e_r) <= 20.0 / n ** 2
 
 
-def test_vector_u_frozen_and_eigen_residual():
-    lam = analysis.lambda_u(100, GAMMA_C_100)
-    u = analysis.vector_u(100, GAMMA_C_100, lam)
+def test_u_frozen_and_eigen_residual():
+    lam, u = _pair(100, GAMMA_C_100)
     assert np.abs(u - np.array(U_100)).max() < 1e-10
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
     assert u[0] > 0
@@ -180,10 +183,9 @@ def test_vector_u_frozen_and_eigen_residual():
 
 
 @pytest.mark.parametrize("n", [100, 1000])
-def test_vector_u_matches_eigensolver(n):
+def test_u_matches_eigensolver(n):
     gamma = analysis.gamma_c_formula_k3(n).gamma
-    lam = analysis.lambda_u(n, gamma)
-    u = analysis.vector_u(n, gamma, lam)
+    lam, u = _pair(n, gamma)
     evals, evecs = np.linalg.eigh(analysis.pt_block(n, gamma))
     ref = evecs[:, int(np.argmin(np.abs(evals - lam)))]
     if ref[0] < 0:
@@ -193,33 +195,72 @@ def test_vector_u_matches_eigensolver(n):
     assert u[0] > 0.99
 
 
-def test_vector_u_rejects_non_eigenvalue():
-    with pytest.raises(ValueError):
-        analysis.vector_u(100, GAMMA_C_100, -0.5)
+@pytest.mark.parametrize("n", [10 ** p for p in range(2, 8)])
+def test_pair_is_accurate_eigenpair_and_cubic_root(n):
+    """At the formula rate, (lambda_u, u) is a backward-stable eigenpair of
+    the block, and lambda_u a root of the paper's closed-form cubic."""
+    gamma = analysis.gamma_c_formula_k3(n).gamma
+    lam, u = _pair(n, gamma)
+    block = analysis.pt_block(n, gamma)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(block @ u - lam * u) <= 4.0 * eps * np.linalg.norm(block, 2)
+    c3, c2, c1, c0 = analysis.char_cubic_coeffs(n, gamma)
+    p = ((c3 * lam + c2) * lam + c1) * lam + c0
+    dp = (3.0 * c3 * lam + 2.0 * c2) * lam + c1
+    assert abs(p) <= 1e-13 * abs(dp)
+
+
+@pytest.mark.parametrize("n", [100, 10 ** 7])
+def test_pair_matches_high_precision_eigensolve(n):
+    mpmath = pytest.importorskip("mpmath")
+    gamma = analysis.gamma_c_formula_k3(n).gamma
+    lam, u = _pair(n, gamma)
+    with mpmath.workdps(50):
+        g, m = mpmath.mpf(gamma), mpmath.mpf(n)
+        a, b = -g * mpmath.sqrt(3 * m), 2 * g * mpmath.sqrt(2 * m)
+        block = mpmath.matrix([[-1, 0, a],
+                               [0, -g * (2 * m - 17), b],
+                               [a, b, -g * (m - 2)]])
+        evals, evecs = mpmath.eigsy(block)
+        seed = -1 - 1 / (2 * m)
+        j = min(range(3), key=lambda i: abs(evals[i] - seed))
+        ref = np.array([float(evecs[i, j]) for i in range(3)])
+        ref_lam = float(evals[j])
+    ref *= np.sign(ref[0])
+    assert abs(lam - ref_lam) <= 1e-15
+    assert np.abs(u - ref).max() <= 1e-14
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
-def test_vector_u_and_energy_gap_reject_non_finite_gamma(gamma):
+def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
     with pytest.raises(ValueError, match="finite and positive"):
-        analysis.vector_u(100, gamma, -1.005)
+        analysis.effective_two_level(100, gamma)
     with pytest.raises(ValueError, match="finite and positive"):
         analysis.energy_gap(100, 3, gamma)
     with pytest.raises(ValueError, match="finite and positive"):
         analysis.perturbation_report(100, gamma)
 
 
-def test_perturbation_report_solves_three_times(monkeypatch):
-    # lambda_u and vector_u solve the 3x3 block once each, and the 2x2 system
-    # is solved once; the report reuses the pair the two-level system built.
-    calls = []
+def test_perturbation_report_solves_twice(monkeypatch):
+    # effective_two_level solves the 3x3 block once for (lambda_u, u) and the
+    # 2x2 system once; the report reuses the pair the two-level system built,
+    # and evaluates the closed-form cubic only for its own output.
+    calls, cubic_calls = [], []
+    char_cubic_coeffs = analysis.char_cubic_coeffs
 
     def counting_eig_sym(matrix):
         calls.append(np.shape(matrix))
         return eig_sym(matrix)
 
+    def counting_cubic(n, gamma):
+        cubic_calls.append((n, gamma))
+        return char_cubic_coeffs(n, gamma)
+
     monkeypatch.setattr(analysis, "eig_sym", counting_eig_sym)
+    monkeypatch.setattr(analysis, "char_cubic_coeffs", counting_cubic)
     report = analysis.perturbation_report(100)
-    assert calls == [(3, 3), (3, 3), (2, 2)]
+    assert calls == [(3, 3), (2, 2)]
+    assert cubic_calls == [(100, report.gamma)]
     system = analysis.effective_two_level(100, report.gamma)
     assert report.lambda_u == system.lambda_u
     assert np.array_equal(report.u, system.u)
@@ -228,15 +269,6 @@ def test_perturbation_report_solves_three_times(monkeypatch):
 def test_perturbation_report_rejects_overflowing_gamma():
     with pytest.raises(ValueError, match="finite matrix"):
         analysis.perturbation_report(100, 1e308)
-
-
-def test_vector_u_singular_pivot():
-    # n=9, gamma=1: lam=-1 is an exact block eigenvalue and the pivot
-    # 2n - 17 + lam/gamma vanishes identically
-    with pytest.raises(SingularPivotError):
-        analysis.vector_u(9, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        analysis.vector_u(100, -0.1, -1.0)
 
 
 def test_effective_two_level_frozen_n100():
@@ -312,21 +344,31 @@ def test_run_verification_honors_cap():
         analysis.run_verification(6, 3, 0.1, t_max=math.inf)
 
 
-# Every k=3 entry point with a valid jumping rate (and, for vector_u, an
-# eigenvalue of the n=100 block); n and gamma are swapped in per case.
+def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
+    def exact_count(n, k):
+        raise AssertionError(f"C({n},{k}) computed exactly")
+
+    monkeypatch.setattr(reduced, "binomial", exact_count)
+    monkeypatch.setattr(johnson, "binomial", exact_count)
+    with pytest.raises(ValueError, match="float range"):
+        analysis.run_verification(10**7, 10**6, 0.001)
+
+
+# Every k=3 entry point with a valid jumping rate; n and gamma are swapped in
+# per case.
 K3_ENTRY_POINTS = {
     "gamma_c_formula_k3": lambda n, g: analysis.gamma_c_formula_k3(n),
     "naive_splitting_diagnostic": analysis.naive_splitting_diagnostic,
     "char_cubic_coeffs": analysis.char_cubic_coeffs,
     "pt_block": analysis.pt_block,
-    "vector_u": lambda n, g: analysis.vector_u(n, g, LAMBDA_U_100),
+    "effective_two_level": analysis.effective_two_level,
     "basis_change_T": lambda n, g: reduced.basis_change_T(n),
     "transformed_hamiltonian": reduced.transformed_hamiltonian,
     "transformed_hamiltonian_closed": reduced.transformed_hamiltonian_closed,
     "perturbation_report": analysis.perturbation_report,
 }
 #: The entry points that refuse a jumping rate that is not finite and positive.
-K3_POSITIVE_GAMMA = ("vector_u", "transformed_hamiltonian_closed",
+K3_POSITIVE_GAMMA = ("effective_two_level", "transformed_hamiltonian_closed",
                      "perturbation_report")
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
-from johnsonwalk import cli, output, reduced, linalg
+from johnsonwalk import analysis, cli, output, reduced, linalg
 
 
 def _read_csv(path):
@@ -273,6 +273,22 @@ def test_analyze_pt_key_value(capsys):
                                                      abs=1e-12)
     assert float(table["predicted_runtime"]) == pytest.approx(
         math.pi / float(table["predicted_gap"]), rel=1e-12)
+
+
+def test_analyze_pt_where_the_block_has_a_zero_component(capsys):
+    # n=9, gamma=1: lambda_u = -1 exactly and u_r'' = 0, where a closed-form
+    # ratio for u_r' would divide by 2n - 17 + lambda_u/gamma = 0
+    assert cli.main(["analyze-pt", "--n", "9", "--gamma", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    table = {key: float(value) for key, value in
+             (line.split(",", 1) for line in lines[1:])}
+    lam = table["lambda_u"]
+    u = np.array([table["u_d0"], table["u_rprime"], table["u_rdoubleprime"]])
+    block = analysis.pt_block(9, 1.0)
+    assert lam == pytest.approx(-1.0, abs=1e-14)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+    assert u[0] > 0
+    assert np.linalg.norm(block @ u - lam * u) <= 1e-14
 
 
 def test_domain_error_exits_one(capsys):

@@ -125,6 +125,23 @@ def test_initial_state_rejects_vertex_count_beyond_float():
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_float_range_refusal_skips_the_exact_count(monkeypatch):
+    def exact_count(n, k):
+        raise AssertionError(f"C({n},{k}) computed exactly")
+
+    monkeypatch.setattr(reduced, "binomial", exact_count)
+    with pytest.raises(ValueError, match="float range"):
+        reduced._check_reduced_params(10**7, 10**6)
+
+
+def test_float_range_border():
+    # C(1029, 514) ~ 1.2e308 is the largest central binomial below the
+    # float maximum; C(1030, 515) ~ 2.4e308 is past it
+    assert reduced._check_reduced_params(1029, 514) == float(math.comb(1029, 514))
+    with pytest.raises(ValueError, match="float range"):
+        reduced._check_reduced_params(1030, 515)
+
+
 def test_initial_state_j63():
     s = reduced.initial_state(6, 3)
     assert np.allclose(s, np.sqrt([1, 9, 9, 1]) / math.sqrt(20), atol=1e-15)
