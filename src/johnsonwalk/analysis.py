@@ -55,9 +55,13 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
     negative when the first excited state does; the critical jumping rate
     is the zero crossing.
     """
+    return _balance(n, k, gamma, reduced.initial_state(n, k))
+
+
+def _balance(n: int, k: int, gamma: float, s: np.ndarray) -> float:
+    """``overlap_balance`` with the initial state ``s`` already built."""
     model = reduced.search_hamiltonian(n, k, gamma)
-    overlaps = overlap_spectrum(model.hamiltonian, reduced.initial_state(n, k),
-                                model.marked_index).overlap_s
+    overlaps = overlap_spectrum(model.hamiltonian, s, model.marked_index).overlap_s
     return float(overlaps[0] - overlaps[1])
 
 
@@ -72,14 +76,18 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     the balance point as double precision allows at any n, and is
     deterministic for a given (n, k).
     """
-    reduced._check_reduced_params(n, k)
+    s = reduced.initial_state(n, k)
+
+    def balance(gamma: float) -> float:
+        return _balance(n, k, gamma, s)
+
     lo, hi = 1.0 / (2.0 * k * n), 2.0 / (k * n)
-    f_lo, f_hi = overlap_balance(n, k, lo), overlap_balance(n, k, hi)
+    f_lo, f_hi = balance(lo), balance(hi)
     expansions = 0
     while f_lo * f_hi > 0.0 and expansions < MAX_BRACKET_EXPANSIONS:
         lo /= 2.0
         hi *= 2.0
-        f_lo, f_hi = overlap_balance(n, k, lo), overlap_balance(n, k, hi)
+        f_lo, f_hi = balance(lo), balance(hi)
         expansions += 1
     # An endpoint can land exactly on the root (it does for small complete
     # graphs), in which case the product above is 0, not negative.
@@ -93,7 +101,7 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
             f"after {expansions} expansions (J({n},{k}))")
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        f_mid = overlap_balance(n, k, mid)
+        f_mid = balance(mid)
         if f_mid == 0.0:
             return CriticalGammaResult(gamma=mid, method="numeric", residual=0.0)
         if (f_mid < 0.0) == (f_lo < 0.0):
@@ -102,7 +110,7 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
             hi = mid
         mid = 0.5 * (lo + hi)
     return CriticalGammaResult(gamma=mid, method="numeric",
-                               residual=overlap_balance(n, k, mid))
+                               residual=balance(mid))
 
 
 def energy_gap(n: int, k: int, gamma: float) -> float:
@@ -281,8 +289,7 @@ def run_verification(n: int, k: int, gamma: float,
     the maximum pointwise deviation; anything beyond ~1e-10 indicates a
     broken quotient, not numerical noise.
     """
-    # The reduced model refuses a C(n,k) beyond the float range quickly;
-    # full_adjacency would compute it exactly first.
+    # Checked first, so a bad gamma or n < 2k is reported before the cap.
     model = reduced.search_hamiltonian(n, k, gamma)
     graph = johnson.full_adjacency(n, k, cap=cap)
     n_vertices = graph.n_vertices

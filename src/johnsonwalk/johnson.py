@@ -83,9 +83,15 @@ def full_adjacency(n: int, k: int, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     one column per symbol): (M M^T)[u,v] is the intersection size, so the
     adjacency is just an equality test against k-1.
 
-    Raises :class:`VertexCapError` when C(n,k) exceeds ``cap``.
+    Raises :class:`VertexCapError` when C(n,k) exceeds ``cap``.  The lower
+    bound C(n,k) >= (n/m)^m, m = min(k, n-k), refuses a count more than
+    2^64 times the cap before the exact count is computed, which takes
+    most of a minute at m ~ 1e6.
     """
     _check_params(n, k)
+    m = min(k, n - k)
+    if m * (math.log(n) - math.log(m)) > math.log(max(cap, 1)) + 64 * math.log(2):
+        raise VertexCapError(None, cap)
     n_vertices = binomial(n, k)
     if n_vertices > cap:
         raise VertexCapError(n_vertices, cap)

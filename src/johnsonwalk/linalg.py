@@ -8,16 +8,22 @@ eigenvectors is reproducible.
 Evolution under exp(-iHt) is computed spectrally: one decomposition of H
 serves every time on a grid.  Every call decomposes afresh and returns
 arrays that the caller owns.  ``evolve``, ``success_curve`` and
-``overlap_spectrum`` share one checked decomposition; the success curve is
-summed in a fixed order, so its bits do not depend on the BLAS thread count.
+``overlap_spectrum`` share one checked decomposition.  The success curve is
+summed in a fixed order over blocks of ``_BLOCK_TIMES`` times, which worker
+threads share out, one per CPU; memory beyond the output stays bounded (a
+block per thread), and the bits do not depend on the BLAS thread count or on
+the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
+
+from . import _split
 
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
 SIGN_EPS = 1e-8
@@ -106,8 +112,10 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
     sum_j w_j exp(-i E_j t) is added one eigenvalue at a time, in ascending
     order and elementwise in t, so no time's bits depend on how the grid is
     split; ``_BLOCK_TIMES`` times at a time keep memory beyond the output
-    bounded for any ``steps`` and dimension.  ``t_max`` must be finite and
-    non-negative, and every phase E * t_max finite.
+    bounded for any ``steps`` and dimension.  The blocks are striped over one
+    thread per CPU, and an error in any thread is raised here once all of
+    them have stopped.  ``t_max`` must be finite and non-negative, and every
+    phase E * t_max finite.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
@@ -122,12 +130,36 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
     times = np.linspace(0.0, float(t_max), int(steps))
     weights = evecs[marked_index] * coeffs
     probabilities = np.empty(times.size)
-    for start in range(0, times.size, _BLOCK_TIMES):
-        block = times[start:start + _BLOCK_TIMES]
-        amplitude = np.zeros(block.size, dtype=complex)
-        for energy, weight in zip(evals, weights):
-            amplitude += weight * np.exp(-1j * energy * block)
-        probabilities[start:start + _BLOCK_TIMES] = np.abs(amplitude) ** 2
+    starts = range(0, times.size, _BLOCK_TIMES)
+    workers = min(_split.worker_count(), len(starts))
+    errors: list[BaseException] = []
+
+    def fill(stripe: range) -> None:
+        # numpy's ufuncs release the GIL, so stripes run side by side.
+        try:
+            for start in stripe:
+                if errors:
+                    return
+                block = times[start:start + _BLOCK_TIMES]
+                amplitude = np.zeros(block.size, dtype=complex)
+                for energy, weight in zip(evals, weights):
+                    amplitude += weight * np.exp(-1j * energy * block)
+                probabilities[start:start + _BLOCK_TIMES] = np.abs(amplitude) ** 2
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(starts[w::workers],))
+               for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        fill(starts[0::workers])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
     return TimeSeries(times=times, probabilities=probabilities)
 
 

@@ -69,6 +69,21 @@ def test_gamma_c_numeric_complete_graph(n):
     assert res.gamma == pytest.approx((n - 2) / n ** 2, abs=5e-13)
 
 
+@pytest.mark.parametrize("n,k", [(100, 3), (2000, 20)])
+def test_gamma_c_numeric_builds_the_initial_state_once(monkeypatch, n, k):
+    calls = []
+    built = reduced.initial_state
+
+    def counting_initial_state(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(reduced, "initial_state", counting_initial_state)
+    result = analysis.gamma_c_numeric(n, k)
+    assert calls == [(n, k)]
+    assert result.residual == analysis.overlap_balance(n, k, result.gamma)
+
+
 def test_gamma_c_numeric_bracket_failure():
     # K_2: the ground state hugs the marked vertex for every gamma, the
     # balance never changes sign

@@ -2,12 +2,14 @@
 
 import contextlib
 import csv
+import functools
 import io
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
-from johnsonwalk import analysis, cli, output, reduced, linalg
+from johnsonwalk import _split, analysis, cli, output, reduced, linalg
 
 
 def _read_csv(path):
@@ -126,6 +128,90 @@ def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
                rng.integers(-(2**40), 2**40, rows),
                [f"row {i}" if i % 3 else f"row,{i}" for i in range(rows)]]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """Split the work as on a machine with 1, 2 or 3 CPUs."""
+    monkeypatch.setattr(_split, "worker_count", lambda: request.param)
+    return request.param
+
+
+@functools.lru_cache(maxsize=None)
+def _numeric_table(rows):
+    """Header, numeric columns and the row writer's bytes for them."""
+    rng = np.random.default_rng(rows)
+    f64 = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
+    f64[:6] = specials
+    f64[-6:] = specials
+    u64 = rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)
+    u64[:3] = [2**63, 2**64 - 1, 0]
+    u64[-3:] = [2**64 - 1, 2**63 - 1, 2**63]
+    i64 = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True)
+    i64[:2] = [-(2**63), 2**63 - 1]
+    header = ["f64", "f32", "i64", "u8", "u64"]
+    columns = [f64, (f64 * 1e-280).astype(np.float32), i64,
+               rng.integers(0, 256, rows).astype(np.uint8), u64]
+    return header, columns, _reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("rows", [output._CHUNK_ROWS + 1, 2 * output._CHUNK_ROWS + 3])
+def test_write_csv_split_matches_row_writer(tmp_path, workers, rows):
+    header, columns, expected = _numeric_table(rows)
+    assert _written_csv(tmp_path, header, columns) == expected
+
+
+def test_write_csv_split_to_stdout(workers, capsys):
+    header, columns, expected = _numeric_table(output._CHUNK_ROWS + 1)
+    output.write_csv(None, header, columns)
+    assert capsys.readouterr().out.encode() == expected
+
+
+_LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
+
+
+def test_simulate_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    outputs = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(_split, "worker_count", lambda: count)
+        target = tmp_path / f"{count}.csv"
+        assert cli.main(_LONG_SIMULATE + ["--output", str(target)]) == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0].count(b"\n") == 70001
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_failing_row_helper_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_split, "worker_count", lambda: 2)
+    monkeypatch.setattr(output, "_HELPER_ARGV",
+                        (sys.executable, "-c", "raise SystemExit(3)"))
+    threads = threading.enumerate()
+    rc = cli.main(_LONG_SIMULATE + ["--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: CSV row helper exited with status 3\n"
+    assert threading.enumerate() == threads
+
+
+def test_memory_error_in_a_curve_thread_exits_one(monkeypatch, capsys):
+    # With two workers the second 2^14-time block is computed off the main
+    # thread.
+    exp = np.exp
+
+    def exhausted_off_main(x):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 256. KiB")
+        return exp(x)
+
+    monkeypatch.setattr(_split, "worker_count", lambda: 2)
+    monkeypatch.setattr(np, "exp", exhausted_off_main)
+    threads = threading.enumerate()
+    assert cli.main(["simulate", "--n", "100", "--k", "3", "--steps", "40000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 256. KiB\n"
+    assert threading.enumerate() == threads
 
 
 def test_write_csv_rejects_ragged_columns():

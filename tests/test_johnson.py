@@ -75,6 +75,35 @@ def test_vertex_cap():
     assert err.value.cap == 100
 
 
+@pytest.mark.parametrize("n,k", [(40000, 5000), (10**7, 10**6),
+                                 (10**7, 10**7 - 10**6), (10**400, 3)])
+def test_vertex_cap_refuses_far_past_the_cap_without_the_exact_count(
+        monkeypatch, n, k):
+    def exact_count(n, k):
+        raise AssertionError(f"C({n},{k}) computed exactly")
+
+    monkeypatch.setattr(johnson, "binomial", exact_count)
+    with pytest.raises(VertexCapError) as err:
+        johnson.full_adjacency(n, k)
+    assert err.value.n_vertices is None
+    assert str(err.value) == ("J(n,k) has far more vertices than the configured "
+                              "cap 4000; raise the cap to force brute-force "
+                              "construction")
+
+
+@pytest.mark.parametrize("n,k,cap,text", [
+    (30, 3, 4000, "4060 vertices, above the configured cap 4000"),
+    (30, 27, 4000, "4060 vertices, above the configured cap 4000"),
+    (100, 50, 4000, "about 2^96 vertices, above the configured cap 4000"),
+    (300, 6, 0, "962822846700 vertices, above the configured cap 0"),
+])
+def test_vertex_cap_reports_a_near_count(n, k, cap, text):
+    with pytest.raises(VertexCapError) as err:
+        johnson.full_adjacency(n, k, cap=cap)
+    assert err.value.n_vertices == math.comb(n, k)
+    assert text in str(err.value)
+
+
 def _bfs_distances(adjacency, source):
     n = adjacency.shape[0]
     dist = np.full(n, -1)

@@ -1,12 +1,13 @@
 """Symmetric eigensolver wrapper and spectral time evolution."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from johnsonwalk import linalg, reduced
+from johnsonwalk import _split, linalg, reduced
 
 
 def _random_symmetric(dim, seed):
@@ -216,13 +217,21 @@ def _curve(n, k, steps):
 
 @pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
 @pytest.mark.parametrize("block_times", [7, 1000, 20001, 1 << 20])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_success_curve_bits_do_not_depend_on_blocks(monkeypatch, n, k, steps,
-                                                    block_times):
+                                                    block_times, workers):
     # Each time's amplitude is summed over the eigenvalues in one fixed
-    # order, so splitting the grid differently moves no bit.
+    # order, so splitting the grid differently, or over other threads,
+    # moves no bit.
     _, _, default = _curve(n, k, steps)
     monkeypatch.setattr(linalg, "_BLOCK_TIMES", block_times)
-    _, _, blocked = _curve(n, k, steps)
+    monkeypatch.setattr(_split, "worker_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, _, blocked = _curve(n, k, steps)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(blocked, default)
 
 
