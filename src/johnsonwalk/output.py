@@ -51,6 +51,9 @@ _HELPER_START_VALUES = 24000
 #: Bytes of a helper's text copied on at a time.
 _COPY_BYTES = 1 << 20
 
+#: The helper's typecode (float64, int64, uint64) per numeric dtype kind.
+_TYPECODES = {"f": "d", "i": "q", "u": "Q"}
+
 
 def _format_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -110,15 +113,6 @@ def _write_columns(handle: IO[str], header: Sequence[str],
         _split.write_rows(handle.write, conversions, values, n_rows)
 
 
-def _typecode(column: np.ndarray) -> tuple[str, type]:
-    """The helper's typecode for a numeric column, and the dtype it reads."""
-    if column.dtype.kind == "f":
-        return "d", np.float64
-    if column.dtype.kind == "i":
-        return "q", np.int64
-    return "Q", np.uint64
-
-
 def _write_split(handle: IO[str], conversions: list[str],
                  columns: list[np.ndarray], n_rows: int, workers: int) -> None:
     """Format the first range of rows here and each other range in a helper.
@@ -131,8 +125,8 @@ def _write_split(handle: IO[str], conversions: list[str],
     import tempfile
 
     bounds = _split_bounds(n_rows, len(columns), workers)
-    typecodes = [_typecode(column) for column in columns]
-    argv = [*_HELPER_ARGV, "".join(code for code, _ in typecodes)]
+    typecodes = [_TYPECODES[column.dtype.kind] for column in columns]
+    argv = [*_HELPER_ARGV, "".join(typecodes)]
     processes, sinks = [], []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
@@ -140,8 +134,8 @@ def _write_split(handle: IO[str], conversions: list[str],
             with tempfile.TemporaryFile() as source:
                 for lo in range(start, stop, _CHUNK_ROWS):
                     hi = min(lo + _CHUNK_ROWS, stop)
-                    for column, (_, dtype) in zip(columns, typecodes):
-                        source.write(np.ascontiguousarray(column[lo:hi], dtype=dtype))
+                    for column, code in zip(columns, typecodes):
+                        source.write(np.ascontiguousarray(column[lo:hi], dtype=code))
                 source.seek(0)
                 processes.append(subprocess.Popen(
                     argv + [str(stop - start)], stdin=source, stdout=sinks[-1],
