@@ -7,13 +7,15 @@ that many threads and ``output.write_csv`` that many row formatters.
 in-process on the first range of rows, and each further range goes to this
 file run as a script in a helper process:
 
-    python -I -S _split.py TYPECODES ROWS
+    python -I -S _split.py KINDS ROWS
 
-The helper reads ROWS rows from stdin as raw native numbers, typecode ``d``
-(float64), ``q`` (int64) or ``Q`` (uint64) per column, laid out a chunk of
-``CHUNK_ROWS`` rows at a time with the chunk's columns one after another,
-and writes the rows' text to stdout.  It runs isolated and without
-site-packages, so this module imports the standard library only.
+KINDS holds one numpy dtype kind per column (``f``, ``i`` or ``u``, e.g.
+``fif``), and ``FORMATS`` maps each kind to the raw typecode the caller
+writes and the printf conversion that formats it.  The helper reads ROWS
+rows from stdin as raw native numbers, laid out a chunk of ``CHUNK_ROWS``
+rows at a time with the chunk's columns one after another, and writes the
+rows' text to stdout.  It runs isolated and without site-packages, so this
+module imports the standard library only.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import sys
 #: what a formatter holds in memory at a time.
 CHUNK_ROWS = 1 << 16
 
-#: printf conversion per column typecode.
-CONVERSIONS = {"d": "%.17g", "q": "%d", "Q": "%d"}
+#: Raw typecode (float64, int64, uint64) and printf conversion per numeric
+#: dtype kind; a column of any other kind is not written by ``write_rows``.
+FORMATS = {"f": ("d", "%.17g"), "i": ("q", "%d"), "u": ("Q", "%d")}
 
 
 def worker_count() -> int:
@@ -37,37 +40,34 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def write_rows(write, conversions, columns, n_rows: int) -> None:
+def write_rows(write, kinds: str, columns, n_rows: int) -> None:
     """Write ``n_rows`` CSV rows, one ``write`` call per chunk of rows.
 
-    ``columns`` are sliceable sequences whose slices are lists or have a
-    ``tolist`` method (ndarrays, memoryviews); ``conversions`` holds one
-    printf conversion per column.
+    ``columns`` are sliceable sequences whose slices have a ``tolist``
+    method (ndarrays, memoryviews), one per dtype kind in ``kinds``.
     """
     width = len(columns)
-    template = ",".join(conversions) + "\n"
+    template = ",".join(FORMATS[kind][1] for kind in kinds) + "\n"
     for start in range(0, n_rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n_rows)
         interleaved: list = [None] * ((stop - start) * width)
         for j, values in enumerate(columns):
-            chunk = values[start:stop]
-            interleaved[j::width] = chunk if isinstance(chunk, list) else chunk.tolist()
+            interleaved[j::width] = values[start:stop].tolist()
         write(template * (stop - start) % tuple(interleaved))
 
 
-def _main(typecodes: str, n_rows: int) -> None:
+def _main(kinds: str, n_rows: int) -> None:
     source, sink = sys.stdin.buffer, sys.stdout.buffer
-    conversions = [CONVERSIONS[code] for code in typecodes]
     for start in range(0, n_rows, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, n_rows - start)
         size = 8 * rows
-        data = memoryview(source.read(size * len(typecodes)))
-        if len(data) != size * len(typecodes):
+        data = memoryview(source.read(size * len(kinds)))
+        if len(data) != size * len(kinds):
             raise SystemExit(f"expected {n_rows} rows, input ended early")
-        columns = [data[j * size:(j + 1) * size].cast(code)
-                   for j, code in enumerate(typecodes)]
+        columns = [data[j * size:(j + 1) * size].cast(FORMATS[kind][0])
+                   for j, kind in enumerate(kinds)]
         write_rows(lambda text: sink.write(text.encode("ascii")),
-                   conversions, columns, rows)
+                   kinds, columns, rows)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import johnson, reduced
+from . import johnson, linalg, reduced
 from .errors import SearchBracketError
 from .johnson import DEFAULT_VERTEX_CAP
 from .linalg import eig_sym, overlap_spectrum, success_curve
@@ -298,6 +298,7 @@ def run_verification(n: int, k: int, gamma: float,
 
     s_full = np.full(n_vertices, 1.0 / math.sqrt(n_vertices))
     psi0 = reduced.initial_state(n, k)
+    linalg._check_steps(steps)
     if t_max == 0.0:
         # exp(-iH*0) is the identity, so the grid degenerates to a single
         # point where both curves are just the initial marked probability.

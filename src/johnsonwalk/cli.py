@@ -13,8 +13,9 @@ CSV goes to stdout unless --output is given; simulate and sweep-gamma can
 emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 1 for domain or computation errors, 2 for usage errors.  An exit-1 run
 writes exactly one line, starting "error: ", to stderr.  That includes a
-CSV row helper process that fails: simulate formats long numeric CSV
-output in helper processes, one per CPU beyond the first.
+CSV row helper process that fails: a long numeric table, such as a long
+simulate curve or sweep-gamma grid, is formatted in helper processes, one
+per CPU beyond the first.
 """
 
 from __future__ import annotations

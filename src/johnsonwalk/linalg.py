@@ -103,6 +103,11 @@ def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return evecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
+def _check_steps(steps) -> None:
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps}")
+
+
 def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
                   t_max: float, steps: int) -> TimeSeries:
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
@@ -117,8 +122,7 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
     them have stopped.  ``t_max`` must be finite and non-negative, and every
     phase E * t_max finite.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps}")
+    _check_steps(steps)
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < 0:

@@ -2,18 +2,20 @@
 
 CSV is the interchange format: UTF-8, header row, LF line endings, floats
 printed with 17 significant digits so parsing the file back reproduces the
-exact float64 values.  ``write_csv`` takes the data as columns, not rows:
-a float or integer ndarray is formatted in bulk, one printf template per
-chunk of rows, and each chunk goes out in one write.  Other columns are
-formatted value by value and quoted the way
-``csv.writer(lineterminator="\n")`` quotes.  A table of numeric ndarrays
-longer than one chunk is split into one range of rows per CPU: this process
-formats the first range, and helper processes running ``_split.py`` format
-the others through unnamed temporary files, whose text is copied on in
-bounded pieces.  Either way memory stays bounded for any row count, and the
-bytes do not depend on the number of CPUs.  The SVG writer
-draws a small standalone line chart (fixed 800x500 canvas) for eyeballing
-success curves and overlap sweeps without a plotting stack.
+exact float64 values.  ``write_csv`` takes the data as columns, not rows.
+A table whose columns are all float or integer ndarrays is formatted in
+bulk, one printf template per chunk of rows (``_split.FORMATS`` maps a
+dtype kind to its conversion), and each chunk goes out in one write; such a
+table longer than one chunk is split into one range of rows per CPU: this
+process formats the first range, and helper processes running
+``_split.py`` format the others through unnamed temporary files, whose
+text is copied on in bounded pieces.  Either way memory stays bounded for
+any row count, and the bytes do not depend on the number of CPUs.  Any
+other table, and every header, goes through ``csv.writer`` with LF line
+endings, which quotes text the way the running Python's ``csv`` module
+does.  The SVG writer draws a small standalone line chart (fixed 800x500
+canvas) for eyeballing success curves and overlap sweeps without a
+plotting stack.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ _HELPER_START_VALUES = 24000
 #: Bytes of a helper's text copied on at a time.
 _COPY_BYTES = 1 << 20
 
-#: The helper's typecode (float64, int64, uint64) per numeric dtype kind.
-_TYPECODES = {"f": "d", "i": "q", "u": "Q"}
-
 
 def _format_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -65,56 +64,37 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _quote(text: str, lone: bool) -> str:
-    """Quote a CSV field as ``csv.writer`` does.
-
-    That is a field holding a comma, a double quote or a newline, and an
-    empty field that is the whole row (``lone``), which would otherwise
-    read as a blank line.
-    """
-    if "," in text or '"' in text or "\n" in text or (lone and not text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _column_cells(column, lone: bool) -> tuple[str, Sequence]:
-    """A column's printf conversion and the values it formats.
-
-    Float and integer ndarrays stay arrays, formatted by ``%.17g`` and
-    ``%d``; anything else becomes a list of quoted ``_format_value`` texts.
-    """
-    if isinstance(column, np.ndarray):
-        if column.ndim != 1:
-            raise ValueError(f"CSV columns must be 1-d, got shape {column.shape}")
-        if column.dtype.kind == "f":
-            return "%.17g", column
-        if column.dtype.kind in "iu":
-            return "%d", column
-    return "%s", [_quote(_format_value(value), lone) for value in column]
-
-
 def _write_columns(handle: IO[str], header: Sequence[str],
                    columns: Sequence) -> None:
+    import csv
+
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
-    width = len(columns)
-    cells = [_column_cells(column, width == 1) for column in columns]
-    n_rows = len(cells[0][1]) if cells else 0
-    if any(len(values) != n_rows for _, values in cells):
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.ndim != 1:
+            raise ValueError(f"CSV columns must be 1-d, got shape {column.shape}")
+    numeric = all(isinstance(column, np.ndarray)
+                  and column.dtype.kind in _split.FORMATS for column in columns)
+    if not numeric:
+        columns = [[_format_value(value) for value in column] for column in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
         raise ValueError("CSV columns must all have the same length")
-    handle.write(",".join(_quote(str(name), width == 1) for name in header) + "\n")
-    conversions = [conversion for conversion, _ in cells]
-    values = [values for _, values in cells]
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    if not numeric:
+        writer.writerows(zip(*columns))
+        return
+    kinds = "".join(column.dtype.kind for column in columns)
     workers = _split.worker_count()
-    if (workers > 1 and n_rows > _CHUNK_ROWS and sys.executable
-            and all(isinstance(column, np.ndarray) for column in values)):
-        _write_split(handle, conversions, values, n_rows, workers)
+    if workers > 1 and n_rows > _CHUNK_ROWS and sys.executable:
+        _write_split(handle, kinds, columns, n_rows, workers)
     else:
-        _split.write_rows(handle.write, conversions, values, n_rows)
+        _split.write_rows(handle.write, kinds, columns, n_rows)
 
 
-def _write_split(handle: IO[str], conversions: list[str],
-                 columns: list[np.ndarray], n_rows: int, workers: int) -> None:
+def _write_split(handle: IO[str], kinds: str, columns: Sequence[np.ndarray],
+                 n_rows: int, workers: int) -> None:
     """Format the first range of rows here and each other range in a helper.
 
     Each helper reads its rows from one unnamed temporary file and writes
@@ -125,8 +105,8 @@ def _write_split(handle: IO[str], conversions: list[str],
     import tempfile
 
     bounds = _split_bounds(n_rows, len(columns), workers)
-    typecodes = [_TYPECODES[column.dtype.kind] for column in columns]
-    argv = [*_HELPER_ARGV, "".join(typecodes)]
+    typecodes = [_split.FORMATS[kind][0] for kind in kinds]
+    argv = [*_HELPER_ARGV, kinds]
     processes, sinks = [], []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
@@ -140,7 +120,7 @@ def _write_split(handle: IO[str], conversions: list[str],
                 processes.append(subprocess.Popen(
                     argv + [str(stop - start)], stdin=source, stdout=sinks[-1],
                     stderr=subprocess.PIPE))
-        _split.write_rows(handle.write, conversions, columns, bounds[1])
+        _split.write_rows(handle.write, kinds, columns, bounds[1])
         for process, sink in zip(processes, sinks):
             _, err = process.communicate()
             if process.returncode != 0:
@@ -176,14 +156,14 @@ def write_csv(path: Optional[str], header: Sequence[str],
               columns: Sequence) -> None:
     """Write one header row plus one data row per index; path None means stdout.
 
-    ``columns`` holds one sequence per header field, all of one length.  A
-    float ndarray is written with 17 significant digits and an integer
-    ndarray as decimal integers, a chunk of rows at a time; any other
-    sequence (list, mixed values, str, bool) is formatted value by value.
-    Text fields containing a comma, a double quote or a newline are quoted
-    with doubled inner quotes, as ``csv.writer`` does.  Zero-length
-    columns produce a header-only file, which keeps downstream
-    concatenation and diffing predictable.
+    ``columns`` holds one sequence per header field, all of one length.
+    When every column is a float or integer ndarray, floats are written
+    with 17 significant digits and integers in decimal, a chunk of rows at
+    a time.  Otherwise (lists, mixed values, str, bool, complex) every
+    value is formatted on its own and the rows go through ``csv.writer``,
+    which quotes fields as the running Python's ``csv`` module does; so
+    does the header.  Zero-length columns produce a header-only file,
+    which keeps downstream concatenation and diffing predictable.
     """
     if path is None:
         _write_columns(sys.stdout, header, columns)

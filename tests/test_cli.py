@@ -120,6 +120,23 @@ def test_write_csv_matches_row_writer_on_lone_text_column(tmp_path):
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
+@pytest.mark.parametrize("header, columns", [
+    (["a,b", 'q"'], [np.array([0.5, -0.0]), np.array([3, -4])]),
+    ([""], [np.array([1.5, math.nan])]),
+    (["text"], [["a\rb", " lead", "trail ", " both ", "\r"]]),
+    (["flag", "z"], [np.array([True, False]),
+                     np.array([1 + 2j, complex(math.nan, -0.0)])]),
+    ([], []),
+], ids=["numeric-header", "numeric-lone-empty-header", "cr-and-spaces",
+        "bool-and-complex", "no-columns"])
+def test_write_csv_matches_row_writer_on_quoting(tmp_path, header, columns):
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_write_csv_without_columns_is_one_empty_line(tmp_path):
+    assert _written_csv(tmp_path, [], []) == b"\n"
+
+
 @pytest.mark.parametrize("rows", [0, output._CHUNK_ROWS + 1])
 def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
     rng = np.random.default_rng(rows)
@@ -361,6 +378,22 @@ def test_analyze_pt_key_value(capsys):
         math.pi / float(table["predicted_gap"]), rel=1e-12)
 
 
+def test_analyze_pt_text(capsys):
+    assert cli.main(["analyze-pt", "--n", "100"]) == 0
+    report = analysis.perturbation_report(100)
+    h = report.effective_2x2
+    values = [report.gamma, *report.cubic_coefficients, report.lambda_u,
+              *report.u, h[0, 0], h[0, 1], h[1, 1], report.e_minus,
+              report.e_plus, report.predicted_gap, report.predicted_runtime]
+    keys = ["gamma", "cubic_lambda3", "cubic_lambda2", "cubic_lambda1",
+            "cubic_lambda0", "lambda_u", "u_d0", "u_rprime", "u_rdoubleprime",
+            "h_rr", "h_ru", "h_uu", "e_minus", "e_plus", "predicted_gap",
+            "predicted_runtime"]
+    expected = "key,value\nn,100\n" + "".join(
+        f"{key},{format(float(value), '.17g')}\n" for key, value in zip(keys, values))
+    assert capsys.readouterr().out == expected
+
+
 def test_analyze_pt_where_the_block_has_a_zero_component(capsys):
     # n=9, gamma=1: lambda_u = -1 exactly and u_r'' = 0, where a closed-form
     # ratio for u_r' would divide by 2n - 17 + lambda_u/gamma = 0
@@ -394,6 +427,15 @@ def test_non_finite_input_exits_one(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("steps", ["-5", "0", "1"])
+def test_verify_zero_window_still_checks_steps(steps, capsys):
+    argv = ["verify", "--n", "7", "--k", "3", "--t-max", "0", "--steps", steps]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: steps must be an integer >= 2, got {steps}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -446,6 +488,18 @@ def test_simulate_bytes_do_not_depend_on_blas_threads():
     assert outputs[0].count(b"\n") == 50002
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_import_loads_neither_csv_nor_subprocess():
+    # Both are imported where CSV output needs them, so start-up stays lean.
+    src = os.path.dirname(os.path.dirname(johnsonwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, johnsonwalk.cli; "
+            "print(sorted({'csv', 'subprocess'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True, timeout=60)
+    assert run.stdout == b"[]\n"
 
 
 def test_verify_failure_is_one_error_line(capsys):
