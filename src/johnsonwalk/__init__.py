@@ -12,10 +12,9 @@ degenerate-perturbation-theory picture that explains why the walk works.
 from .errors import SearchBracketError, VertexCapError, WalkError
 from .johnson import (DEFAULT_VERTEX_CAP, FullGraph, binomial, class_sizes,
                       distance_classes, enumerate_vertices, full_adjacency)
-from .reduced import (IntersectionArray, ReducedModel, basis_change_T,
-                      initial_state, intersection_array, reduced_adjacency,
-                      search_hamiltonian, transformed_hamiltonian,
-                      transformed_hamiltonian_closed)
+from .reduced import (IntersectionArray, basis_change_T, initial_state,
+                      intersection_array, reduced_adjacency, search_hamiltonian,
+                      transformed_hamiltonian, transformed_hamiltonian_closed)
 from .linalg import (OverlapSpectrum, SpectralDecomposition, TimeSeries,
                      eig_sym, evolve, overlap_spectrum, success_curve)
 from .analysis import (CriticalGammaResult, NaiveSplitting, PerturbationReport,
@@ -32,7 +31,7 @@ __all__ = [
     "SearchBracketError", "VertexCapError", "WalkError",
     "DEFAULT_VERTEX_CAP", "FullGraph", "binomial", "class_sizes",
     "distance_classes", "enumerate_vertices", "full_adjacency",
-    "IntersectionArray", "ReducedModel", "basis_change_T", "initial_state",
+    "IntersectionArray", "basis_change_T", "initial_state",
     "intersection_array", "reduced_adjacency", "search_hamiltonian",
     "transformed_hamiltonian", "transformed_hamiltonian_closed",
     "OverlapSpectrum", "SpectralDecomposition", "TimeSeries", "eig_sym",

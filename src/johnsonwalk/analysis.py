@@ -60,8 +60,7 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
 
 def _balance(n: int, k: int, gamma: float, s: np.ndarray) -> float:
     """``overlap_balance`` with the initial state ``s`` already built."""
-    model = reduced.search_hamiltonian(n, k, gamma)
-    overlaps = overlap_spectrum(model.hamiltonian, s, model.marked_index).overlap_s
+    overlaps = overlap_spectrum(reduced.search_hamiltonian(n, k, gamma), s).overlap_s
     return float(overlaps[0] - overlaps[1])
 
 
@@ -116,7 +115,7 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
 def energy_gap(n: int, k: int, gamma: float) -> float:
     """E_1 - E_0 of the reduced search Hamiltonian."""
     reduced._check_positive_gamma(gamma)
-    evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma).hamiltonian)
+    evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma))
     return float(evals[1] - evals[0])
 
 
@@ -250,7 +249,9 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     """Assemble the full k=3 perturbation picture at one jumping rate.
 
     With gamma omitted, the closed-form critical rate is used, which is
-    where the two-level reduction is designed to hold.
+    where the two-level reduction is designed to hold.  A report with any
+    value outside the float range (the cubic's gamma^3 n^2 term overflows
+    near gamma = 1e102 at n = 100) is refused with ValueError.
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n).gamma
@@ -258,13 +259,17 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     gap = system.e_plus - system.e_minus
     if gap <= 0:
         raise ValueError(f"degenerate effective two-level system at gamma={gamma}")
-    return PerturbationReport(
+    report = PerturbationReport(
         n=n, gamma=float(gamma),
         cubic_coefficients=char_cubic_coeffs(n, gamma),
         lambda_u=system.lambda_u, u=system.u,
         effective_2x2=system.matrix,
         e_minus=system.e_minus, e_plus=system.e_plus,
         predicted_gap=gap, predicted_runtime=math.pi / gap)
+    for name, value in vars(report).items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} overflows at n={n}, gamma={gamma}")
+    return report
 
 
 @dataclass(frozen=True)
@@ -290,7 +295,7 @@ def run_verification(n: int, k: int, gamma: float,
     broken quotient, not numerical noise.
     """
     # Checked first, so a bad gamma or n < 2k is reported before the cap.
-    model = reduced.search_hamiltonian(n, k, gamma)
+    hamiltonian = reduced.search_hamiltonian(n, k, gamma)
     graph = johnson.full_adjacency(n, k, cap=cap)
     n_vertices = graph.n_vertices
     if t_max is None:
@@ -308,9 +313,8 @@ def run_verification(n: int, k: int, gamma: float,
 
     h_full = -float(gamma) * graph.adjacency.astype(float)
     h_full[0, 0] -= 1.0
-    full_curve = success_curve(h_full, s_full, 0, t_max, steps)
-    reduced_curve = success_curve(model.hamiltonian, psi0, model.marked_index,
-                                  t_max, steps)
+    full_curve = success_curve(h_full, s_full, t_max, steps=steps)
+    reduced_curve = success_curve(hamiltonian, psi0, t_max, steps=steps)
     deviation = float(np.abs(full_curve.probabilities
                              - reduced_curve.probabilities).max())
     return VerificationResult(n=n, k=k, gamma=float(gamma), t_max=float(t_max),

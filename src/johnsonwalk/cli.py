@@ -122,10 +122,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     gamma = args.gamma if args.gamma is not None else _default_gamma(args.n, args.k)
     t_max = (args.t_max if args.t_max is not None
              else 1.5 * analysis.predicted_peak_time(args.n, args.k))
-    model = reduced.search_hamiltonian(args.n, args.k, gamma)
-    curve = linalg.success_curve(model.hamiltonian,
+    curve = linalg.success_curve(reduced.search_hamiltonian(args.n, args.k, gamma),
                                  reduced.initial_state(args.n, args.k),
-                                 model.marked_index, t_max, args.steps)
+                                 t_max, steps=args.steps)
     if args.format == "svg":
         output.render_svg(args.output, [(curve.times, curve.probabilities)],
                           x_label="time", y_label="success probability")
@@ -149,9 +148,8 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     gammas = np.linspace(lo, hi, args.points)
     energies, overlaps_s, overlaps_w = np.empty((3, args.points, args.k + 1))
     for row_index, gamma in enumerate(gammas):
-        model = reduced.search_hamiltonian(args.n, args.k, gamma)
-        spectrum = linalg.overlap_spectrum(model.hamiltonian, s,
-                                           model.marked_index)
+        spectrum = linalg.overlap_spectrum(
+            reduced.search_hamiltonian(args.n, args.k, gamma), s)
         energies[row_index] = spectrum.energies
         overlaps_s[row_index] = spectrum.overlap_s
         overlaps_w[row_index] = spectrum.overlap_w
@@ -180,10 +178,9 @@ def cmd_critical_gamma(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     gamma = args.gamma if args.gamma is not None else _default_gamma(args.n, args.k)
-    model = reduced.search_hamiltonian(args.n, args.k, gamma)
-    spectrum = linalg.overlap_spectrum(model.hamiltonian,
-                                       reduced.initial_state(args.n, args.k),
-                                       model.marked_index)
+    spectrum = linalg.overlap_spectrum(
+        reduced.search_hamiltonian(args.n, args.k, gamma),
+        reduced.initial_state(args.n, args.k))
     output.write_csv(args.output,
                      ["eig_index", "energy", "overlap_s", "overlap_w"],
                      [np.arange(spectrum.energies.size), spectrum.energies,

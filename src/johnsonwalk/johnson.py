@@ -96,7 +96,8 @@ def full_adjacency(n: int, k: int, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     if n_vertices > cap:
         raise VertexCapError(n_vertices, cap)
     vertices = enumerate_vertices(n, k)
-    membership = np.zeros((n_vertices, n), dtype=np.int8)
+    # The smallest dtype that holds the intersection sizes, which reach k.
+    membership = np.zeros((n_vertices, n), dtype=np.min_scalar_type(k))
     for i, subset in enumerate(vertices):
         membership[i, list(subset)] = 1
     overlaps = membership @ membership.T

@@ -8,7 +8,9 @@ eigenvectors is reproducible.
 Evolution under exp(-iHt) is computed spectrally: one decomposition of H
 serves every time on a grid.  Every call decomposes afresh and returns
 arrays that the caller owns.  ``evolve``, ``success_curve`` and
-``overlap_spectrum`` share one checked decomposition.  The success curve is
+``overlap_spectrum`` share one checked decomposition.  The marked vertex is
+basis state 0, as in the distance basis and the brute-force graph, so the
+marked amplitude is row 0 of the eigenvectors.  The success curve is
 summed in a fixed order over blocks of ``_BLOCK_TIMES`` times, which worker
 threads share out, one per CPU; memory beyond the output stays bounded (a
 block per thread), and the bits do not depend on the BLAS thread count or on
@@ -82,17 +84,15 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
 
 
-def _eigenbasis(hamiltonian: np.ndarray, state: np.ndarray,
-                marked_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigenbasis(hamiltonian: np.ndarray,
+                state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of H, and the array ``state`` in that basis.
 
-    Checks that ``state`` and ``marked_index`` fit H before decomposing it.
+    Checks that ``state`` fits H before decomposing it.
     """
     hamiltonian = np.asarray(hamiltonian)
     if hamiltonian.ndim != 2 or state.shape != (hamiltonian.shape[0],):
         raise ValueError("hamiltonian/state dimension mismatch")
-    if not 0 <= marked_index < hamiltonian.shape[0]:
-        raise ValueError(f"marked index {marked_index} out of range")
     evals, evecs = eig_sym(hamiltonian)
     return evals, evecs, evecs.T @ state
 
@@ -108,8 +108,8 @@ def _check_steps(steps) -> None:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
 
 
-def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
-                  t_max: float, steps: int) -> TimeSeries:
+def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
+                  steps: int) -> TimeSeries:
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
 
     The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1; one
@@ -127,12 +127,11 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
         raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
-    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex),
-                                       marked_index)
+    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
     if not math.isfinite(float(np.abs(evals).max()) * t_max):
         raise ValueError(f"phases E*t overflow at t_max={t_max}")
     times = np.linspace(0.0, float(t_max), int(steps))
-    weights = evecs[marked_index] * coeffs
+    weights = evecs[0] * coeffs
     probabilities = np.empty(times.size)
     starts = range(0, times.size, _BLOCK_TIMES)
     workers = min(_split.worker_count(), len(starts))
@@ -167,13 +166,11 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, marked_index: int,
     return TimeSeries(times=times, probabilities=probabilities)
 
 
-def overlap_spectrum(hamiltonian: np.ndarray, s: np.ndarray,
-                     marked_index: int = 0) -> OverlapSpectrum:
+def overlap_spectrum(hamiltonian: np.ndarray, s: np.ndarray) -> OverlapSpectrum:
     """Energies E_i with |<s|psi_i>|^2 and |<w|psi_i>|^2 per eigenvector.
 
     Both overlap columns sum to one (completeness of the eigenbasis).
     """
-    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(s, dtype=float),
-                                       marked_index)
+    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(s, dtype=float))
     return OverlapSpectrum(energies=evals, overlap_s=coeffs ** 2,
-                           overlap_w=evecs[marked_index] ** 2)
+                           overlap_w=evecs[0] ** 2)

@@ -3,17 +3,19 @@
 Because J(n,k) is distance-transitive, the search dynamics started from the
 uniform superposition stay inside the (k+1)-dimensional span of the distance
 states |d_i> (uniform superpositions over the vertices at distance i from
-the marked vertex).  This module builds that reduced picture: intersection
-array, reduced adjacency and Hamiltonian, the initial state, and -- for
-k = 3 -- the orthogonal change of basis {|d_0>, |r>, |r'>, |r''>} in which
-the Hamiltonian becomes amenable to degenerate perturbation theory.
+the marked vertex).  The marked vertex sits alone in class d_0, which is basis
+state 0; distance-transitivity means any vertex may be the marked one, so
+no other choice is offered.  This module builds that reduced picture:
+intersection array, reduced adjacency and Hamiltonian, the initial state,
+and -- for k = 3 -- the orthogonal change of basis
+{|d_0>, |r>, |r'>, |r''>} in which the Hamiltonian becomes amenable to
+degenerate perturbation theory.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -92,19 +94,7 @@ def reduced_adjacency(n: int, k: int) -> np.ndarray:
     return adj
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedModel:
-    """Reduced search model: (k+1)-dimensional adjacency and Hamiltonian."""
-
-    n: int
-    k: int
-    gamma: float
-    adjacency: np.ndarray = field(repr=False)
-    hamiltonian: np.ndarray = field(repr=False)
-    marked_index: int = 0
-
-
-def search_hamiltonian(n: int, k: int, gamma: float) -> ReducedModel:
+def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
     """H = -gamma * A_reduced - |d_0><d_0| in the distance basis.
 
     The marked vertex sits alone in class 0, so the oracle projector is the
@@ -115,14 +105,12 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> ReducedModel:
     """
     if not math.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-    adjacency = reduced_adjacency(n, k)
     with np.errstate(over="ignore"):
-        hamiltonian = -float(gamma) * adjacency
+        hamiltonian = -float(gamma) * reduced_adjacency(n, k)
     if not np.isfinite(hamiltonian).all():
         raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
     hamiltonian[0, 0] -= 1.0
-    return ReducedModel(n=n, k=k, gamma=float(gamma), adjacency=adjacency,
-                        hamiltonian=hamiltonian, marked_index=0)
+    return hamiltonian
 
 
 def initial_state(n: int, k: int) -> np.ndarray:
@@ -175,8 +163,7 @@ def transformed_hamiltonian(n: int, gamma: float) -> np.ndarray:
     :func:`transformed_hamiltonian_closed` to machine precision.
     """
     T = basis_change_T(n)
-    H = search_hamiltonian(n, 3, gamma).hamiltonian
-    return T.T @ H @ T
+    return T.T @ search_hamiltonian(n, 3, gamma) @ T
 
 
 def transformed_hamiltonian_closed(n: int, gamma: float) -> np.ndarray:

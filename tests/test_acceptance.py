@@ -18,10 +18,8 @@ def _report(index, name, passed, detail):
 def test_criterion_1_peak_curve_n100():
     """n=100, k=3, gamma=0.003455: peak >= 0.99 near t = 631.65."""
     start = time.perf_counter()
-    model = reduced.search_hamiltonian(100, 3, 0.003455)
-    curve = linalg.success_curve(model.hamiltonian,
-                                 reduced.initial_state(100, 3),
-                                 model.marked_index, 700.0, 2801)
+    curve = linalg.success_curve(reduced.search_hamiltonian(100, 3, 0.003455),
+                                 reduced.initial_state(100, 3), 700.0, 2801)
     elapsed = time.perf_counter() - start
     peak = float(curve.probabilities.max())
     t_peak = float(curve.times[int(np.argmax(curve.probabilities))])
@@ -37,11 +35,9 @@ def test_criterion_2_peak_curve_n1000():
     """n=1000, k=3, formula gamma: probability >= 0.99 at t in 20248.5 +- 50."""
     gamma = 1.0 / 3000.0 + 7.0 / 6.0e6
     start = time.perf_counter()
-    model = reduced.search_hamiltonian(1000, 3, gamma)
+    h = reduced.search_hamiltonian(1000, 3, gamma)
     t_max = 1.5 * analysis.predicted_peak_time(1000, 3)
-    curve = linalg.success_curve(model.hamiltonian,
-                                 reduced.initial_state(1000, 3),
-                                 model.marked_index, t_max, 4001)
+    curve = linalg.success_curve(h, reduced.initial_state(1000, 3), t_max, 4001)
     elapsed = time.perf_counter() - start
     window = np.abs(curve.times - 20248.5) <= 50.0
     window_max = float(curve.probabilities[window].max())

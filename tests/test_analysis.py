@@ -129,7 +129,7 @@ def test_naive_splitting_residual(n):
     entries that were kept."""
     gamma = 1.0 / (3.0 * n)
     split = analysis.naive_splitting_diagnostic(n, gamma)
-    h = reduced.search_hamiltonian(n, 3, gamma).hamiltonian
+    h = reduced.search_hamiltonian(n, 3, gamma)
     residual = np.abs(h - (split.h0 + split.h1)).max()
     assert residual == pytest.approx(18.0 * gamma, rel=1e-12)
     assert residual <= 1.0 / math.sqrt(n)

@@ -34,9 +34,8 @@ def test_simulate_csv_roundtrip(tmp_path):
     header, rows = _read_csv(str(target))
     assert header == ["time", "probability"]
     assert len(rows) == 50
-    model = reduced.search_hamiltonian(8, 3, 0.03)
-    curve = linalg.success_curve(model.hamiltonian, reduced.initial_state(8, 3),
-                                 0, 20.0, 50)
+    curve = linalg.success_curve(reduced.search_hamiltonian(8, 3, 0.03),
+                                 reduced.initial_state(8, 3), 20.0, 50)
     # 17 significant digits round-trip float64 exactly
     for row, t, p in zip(rows, curve.times, curve.probabilities):
         assert float(row[0]) == t
@@ -88,9 +87,8 @@ def _written_csv(tmp_path, header, columns):
 
 
 def test_write_csv_matches_row_writer_on_curve(tmp_path):
-    model = reduced.search_hamiltonian(100, 3, 0.00345)
-    curve = linalg.success_curve(model.hamiltonian, reduced.initial_state(100, 3),
-                                 0, 700.0, 2801)
+    curve = linalg.success_curve(reduced.search_hamiltonian(100, 3, 0.00345),
+                                 reduced.initial_state(100, 3), 700.0, 2801)
     header = ["time", "probability"]
     columns = [curve.times, curve.probabilities]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
@@ -443,14 +441,15 @@ def test_verify_zero_window_still_checks_steps(steps, capsys):
     ["analyze-pt", "--n", "100", "--gamma", "nan"],
     ["analyze-pt", "--n", "100", "--gamma", "inf"],
     ["analyze-pt", "--n", "100", "--gamma", "1e308"],
+    ["analyze-pt", "--n", "100", "--gamma", "1e102"],
     ["verify", "--n", "7", "--k", "3", "--gamma", "1e308"],
     ["sweep-gamma", "--n", "10", "--k", "3", "--points", "2",
      "--gamma-max", "1e308"],
     ["sweep-gamma", "--n", "10", "--k", "3", "--gamma-min=-inf",
      "--gamma-max=inf"],
     ["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"],
-], ids=["pt-nan", "pt-inf", "pt-1e308", "verify-1e308", "sweep-1e308",
-        "sweep-infinite-range", "simulate-phase-overflow"])
+], ids=["pt-nan", "pt-inf", "pt-1e308", "pt-1e102", "verify-1e308",
+        "sweep-1e308", "sweep-infinite-range", "simulate-phase-overflow"])
 def test_overflowing_input_exits_one(argv, capsys):
     # Warnings are errors here: a RuntimeWarning would reach stderr in a
     # real run, next to the error line.
@@ -459,6 +458,16 @@ def test_overflowing_input_exits_one(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_analyze_pt_reports_just_below_overflow(capsys):
+    # The cubic's gamma^3 n^2 term is finite at gamma = 1e101 and overflows
+    # at 1e102 (see test_overflowing_input_exits_one).
+    assert cli.main(["analyze-pt", "--n", "100", "--gamma", "1e101"]) == 0
+    table = dict(line.split(",", 1)
+                 for line in capsys.readouterr().out.splitlines()[1:])
+    assert table["cubic_lambda0"] == "5.4899999999999997e+307"
+    assert all(math.isfinite(float(value)) for value in table.values())
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

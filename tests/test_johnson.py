@@ -68,6 +68,14 @@ def test_full_adjacency_k1_is_complete_graph():
     assert np.array_equal(graph.adjacency, expected)
 
 
+def test_full_adjacency_large_k_is_complete_graph():
+    # J(201,200) is K_201.  Intersection sizes reach k = 200, past int8.
+    graph = johnson.full_adjacency(201, 200)
+    assert graph.adjacency.dtype == np.int8
+    assert np.array_equal(graph.adjacency.sum(axis=1), np.full(201, 200))
+    assert not graph.adjacency.diagonal().any()
+
+
 def test_vertex_cap():
     with pytest.raises(VertexCapError) as err:
         johnson.full_adjacency(30, 3, cap=100)

@@ -83,7 +83,7 @@ def test_eig_sym_handles_tiny_offdiagonal():
 
 
 def test_returned_arrays_do_not_leak_into_later_calls():
-    h = reduced.search_hamiltonian(10, 3, 0.02).hamiltonian
+    h = reduced.search_hamiltonian(10, 3, 0.02)
     s = reduced.initial_state(10, 3)
     expected = linalg.overlap_spectrum(h, s)
     expected_evals, expected_evecs = linalg.eig_sym(h)
@@ -104,7 +104,7 @@ def test_returned_arrays_do_not_leak_into_later_calls():
 
 
 def test_evolve_t_zero_is_identity():
-    h = reduced.search_hamiltonian(8, 3, 0.05).hamiltonian
+    h = reduced.search_hamiltonian(8, 3, 0.05)
     psi0 = reduced.initial_state(8, 3)
     assert np.abs(linalg.evolve(h, psi0, 0.0) - psi0).max() < 1e-13
 
@@ -112,13 +112,13 @@ def test_evolve_t_zero_is_identity():
 @given(st.floats(0.0, 50.0))
 @settings(max_examples=30, deadline=None)
 def test_evolve_is_unitary(t):
-    h = reduced.search_hamiltonian(9, 3, 0.04).hamiltonian
+    h = reduced.search_hamiltonian(9, 3, 0.04)
     psi = linalg.evolve(h, reduced.initial_state(9, 3), t)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_composes():
-    h = reduced.search_hamiltonian(7, 2, 0.1).hamiltonian
+    h = reduced.search_hamiltonian(7, 2, 0.1)
     psi0 = reduced.initial_state(7, 2)
     one_shot = linalg.evolve(h, psi0, 0.7 + 1.9)
     two_step = linalg.evolve(h, linalg.evolve(h, psi0, 0.7), 1.9)
@@ -126,15 +126,15 @@ def test_evolve_composes():
 
 
 def test_evolve_dimension_mismatch():
-    h = reduced.search_hamiltonian(7, 2, 0.1).hamiltonian
+    h = reduced.search_hamiltonian(7, 2, 0.1)
     with pytest.raises(ValueError):
         linalg.evolve(h, np.ones(4), 1.0)
 
 
 def test_success_curve_grid_and_consistency():
-    h = reduced.search_hamiltonian(8, 3, 0.03).hamiltonian
+    h = reduced.search_hamiltonian(8, 3, 0.03)
     psi0 = reduced.initial_state(8, 3)
-    curve = linalg.success_curve(h, psi0, 0, 12.0, 25)
+    curve = linalg.success_curve(h, psi0, 12.0, 25)
     assert curve.times.shape == (25,)
     assert curve.times[0] == 0.0
     assert curve.times[-1] == 12.0
@@ -148,35 +148,32 @@ def test_success_curve_grid_and_consistency():
 
 
 def test_success_curve_validates_arguments():
-    h = reduced.search_hamiltonian(8, 3, 0.03).hamiltonian
+    h = reduced.search_hamiltonian(8, 3, 0.03)
     psi0 = reduced.initial_state(8, 3)
     with pytest.raises(ValueError):
-        linalg.success_curve(h, psi0, 0, 10.0, 1)
+        linalg.success_curve(h, psi0, 10.0, 1)
     with pytest.raises(ValueError):
-        linalg.success_curve(h, psi0, 9, 10.0, 5)
-    with pytest.raises(ValueError):
-        linalg.success_curve(h, np.ones(7), 0, 10.0, 5)
+        linalg.success_curve(h, np.ones(7), 10.0, 5)
 
 
 @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
 def test_success_curve_rejects_non_finite_t_max(t_max):
-    h = reduced.search_hamiltonian(8, 3, 0.03).hamiltonian
+    h = reduced.search_hamiltonian(8, 3, 0.03)
     psi0 = reduced.initial_state(8, 3)
     with pytest.raises(ValueError, match="t_max must be finite"):
-        linalg.success_curve(h, psi0, 0, t_max, 5)
+        linalg.success_curve(h, psi0, t_max, 5)
 
 
 def test_success_curve_rejects_phase_overflow():
     # J(2,1) at gamma = 1e308 is finite, but E * t_max is not
-    h = reduced.search_hamiltonian(2, 1, 1e308).hamiltonian
+    h = reduced.search_hamiltonian(2, 1, 1e308)
     with pytest.raises(ValueError, match="overflow"):
-        linalg.success_curve(h, reduced.initial_state(2, 1), 0, 10.0, 5)
+        linalg.success_curve(h, reduced.initial_state(2, 1), 10.0, 5)
 
 
 def test_overlap_spectrum_completeness():
-    model = reduced.search_hamiltonian(12, 3, 0.02)
-    s = reduced.initial_state(12, 3)
-    spectrum = linalg.overlap_spectrum(model.hamiltonian, s, model.marked_index)
+    h = reduced.search_hamiltonian(12, 3, 0.02)
+    spectrum = linalg.overlap_spectrum(h, reduced.initial_state(12, 3))
     assert spectrum.energies.shape == (4,)
     assert np.all(np.diff(spectrum.energies) >= 0)
     assert spectrum.overlap_s.sum() == pytest.approx(1.0, abs=1e-12)
@@ -186,16 +183,15 @@ def test_overlap_spectrum_completeness():
 def test_overlap_spectrum_small_gamma_sits_on_first_excited():
     """Far below the critical rate the uniform state is essentially the
     first excited eigenstate (the marked vertex dominates the ground one)."""
-    model = reduced.search_hamiltonian(100, 3, 0.0005)
-    spectrum = linalg.overlap_spectrum(model.hamiltonian,
-                                       reduced.initial_state(100, 3), 0)
+    spectrum = linalg.overlap_spectrum(reduced.search_hamiltonian(100, 3, 0.0005),
+                                       reduced.initial_state(100, 3))
     assert spectrum.overlap_s[1] == pytest.approx(0.999991471103782, abs=1e-9)
     assert spectrum.overlap_w[0] > 0.999
 
 
 def test_search_hamiltonian_eigensolver_matches_lapack():
     gamma = 1.0 / 300.0 + 7.0 / 60000.0
-    h = reduced.search_hamiltonian(100, 3, gamma).hamiltonian
+    h = reduced.search_hamiltonian(100, 3, gamma)
     evals, _ = linalg.eig_sym(h)
     assert np.abs(evals - np.linalg.eigvalsh(h)).max() < 1e-13
 
@@ -209,10 +205,9 @@ def _one_product_curve(h, psi0, t_max, steps):
 
 
 def _curve(n, k, steps):
-    model = reduced.search_hamiltonian(n, k, 1.0 / (k * n))
+    h = reduced.search_hamiltonian(n, k, 1.0 / (k * n))
     psi0 = reduced.initial_state(n, k)
-    return model.hamiltonian, psi0, linalg.success_curve(
-        model.hamiltonian, psi0, 0, 3000.0, steps).probabilities
+    return h, psi0, linalg.success_curve(h, psi0, 3000.0, steps).probabilities
 
 
 @pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
@@ -244,10 +239,10 @@ def test_success_curve_matches_one_product(n, k, steps):
 
 
 def test_success_curve_rejects_negative_t_max():
-    h = reduced.search_hamiltonian(8, 3, 0.03).hamiltonian
+    h = reduced.search_hamiltonian(8, 3, 0.03)
     with pytest.raises(ValueError,
                        match="t_max must be non-negative, got -3.0"):
-        linalg.success_curve(h, reduced.initial_state(8, 3), 0, -3.0, 3)
+        linalg.success_curve(h, reduced.initial_state(8, 3), -3.0, 3)
 
 
 def test_eig_sym_rejects_empty_matrix():
@@ -257,22 +252,12 @@ def test_eig_sym_rejects_empty_matrix():
 
 @pytest.mark.parametrize("call", [
     lambda h, s: linalg.evolve(h, s, 1.0),
-    lambda h, s: linalg.success_curve(h, s, 0, 1.0, 5),
+    lambda h, s: linalg.success_curve(h, s, 1.0, 5),
     lambda h, s: linalg.overlap_spectrum(h, s),
 ], ids=["evolve", "success_curve", "overlap_spectrum"])
 def test_spectral_entry_points_share_input_checks(call):
-    h = reduced.search_hamiltonian(7, 2, 0.1).hamiltonian
+    h = reduced.search_hamiltonian(7, 2, 0.1)
     with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
         call(h, np.ones(4))
     with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
         call(h[0], np.ones(3))
-
-
-@pytest.mark.parametrize("marked_index", [-1, 3])
-def test_marked_index_out_of_range(marked_index):
-    h = reduced.search_hamiltonian(7, 2, 0.1).hamiltonian
-    s = reduced.initial_state(7, 2)
-    with pytest.raises(ValueError, match=f"marked index {marked_index} out of range"):
-        linalg.success_curve(h, s, marked_index, 1.0, 5)
-    with pytest.raises(ValueError, match=f"marked index {marked_index} out of range"):
-        linalg.overlap_spectrum(h, s, marked_index)

@@ -70,18 +70,16 @@ def test_reduced_adjacency_is_equitable_quotient(n, k):
 
 
 def test_search_hamiltonian_structure():
-    model = reduced.search_hamiltonian(6, 3, 0.25)
-    h = model.hamiltonian
+    h = reduced.search_hamiltonian(6, 3, 0.25)
     assert h.shape == (4, 4)
     assert np.array_equal(h, h.T)
     assert h[0, 0] == -1.0   # a_0 = 0, so only the oracle term survives
-    assert np.allclose(h + 0.25 * model.adjacency + np.diag([1.0, 0, 0, 0]),
-                       0.0, atol=1e-15)
-    assert model.marked_index == 0
+    assert np.allclose(h + 0.25 * reduced.reduced_adjacency(6, 3)
+                       + np.diag([1.0, 0, 0, 0]), 0.0, atol=1e-15)
 
 
 def test_search_hamiltonian_gamma_zero_is_oracle_only():
-    h = reduced.search_hamiltonian(6, 3, 0.0).hamiltonian
+    h = reduced.search_hamiltonian(6, 3, 0.0)
     assert np.array_equal(h, np.diag([-1.0, 0.0, 0.0, 0.0]))
 
 
@@ -158,8 +156,7 @@ def test_initial_state_normalized(k, data):
 
 def test_search_spectrum_j73_frozen():
     """Spectrum at (7,3), gamma=0.05; the top eigenvalue is positive."""
-    model = reduced.search_hamiltonian(7, 3, 0.05)
-    evals, _ = linalg.eig_sym(model.hamiltonian)
+    evals, _ = linalg.eig_sym(reduced.search_hamiltonian(7, 3, 0.05))
     assert np.abs(evals - np.array(J73_EIGS)).max() < 1e-12
     assert evals[-1] > 0
 
@@ -199,7 +196,7 @@ def test_transformed_hamiltonian_closed_form(n):
 
 def test_transformed_hamiltonian_same_spectrum():
     gamma = 0.01
-    original = reduced.search_hamiltonian(20, 3, gamma).hamiltonian
+    original = reduced.search_hamiltonian(20, 3, gamma)
     transformed = reduced.transformed_hamiltonian(20, gamma)
     assert np.allclose(np.sort(np.linalg.eigvalsh(original)),
                        np.sort(np.linalg.eigvalsh(transformed)), atol=1e-12)
