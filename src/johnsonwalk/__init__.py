@@ -18,11 +18,11 @@ from .reduced import (IntersectionArray, basis_change_T, initial_state,
 from .linalg import (OverlapSpectrum, SpectralDecomposition, TimeSeries,
                      eig_sym, evolve, overlap_spectrum, success_curve)
 from .analysis import (CriticalGammaResult, NaiveSplitting, PerturbationReport,
-                       TwoLevelSystem, VerificationResult, char_cubic_coeffs,
-                       effective_two_level, energy_gap, gamma_c_formula_k3,
-                       gamma_c_numeric, naive_splitting_diagnostic,
-                       overlap_balance, perturbation_report, predicted_peak_time,
-                       pt_block, run_verification)
+                       VerificationResult, char_cubic_coeffs, energy_gap,
+                       gamma_c_formula_k3, gamma_c_numeric,
+                       naive_splitting_diagnostic, overlap_balance,
+                       perturbation_report, predicted_peak_time, pt_block,
+                       run_verification)
 from .output import render_svg, write_csv
 
 __version__ = "0.1.0"
@@ -37,9 +37,8 @@ __all__ = [
     "OverlapSpectrum", "SpectralDecomposition", "TimeSeries", "eig_sym",
     "evolve", "overlap_spectrum", "success_curve",
     "CriticalGammaResult", "NaiveSplitting", "PerturbationReport",
-    "TwoLevelSystem", "VerificationResult", "char_cubic_coeffs",
-    "effective_two_level", "energy_gap", "gamma_c_formula_k3",
-    "gamma_c_numeric", "naive_splitting_diagnostic",
+    "VerificationResult", "char_cubic_coeffs", "energy_gap",
+    "gamma_c_formula_k3", "gamma_c_numeric", "naive_splitting_diagnostic",
     "overlap_balance", "perturbation_report", "predicted_peak_time",
     "pt_block", "run_verification",
     "render_svg", "write_csv",

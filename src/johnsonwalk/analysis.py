@@ -1,14 +1,16 @@
 """Critical jumping rate, energy gap, and perturbation-theory checks.
 
 Two routes to the critical jumping rate gamma_c are provided: the k=3
-closed form 1/(3n) + 7/(6 n^2), and a bisection search for the gamma at
-which the uniform superposition is equally supported on the two lowest
-eigenstates of the search Hamiltonian.  Around that point the walk behaves
-as a two-level system, and the functions in the second half of this module
+closed form 1/(3n) + 7/(6 n^2), returned as a plain float, and a bisection
+search for the gamma at which the uniform superposition is equally
+supported on the two lowest eigenstates of the search Hamiltonian, returned
+with its overlap-balance residual.  Around that point the walk behaves as a
+two-level system, and the functions in the second half of this module
 rebuild that picture numerically: the characteristic cubic of the
-(d0, r', r'') block, the block eigenpair (lambda_u, |u>) with lambda_u
-nearest -1 - 1/(2n), and the effective 2x2 Hamiltonian over (r, u) whose
-gap sets the runtime pi/(E_plus - E_minus).
+(d0, r', r'') block, and ``perturbation_report``, which finds the block
+eigenpair (lambda_u, |u>) with lambda_u nearest -1 - 1/(2n) and the
+effective 2x2 Hamiltonian over (r, u) whose gap sets the runtime
+pi/(E_plus - E_minus).
 """
 
 from __future__ import annotations
@@ -30,22 +32,19 @@ MAX_BRACKET_EXPANSIONS = 10
 
 @dataclass(frozen=True)
 class CriticalGammaResult:
-    """Critical jumping rate plus how it was obtained.
+    """Critical jumping rate from the numeric search, with its check.
 
-    ``residual`` is the overlap-balance value at the returned gamma for the
-    numeric search, None for the closed form.
+    ``residual`` is the overlap-balance value at the returned gamma.
     """
 
     gamma: float
-    method: str
-    residual: Optional[float] = None
+    residual: float
 
 
-def gamma_c_formula_k3(n: int) -> CriticalGammaResult:
+def gamma_c_formula_k3(n: int) -> float:
     """Closed-form critical jumping rate 1/(3n) + 7/(6n^2) for k = 3."""
     reduced._check_k3_params(n)
-    gamma = 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
-    return CriticalGammaResult(gamma=gamma, method="formula_k3")
+    return 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
 
 
 def overlap_balance(n: int, k: int, gamma: float) -> float:
@@ -91,9 +90,9 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     # An endpoint can land exactly on the root (it does for small complete
     # graphs), in which case the product above is 0, not negative.
     if f_lo == 0.0:
-        return CriticalGammaResult(gamma=lo, method="numeric", residual=0.0)
+        return CriticalGammaResult(gamma=lo, residual=0.0)
     if f_hi == 0.0:
-        return CriticalGammaResult(gamma=hi, method="numeric", residual=0.0)
+        return CriticalGammaResult(gamma=hi, residual=0.0)
     if f_lo * f_hi > 0.0:
         raise SearchBracketError(
             f"overlap balance has no sign change on [{lo:.3e}, {hi:.3e}] "
@@ -102,14 +101,13 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     while lo < mid < hi:
         f_mid = balance(mid)
         if f_mid == 0.0:
-            return CriticalGammaResult(gamma=mid, method="numeric", residual=0.0)
+            return CriticalGammaResult(gamma=mid, residual=0.0)
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return CriticalGammaResult(gamma=mid, method="numeric",
-                               residual=balance(mid))
+    return CriticalGammaResult(gamma=mid, residual=balance(mid))
 
 
 def energy_gap(n: int, k: int, gamma: float) -> float:
@@ -184,33 +182,44 @@ def pt_block(n: int, gamma: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TwoLevelSystem:
-    """Effective two-level Hamiltonian over (r, u) with its eigenpairs, and
-    the block eigenpair (lambda_u, u) it is built from."""
+class PerturbationReport:
+    """The k=3 two-level reduction at one (n, gamma).
 
-    matrix: np.ndarray
+    (lambda_u, u) is the block eigenpair the effective 2x2 Hamiltonian over
+    (r, u) is built from; e_minus <= e_plus are its eigenvalues and
+    alpha_minus, alpha_plus the matching eigenvectors.
+    """
+
+    n: int
+    gamma: float
+    cubic_coefficients: tuple[float, float, float, float]
+    lambda_u: float
+    u: np.ndarray
+    effective_2x2: np.ndarray
     e_minus: float
     e_plus: float
     alpha_minus: np.ndarray
     alpha_plus: np.ndarray
-    lambda_u: float
-    u: np.ndarray
+    predicted_gap: float
+    predicted_runtime: float
 
 
-def effective_two_level(n: int, gamma: float) -> TwoLevelSystem:
-    """Project the transformed Hamiltonian onto span{|r>, |u>}.
+def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationReport:
+    """Project the transformed Hamiltonian onto span{|r>, |u>} at one rate.
 
-    (lambda_u, |u>) is the eigenpair of the (d0, r', r'') block whose
-    eigenvalue is nearest -1 - 1/(2n), from one ``eig_sym`` call; its sign
-    convention makes u_d0 > 0 whenever |u> has a d0 component above
-    ``linalg.SIGN_EPS``.  gamma must be finite and positive.
-
-    |u> is embedded with a zero r-component, so the 2x2 entries are plain
-    quadratic forms of the full transformed Hamiltonian.  Eigenvalues come
-    back ordered (e_minus <= e_plus); near the critical jumping rate the
-    eigenvectors tend to (1, +-1)/sqrt(2) and the gap e_plus - e_minus
-    shrinks like 2*sqrt(6)/n^(3/2).
+    gamma defaults to the closed-form critical rate, where the reduction is
+    designed to hold, and must otherwise be finite and positive.
+    (lambda_u, |u>) is the (d0, r', r'') block eigenpair with lambda_u
+    nearest -1 - 1/(2n), from one ``eig_sym`` call, whose sign convention
+    makes u_d0 > 0 when |u_d0| > ``linalg.SIGN_EPS``.  With |u> embedded at
+    zero r-component, the 2x2 entries are plain quadratic forms of the
+    transformed Hamiltonian; near the critical rate its eigenvectors tend to
+    (1, +-1)/sqrt(2) and its gap shrinks like 2*sqrt(6)/n^(3/2).  A report
+    with any value outside the float range (the cubic's gamma^3 n^2 term
+    overflows near gamma = 1e102 at n = 100) is refused with ValueError.
     """
+    if gamma is None:
+        gamma = gamma_c_formula_k3(n)
     reduced._check_positive_gamma(gamma)
     evals, evecs = eig_sym(pt_block(n, gamma))
     index = int(np.argmin(np.abs(evals - (-1.0 - 1.0 / (2.0 * n)))))
@@ -223,48 +232,16 @@ def effective_two_level(n: int, gamma: float) -> TwoLevelSystem:
         [u4 @ hp @ r4, u4 @ hp @ u4],
     ])
     evals, evecs = eig_sym(matrix)
-    return TwoLevelSystem(matrix=matrix,
-                          e_minus=float(evals[0]), e_plus=float(evals[1]),
-                          alpha_minus=evecs[:, 0], alpha_plus=evecs[:, 1],
-                          lambda_u=lam, u=u)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Everything the two-level reduction produces for one (n, gamma)."""
-
-    n: int
-    gamma: float
-    cubic_coefficients: tuple[float, float, float, float]
-    lambda_u: float
-    u: np.ndarray
-    effective_2x2: np.ndarray
-    e_minus: float
-    e_plus: float
-    predicted_gap: float
-    predicted_runtime: float
-
-
-def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationReport:
-    """Assemble the full k=3 perturbation picture at one jumping rate.
-
-    With gamma omitted, the closed-form critical rate is used, which is
-    where the two-level reduction is designed to hold.  A report with any
-    value outside the float range (the cubic's gamma^3 n^2 term overflows
-    near gamma = 1e102 at n = 100) is refused with ValueError.
-    """
-    if gamma is None:
-        gamma = gamma_c_formula_k3(n).gamma
-    system = effective_two_level(n, gamma)
-    gap = system.e_plus - system.e_minus
+    e_minus, e_plus = float(evals[0]), float(evals[1])
+    gap = e_plus - e_minus
     if gap <= 0:
         raise ValueError(f"degenerate effective two-level system at gamma={gamma}")
     report = PerturbationReport(
         n=n, gamma=float(gamma),
         cubic_coefficients=char_cubic_coeffs(n, gamma),
-        lambda_u=system.lambda_u, u=system.u,
-        effective_2x2=system.matrix,
-        e_minus=system.e_minus, e_plus=system.e_plus,
+        lambda_u=lam, u=u, effective_2x2=matrix,
+        e_minus=e_minus, e_plus=e_plus,
+        alpha_minus=evecs[:, 0], alpha_plus=evecs[:, 1],
         predicted_gap=gap, predicted_runtime=math.pi / gap)
     for name, value in vars(report).items():
         if not np.isfinite(np.asarray(value, dtype=float)).all():

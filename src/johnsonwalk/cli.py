@@ -40,7 +40,7 @@ VERIFY_TOLERANCE = 1e-8
 def _default_gamma(n: int, k: int) -> float:
     """Critical jumping rate: closed form for k = 3, bisection otherwise."""
     if k == 3:
-        gamma = analysis.gamma_c_formula_k3(n).gamma
+        gamma = analysis.gamma_c_formula_k3(n)
         logger.info("using formula gamma_c = %.10g", gamma)
     else:
         gamma = analysis.gamma_c_numeric(n, k).gamma
@@ -169,7 +169,7 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
 def cmd_critical_gamma(args: argparse.Namespace) -> int:
     if args.k == 3:
         formula = analysis.gamma_c_formula_k3(args.n)
-        print(f"formula_k3 gamma_c = {formula.gamma:.17g}")
+        print(f"formula_k3 gamma_c = {formula:.17g}")
     numeric = analysis.gamma_c_numeric(args.n, args.k)
     print(f"numeric    gamma_c = {numeric.gamma:.17g}  "
           f"(overlap-balance residual {numeric.residual:.3e})")
@@ -243,8 +243,10 @@ COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = create_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(message)s")
+    # basicConfig acts only while the root logger has no handler, so the
+    # level is set on the package logger, afresh for every call.
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     handler = COMMANDS[args.command]
     try:
         return handler(args)

@@ -97,9 +97,26 @@ def _eigenbasis(hamiltonian: np.ndarray,
     return evals, evecs, evecs.T @ state
 
 
+# The time rule of ``evolve`` and ``success_curve``: t is finite, checked
+# before H is decomposed, and every phase E*t is finite, checked after.
+def _check_time(t: float, name: str) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite, got {t}")
+
+
+def _check_phases(evals: np.ndarray, t: float, name: str) -> None:
+    if not math.isfinite(float(np.abs(evals).max()) * t):
+        raise ValueError(f"phases E*t overflow at {name}={t}")
+
+
 def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt) to ``psi0`` through the eigendecomposition of H."""
+    """Apply exp(-iHt) to ``psi0`` through the eigendecomposition of H.
+
+    ``t`` may be negative, but must be finite, and so must every phase E*t.
+    """
+    _check_time(t, "t")
     evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
+    _check_phases(evals, t, "t")
     return evecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
@@ -123,13 +140,11 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
     phase E * t_max finite.
     """
     _check_steps(steps)
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
+    _check_time(t_max, "t_max")
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
-    if not math.isfinite(float(np.abs(evals).max()) * t_max):
-        raise ValueError(f"phases E*t overflow at t_max={t_max}")
+    _check_phases(evals, t_max, "t_max")
     times = np.linspace(0.0, float(t_max), int(steps))
     weights = evecs[0] * coeffs
     probabilities = np.empty(times.size)

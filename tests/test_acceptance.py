@@ -75,7 +75,7 @@ def test_criterion_4_critical_gamma_consistency():
     diffs = {}
     for n in (50, 100, 200, 500):
         numeric = analysis.gamma_c_numeric(n, 3).gamma
-        formula = analysis.gamma_c_formula_k3(n).gamma
+        formula = analysis.gamma_c_formula_k3(n)
         diffs[n] = abs(numeric - formula)
     elapsed = time.perf_counter() - start
     within = all(diffs[n] <= 20.0 / n ** 3 for n in diffs)
@@ -111,10 +111,10 @@ def test_criterion_6_perturbation_report():
     details = []
     passed = True
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n).gamma
-        system = analysis.effective_two_level(n, gamma)
+        gamma = analysis.gamma_c_formula_k3(n)
+        system = analysis.perturbation_report(n, gamma)
         target = math.sqrt(6.0) / n ** 1.5
-        off_rel = abs(abs(system.matrix[0, 1]) - target) / target
+        off_rel = abs(abs(system.effective_2x2[0, 1]) - target) / target
         gap_rel = abs((system.e_plus - system.e_minus) - 2 * target) / (2 * target)
         lam_dev = abs(system.lambda_u + 1.0 + 1.0 / (2.0 * n))
         details.append(f"n={n}: off {off_rel:.3f}, gap {gap_rel:.3f}, "
@@ -123,10 +123,10 @@ def test_criterion_6_perturbation_report():
         passed = passed and lam_dev <= 10.0 / n ** 2
     _report(6, "perturbation report", passed, "; ".join(details))
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n).gamma
-        system = analysis.effective_two_level(n, gamma)
+        gamma = analysis.gamma_c_formula_k3(n)
+        system = analysis.perturbation_report(n, gamma)
         target = math.sqrt(6.0) / n ** 1.5
-        assert abs(abs(system.matrix[0, 1]) - target) / target <= 0.25
+        assert abs(abs(system.effective_2x2[0, 1]) - target) / target <= 0.25
         assert abs((system.e_plus - system.e_minus) - 2 * target) / (2 * target) <= 0.25
         assert abs(system.lambda_u + 1.0 + 1.0 / (2.0 * n)) <= 10.0 / n ** 2
 
@@ -145,7 +145,7 @@ def test_criterion_7_structural_identities():
 
     basis_ok = True
     for n in (6, 10, 100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n).gamma
+        gamma = analysis.gamma_c_formula_k3(n)
         t = reduced.basis_change_T(n)
         basis_ok = basis_ok and np.abs(t.T @ t - np.eye(4)).max() <= 1e-12
         diff = np.abs(reduced.transformed_hamiltonian(n, gamma)

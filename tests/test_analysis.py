@@ -32,19 +32,16 @@ ALPHA_MINUS_1000 = [0.6734898713912156, 0.7391964509745997]
 
 def test_gamma_c_formula_values():
     res = analysis.gamma_c_formula_k3(100)
-    assert res.method == "formula_k3"
-    assert res.residual is None
-    assert res.gamma == pytest.approx(GAMMA_C_100, abs=1e-18)
-    assert res.gamma == pytest.approx(0.00345, abs=5e-7)
+    assert res == pytest.approx(GAMMA_C_100, abs=1e-18)
+    assert res == pytest.approx(0.00345, abs=5e-7)
     big = analysis.gamma_c_formula_k3(10 ** 6)
-    assert big.gamma * 10 ** 6 == pytest.approx(1.0 / 3.0, abs=1e-5)
+    assert big * 10 ** 6 == pytest.approx(1.0 / 3.0, abs=1e-5)
     with pytest.raises(ValueError):
         analysis.gamma_c_formula_k3(5)
 
 
 def test_gamma_c_numeric_j100_3():
     res = analysis.gamma_c_numeric(100, 3)
-    assert res.method == "numeric"
     assert res.gamma == pytest.approx(GAMMA_NUMERIC_100, abs=5e-12)
     assert res.gamma == pytest.approx(0.003455, abs=1e-6)
     assert abs(res.residual) < 1e-6
@@ -57,7 +54,7 @@ def test_gamma_c_numeric_next_order_k3(n):
     """(numeric - formula) * n^3 settles near 4.83: the bisection resolves
     the n^-3 term beyond the closed form 1/(3n) + 7/(6n^2) at every n."""
     numeric = analysis.gamma_c_numeric(n, 3).gamma
-    offset = (numeric - analysis.gamma_c_formula_k3(n).gamma) * n ** 3
+    offset = (numeric - analysis.gamma_c_formula_k3(n)) * n ** 3
     assert abs(offset - 4.83) <= 0.5
 
 
@@ -159,7 +156,7 @@ def test_cubic_roots_are_block_spectrum():
 
 
 def _pair(n, gamma):
-    system = analysis.effective_two_level(n, gamma)
+    system = analysis.perturbation_report(n, gamma)
     return system.lambda_u, system.u
 
 
@@ -168,7 +165,7 @@ def test_lambda_u_frozen_values():
     assert lam == pytest.approx(LAMBDA_U_100, abs=1e-12)
     assert abs(lam + 1.005) < 1e-3
     assert abs(lam + 1.0 + 1.0 / 200.0) <= 10.0 / 100 ** 2
-    lam_big, _ = _pair(1000, analysis.gamma_c_formula_k3(1000).gamma)
+    lam_big, _ = _pair(1000, analysis.gamma_c_formula_k3(1000))
     assert lam_big == pytest.approx(LAMBDA_U_1000, abs=1e-12)
 
 
@@ -183,7 +180,7 @@ def test_lambda_u_near_degenerate_with_e_r():
     """At the critical rate, lambda_u and the plain r-state energy
     -gamma(3n-9) split only at O(1/n^2)."""
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n).gamma
+        gamma = analysis.gamma_c_formula_k3(n)
         e_r = -gamma * (3.0 * n - 9.0)
         assert abs(_pair(n, gamma)[0] - e_r) <= 20.0 / n ** 2
 
@@ -199,7 +196,7 @@ def test_u_frozen_and_eigen_residual():
 
 @pytest.mark.parametrize("n", [100, 1000])
 def test_u_matches_eigensolver(n):
-    gamma = analysis.gamma_c_formula_k3(n).gamma
+    gamma = analysis.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
     evals, evecs = np.linalg.eigh(analysis.pt_block(n, gamma))
     ref = evecs[:, int(np.argmin(np.abs(evals - lam)))]
@@ -214,7 +211,7 @@ def test_u_matches_eigensolver(n):
 def test_pair_is_accurate_eigenpair_and_cubic_root(n):
     """At the formula rate, (lambda_u, u) is a backward-stable eigenpair of
     the block, and lambda_u a root of the paper's closed-form cubic."""
-    gamma = analysis.gamma_c_formula_k3(n).gamma
+    gamma = analysis.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
     block = analysis.pt_block(n, gamma)
     eps = np.finfo(float).eps
@@ -228,7 +225,7 @@ def test_pair_is_accurate_eigenpair_and_cubic_root(n):
 @pytest.mark.parametrize("n", [100, 10 ** 7])
 def test_pair_matches_high_precision_eigensolve(n):
     mpmath = pytest.importorskip("mpmath")
-    gamma = analysis.gamma_c_formula_k3(n).gamma
+    gamma = analysis.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
     with mpmath.workdps(50):
         g, m = mpmath.mpf(gamma), mpmath.mpf(n)
@@ -247,9 +244,7 @@ def test_pair_matches_high_precision_eigensolve(n):
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
-def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
-    with pytest.raises(ValueError, match="finite and positive"):
-        analysis.effective_two_level(100, gamma)
+def test_energy_gap_and_perturbation_report_reject_non_finite_gamma(gamma):
     with pytest.raises(ValueError, match="finite and positive"):
         analysis.energy_gap(100, 3, gamma)
     with pytest.raises(ValueError, match="finite and positive"):
@@ -257,15 +252,16 @@ def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
 
 
 def test_perturbation_report_solves_twice(monkeypatch):
-    # effective_two_level solves the 3x3 block once for (lambda_u, u) and the
-    # 2x2 system once; the report reuses the pair the two-level system built,
+    # The report solves the 3x3 block once for (lambda_u, u) and the 2x2
+    # system once, reports the pair and the alphas from those two solves,
     # and evaluates the closed-form cubic only for its own output.
-    calls, cubic_calls = [], []
+    calls, solves, cubic_calls = [], [], []
     char_cubic_coeffs = analysis.char_cubic_coeffs
 
     def counting_eig_sym(matrix):
         calls.append(np.shape(matrix))
-        return eig_sym(matrix)
+        solves.append(eig_sym(matrix))
+        return solves[-1]
 
     def counting_cubic(n, gamma):
         cubic_calls.append((n, gamma))
@@ -276,9 +272,12 @@ def test_perturbation_report_solves_twice(monkeypatch):
     report = analysis.perturbation_report(100)
     assert calls == [(3, 3), (2, 2)]
     assert cubic_calls == [(100, report.gamma)]
-    system = analysis.effective_two_level(100, report.gamma)
-    assert report.lambda_u == system.lambda_u
-    assert np.array_equal(report.u, system.u)
+    (block_evals, block_evecs), (_, alphas) = solves
+    index = int(np.argmin(np.abs(block_evals - report.lambda_u)))
+    assert report.lambda_u == block_evals[index]
+    assert np.array_equal(report.u, block_evecs[:, index])
+    assert np.array_equal(report.alpha_minus, alphas[:, 0])
+    assert np.array_equal(report.alpha_plus, alphas[:, 1])
 
 
 def test_perturbation_report_rejects_overflowing_gamma():
@@ -286,12 +285,13 @@ def test_perturbation_report_rejects_overflowing_gamma():
         analysis.perturbation_report(100, 1e308)
 
 
-def test_effective_two_level_frozen_n100():
-    system = analysis.effective_two_level(100, GAMMA_C_100)
-    assert system.matrix.shape == (2, 2)
-    assert system.matrix[0, 1] == pytest.approx(system.matrix[1, 0], abs=1e-15)
+def test_perturbation_report_frozen_n100():
+    system = analysis.perturbation_report(100, GAMMA_C_100)
+    assert system.effective_2x2.shape == (2, 2)
+    assert system.effective_2x2[0, 1] == pytest.approx(system.effective_2x2[1, 0],
+                                                        abs=1e-15)
     target = math.sqrt(6.0) / 100 ** 1.5
-    assert abs(abs(system.matrix[0, 1]) - target) / target < 0.02
+    assert abs(abs(system.effective_2x2[0, 1]) - target) / target < 0.02
     assert system.e_minus == pytest.approx(E_MINUS_100, abs=1e-12)
     assert system.e_plus == pytest.approx(E_PLUS_100, abs=1e-12)
     gap = system.e_plus - system.e_minus
@@ -299,16 +299,16 @@ def test_effective_two_level_frozen_n100():
     assert np.abs(system.alpha_minus - np.array(ALPHA_MINUS_100)).max() < 1e-9
 
 
-def test_effective_two_level_gap_matches_exact():
+def test_perturbation_report_gap_matches_exact():
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n).gamma
-        system = analysis.effective_two_level(n, gamma)
+        gamma = analysis.gamma_c_formula_k3(n)
+        system = analysis.perturbation_report(n, gamma)
         exact = analysis.energy_gap(n, 3, gamma)
         assert abs((system.e_plus - system.e_minus) - exact) / exact < 0.2
 
 
-def test_effective_two_level_alphas_approach_equal_mixing():
-    system = analysis.effective_two_level(1000, analysis.gamma_c_formula_k3(1000).gamma)
+def test_perturbation_report_alphas_approach_equal_mixing():
+    system = analysis.perturbation_report(1000, analysis.gamma_c_formula_k3(1000))
     assert np.abs(system.alpha_minus - np.array(ALPHA_MINUS_1000)).max() < 1e-9
     equal = 1.0 / math.sqrt(2.0)
     assert np.abs(np.abs(system.alpha_minus) - equal).max() < 0.05
@@ -376,15 +376,13 @@ K3_ENTRY_POINTS = {
     "naive_splitting_diagnostic": analysis.naive_splitting_diagnostic,
     "char_cubic_coeffs": analysis.char_cubic_coeffs,
     "pt_block": analysis.pt_block,
-    "effective_two_level": analysis.effective_two_level,
     "basis_change_T": lambda n, g: reduced.basis_change_T(n),
     "transformed_hamiltonian": reduced.transformed_hamiltonian,
     "transformed_hamiltonian_closed": reduced.transformed_hamiltonian_closed,
     "perturbation_report": analysis.perturbation_report,
 }
 #: The entry points that refuse a jumping rate that is not finite and positive.
-K3_POSITIVE_GAMMA = ("effective_two_level", "transformed_hamiltonian_closed",
-                     "perturbation_report")
+K3_POSITIVE_GAMMA = ("transformed_hamiltonian_closed", "perturbation_report")
 
 
 @pytest.mark.parametrize("name", sorted(K3_ENTRY_POINTS))

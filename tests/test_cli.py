@@ -511,6 +511,32 @@ def test_import_loads_neither_csv_nor_subprocess():
     assert run.stdout == b"[]\n"
 
 
+def test_verbose_writes_one_info_line_to_stderr():
+    src = os.path.dirname(os.path.dirname(johnsonwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["spectrum", "--n", "100", "--k", "3"]
+    quiet, verbose = (
+        subprocess.run([sys.executable, "-m", "johnsonwalk.cli", *flags, *argv],
+                       env=env, capture_output=True, check=True, timeout=60)
+        for flags in ([], ["--verbose"]))
+    assert quiet.stderr == b""
+    assert verbose.stderr == b"INFO using formula gamma_c = 0.00345\n"
+    assert verbose.stdout == quiet.stdout
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)],
+                         ids=["quiet-first", "verbose-first"])
+def test_verbose_holds_for_each_in_process_call(order, caplog, capsys):
+    # Every call logs at its own level, whatever an earlier call asked for.
+    for verbose in order:
+        caplog.clear()
+        argv = ["--verbose"] * verbose + ["spectrum", "--n", "100", "--k", "3"]
+        assert cli.main(argv) == 0
+        expected = ["using formula gamma_c = 0.00345"] if verbose else []
+        assert caplog.messages == expected
+
+
 def test_verify_failure_is_one_error_line(capsys):
     # Phases near 1e308 keep no precision, so the two curves disagree.
     argv = ["verify", "--n", "7", "--k", "2", "--t-max", "1e308"]

@@ -164,6 +164,29 @@ def test_success_curve_rejects_non_finite_t_max(t_max):
         linalg.success_curve(h, psi0, t_max, 5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda h, s, t: linalg.evolve(h, s, t),
+    lambda h, s, t: linalg.success_curve(h, s, t, 5),
+], ids=["evolve", "success_curve"])
+def test_timed_entry_points_share_the_time_rule(call):
+    h = reduced.search_hamiltonian(8, 3, 0.03)
+    psi0 = reduced.initial_state(8, 3)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(h, psi0, t)
+    # J(2,1) at gamma = 1e308 is finite, but E * t is not
+    with pytest.raises(ValueError, match="overflow"):
+        call(reduced.search_hamiltonian(2, 1, 1e308), reduced.initial_state(2, 1),
+             10.0)
+
+
+def test_evolve_runs_backward():
+    h = reduced.search_hamiltonian(7, 2, 0.1)
+    psi0 = reduced.initial_state(7, 2)
+    back = linalg.evolve(h, linalg.evolve(h, psi0, 2.6), -2.6)
+    assert np.abs(back - psi0).max() < 1e-12
+
+
 def test_success_curve_rejects_phase_overflow():
     # J(2,1) at gamma = 1e308 is finite, but E * t_max is not
     h = reduced.search_hamiltonian(2, 1, 1e308)
