@@ -244,7 +244,7 @@ def test_pair_matches_high_precision_eigensolve(n):
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
-def test_energy_gap_and_perturbation_report_reject_non_finite_gamma(gamma):
+def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
     with pytest.raises(ValueError, match="finite and positive"):
         analysis.energy_gap(100, 3, gamma)
     with pytest.raises(ValueError, match="finite and positive"):
@@ -285,7 +285,7 @@ def test_perturbation_report_rejects_overflowing_gamma():
         analysis.perturbation_report(100, 1e308)
 
 
-def test_perturbation_report_frozen_n100():
+def test_effective_two_level_frozen_n100():
     system = analysis.perturbation_report(100, GAMMA_C_100)
     assert system.effective_2x2.shape == (2, 2)
     assert system.effective_2x2[0, 1] == pytest.approx(system.effective_2x2[1, 0],
@@ -299,7 +299,7 @@ def test_perturbation_report_frozen_n100():
     assert np.abs(system.alpha_minus - np.array(ALPHA_MINUS_100)).max() < 1e-9
 
 
-def test_perturbation_report_gap_matches_exact():
+def test_effective_two_level_gap_matches_exact():
     for n in (100, 1000):
         gamma = analysis.gamma_c_formula_k3(n)
         system = analysis.perturbation_report(n, gamma)
@@ -307,7 +307,7 @@ def test_perturbation_report_gap_matches_exact():
         assert abs((system.e_plus - system.e_minus) - exact) / exact < 0.2
 
 
-def test_perturbation_report_alphas_approach_equal_mixing():
+def test_effective_two_level_alphas_approach_equal_mixing():
     system = analysis.perturbation_report(1000, analysis.gamma_c_formula_k3(1000))
     assert np.abs(system.alpha_minus - np.array(ALPHA_MINUS_1000)).max() < 1e-9
     equal = 1.0 / math.sqrt(2.0)
