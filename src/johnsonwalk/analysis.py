@@ -16,8 +16,7 @@ pi/(E_plus - E_minus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .linalg import eig_sym, overlap_spectrum, success_curve
 MAX_BRACKET_EXPANSIONS = 10
 
 
-@dataclass(frozen=True)
-class CriticalGammaResult:
+class CriticalGammaResult(NamedTuple):
     """Critical jumping rate from the numeric search, with its check.
 
     ``residual`` is the overlap-balance value at the returned gamma.
@@ -125,8 +123,7 @@ def predicted_peak_time(n: int, k: int) -> float:
     return math.pi * math.sqrt(reduced._check_reduced_params(n, k)) / 2.0
 
 
-@dataclass(frozen=True)
-class NaiveSplitting:
+class NaiveSplitting(NamedTuple):
     """Leading/subleading split of the k=3 search Hamiltonian.
 
     h0 carries the oracle and the diagonal hopping terms, h1 the
@@ -181,8 +178,7 @@ def pt_block(n: int, gamma: float) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     """The k=3 two-level reduction at one (n, gamma).
 
     (lambda_u, u) is the block eigenpair the effective 2x2 Hamiltonian over
@@ -243,14 +239,13 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
         e_minus=e_minus, e_plus=e_plus,
         alpha_minus=evecs[:, 0], alpha_plus=evecs[:, 1],
         predicted_gap=gap, predicted_runtime=math.pi / gap)
-    for name, value in vars(report).items():
+    for name, value in report._asdict().items():
         if not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValueError(f"{name} overflows at n={n}, gamma={gamma}")
     return report
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of a full-graph vs reduced-model comparison."""
 
     n: int

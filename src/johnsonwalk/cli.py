@@ -15,13 +15,16 @@ emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 writes exactly one line, starting "error: ", to stderr.  That includes a
 CSV row helper process that fails: a long numeric table, such as a long
 simulate curve or sweep-gamma grid, is formatted in helper processes, one
-per CPU beyond the first.
+per CPU beyond the first.  It also includes a failed final write, such as
+buffered stdout flushed to a full disk or a closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
+import os
 import sys
 from typing import Optional
 
@@ -259,7 +262,33 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """Run ``main`` as the program (``johnsonwalk``, ``python -m johnsonwalk.cli``).
+
+    stdout is flushed here, inside the exit-1 contract: when that final
+    write fails, a run that has not yet reported an error reports this one,
+    and fd 1 is pointed at the null device so the interpreter's own flush
+    at shutdown cannot fail again.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        if not code:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    # What is alive now stays alive until exit; frozen, it is left out of the
+    # collections the interpreter runs at shutdown, which would otherwise
+    # walk the ~22k objects numpy and the package keep.  Atexit handlers and
+    # the flush of the std streams still run, unlike after os._exit.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

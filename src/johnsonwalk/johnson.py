@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,14 +61,13 @@ def enumerate_vertices(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), k))
 
 
-@dataclass(frozen=True, eq=False)
-class FullGraph:
+class FullGraph(NamedTuple):
     """Brute-force Johnson graph: vertex list plus dense adjacency matrix."""
 
     n: int
     k: int
     vertices: list[tuple[int, ...]]
-    adjacency: np.ndarray = field(repr=False)
+    adjacency: np.ndarray
 
     @property
     def n_vertices(self) -> int:

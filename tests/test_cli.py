@@ -511,6 +511,58 @@ def test_import_loads_neither_csv_nor_subprocess():
     assert run.stdout == b"[]\n"
 
 
+def _program_env():
+    """Environment for running the CLI as a program, with buffered stdout."""
+    src = os.path.dirname(os.path.dirname(johnsonwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_import_loads_no_dataclasses():
+    # The result records are NamedTuples, which are cheaper to define.
+    code = "import sys, johnsonwalk.cli; print('dataclasses' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                         capture_output=True, check=True, timeout=60)
+    assert run.stdout == b"False\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["critical-gamma", "--n", "100", "--k", "3"],
+    ["verify", "--n", "9", "--k", "3"],
+    ["spectrum", "--n", "100", "--k", "3"],
+], ids=lambda argv: argv[0])
+def test_failed_final_write_exits_one(argv):
+    # Buffered stdout holds the whole output until the program flushes it.
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run([sys.executable, "-m", "johnsonwalk.cli", *argv],
+                             env=_program_env(), stdout=full,
+                             stderr=subprocess.PIPE, timeout=60)
+    assert run.returncode == 1
+    lines = run.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical-gamma", "--n", "100", "--k", "3"],
+    ["simulate", "--n", "150", "--k", "3", "--gamma", "nan"],
+    ["simulate", "--n", "6"],
+], ids=["success", "refusal", "usage-error"])
+def test_program_matches_in_process_main(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    run = subprocess.run([sys.executable, "-m", "johnsonwalk.cli", *argv],
+                         env=_program_env(), capture_output=True, timeout=60)
+    assert run.returncode == code
+    assert run.stdout == captured.out.encode()
+    assert run.stderr == captured.err.encode()
+
+
 def test_verbose_writes_one_info_line_to_stderr():
     src = os.path.dirname(os.path.dirname(johnsonwalk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
