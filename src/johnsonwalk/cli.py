@@ -13,10 +13,11 @@ CSV goes to stdout unless --output is given; simulate and sweep-gamma can
 emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 1 for domain or computation errors, 2 for usage errors.  An exit-1 run
 writes exactly one line, starting "error: ", to stderr.  That includes a
-CSV row helper process that fails: a long numeric table, such as a long
-simulate curve or sweep-gamma grid, is formatted in helper processes, one
-per CPU beyond the first.  It also includes a failed final write, such as
-buffered stdout flushed to a full disk or a closed pipe.
+grid (--steps, --points) of over 2^60 - 1 points, refused before any array
+is made, and a CSV row helper process that fails: a long numeric table,
+such as a long simulate curve or sweep-gamma grid, is formatted in helper
+processes, one per CPU beyond the first.  It also includes a failed final
+write, such as buffered stdout flushed to a full disk or a closed pipe.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     hi = args.gamma_max if args.gamma_max is not None else 2.0 / (args.k * args.n)
     if args.points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {args.points}")
+    linalg._check_steps(args.points)  # refuses a grid too large to address
     if not np.isfinite(hi - lo):
         raise ValueError(f"gamma range [{lo}, {hi}] is not finite")
     if not hi > lo:

@@ -79,8 +79,8 @@ def full_adjacency(n: int, k: int, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
 
     Two k-subsets are adjacent iff their intersection has k-1 elements.  The
     matrix is built from the vertex membership matrix M (one row per vertex,
-    one column per symbol): (M M^T)[u,v] is the intersection size, so the
-    adjacency is just an equality test against k-1.
+    one column per symbol): (M M^T)[u,v] is the intersection size, which a
+    float product (BLAS) gives exactly, since every partial sum is at most k.
 
     Raises :class:`VertexCapError` when C(n,k) exceeds ``cap``.  The lower
     bound C(n,k) >= (n/m)^m, m = min(k, n-k), refuses a count more than
@@ -95,10 +95,8 @@ def full_adjacency(n: int, k: int, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     if n_vertices > cap:
         raise VertexCapError(n_vertices, cap)
     vertices = enumerate_vertices(n, k)
-    # The smallest dtype that holds the intersection sizes, which reach k.
-    membership = np.zeros((n_vertices, n), dtype=np.min_scalar_type(k))
-    for i, subset in enumerate(vertices):
-        membership[i, list(subset)] = 1
+    membership = np.zeros((n_vertices, n))
+    membership[np.arange(n_vertices)[:, None], vertices] = 1.0
     overlaps = membership @ membership.T
     adjacency = (overlaps == k - 1).astype(np.int8)
     return FullGraph(n=n, k=k, vertices=vertices, adjacency=adjacency)

@@ -123,6 +123,8 @@ def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
 def _check_steps(steps) -> None:
     if not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
+    if steps > np.iinfo(np.intp).max // 8:  # the most float64s numpy addresses
+        raise ValueError(f"a grid of {steps} points is too large to address")
 
 
 def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,

@@ -448,8 +448,14 @@ def test_verify_zero_window_still_checks_steps(steps, capsys):
     ["sweep-gamma", "--n", "10", "--k", "3", "--gamma-min=-inf",
      "--gamma-max=inf"],
     ["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"],
+    # Grids of 2^63 - 1 points: numpy's linspace raised an IndexError.
+    ["simulate", "--n", "100", "--k", "3", "--steps", "9223372036854775807"],
+    ["verify", "--n", "7", "--k", "3", "--steps", "9223372036854775807"],
+    ["sweep-gamma", "--n", "10", "--k", "3", "--points",
+     "9223372036854775807"],
 ], ids=["pt-nan", "pt-inf", "pt-1e308", "pt-1e102", "verify-1e308",
-        "sweep-1e308", "sweep-infinite-range", "simulate-phase-overflow"])
+        "sweep-1e308", "sweep-infinite-range", "simulate-phase-overflow",
+        "simulate-huge-grid", "verify-huge-grid", "sweep-huge-grid"])
 def test_overflowing_input_exits_one(argv, capsys):
     # Warnings are errors here: a RuntimeWarning would reach stderr in a
     # real run, next to the error line.
@@ -518,6 +524,15 @@ def _program_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def test_package_import_loads_no_submodule_or_numpy():
+    # The package root is a plain namespace; the modules are the API.
+    code = ("import sys, johnsonwalk; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('johnsonwalk.')))")
+    run = subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                         capture_output=True, check=True, timeout=60)
+    assert run.stdout == b"[]\n"
 
 
 def test_import_loads_no_dataclasses():

@@ -62,9 +62,20 @@ def test_full_adjacency_rule():
     assert graph.adjacency[i, disjoint] == 0
 
 
-def test_full_adjacency_k1_is_complete_graph():
-    graph = johnson.full_adjacency(7, 1)
-    expected = np.ones((7, 7)) - np.eye(7)
+@pytest.mark.parametrize("n,k", [(8, 2), (9, 4), (10, 5), (12, 3)])
+def test_full_adjacency_matches_the_definition(n, k):
+    # Reference: two k-subsets are adjacent iff they share k-1 elements.
+    graph = johnson.full_adjacency(n, k)
+    sets = [set(v) for v in graph.vertices]
+    expected = [[len(a & b) == k - 1 for b in sets] for a in sets]
+    assert np.array_equal(graph.adjacency, expected)
+
+
+@pytest.mark.parametrize("n", [7, johnson.DEFAULT_VERTEX_CAP])
+def test_full_adjacency_k1_is_complete_graph(n):
+    # J(4000,1) is the oracle at its default cap.
+    graph = johnson.full_adjacency(n, 1)
+    expected = 1 - np.eye(n, dtype=np.int8)
     assert np.array_equal(graph.adjacency, expected)
 
 
