@@ -16,17 +16,21 @@ pi/(E_plus - E_minus).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import johnson, linalg, reduced
-from .errors import SearchBracketError
 from .johnson import DEFAULT_VERTEX_CAP
-from .linalg import eig_sym, overlap_spectrum, success_curve
+from .linalg import eig_sym, success_curve
 
 #: Maximum number of geometric bracket expansions before giving up.
 MAX_BRACKET_EXPANSIONS = 10
+
+
+class SearchBracketError(ValueError):
+    """Root bracketing failed: no sign change after the allowed expansions."""
 
 
 class CriticalGammaResult(NamedTuple):
@@ -50,14 +54,11 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
 
     Positive when the ground state dominates the uniform superposition,
     negative when the first excited state does; the critical jumping rate
-    is the zero crossing.
+    is the zero crossing.  This is the balance ``gamma_c_numeric`` bisects.
     """
-    return _balance(n, k, gamma, reduced.initial_state(n, k))
-
-
-def _balance(n: int, k: int, gamma: float, s: np.ndarray) -> float:
-    """``overlap_balance`` with the initial state ``s`` already built."""
-    overlaps = overlap_spectrum(reduced.search_hamiltonian(n, k, gamma), s).overlap_s
+    s = reduced.initial_state(n, k)
+    _, evecs = eig_sym(reduced.search_hamiltonian(n, k, gamma))
+    overlaps = (evecs.T @ s) ** 2
     return float(overlaps[0] - overlaps[1])
 
 
@@ -72,10 +73,10 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     the balance point as double precision allows at any n, and is
     deterministic for a given (n, k).
     """
-    s = reduced.initial_state(n, k)
+    reduced._check_reduced_params(n, k)  # before 1/(2kn) divides by them
 
     def balance(gamma: float) -> float:
-        return _balance(n, k, gamma, s)
+        return overlap_balance(n, k, gamma)
 
     lo, hi = 1.0 / (2.0 * k * n), 2.0 / (k * n)
     f_lo, f_hi = balance(lo), balance(hi)
@@ -140,6 +141,7 @@ class NaiveSplitting(NamedTuple):
 def naive_splitting_diagnostic(n: int, gamma: float) -> NaiveSplitting:
     """Split H (k = 3) into the naive leading and first-order pieces."""
     reduced._check_k3_params(n)
+    reduced._check_gamma(gamma)
     h0 = np.diag([-1.0, -gamma * n, -2.0 * gamma * n, -3.0 * gamma * n])
     h1 = -gamma * np.array([
         [0.0, math.sqrt(3.0 * n), 0.0, 0.0],
@@ -158,6 +160,7 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
     eigenvalues, one of which is lambda_u.
     """
     reduced._check_k3_params(n)
+    reduced._check_gamma(gamma)
     g = float(gamma)
     return (
         -1.0,
@@ -170,6 +173,7 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
 def pt_block(n: int, gamma: float) -> np.ndarray:
     """3x3 leading-order Hamiltonian block over (d0, r', r'')."""
     reduced._check_k3_params(n)
+    reduced._check_gamma(gamma)
     g = float(gamma)
     return np.array([
         [-1.0, 0.0, -g * math.sqrt(3.0 * n)],
@@ -210,9 +214,12 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     makes u_d0 > 0 when |u_d0| > ``linalg.SIGN_EPS``.  With |u> embedded at
     zero r-component, the 2x2 entries are plain quadratic forms of the
     transformed Hamiltonian; near the critical rate its eigenvectors tend to
-    (1, +-1)/sqrt(2) and its gap shrinks like 2*sqrt(6)/n^(3/2).  A report
-    with any value outside the float range (the cubic's gamma^3 n^2 term
-    overflows near gamma = 1e102 at n = 100) is refused with ValueError.
+    (1, +-1)/sqrt(2) and its gap shrinks like 2*sqrt(6)/n^(3/2).  The gap
+    is a difference of eigenvalues of size ~1, so it is refused with
+    ValueError once it is within 1e3 ulps of them (n above about 7.5e8 at
+    the critical rate), as is a report with any value outside the float
+    range (the cubic's gamma^3 n^2 term overflows near gamma = 1e102 at
+    n = 100).
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n)
@@ -230,8 +237,9 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     evals, evecs = eig_sym(matrix)
     e_minus, e_plus = float(evals[0]), float(evals[1])
     gap = e_plus - e_minus
-    if gap <= 0:
-        raise ValueError(f"degenerate effective two-level system at gamma={gamma}")
+    if gap <= 1e3 * sys.float_info.epsilon * max(abs(e_minus), abs(e_plus)):
+        raise ValueError(f"the two-level gap at n={n}, gamma={gamma} is not "
+                         "resolved in double precision")
     report = PerturbationReport(
         n=n, gamma=float(gamma),
         cubic_coefficients=char_cubic_coeffs(n, gamma),

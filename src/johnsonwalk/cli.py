@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, linalg, output, reduced
-from .errors import WalkError
 from .johnson import DEFAULT_VERTEX_CAP
 
 logger = logging.getLogger("johnsonwalk")
@@ -202,9 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           f"max |p_full - p_reduced| = {result.max_deviation:.3e} "
           f"over {result.steps} points")
     if result.max_deviation > VERIFY_TOLERANCE:
-        print(f"error: verification FAILED (tolerance {VERIFY_TOLERANCE:.1e})",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"verification FAILED (tolerance {VERIFY_TOLERANCE:.1e})")
     return 0
 
 
@@ -255,7 +252,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = COMMANDS[args.command]
     try:
         return handler(args)
-    except (ValueError, WalkError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

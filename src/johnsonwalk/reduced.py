@@ -58,6 +58,12 @@ def _check_k3_params(n: int) -> None:
     _check_reduced_params(n, 3)
 
 
+def _check_gamma(gamma: float) -> None:
+    """Validate a jumping rate: finite and non-negative (0 leaves the oracle)."""
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+
+
 def _check_positive_gamma(gamma: float) -> None:
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -103,8 +109,7 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
     leaves just the oracle term), and so is a gamma so large that
     gamma * A overflows.
     """
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    _check_gamma(gamma)
     with np.errstate(over="ignore"):
         hamiltonian = -float(gamma) * reduced_adjacency(n, k)
     if not np.isfinite(hamiltonian).all():

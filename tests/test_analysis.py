@@ -9,9 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from johnsonwalk import analysis, johnson, reduced
+from johnsonwalk import analysis, johnson, linalg, reduced
+from johnsonwalk.analysis import SearchBracketError
+from johnsonwalk.johnson import VertexCapError
 from johnsonwalk.linalg import eig_sym
-from johnsonwalk.errors import SearchBracketError, VertexCapError
 
 GAMMA_C_100 = 1.0 / 300.0 + 7.0 / 60000.0
 # bisection result for J(100,3) from the reference pipeline
@@ -67,25 +68,38 @@ def test_gamma_c_numeric_complete_graph(n):
 
 
 @pytest.mark.parametrize("n,k", [(100, 3), (2000, 20)])
-def test_gamma_c_numeric_builds_the_initial_state_once(monkeypatch, n, k):
+def test_gamma_c_numeric_bisects_through_overlap_balance(monkeypatch, n, k):
     calls = []
-    built = reduced.initial_state
+    balance = analysis.overlap_balance
 
-    def counting_initial_state(*args):
+    def counting_balance(*args):
         calls.append(args)
-        return built(*args)
+        return balance(*args)
 
-    monkeypatch.setattr(reduced, "initial_state", counting_initial_state)
+    monkeypatch.setattr(analysis, "overlap_balance", counting_balance)
     result = analysis.gamma_c_numeric(n, k)
-    assert calls == [(n, k)]
-    assert result.residual == analysis.overlap_balance(n, k, result.gamma)
+    assert calls and all(args[:2] == (n, k) for args in calls)
+    assert calls[-1] == (n, k, result.gamma)
+    assert result.residual == balance(n, k, result.gamma)
+
+
+def test_overlap_balance_is_the_spectrum_overlap_difference():
+    for n, k, gamma in [(100, 3, 0.00345), (2000, 20, 2.5e-05), (16, 1, 0.05)]:
+        overlaps = linalg.overlap_spectrum(reduced.search_hamiltonian(n, k, gamma),
+                                           reduced.initial_state(n, k)).overlap_s
+        assert analysis.overlap_balance(n, k, gamma) == overlaps[0] - overlaps[1]
 
 
 def test_gamma_c_numeric_bracket_failure():
     # K_2: the ground state hugs the marked vertex for every gamma, the
     # balance never changes sign
-    with pytest.raises(SearchBracketError):
+    with pytest.raises(SearchBracketError, match="no sign change"):
         analysis.gamma_c_numeric(2, 1)
+
+
+def test_package_errors_are_value_errors():
+    assert issubclass(SearchBracketError, ValueError)
+    assert issubclass(VertexCapError, ValueError)
 
 
 def test_energy_gap_scaling_law():
@@ -280,6 +294,23 @@ def test_perturbation_report_solves_twice(monkeypatch):
     assert np.array_equal(report.alpha_plus, alphas[:, 1])
 
 
+@pytest.mark.parametrize("n", [8 * 10**8, 10**10, 10**11, 10**12, 10**25])
+def test_perturbation_report_refuses_an_unresolved_gap(n):
+    # The gap is e_plus - e_minus of eigenvalues near -1 - 1/(2n); from
+    # n ~ 7.5e8 on it is within 1e3 ulps of them.  Unrefused, it came out 5%
+    # off the 2*sqrt(6)/n^1.5 law at 1e10, and 3.3e-16 for about 1.5e-37 at
+    # 1e25.
+    with pytest.raises(ValueError, match="not resolved in double precision"):
+        analysis.perturbation_report(n)
+
+
+@pytest.mark.parametrize("n", [2 * 10**5, 10**7, 7 * 10**8])
+def test_perturbation_report_keeps_a_resolved_gap(n):
+    report = analysis.perturbation_report(n)
+    law = 2.0 * math.sqrt(6.0) / n ** 1.5
+    assert abs(report.predicted_gap - law) / law < 0.01
+
+
 def test_perturbation_report_rejects_overflowing_gamma():
     with pytest.raises(ValueError, match="finite matrix"):
         analysis.perturbation_report(100, 1e308)
@@ -383,6 +414,10 @@ K3_ENTRY_POINTS = {
 }
 #: The entry points that refuse a jumping rate that is not finite and positive.
 K3_POSITIVE_GAMMA = ("transformed_hamiltonian_closed", "perturbation_report")
+#: The entry points that admit gamma = 0 and refuse one that is negative or
+#: not finite, with search_hamiltonian's rule.
+K3_NON_NEGATIVE_GAMMA = ("naive_splitting_diagnostic", "char_cubic_coeffs",
+                         "pt_block", "transformed_hamiltonian")
 
 
 @pytest.mark.parametrize("name", sorted(K3_ENTRY_POINTS))
@@ -399,3 +434,11 @@ def test_k3_entry_points_share_the_n_domain(name, n):
 def test_k3_entry_points_share_the_gamma_domain(name, gamma):
     with pytest.raises(ValueError, match="finite and positive"):
         K3_ENTRY_POINTS[name](100, gamma)
+
+
+@pytest.mark.parametrize("name", K3_NON_NEGATIVE_GAMMA)
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -0.1])
+def test_k3_closed_forms_share_search_hamiltonians_gamma_rule(name, gamma):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        K3_ENTRY_POINTS[name](100, gamma)
+    K3_ENTRY_POINTS[name](100, 0.0)

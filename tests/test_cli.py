@@ -466,6 +466,21 @@ def test_overflowing_input_exits_one(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["critical-gamma", "--n", "0", "--k", "0"], "require 1 <= k < n"),
+    (["critical-gamma", "--n", "3", "--k", "2"], "requires n >= 2k"),
+    (["critical-gamma", "--n", "2", "--k", "1"], "no sign change"),
+    (["analyze-pt", "--n", str(10**25)], "not resolved in double precision"),
+], ids=["n0-k0", "n-below-2k", "no-bracket", "pt-unresolved-gap"])
+def test_refused_input_is_one_error_line(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 def test_analyze_pt_reports_just_below_overflow(capsys):
     # The cubic's gamma^3 n^2 term is finite at gamma = 1e101 and overflows
     # at 1e102 (see test_overflowing_input_exits_one).

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from johnsonwalk import johnson, reduced
-from johnsonwalk.errors import VertexCapError
+from johnsonwalk.johnson import VertexCapError
 
 
 def test_binomial_small_values():
