@@ -1,16 +1,14 @@
-"""Critical jumping rate, energy gap, and perturbation-theory checks.
+"""Eigensolver cross-checks, energy gap, and perturbation-theory checks.
 
-Two routes to the critical jumping rate gamma_c are provided: the k=3
-closed form 1/(3n) + 7/(6 n^2), returned as a plain float, and a bisection
-search for the gamma at which the uniform superposition is equally
-supported on the two lowest eigenstates of the search Hamiltonian, returned
-with its overlap-balance residual.  Around that point the walk behaves as a
-two-level system, and the functions in the second half of this module
-rebuild that picture numerically: the characteristic cubic of the
-(d0, r', r'') block, and ``perturbation_report``, which finds the block
-eigenpair (lambda_u, |u>) with lambda_u nearest -1 - 1/(2n) and the
-effective 2x2 Hamiltonian over (r, u) whose gap sets the runtime
-pi/(E_plus - E_minus).
+The critical jumping rate itself comes from ``scheme``, without a matrix.
+``overlap_balance`` is the same balance taken from an eigendecomposition of
+the distance-basis Hamiltonian, so it checks the rate ``scheme`` returns at
+moderate N.  Around that rate the walk behaves as a two-level system, and
+the functions in the second half of this module rebuild that picture
+numerically: the characteristic cubic of the (d0, r', r'') block, and
+``perturbation_report``, which finds the block eigenpair (lambda_u, |u>)
+with lambda_u nearest -1 - 1/(2n) and the effective 2x2 Hamiltonian over
+(r, u) whose gap sets the runtime pi/(E_plus - E_minus).
 """
 
 from __future__ import annotations
@@ -21,32 +19,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import johnson, linalg, reduced
-from .johnson import DEFAULT_VERTEX_CAP
+from . import johnson, linalg, reduced, scheme
 from .linalg import eig_sym, success_curve
-
-#: Maximum number of geometric bracket expansions before giving up.
-MAX_BRACKET_EXPANSIONS = 10
-
-
-class SearchBracketError(ValueError):
-    """Root bracketing failed: no sign change after the allowed expansions."""
-
-
-class CriticalGammaResult(NamedTuple):
-    """Critical jumping rate from the numeric search, with its check.
-
-    ``residual`` is the overlap-balance value at the returned gamma.
-    """
-
-    gamma: float
-    residual: float
-
-
-def gamma_c_formula_k3(n: int) -> float:
-    """Closed-form critical jumping rate 1/(3n) + 7/(6n^2) for k = 3."""
-    reduced._check_k3_params(n)
-    return 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
+from .scheme import DEFAULT_VERTEX_CAP
 
 
 def overlap_balance(n: int, k: int, gamma: float) -> float:
@@ -54,7 +29,8 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
 
     Positive when the ground state dominates the uniform superposition,
     negative when the first excited state does; the critical jumping rate
-    is the zero crossing.  This is the balance ``gamma_c_numeric`` bisects.
+    is the zero crossing.  ``scheme.gamma_c_numeric`` finds that crossing
+    from the scheme's spectrum; this is its check through ``eig_sym``.
     """
     s = reduced.initial_state(n, k)
     _, evecs = eig_sym(reduced.search_hamiltonian(n, k, gamma))
@@ -62,66 +38,11 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
     return float(overlaps[0] - overlaps[1])
 
 
-def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
-    """Bisect the overlap balance to locate the critical jumping rate.
-
-    Starts from the bracket [1/(2kn), 2/(kn)] and widens it geometrically
-    (up to MAX_BRACKET_EXPANSIONS times) if the balance does not change
-    sign across it; raises SearchBracketError when no sign change can be
-    found.  The bracket is halved until its midpoint no longer lies strictly
-    inside it, i.e. down to adjacent floats, so the result is as close to
-    the balance point as double precision allows at any n, and is
-    deterministic for a given (n, k).
-    """
-    reduced._check_reduced_params(n, k)  # before 1/(2kn) divides by them
-
-    def balance(gamma: float) -> float:
-        return overlap_balance(n, k, gamma)
-
-    lo, hi = 1.0 / (2.0 * k * n), 2.0 / (k * n)
-    f_lo, f_hi = balance(lo), balance(hi)
-    expansions = 0
-    while f_lo * f_hi > 0.0 and expansions < MAX_BRACKET_EXPANSIONS:
-        lo /= 2.0
-        hi *= 2.0
-        f_lo, f_hi = balance(lo), balance(hi)
-        expansions += 1
-    # An endpoint can land exactly on the root (it does for small complete
-    # graphs), in which case the product above is 0, not negative.
-    if f_lo == 0.0:
-        return CriticalGammaResult(gamma=lo, residual=0.0)
-    if f_hi == 0.0:
-        return CriticalGammaResult(gamma=hi, residual=0.0)
-    if f_lo * f_hi > 0.0:
-        raise SearchBracketError(
-            f"overlap balance has no sign change on [{lo:.3e}, {hi:.3e}] "
-            f"after {expansions} expansions (J({n},{k}))")
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        f_mid = balance(mid)
-        if f_mid == 0.0:
-            return CriticalGammaResult(gamma=mid, residual=0.0)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return CriticalGammaResult(gamma=mid, residual=balance(mid))
-
-
 def energy_gap(n: int, k: int, gamma: float) -> float:
     """E_1 - E_0 of the reduced search Hamiltonian."""
-    reduced._check_positive_gamma(gamma)
+    scheme._check_positive_gamma(gamma)
     evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma))
     return float(evals[1] - evals[0])
-
-
-def predicted_peak_time(n: int, k: int) -> float:
-    """Time pi*sqrt(N)/2 at which the marked amplitude should peak.
-
-    Raises ValueError when N = C(n,k) does not fit in a float.
-    """
-    return math.pi * math.sqrt(reduced._check_reduced_params(n, k)) / 2.0
 
 
 class NaiveSplitting(NamedTuple):
@@ -140,8 +61,8 @@ class NaiveSplitting(NamedTuple):
 
 def naive_splitting_diagnostic(n: int, gamma: float) -> NaiveSplitting:
     """Split H (k = 3) into the naive leading and first-order pieces."""
-    reduced._check_k3_params(n)
-    reduced._check_gamma(gamma)
+    scheme._check_k3_params(n)
+    scheme._check_gamma(gamma)
     h0 = np.diag([-1.0, -gamma * n, -2.0 * gamma * n, -3.0 * gamma * n])
     h1 = -gamma * np.array([
         [0.0, math.sqrt(3.0 * n), 0.0, 0.0],
@@ -159,8 +80,8 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
     over (d0, r', r''), expanded in closed form; its roots are the block
     eigenvalues, one of which is lambda_u.
     """
-    reduced._check_k3_params(n)
-    reduced._check_gamma(gamma)
+    scheme._check_k3_params(n)
+    scheme._check_gamma(gamma)
     g = float(gamma)
     return (
         -1.0,
@@ -172,8 +93,8 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
 
 def pt_block(n: int, gamma: float) -> np.ndarray:
     """3x3 leading-order Hamiltonian block over (d0, r', r'')."""
-    reduced._check_k3_params(n)
-    reduced._check_gamma(gamma)
+    scheme._check_k3_params(n)
+    scheme._check_gamma(gamma)
     g = float(gamma)
     return np.array([
         [-1.0, 0.0, -g * math.sqrt(3.0 * n)],
@@ -222,8 +143,8 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     n = 100).
     """
     if gamma is None:
-        gamma = gamma_c_formula_k3(n)
-    reduced._check_positive_gamma(gamma)
+        gamma = scheme.gamma_c_formula_k3(n)
+    scheme._check_positive_gamma(gamma)
     evals, evecs = eig_sym(pt_block(n, gamma))
     index = int(np.argmin(np.abs(evals - (-1.0 - 1.0 / (2.0 * n)))))
     lam, u = float(evals[index]), evecs[:, index]

@@ -18,6 +18,12 @@ is made, and a CSV row helper process that fails: a long numeric table,
 such as a long simulate curve or sweep-gamma grid, is formatted in helper
 processes, one per CPU beyond the first.  It also includes a failed final
 write, such as buffered stdout flushed to a full disk or a closed pipe.
+
+critical-gamma runs without numpy: everything it prints comes from the
+Johnson scheme's exact spectrum (``scheme``).  The other commands load numpy
+and the array modules inside the command, after the input checks that need
+no arrays, so simulate, spectrum and verify refuse a bad --gamma or an
+(n, k) beyond the float range before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -29,10 +35,8 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import analysis, linalg, output, reduced
-from .johnson import DEFAULT_VERTEX_CAP
+from . import scheme
+from .scheme import DEFAULT_VERTEX_CAP
 
 logger = logging.getLogger("johnsonwalk")
 
@@ -40,15 +44,23 @@ logger = logging.getLogger("johnsonwalk")
 VERIFY_TOLERANCE = 1e-8
 
 
-def _default_gamma(n: int, k: int) -> float:
-    """Critical jumping rate: closed form for k = 3, bisection otherwise."""
-    if k == 3:
-        gamma = analysis.gamma_c_formula_k3(n)
+def _rate(args: argparse.Namespace) -> float:
+    """--gamma, or the critical rate: closed form for k = 3, numeric otherwise."""
+    if args.gamma is not None:
+        return args.gamma
+    if args.k == 3:
+        gamma = scheme.gamma_c_formula_k3(args.n)
         logger.info("using formula gamma_c = %.10g", gamma)
     else:
-        gamma = analysis.gamma_c_numeric(n, k).gamma
+        gamma = scheme.gamma_c_numeric(args.n, args.k).gamma
         logger.info("using numeric gamma_c = %.10g", gamma)
     return gamma
+
+
+def _check_model(n: int, k: int, gamma: float) -> None:
+    """``reduced.search_hamiltonian``'s input rules in its order, without numpy."""
+    scheme._check_gamma(gamma)
+    scheme._check_reduced_params(n, k)
 
 
 def _add_output_options(sub: argparse.ArgumentParser, formats: bool) -> None:
@@ -122,9 +134,11 @@ def create_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    gamma = args.gamma if args.gamma is not None else _default_gamma(args.n, args.k)
+    gamma = _rate(args)
     t_max = (args.t_max if args.t_max is not None
-             else 1.5 * analysis.predicted_peak_time(args.n, args.k))
+             else 1.5 * scheme.predicted_peak_time(args.n, args.k))
+    _check_model(args.n, args.k, gamma)
+    from . import linalg, output, reduced
     curve = linalg.success_curve(reduced.search_hamiltonian(args.n, args.k, gamma),
                                  reduced.initial_state(args.n, args.k),
                                  t_max, steps=args.steps)
@@ -138,6 +152,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_gamma(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import linalg, output, reduced
     # Validates (n, k) before the default bounds divide by them.
     s = reduced.initial_state(args.n, args.k)
     lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * args.k * args.n)
@@ -172,16 +189,20 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
 
 def cmd_critical_gamma(args: argparse.Namespace) -> int:
     if args.k == 3:
-        formula = analysis.gamma_c_formula_k3(args.n)
+        formula = scheme.gamma_c_formula_k3(args.n)
         print(f"formula_k3 gamma_c = {formula:.17g}")
-    numeric = analysis.gamma_c_numeric(args.n, args.k)
+    numeric = scheme.gamma_c_numeric(args.n, args.k)
     print(f"numeric    gamma_c = {numeric.gamma:.17g}  "
           f"(overlap-balance residual {numeric.residual:.3e})")
     return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    gamma = args.gamma if args.gamma is not None else _default_gamma(args.n, args.k)
+    gamma = _rate(args)
+    _check_model(args.n, args.k, gamma)
+    import numpy as np
+
+    from . import linalg, output, reduced
     spectrum = linalg.overlap_spectrum(
         reduced.search_hamiltonian(args.n, args.k, gamma),
         reduced.initial_state(args.n, args.k))
@@ -193,7 +214,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    gamma = args.gamma if args.gamma is not None else _default_gamma(args.n, args.k)
+    gamma = _rate(args)
+    _check_model(args.n, args.k, gamma)
+    from . import analysis
     result = analysis.run_verification(args.n, args.k, gamma,
                                        t_max=args.t_max, steps=args.steps,
                                        cap=args.cap)
@@ -206,6 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_pt(args: argparse.Namespace) -> int:
+    from . import analysis, output
     report = analysis.perturbation_report(args.n, args.gamma)
     c3, c2, c1, c0 = report.cubic_coefficients
     rows = [
@@ -284,8 +308,9 @@ def main_entry() -> None:
         os.close(devnull)
     # What is alive now stays alive until exit; frozen, it is left out of the
     # collections the interpreter runs at shutdown, which would otherwise
-    # walk the ~22k objects numpy and the package keep.  Atexit handlers and
-    # the flush of the std streams still run, unlike after os._exit.
+    # walk the ~22k objects numpy and the package keep once numpy is loaded.
+    # Atexit handlers and the flush of the std streams still run, unlike
+    # after os._exit.
     gc.freeze()
     sys.exit(code)
 

@@ -17,9 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-#: Default ceiling on C(n,k) for brute-force construction.  Dense storage and
-#: full eigendecompositions stay comfortable below this size.
-DEFAULT_VERTEX_CAP = 4000
+from .scheme import DEFAULT_VERTEX_CAP, _check_class_params, _check_params, binomial
 
 
 def _count_text(count: int) -> str:
@@ -49,33 +47,6 @@ class VertexCapError(ValueError):
                     f"cap {_count_text(cap)}")
         super().__init__(
             f"J(n,k) has {size}; raise the cap to force brute-force construction")
-
-
-def _check_params(n: int, k: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise ValueError("n and k must be integers")
-    if not 1 <= k < n:
-        raise ValueError(f"require 1 <= k < n, got n={n}, k={k}")
-
-
-def _check_class_params(n: int, k: int) -> None:
-    """Validate integers n >= 2k >= 2, where all k+1 distance classes exist."""
-    _check_params(n, k)
-    if n < 2 * k:
-        raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n,k).
-
-    Thin validation wrapper over ``math.comb``, which already implements the
-    overflow-free multiplicative algorithm on arbitrary-precision integers.
-    """
-    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise ValueError("binomial arguments must be integers")
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(int(n), int(k))
 
 
 def enumerate_vertices(n: int, k: int) -> list[tuple[int, ...]]:

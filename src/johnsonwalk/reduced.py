@@ -15,12 +15,13 @@ degenerate perturbation theory.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .johnson import _check_class_params, binomial, class_sizes
+from .johnson import class_sizes
+from .scheme import (_check_gamma, _check_k3_params, _check_positive_gamma,
+                     _check_reduced_params)
 
 
 class IntersectionArray(NamedTuple):
@@ -29,44 +30,6 @@ class IntersectionArray(NamedTuple):
     c: tuple[int, ...]  # c_1 ... c_k
     a: tuple[int, ...]  # a_0 ... a_k
     b: tuple[int, ...]  # b_0 ... b_{k-1}
-
-
-def _check_reduced_params(n: int, k: int) -> float:
-    """Validate integers n >= 2k >= 2 and return N = C(n,k) as a float.
-
-    N must be within the float range; every class size |d_i| is at most N,
-    and N >= n, so n and the entries built from it are then in range too.
-
-    The lower bound C(n,k) >= (n/k)^k refuses a far-out N before the exact
-    value is computed, which takes most of a minute at k ~ 1e6.  Where the
-    bound passes, k <= n/2 and C(n,k) <= (e n/k)^k keep k below 1030 and N
-    below e^1740, so the exact value is cheap.
-    """
-    _check_class_params(n, k)
-    if k * (math.log(n) - math.log(k)) <= math.log(sys.float_info.max) + 1.0:
-        count = binomial(n, k)
-        if count <= sys.float_info.max:
-            return float(count)
-    raise ValueError(f"C({n},{k}) vertices exceed the float range "
-                     f"(about {sys.float_info.max:.1e})")
-
-
-def _check_k3_params(n: int) -> None:
-    """Validate n for the k = 3 perturbation picture: an integer n >= 6."""
-    if not isinstance(n, (int, np.integer)) or n < 6:
-        raise ValueError(f"the k=3 analysis requires integer n >= 6, got {n}")
-    _check_reduced_params(n, 3)
-
-
-def _check_gamma(gamma: float) -> None:
-    """Validate a jumping rate: finite and non-negative (0 leaves the oracle)."""
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-
-
-def _check_positive_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 def intersection_array(n: int, k: int) -> IntersectionArray:

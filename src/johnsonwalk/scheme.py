@@ -1,0 +1,278 @@
+"""The Johnson scheme's exact spectrum, the critical rate, and the input rules.
+
+The adjacency matrix of J(n,k) has the eigenvalues theta_j = (k-j)(n-k-j) - j
+with multiplicities m_j = C(n,j) - C(n,j-1), j = 0..k (Delsarte, 1973).  In
+the basis of the normalised projections of the marked vertex |w> onto those
+eigenspaces, the search Hamiltonian -gamma*A - |w><w| is diag(-gamma*theta_j)
+- z z^T with z_j^2 = m_j/N, and the uniform state |s> is basis vector 0.  An
+eigenvalue -gamma*theta_0 + delta is a root of the secular equation
+
+    eta/(1+eta) + z_0^2/delta - delta * sum_{j>=1} z_j^2 / (g_j (g_j - delta))
+
+with g_j = gamma*D_j, D_j = theta_0 - theta_j = j(n-j+1), and gamma written
+as S_1 (1 + eta), where S_1 = sum_{j>=1} z_j^2/D_j is the critical rate of
+Childs & Goldstone (PRA 70, 022314 (2004)).  No term is a difference of
+numbers of order one, so double precision resolves the two roots beside the
+pole delta = 0 at any N (the diagonal-plus-rank-one problem of Gu &
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  A root's eigenvector
+has components z_j/(g_j - delta), so its overlap with |s> needs no matrix.
+
+The module imports the standard library only: the critical-gamma command and
+every input rule of the package run without numpy.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import sys
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+#: Default ceiling on C(n,k) for brute-force construction.  Dense storage and
+#: full eigendecompositions stay comfortable below this size.  It is defined
+#: here so that the command line's help can show it without loading numpy.
+DEFAULT_VERTEX_CAP = 4000
+
+
+class SearchBracketError(ValueError):
+    """The overlap balance has no sign change, so there is no critical rate."""
+
+
+class CriticalGammaResult(NamedTuple):
+    """Critical jumping rate from the numeric search, with its check.
+
+    ``residual`` is the overlap balance at the returned rate, computed in eta.
+    """
+
+    gamma: float
+    residual: float
+
+
+def _check_params(n: int, k: int) -> None:
+    if not isinstance(n, numbers.Integral) or not isinstance(k, numbers.Integral):
+        raise ValueError("n and k must be integers")
+    if not 1 <= k < n:
+        raise ValueError(f"require 1 <= k < n, got n={n}, k={k}")
+
+
+def _check_class_params(n: int, k: int) -> None:
+    """Validate integers n >= 2k >= 2, where all k+1 distance classes exist."""
+    _check_params(n, k)
+    if n < 2 * k:
+        raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
+
+
+def binomial(n: int, k: int) -> int:
+    """Exact binomial coefficient C(n,k), through ``math.comb``."""
+    if not isinstance(n, numbers.Integral) or not isinstance(k, numbers.Integral):
+        raise ValueError("binomial arguments must be integers")
+    if k < 0 or n < 0 or k > n:
+        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
+    return math.comb(int(n), int(k))
+
+
+def _check_reduced_params(n: int, k: int) -> float:
+    """Validate integers n >= 2k >= 2 and return N = C(n,k) as a float.
+
+    N must be within the float range; every class size |d_i| is at most N,
+    and N >= n, so n and the entries built from it are then in range too.
+
+    The lower bound C(n,k) >= (n/k)^k refuses a far-out N before the exact
+    value is computed, which takes most of a minute at k ~ 1e6.  Where the
+    bound passes, k <= n/2 and C(n,k) <= (e n/k)^k keep k below 1030 and N
+    below e^1740, so the exact value is cheap.
+    """
+    _check_class_params(n, k)
+    if k * (math.log(n) - math.log(k)) <= math.log(sys.float_info.max) + 1.0:
+        count = binomial(n, k)
+        if count <= sys.float_info.max:
+            return float(count)
+    raise ValueError(f"C({n},{k}) vertices exceed the float range "
+                     f"(about {sys.float_info.max:.1e})")
+
+
+def _check_k3_params(n: int) -> None:
+    """Validate n for the k = 3 perturbation picture: an integer n >= 6."""
+    if not isinstance(n, numbers.Integral) or n < 6:
+        raise ValueError(f"the k=3 analysis requires integer n >= 6, got {n}")
+    _check_reduced_params(n, 3)
+
+
+def _check_gamma(gamma: float) -> None:
+    """Validate a jumping rate: finite and non-negative (0 leaves the oracle)."""
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+
+
+def _check_positive_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+
+
+def predicted_peak_time(n: int, k: int) -> float:
+    """Time pi*sqrt(N)/2 at which the marked amplitude should peak.
+
+    Raises ValueError when N = C(n,k) does not fit in a float.
+    """
+    return math.pi * math.sqrt(_check_reduced_params(n, k)) / 2.0
+
+
+def scheme_spectrum(n: int, k: int) -> tuple[list[int], list[int]]:
+    """Exact eigenvalues theta_j and multiplicities m_j of A(J(n,k)), j = 0..k."""
+    _check_reduced_params(n, k)
+    n, k = int(n), int(k)
+    theta = [(k - j) * (n - k - j) - j for j in range(k + 1)]
+    binomials = [1]
+    for j in range(1, k + 1):
+        binomials.append(binomials[-1] * (n - j + 1) // j)
+    mult = [1] + [b - a for a, b in zip(binomials, binomials[1:])]
+    return theta, mult
+
+
+def critical_rate(n: int, k: int) -> Fraction:
+    """S_1 = (1/N) sum_{j>=1} m_j / D_j, exactly, with D_j = j(n-j+1).
+
+    In powers of 1/n, S_1 = 1/(kn) + (k^2-k+1)/(k(k-1)n^2) + O(n^-3) for
+    k >= 2; at k = 3 the first two terms are the closed form 1/(3n) +
+    7/(6n^2), and the n^-3 coefficient is 29/6.
+    """
+    from fractions import Fraction  # 0.4 MiB and 3 ms, which most runs skip
+
+    theta, mult = scheme_spectrum(n, k)
+    total = sum(Fraction(m, theta[0] - t) for t, m in zip(theta[1:], mult[1:]))
+    return total / sum(mult)  # the m_j add up to N = C(n,k)
+
+
+def gamma_c_formula_k3(n: int) -> float:
+    """Closed-form critical jumping rate 1/(3n) + 7/(6n^2) for k = 3."""
+    _check_k3_params(n)
+    return 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
+
+
+def _root(phi, lo: float, hi: float, x: float, negative_below: bool) -> float:
+    """The root of phi in (lo, hi), from x, by safeguarded Newton steps.
+
+    ``phi`` returns (value, slope).  Each evaluation shrinks the bracket; a
+    step that leaves it, or that would not halve the step before last, is
+    replaced by the bracket's midpoint (Press et al., rtsafe), so the bracket
+    at least halves every two steps.
+    """
+    last = hi - lo
+    while True:
+        f, slope = phi(x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == negative_below:
+            lo = x
+        else:
+            hi = x
+        before_last, last = last, (f / slope if slope else math.inf)
+        if abs(last) <= 4.0 * sys.float_info.epsilon * abs(x):
+            return x - last
+        step = x - last
+        if not lo < step < hi or abs(2.0 * last) > abs(before_last):
+            step = 0.5 * (lo + hi)
+            last = step - x
+            if step in (lo, hi):
+                return x
+        x = step
+
+
+def _balance(eta: float, s1: float, d: list[int], z2: list[float], r: float
+             ) -> tuple[float, float]:
+    """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta.
+
+    q_i = (1 - |<s|psi_i>|^2) / |<s|psi_i>|^2 for the two roots beside the
+    pole.  The roots are solved in x = delta*r, r = sqrt(N), where the
+    secular function times x is 1 + c x - x^2 sum_j a_j/(g_j - x/r), close
+    to a quadratic for large N.
+    """
+    g = [s1 * (1.0 + eta) * dj for dj in d]
+    a = [zj / gj for zj, gj in zip(z2, g)]
+    c = eta / (1.0 + eta) * r
+
+    def phi(x: float) -> tuple[float, float]:
+        u = x / r
+        t1 = t2 = 0.0
+        for aj, gj in zip(a, g):
+            inv = 1.0 / (gj - u)
+            t1 += aj * inv
+            t2 += aj * inv * inv
+        return 1.0 + x * (c - x * t1), c - 2.0 * x * t1 - x * x * t2 / r
+
+    # Roots of 1 + c x - x^2 sum_j a_j/g_j, the start of each search.
+    curvature = sum(aj / gj for aj, gj in zip(a, g))
+    t = math.hypot(c, 2.0 * math.sqrt(curvature))
+    x0, x1 = ((-2.0 / (c + t), (c + t) / (2.0 * curvature)) if c >= 0.0
+              else ((c - t) / (2.0 * curvature), 2.0 / (t - c)))
+    # delta_0 lies in [-1, 0) and delta_1 between the poles 0 and g_1.
+    x0 = _root(phi, -r, 0.0, min(max(x0, -r), 0.0), True)
+    x1 = _root(phi, 0.0, g[0] * r, min(x1, g[0] * r), False)
+    logs, weights = [], []
+    for x in (x0, x1):
+        u = x / r
+        q = x * x * sum(zj / (gj - u) ** 2 for zj, gj in zip(z2, g))
+        logs.append(math.log(q))
+        weights.append(1.0 / (1.0 + q))
+    return logs[1] - logs[0], weights[0] - weights[1]
+
+
+def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
+    """The rate at which |s> is equally supported on the two lowest eigenstates.
+
+    The balance point eta* is found by secant steps on log(q_1/q_0), which is
+    nearly linear in eta around it, inside a bracket that starts as (-1, inf)
+    and shrinks with each evaluation.  The search starts from eta = -1/N, the
+    balance point to leading order (on K_n it is -1/(n-1) exactly).  It ends
+    when a step would move eta by at most two ulps, or when the balance is at
+    rounding level and the step would not change the rate: at large N double
+    precision cannot place eta* to its last bits, but every eta it cannot
+    tell apart gives the same rate S_1 (1 + eta), which is rounded once from
+    the exact S_1.  J(2,1) balances only at gamma = 0 (eta = -1) and is
+    refused with SearchBracketError.
+    """
+    n_vertices = _check_reduced_params(n, k)
+    if n_vertices <= 2.0:
+        raise SearchBracketError(
+            f"overlap balance has no sign change for gamma > 0 (J({n},{k}) "
+            "balances only at gamma = 0)")
+    from fractions import Fraction
+
+    theta, mult = scheme_spectrum(n, k)
+    rate = critical_rate(n, k)
+    d = [theta[0] - t for t in theta[1:]]
+    count = sum(mult)
+    z2 = [m / count for m in mult[1:]]
+    r = math.sqrt(n_vertices)
+    s1 = float(rate)
+
+    def rounded(eta: float) -> float:
+        return float(rate * (1 + Fraction(eta)))
+
+    lo, hi = -1.0, math.inf
+    eta, prev = -1.0 / n_vertices, None
+    while True:
+        f, residual = _balance(eta, s1, d, z2, r)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = eta
+        else:
+            hi = eta
+        if prev is None:  # near eta*, log(q_1/q_0) ~ 4 asinh(eta r / 2)
+            step = eta - f / (2.0 * r)
+        elif f != prev[1]:
+            step = eta - f * (eta - prev[0]) / (f - prev[1])
+        else:
+            step = math.inf
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * abs(eta) + 1.0
+        if abs(step - eta) <= 2.0 * sys.float_info.epsilon * abs(eta) or (
+                abs(f) <= 16.0 * sys.float_info.epsilon
+                and rounded(step) == rounded(eta)):
+            break
+        prev, eta = (eta, f), step
+    return CriticalGammaResult(rounded(eta), residual)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from johnsonwalk import analysis, johnson, linalg, reduced
+from johnsonwalk import analysis, johnson, linalg, reduced, scheme
 
 
 def _report(index, name, passed, detail):
@@ -36,7 +36,7 @@ def test_criterion_2_peak_curve_n1000():
     gamma = 1.0 / 3000.0 + 7.0 / 6.0e6
     start = time.perf_counter()
     h = reduced.search_hamiltonian(1000, 3, gamma)
-    t_max = 1.5 * analysis.predicted_peak_time(1000, 3)
+    t_max = 1.5 * scheme.predicted_peak_time(1000, 3)
     curve = linalg.success_curve(h, reduced.initial_state(1000, 3), t_max, 4001)
     elapsed = time.perf_counter() - start
     window = np.abs(curve.times - 20248.5) <= 50.0
@@ -74,8 +74,8 @@ def test_criterion_4_critical_gamma_consistency():
     start = time.perf_counter()
     diffs = {}
     for n in (50, 100, 200, 500):
-        numeric = analysis.gamma_c_numeric(n, 3).gamma
-        formula = analysis.gamma_c_formula_k3(n)
+        numeric = scheme.gamma_c_numeric(n, 3).gamma
+        formula = scheme.gamma_c_formula_k3(n)
         diffs[n] = abs(numeric - formula)
     elapsed = time.perf_counter() - start
     within = all(diffs[n] <= 20.0 / n ** 3 for n in diffs)
@@ -94,7 +94,7 @@ def test_criterion_5_gap_law():
     """At the numeric critical rate the gap obeys dE = 2/sqrt(N) to 10%."""
     devs = {}
     for n in (100, 300, 1000):
-        gamma = analysis.gamma_c_numeric(n, 3).gamma
+        gamma = scheme.gamma_c_numeric(n, 3).gamma
         gap = analysis.energy_gap(n, 3, gamma)
         devs[n] = abs(gap * math.sqrt(johnson.binomial(n, 3)) / 2.0 - 1.0)
     passed = all(dev <= 0.1 for dev in devs.values())
@@ -111,7 +111,7 @@ def test_criterion_6_perturbation_report():
     details = []
     passed = True
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n)
+        gamma = scheme.gamma_c_formula_k3(n)
         system = analysis.perturbation_report(n, gamma)
         target = math.sqrt(6.0) / n ** 1.5
         off_rel = abs(abs(system.effective_2x2[0, 1]) - target) / target
@@ -123,7 +123,7 @@ def test_criterion_6_perturbation_report():
         passed = passed and lam_dev <= 10.0 / n ** 2
     _report(6, "perturbation report", passed, "; ".join(details))
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n)
+        gamma = scheme.gamma_c_formula_k3(n)
         system = analysis.perturbation_report(n, gamma)
         target = math.sqrt(6.0) / n ** 1.5
         assert abs(abs(system.effective_2x2[0, 1]) - target) / target <= 0.25
@@ -145,7 +145,7 @@ def test_criterion_7_structural_identities():
 
     basis_ok = True
     for n in (6, 10, 100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n)
+        gamma = scheme.gamma_c_formula_k3(n)
         t = reduced.basis_change_T(n)
         basis_ok = basis_ok and np.abs(t.T @ t - np.eye(4)).max() <= 1e-12
         diff = np.abs(reduced.transformed_hamiltonian(n, gamma)

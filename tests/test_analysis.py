@@ -5,12 +5,13 @@ dense-eigensolver pipeline (numpy.linalg.eigh) over the same models.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from johnsonwalk import analysis, johnson, linalg, reduced
-from johnsonwalk.analysis import SearchBracketError
+from johnsonwalk import analysis, johnson, linalg, reduced, scheme
+from johnsonwalk.scheme import SearchBracketError
 from johnsonwalk.johnson import VertexCapError
 from johnsonwalk.linalg import eig_sym
 
@@ -32,30 +33,30 @@ ALPHA_MINUS_1000 = [0.6734898713912156, 0.7391964509745997]
 
 
 def test_gamma_c_formula_values():
-    res = analysis.gamma_c_formula_k3(100)
+    res = scheme.gamma_c_formula_k3(100)
     assert res == pytest.approx(GAMMA_C_100, abs=1e-18)
     assert res == pytest.approx(0.00345, abs=5e-7)
-    big = analysis.gamma_c_formula_k3(10 ** 6)
+    big = scheme.gamma_c_formula_k3(10 ** 6)
     assert big * 10 ** 6 == pytest.approx(1.0 / 3.0, abs=1e-5)
     with pytest.raises(ValueError):
-        analysis.gamma_c_formula_k3(5)
+        scheme.gamma_c_formula_k3(5)
 
 
 def test_gamma_c_numeric_j100_3():
-    res = analysis.gamma_c_numeric(100, 3)
+    res = scheme.gamma_c_numeric(100, 3)
     assert res.gamma == pytest.approx(GAMMA_NUMERIC_100, abs=5e-12)
     assert res.gamma == pytest.approx(0.003455, abs=1e-6)
     assert abs(res.residual) < 1e-6
     # deterministic: a second search reproduces the value bit-exactly
-    assert analysis.gamma_c_numeric(100, 3).gamma == res.gamma
+    assert scheme.gamma_c_numeric(100, 3).gamma == res.gamma
 
 
 @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
 def test_gamma_c_numeric_next_order_k3(n):
-    """(numeric - formula) * n^3 settles near 4.83: the bisection resolves
+    """(numeric - formula) * n^3 settles near 4.83: the search resolves
     the n^-3 term beyond the closed form 1/(3n) + 7/(6n^2) at every n."""
-    numeric = analysis.gamma_c_numeric(n, 3).gamma
-    offset = (numeric - analysis.gamma_c_formula_k3(n)) * n ** 3
+    numeric = scheme.gamma_c_numeric(n, 3).gamma
+    offset = (numeric - scheme.gamma_c_formula_k3(n)) * n ** 3
     assert abs(offset - 4.83) <= 0.5
 
 
@@ -63,24 +64,29 @@ def test_gamma_c_numeric_next_order_k3(n):
 def test_gamma_c_numeric_complete_graph(n):
     """On K_n the balance point sits at (n-2)/n^2 (the two-dimensional
     reduced model can be solved by hand)."""
-    res = analysis.gamma_c_numeric(n, 1)
+    res = scheme.gamma_c_numeric(n, 1)
     assert res.gamma == pytest.approx((n - 2) / n ** 2, abs=5e-13)
 
 
-@pytest.mark.parametrize("n,k", [(100, 3), (2000, 20)])
-def test_gamma_c_numeric_bisects_through_overlap_balance(monkeypatch, n, k):
+@pytest.mark.parametrize("n,k", [(100, 3), (50, 2), (9, 4), (16, 1)])
+def test_gamma_c_numeric_residual_is_the_eta_balance(monkeypatch, n, k):
     calls = []
-    balance = analysis.overlap_balance
+    balance = scheme._balance
 
-    def counting_balance(*args):
-        calls.append(args)
-        return balance(*args)
+    def recording_balance(eta, *args):
+        calls.append((eta, balance(eta, *args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(analysis, "overlap_balance", counting_balance)
-    result = analysis.gamma_c_numeric(n, k)
-    assert calls and all(args[:2] == (n, k) for args in calls)
-    assert calls[-1] == (n, k, result.gamma)
-    assert result.residual == balance(n, k, result.gamma)
+    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    result = scheme.gamma_c_numeric(n, k)
+    # The search ends on its last balance evaluation: the rate is S_1 (1 + eta)
+    # there, and the residual is the balance there.
+    eta, (_, residual) = calls[-1]
+    assert result.gamma == float(scheme.critical_rate(n, k) * (1 + Fraction(eta)))
+    assert result.residual == residual
+    assert abs(residual) <= 1e-15
+    # The eigensolver's balance agrees at the returned rate.
+    assert abs(analysis.overlap_balance(n, k, result.gamma)) <= 1e-10
 
 
 def test_overlap_balance_is_the_spectrum_overlap_difference():
@@ -94,7 +100,7 @@ def test_gamma_c_numeric_bracket_failure():
     # K_2: the ground state hugs the marked vertex for every gamma, the
     # balance never changes sign
     with pytest.raises(SearchBracketError, match="no sign change"):
-        analysis.gamma_c_numeric(2, 1)
+        scheme.gamma_c_numeric(2, 1)
 
 
 def test_package_errors_are_value_errors():
@@ -103,7 +109,7 @@ def test_package_errors_are_value_errors():
 
 
 def test_energy_gap_scaling_law():
-    gap = analysis.energy_gap(100, 3, analysis.gamma_c_numeric(100, 3).gamma)
+    gap = analysis.energy_gap(100, 3, scheme.gamma_c_numeric(100, 3).gamma)
     n_vertices = 161700
     assert abs(gap * math.sqrt(n_vertices) / 2.0 - 1.0) <= 0.1
     assert gap == pytest.approx(2.0 / math.sqrt(n_vertices), rel=0.01)
@@ -112,14 +118,14 @@ def test_energy_gap_scaling_law():
 
 
 def test_predicted_peak_time():
-    assert analysis.predicted_peak_time(100, 3) == pytest.approx(631.65, abs=0.01)
-    assert analysis.predicted_peak_time(1000, 3) == pytest.approx(20248.5, abs=0.1)
-    assert analysis.predicted_peak_time(4, 1) == math.pi
+    assert scheme.predicted_peak_time(100, 3) == pytest.approx(631.65, abs=0.01)
+    assert scheme.predicted_peak_time(1000, 3) == pytest.approx(20248.5, abs=0.1)
+    assert scheme.predicted_peak_time(4, 1) == math.pi
 
 
 def test_predicted_peak_time_rejects_vertex_count_beyond_float():
     with pytest.raises(ValueError, match="float range"):
-        analysis.predicted_peak_time(3000, 500)
+        scheme.predicted_peak_time(3000, 500)
 
 
 def test_naive_splitting_structure():
@@ -179,7 +185,7 @@ def test_lambda_u_frozen_values():
     assert lam == pytest.approx(LAMBDA_U_100, abs=1e-12)
     assert abs(lam + 1.005) < 1e-3
     assert abs(lam + 1.0 + 1.0 / 200.0) <= 10.0 / 100 ** 2
-    lam_big, _ = _pair(1000, analysis.gamma_c_formula_k3(1000))
+    lam_big, _ = _pair(1000, scheme.gamma_c_formula_k3(1000))
     assert lam_big == pytest.approx(LAMBDA_U_1000, abs=1e-12)
 
 
@@ -194,7 +200,7 @@ def test_lambda_u_near_degenerate_with_e_r():
     """At the critical rate, lambda_u and the plain r-state energy
     -gamma(3n-9) split only at O(1/n^2)."""
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n)
+        gamma = scheme.gamma_c_formula_k3(n)
         e_r = -gamma * (3.0 * n - 9.0)
         assert abs(_pair(n, gamma)[0] - e_r) <= 20.0 / n ** 2
 
@@ -210,7 +216,7 @@ def test_u_frozen_and_eigen_residual():
 
 @pytest.mark.parametrize("n", [100, 1000])
 def test_u_matches_eigensolver(n):
-    gamma = analysis.gamma_c_formula_k3(n)
+    gamma = scheme.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
     evals, evecs = np.linalg.eigh(analysis.pt_block(n, gamma))
     ref = evecs[:, int(np.argmin(np.abs(evals - lam)))]
@@ -225,7 +231,7 @@ def test_u_matches_eigensolver(n):
 def test_pair_is_accurate_eigenpair_and_cubic_root(n):
     """At the formula rate, (lambda_u, u) is a backward-stable eigenpair of
     the block, and lambda_u a root of the paper's closed-form cubic."""
-    gamma = analysis.gamma_c_formula_k3(n)
+    gamma = scheme.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
     block = analysis.pt_block(n, gamma)
     eps = np.finfo(float).eps
@@ -239,7 +245,7 @@ def test_pair_is_accurate_eigenpair_and_cubic_root(n):
 @pytest.mark.parametrize("n", [100, 10 ** 7])
 def test_pair_matches_high_precision_eigensolve(n):
     mpmath = pytest.importorskip("mpmath")
-    gamma = analysis.gamma_c_formula_k3(n)
+    gamma = scheme.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
     with mpmath.workdps(50):
         g, m = mpmath.mpf(gamma), mpmath.mpf(n)
@@ -332,14 +338,14 @@ def test_effective_two_level_frozen_n100():
 
 def test_effective_two_level_gap_matches_exact():
     for n in (100, 1000):
-        gamma = analysis.gamma_c_formula_k3(n)
+        gamma = scheme.gamma_c_formula_k3(n)
         system = analysis.perturbation_report(n, gamma)
         exact = analysis.energy_gap(n, 3, gamma)
         assert abs((system.e_plus - system.e_minus) - exact) / exact < 0.2
 
 
 def test_effective_two_level_alphas_approach_equal_mixing():
-    system = analysis.perturbation_report(1000, analysis.gamma_c_formula_k3(1000))
+    system = analysis.perturbation_report(1000, scheme.gamma_c_formula_k3(1000))
     assert np.abs(system.alpha_minus - np.array(ALPHA_MINUS_1000)).max() < 1e-9
     equal = 1.0 / math.sqrt(2.0)
     assert np.abs(np.abs(system.alpha_minus) - equal).max() < 0.05
@@ -358,7 +364,7 @@ def test_perturbation_report_consistency():
     assert report.predicted_runtime == pytest.approx(math.pi / report.predicted_gap,
                                                      abs=1e-12)
     # the two-level runtime lands near the exact-N peak-time prediction
-    peak = analysis.predicted_peak_time(100, 3)
+    peak = scheme.predicted_peak_time(100, 3)
     assert abs(report.predicted_runtime - peak) / peak < 0.05
 
 
@@ -394,7 +400,7 @@ def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
     def exact_count(n, k):
         raise AssertionError(f"C({n},{k}) computed exactly")
 
-    monkeypatch.setattr(reduced, "binomial", exact_count)
+    monkeypatch.setattr(scheme, "binomial", exact_count)
     monkeypatch.setattr(johnson, "binomial", exact_count)
     with pytest.raises(ValueError, match="float range"):
         analysis.run_verification(10**7, 10**6, 0.001)
@@ -403,7 +409,7 @@ def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
 # Every k=3 entry point with a valid jumping rate; n and gamma are swapped in
 # per case.
 K3_ENTRY_POINTS = {
-    "gamma_c_formula_k3": lambda n, g: analysis.gamma_c_formula_k3(n),
+    "gamma_c_formula_k3": lambda n, g: scheme.gamma_c_formula_k3(n),
     "naive_splitting_diagnostic": analysis.naive_splitting_diagnostic,
     "char_cubic_coeffs": analysis.char_cubic_coeffs,
     "pt_block": analysis.pt_block,

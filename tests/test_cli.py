@@ -550,6 +550,27 @@ def test_package_import_loads_no_submodule_or_numpy():
     assert run.stdout == b"[]\n"
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["critical-gamma", "--n", "100", "--k", "3"], 0),
+    (["critical-gamma", "--n", "2000", "--k", "20"], 0),
+    (["critical-gamma", "--n", "0", "--k", "0"], 1),
+    (["critical-gamma", "--n", "3", "--k", "2"], 1),
+    (["critical-gamma", "--n", "2", "--k", "1"], 1),
+    (["critical-gamma", "--n", "5", "--k", "3"], 1),
+    (["simulate", "--n", "150", "--k", "3", "--gamma", "nan"], 1),
+    (["spectrum", "--n", "3000", "--k", "500", "--gamma", "0.001"], 1),
+], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
+        "simulate-gamma-nan", "spectrum-float-range"])
+def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
+    # critical-gamma needs only the scheme's spectrum, and these refusals are
+    # decided before a command loads the array modules.
+    program = ("import sys; from johnsonwalk import cli; code = cli.main(sys.argv[1:]); "
+               "print(code, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", program, *argv],
+                         env=_program_env(), capture_output=True, timeout=60)
+    assert run.stdout.decode().splitlines()[-1] == f"{code} False"
+
+
 def test_import_loads_no_dataclasses():
     # The result records are NamedTuples, which are cheaper to define.
     code = "import sys, johnsonwalk.cli; print('dataclasses' in sys.modules)"

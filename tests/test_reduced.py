@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from johnsonwalk import johnson, linalg, reduced
+from johnsonwalk import johnson, linalg, reduced, scheme
 
 # spectrum of the (7,3) search Hamiltonian at gamma = 0.05, from an
 # independent dense eigensolver; note the positive top eigenvalue
@@ -127,7 +127,7 @@ def test_float_range_refusal_skips_the_exact_count(monkeypatch):
     def exact_count(n, k):
         raise AssertionError(f"C({n},{k}) computed exactly")
 
-    monkeypatch.setattr(reduced, "binomial", exact_count)
+    monkeypatch.setattr(scheme, "binomial", exact_count)
     with pytest.raises(ValueError, match="float range"):
         reduced._check_reduced_params(10**7, 10**6)
 
