@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import johnson, linalg, reduced, scheme
+from . import johnson, reduced, scheme
 from .linalg import eig_sym, success_curve
 from .scheme import DEFAULT_VERTEX_CAP
 
@@ -204,7 +204,7 @@ def run_verification(n: int, k: int, gamma: float,
 
     s_full = np.full(n_vertices, 1.0 / math.sqrt(n_vertices))
     psi0 = reduced.initial_state(n, k)
-    linalg._check_steps(steps)
+    scheme._check_steps(steps)
     if t_max == 0.0:
         # exp(-iH*0) is the identity, so the grid degenerates to a single
         # point where both curves are just the initial marked probability.

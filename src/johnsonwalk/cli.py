@@ -19,29 +19,42 @@ such as a long simulate curve or sweep-gamma grid, is formatted in helper
 processes, one per CPU beyond the first.  It also includes a failed final
 write, such as buffered stdout flushed to a full disk or a closed pipe.
 
-critical-gamma runs without numpy: everything it prints comes from the
-Johnson scheme's exact spectrum (``scheme``).  The other commands load numpy
-and the array modules inside the command, after the input checks that need
-no arrays, so simulate, spectrum and verify refuse a bad --gamma or an
-(n, k) beyond the float range before numpy is loaded.
+critical-gamma, spectrum and sweep-gamma (as CSV) run without numpy:
+everything they print comes from the Johnson scheme's exact spectrum and
+the roots of its secular equation (``scheme``, ``secular``), and their CSV
+goes out through ``array.array`` columns.  verify, analyze-pt, simulate and
+an SVG sweep load numpy and the array modules inside the command, after
+every input check that needs no arrays, so a refused input costs no numpy
+import in any command.  The ``logging`` module is imported only by a run that logs
+(--verbose), or when the calling process has loaded it already.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import logging
+import math
 import os
 import sys
+from array import array
 from typing import Optional
 
 from . import scheme
 from .scheme import DEFAULT_VERTEX_CAP
 
-logger = logging.getLogger("johnsonwalk")
-
 #: verify exits nonzero when the full-vs-reduced deviation exceeds this.
 VERIFY_TOLERANCE = 1e-8
+
+
+def _info(message: str, *args) -> None:
+    """Log on the package logger, if ``logging`` is loaded.
+
+    ``main`` loads it for --verbose; in a run without it, the package logger
+    would drop an INFO record anyway, so importing it would be wasted.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("johnsonwalk").info(message, *args)
 
 
 def _rate(args: argparse.Namespace) -> float:
@@ -50,17 +63,23 @@ def _rate(args: argparse.Namespace) -> float:
         return args.gamma
     if args.k == 3:
         gamma = scheme.gamma_c_formula_k3(args.n)
-        logger.info("using formula gamma_c = %.10g", gamma)
+        _info("using formula gamma_c = %.10g", gamma)
     else:
         gamma = scheme.gamma_c_numeric(args.n, args.k).gamma
-        logger.info("using numeric gamma_c = %.10g", gamma)
+        _info("using numeric gamma_c = %.10g", gamma)
     return gamma
 
 
-def _check_model(n: int, k: int, gamma: float) -> None:
-    """``reduced.search_hamiltonian``'s input rules in its order, without numpy."""
-    scheme._check_gamma(gamma)
-    scheme._check_reduced_params(n, k)
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    """``np.linspace(lo, hi, points)``, bit for bit: lo + i*step, ending at hi."""
+    div = points - 1
+    step = (hi - lo) / div
+    if step == 0:  # numpy's branch for a step that underflows
+        values = [i / div * (hi - lo) + lo for i in range(points)]
+    else:
+        values = [i * step + lo for i in range(points)]
+    values[-1] = hi
+    return values
 
 
 def _add_output_options(sub: argparse.ArgumentParser, formats: bool) -> None:
@@ -137,7 +156,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     gamma = _rate(args)
     t_max = (args.t_max if args.t_max is not None
              else 1.5 * scheme.predicted_peak_time(args.n, args.k))
-    _check_model(args.n, args.k, gamma)
+    scheme._check_model(args.n, args.k, gamma)
+    scheme._check_grid(t_max, args.steps)
     from . import linalg, output, reduced
     curve = linalg.success_curve(reduced.search_hamiltonian(args.n, args.k, gamma),
                                  reduced.initial_state(args.n, args.k),
@@ -152,38 +172,37 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_gamma(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from . import linalg, output, reduced
+    n, k, points = args.n, args.k, args.points
     # Validates (n, k) before the default bounds divide by them.
-    s = reduced.initial_state(args.n, args.k)
-    lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * args.k * args.n)
-    hi = args.gamma_max if args.gamma_max is not None else 2.0 / (args.k * args.n)
-    if args.points < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {args.points}")
-    linalg._check_steps(args.points)  # refuses a grid too large to address
-    if not np.isfinite(hi - lo):
+    scheme._check_reduced_params(n, k)
+    lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * k * n)
+    hi = args.gamma_max if args.gamma_max is not None else 2.0 / (k * n)
+    if points < 2:
+        raise ValueError(f"a sweep needs at least 2 points, got {points}")
+    scheme._check_steps(points)  # refuses a grid too large to address
+    if not math.isfinite(hi - lo):
         raise ValueError(f"gamma range [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
-    gammas = np.linspace(lo, hi, args.points)
-    energies, overlaps_s, overlaps_w = np.empty((3, args.points, args.k + 1))
-    for row_index, gamma in enumerate(gammas):
-        spectrum = linalg.overlap_spectrum(
-            reduced.search_hamiltonian(args.n, args.k, gamma), s)
-        energies[row_index] = spectrum.energies
-        overlaps_s[row_index] = spectrum.overlap_s
-        overlaps_w[row_index] = spectrum.overlap_w
+    from . import output, secular
+    gammas = _grid(lo, hi, points)
+    spectra = [secular.secular_spectrum(n, k, gamma) for gamma in gammas]
     if args.format == "svg":
-        series = [(gammas, overlaps_s[:, j]) for j in range(args.k + 1)]
+        series = [(gammas, [spectrum.overlap_s[j] for spectrum in spectra])
+                  for j in range(k + 1)]
         output.render_svg(args.output, series,
                           x_label="gamma", y_label="overlap with |s>")
-    else:
-        output.write_csv(args.output,
-                         ["gamma", "eig_index", "energy", "overlap_s", "overlap_w"],
-                         [np.repeat(gammas, args.k + 1),
-                          np.tile(np.arange(args.k + 1), args.points),
-                          energies.ravel(), overlaps_s.ravel(), overlaps_w.ravel()])
+        return 0
+    energies, overlap_s, overlap_w = array("d"), array("d"), array("d")
+    for spectrum in spectra:
+        energies.extend(spectrum.energies)
+        overlap_s.extend(spectrum.overlap_s)
+        overlap_w.extend(spectrum.overlap_w)
+    columns = [array("d", [gamma for gamma in gammas for _ in range(k + 1)]),
+               array("q", range(k + 1)) * points, energies, overlap_s, overlap_w]
+    output.write_csv(args.output,
+                     ["gamma", "eig_index", "energy", "overlap_s", "overlap_w"],
+                     columns)
     return 0
 
 
@@ -199,23 +218,19 @@ def cmd_critical_gamma(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     gamma = _rate(args)
-    _check_model(args.n, args.k, gamma)
-    import numpy as np
-
-    from . import linalg, output, reduced
-    spectrum = linalg.overlap_spectrum(
-        reduced.search_hamiltonian(args.n, args.k, gamma),
-        reduced.initial_state(args.n, args.k))
+    from . import output, secular
+    spectrum = secular.secular_spectrum(args.n, args.k, gamma)
     output.write_csv(args.output,
                      ["eig_index", "energy", "overlap_s", "overlap_w"],
-                     [np.arange(spectrum.energies.size), spectrum.energies,
-                      spectrum.overlap_s, spectrum.overlap_w])
+                     [array("q", range(args.k + 1)), array("d", spectrum.energies),
+                      array("d", spectrum.overlap_s), array("d", spectrum.overlap_w)])
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     gamma = _rate(args)
-    _check_model(args.n, args.k, gamma)
+    scheme._check_model(args.n, args.k, gamma)
+    scheme._check_vertex_cap(args.n, args.k, args.cap)
     from . import analysis
     result = analysis.run_verification(args.n, args.k, gamma,
                                        t_max=args.t_max, steps=args.steps,
@@ -229,6 +244,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_pt(args: argparse.Namespace) -> int:
+    # perturbation_report's rules in its order, before numpy loads
+    gamma = args.gamma if args.gamma is not None else scheme.gamma_c_formula_k3(args.n)
+    scheme._check_positive_gamma(gamma)
+    scheme._check_k3_params(args.n)
     from . import analysis, output
     report = analysis.perturbation_report(args.n, args.gamma)
     c3, c2, c1, c0 = report.cubic_coefficients
@@ -269,10 +288,14 @@ COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = create_parser()
     args = parser.parse_args(argv)
-    # basicConfig acts only while the root logger has no handler, so the
-    # level is set on the package logger, afresh for every call.
-    logging.basicConfig(format="%(levelname)s %(message)s")
-    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    if args.verbose or "logging" in sys.modules:
+        import logging
+
+        # basicConfig acts only while the root logger has no handler, so the
+        # level is set on the package logger, afresh for every call.
+        logging.basicConfig(format="%(levelname)s %(message)s")
+        logging.getLogger("johnsonwalk").setLevel(
+            logging.INFO if args.verbose else logging.WARNING)
     handler = COMMANDS[args.command]
     try:
         return handler(args)

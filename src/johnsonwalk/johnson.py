@@ -12,41 +12,13 @@ against which the reduced model is validated.
 from __future__ import annotations
 
 import itertools
-import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import DEFAULT_VERTEX_CAP, _check_class_params, _check_params, binomial
-
-
-def _count_text(count: int) -> str:
-    """A count in decimal, or as a power of two once it is long.
-
-    Python refuses to print an integer of more than 4300 digits.
-    """
-    if count.bit_length() <= 64:
-        return str(count)
-    return f"about 2^{count.bit_length() - 1}"
-
-
-class VertexCapError(ValueError):
-    """Brute-force construction refused: the vertex count exceeds the cap.
-
-    ``n_vertices`` is None when the count is far enough above the cap to be
-    refused without computing it.
-    """
-
-    def __init__(self, n_vertices: Optional[int], cap: int):
-        self.n_vertices = n_vertices
-        self.cap = cap
-        if n_vertices is None:
-            size = f"far more vertices than the configured cap {_count_text(cap)}"
-        else:
-            size = (f"{_count_text(n_vertices)} vertices, above the configured "
-                    f"cap {_count_text(cap)}")
-        super().__init__(
-            f"J(n,k) has {size}; raise the cap to force brute-force construction")
+# binomial, class_sizes and VertexCapError are also this module's API.
+from .scheme import (DEFAULT_VERTEX_CAP, VertexCapError, _check_params,
+                     _check_vertex_cap, binomial, class_sizes)
 
 
 def enumerate_vertices(n: int, k: int) -> list[tuple[int, ...]]:
@@ -80,18 +52,10 @@ def full_adjacency(n: int, k: int, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     one column per symbol): (M M^T)[u,v] is the intersection size, which a
     float product (BLAS) gives exactly, since every partial sum is at most k.
 
-    Raises :class:`VertexCapError` when C(n,k) exceeds ``cap``.  The lower
-    bound C(n,k) >= (n/m)^m, m = min(k, n-k), refuses a count more than
-    2^64 times the cap before the exact count is computed, which takes
-    most of a minute at m ~ 1e6.
+    Raises :class:`VertexCapError` when C(n,k) exceeds ``cap``, by the rule
+    in ``scheme``, which refuses a far larger count before computing it.
     """
-    _check_params(n, k)
-    m = min(k, n - k)
-    if m * (math.log(n) - math.log(m)) > math.log(max(cap, 1)) + 64 * math.log(2):
-        raise VertexCapError(None, cap)
-    n_vertices = binomial(n, k)
-    if n_vertices > cap:
-        raise VertexCapError(n_vertices, cap)
+    n_vertices = _check_vertex_cap(n, k, cap)
     vertices = enumerate_vertices(n, k)
     membership = np.zeros((n_vertices, n))
     membership[np.arange(n_vertices)[:, None], vertices] = 1.0
@@ -114,13 +78,3 @@ def distance_classes(graph: FullGraph, w: int = 0) -> list[np.ndarray]:
     dist = np.array([k - len(w_set.intersection(v)) for v in graph.vertices])
     n_classes = min(k, n - k) + 1
     return [np.nonzero(dist == i)[0] for i in range(n_classes)]
-
-
-def class_sizes(n: int, k: int) -> list[int]:
-    """Sizes |d_i| = C(k,i) * C(n-k,i) of the k+1 distance classes.
-
-    Requires n >= 2k so that all k+1 classes are nonempty.  The sizes sum
-    to C(n,k).
-    """
-    _check_class_params(n, k)
-    return [binomial(k, i) * binomial(n - k, i) for i in range(k + 1)]

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _split
+from .scheme import _check_grid, _check_time
 
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
 SIGN_EPS = 1e-8
@@ -98,12 +99,8 @@ def _eigenbasis(hamiltonian: np.ndarray,
 
 
 # The time rule of ``evolve`` and ``success_curve``: t is finite, checked
-# before H is decomposed, and every phase E*t is finite, checked after.
-def _check_time(t: float, name: str) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"{name} must be finite, got {t}")
-
-
+# before H is decomposed (``scheme._check_time``), and every phase E*t is
+# finite, checked after.
 def _check_phases(evals: np.ndarray, t: float, name: str) -> None:
     if not math.isfinite(float(np.abs(evals).max()) * t):
         raise ValueError(f"phases E*t overflow at {name}={t}")
@@ -120,13 +117,6 @@ def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return evecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
-def _check_steps(steps) -> None:
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps}")
-    if steps > np.iinfo(np.intp).max // 8:  # the most float64s numpy addresses
-        raise ValueError(f"a grid of {steps} points is too large to address")
-
-
 def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
                   steps: int) -> TimeSeries:
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
@@ -141,10 +131,7 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
     them have stopped.  ``t_max`` must be finite and non-negative, and every
     phase E * t_max finite.
     """
-    _check_steps(steps)
-    _check_time(t_max, "t_max")
-    if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
+    _check_grid(t_max, steps)
     evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
     _check_phases(evals, t_max, "t_max")
     times = np.linspace(0.0, float(t_max), int(steps))

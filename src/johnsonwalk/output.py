@@ -3,28 +3,31 @@
 CSV is the interchange format: UTF-8, header row, LF line endings, floats
 printed with 17 significant digits so parsing the file back reproduces the
 exact float64 values.  ``write_csv`` takes the data as columns, not rows.
-A table whose columns are all float or integer ndarrays is formatted in
-bulk, one printf template per chunk of rows (``_split.FORMATS`` maps a
-dtype kind to its conversion), and each chunk goes out in one write; such a
-table longer than one chunk is split into one range of rows per CPU: this
-process formats the first range, and helper processes running
-``_split.py`` format the others through unnamed temporary files, whose
-text is copied on in bounded pieces.  Either way memory stays bounded for
+A table whose columns are all float or integer arrays (ndarrays, or
+``array.array`` of typecode ``d``, ``q`` or ``Q``, which need no numpy) is
+formatted in bulk, one printf template per chunk of rows (``_split.FORMATS``
+maps a dtype kind to its typecode and conversion), and each chunk goes out
+in one write; such a table longer than one chunk is split into one range of
+rows per CPU: this process formats the first range, and helper processes
+running ``_split.py`` format the others through unnamed temporary files,
+whose text is copied on in bounded pieces.  Either way memory stays bounded for
 any row count, and the bytes do not depend on the number of CPUs.  Any
 other table, and every header, goes through ``csv.writer`` with LF line
 endings, which quotes text the way the running Python's ``csv`` module
 does.  The SVG writer draws a small standalone line chart (fixed 800x500
 canvas) for eyeballing success curves and overlap sweeps without a
 plotting stack.
+
+The module imports numpy only to draw a chart or to write ndarrays, so
+writing plain columns leaves it unloaded.
 """
 
 from __future__ import annotations
 
+import array
 import os
 import sys
 from typing import IO, Optional, Sequence
-
-import numpy as np
 
 from . import _split
 
@@ -53,15 +56,34 @@ _HELPER_START_VALUES = 24000
 #: Bytes of a helper's text copied on at a time.
 _COPY_BYTES = 1 << 20
 
+#: The dtype kind of each ``array.array`` typecode written in bulk.
+_TYPECODE_KINDS = {code: kind for kind, (code, _) in _split.FORMATS.items()}
+
+
+def _numpy():
+    """numpy if it is loaded: an ndarray or numpy scalar exists only then."""
+    return sys.modules.get("numpy")
+
 
 def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    np = _numpy()
+    if isinstance(value, bool) or (np and isinstance(value, np.bool_)):
         return str(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int) or (np and isinstance(value, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or (np and isinstance(value, np.floating)):
         return format(float(value), ".17g")
     return str(value)
+
+
+def _kind(column) -> Optional[str]:
+    """The ``_split.FORMATS`` kind of a column written in bulk, else None."""
+    if isinstance(column, array.array):
+        return _TYPECODE_KINDS.get(column.typecode)
+    np = _numpy()
+    if np and isinstance(column, np.ndarray) and column.dtype.kind in _split.FORMATS:
+        return column.dtype.kind
+    return None
 
 
 def _write_columns(handle: IO[str], header: Sequence[str],
@@ -70,11 +92,12 @@ def _write_columns(handle: IO[str], header: Sequence[str],
 
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    np = _numpy()
     for column in columns:
-        if isinstance(column, np.ndarray) and column.ndim != 1:
+        if np and isinstance(column, np.ndarray) and column.ndim != 1:
             raise ValueError(f"CSV columns must be 1-d, got shape {column.shape}")
-    numeric = all(isinstance(column, np.ndarray)
-                  and column.dtype.kind in _split.FORMATS for column in columns)
+    kinds = "".join(_kind(column) or "?" for column in columns)
+    numeric = "?" not in kinds
     if not numeric:
         columns = [[_format_value(value) for value in column] for column in columns]
     n_rows = len(columns[0]) if columns else 0
@@ -85,7 +108,6 @@ def _write_columns(handle: IO[str], header: Sequence[str],
     if not numeric:
         writer.writerows(zip(*columns))
         return
-    kinds = "".join(column.dtype.kind for column in columns)
     workers = _split.worker_count()
     if workers > 1 and n_rows > _CHUNK_ROWS and sys.executable:
         _write_split(handle, kinds, columns, n_rows, workers)
@@ -93,7 +115,7 @@ def _write_columns(handle: IO[str], header: Sequence[str],
         _split.write_rows(handle.write, kinds, columns, n_rows)
 
 
-def _write_split(handle: IO[str], kinds: str, columns: Sequence[np.ndarray],
+def _write_split(handle: IO[str], kinds: str, columns: Sequence,
                  n_rows: int, workers: int) -> None:
     """Format the first range of rows here and each other range in a helper.
 
@@ -115,7 +137,12 @@ def _write_split(handle: IO[str], kinds: str, columns: Sequence[np.ndarray],
                 for lo in range(start, stop, _CHUNK_ROWS):
                     hi = min(lo + _CHUNK_ROWS, stop)
                     for column, code in zip(columns, typecodes):
-                        source.write(np.ascontiguousarray(column[lo:hi], dtype=code))
+                        chunk = column[lo:hi]
+                        if not isinstance(chunk, array.array):
+                            import numpy as np
+
+                            chunk = np.ascontiguousarray(chunk, dtype=code)
+                        source.write(chunk)
                 source.seek(0)
                 processes.append(subprocess.Popen(
                     argv + [str(stop - start)], stdin=source, stdout=sinks[-1],
@@ -157,13 +184,14 @@ def write_csv(path: Optional[str], header: Sequence[str],
     """Write one header row plus one data row per index; path None means stdout.
 
     ``columns`` holds one sequence per header field, all of one length.
-    When every column is a float or integer ndarray, floats are written
-    with 17 significant digits and integers in decimal, a chunk of rows at
-    a time.  Otherwise (lists, mixed values, str, bool, complex) every
-    value is formatted on its own and the rows go through ``csv.writer``,
-    which quotes fields as the running Python's ``csv`` module does; so
-    does the header.  Zero-length columns produce a header-only file,
-    which keeps downstream concatenation and diffing predictable.
+    When every column is a float or integer ndarray or ``array.array``,
+    floats are written with 17 significant digits and integers in decimal,
+    a chunk of rows at a time.  Otherwise (lists, mixed values, str, bool,
+    complex) every value is formatted on its own and the rows go through
+    ``csv.writer``, which quotes fields as the running Python's ``csv``
+    module does; so does the header.  Zero-length columns produce a
+    header-only file, which keeps downstream concatenation and diffing
+    predictable.
     """
     if path is None:
         _write_columns(sys.stdout, header, columns)
@@ -189,6 +217,8 @@ def render_svg(path: Optional[str],
     data ranges are padded so a flat series still renders.  Empty input is
     a domain error, not an empty picture.
     """
+    import numpy as np
+
     cleaned = []
     for xs, ys in series:
         xs = np.asarray(xs, dtype=float)

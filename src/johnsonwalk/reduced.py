@@ -19,9 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .johnson import class_sizes
-from .scheme import (_check_gamma, _check_k3_params, _check_positive_gamma,
-                     _check_reduced_params)
+from .scheme import (_adjacency_entries, _check_k3_params, _check_model,
+                     _check_positive_gamma, _check_reduced_params, class_sizes)
 
 
 class IntersectionArray(NamedTuple):
@@ -52,14 +51,12 @@ def reduced_adjacency(n: int, k: int) -> np.ndarray:
     (i+1) * sqrt((k-i)(n-k-i)), the geometric mean sqrt(b_i * c_{i+1}) that
     symmetrizes the up/down neighbor counts.
     """
-    arr = intersection_array(n, k)
+    diagonal, off = _adjacency_entries(n, k)
     adj = np.zeros((k + 1, k + 1))
-    for i in range(k + 1):
-        adj[i, i] = arr.a[i]
-        if i < k:
-            off = (i + 1) * math.sqrt((k - i) * (n - k - i))
-            adj[i, i + 1] = off
-            adj[i + 1, i] = off
+    for i, entry in enumerate(diagonal):
+        adj[i, i] = entry
+    for i, entry in enumerate(off):
+        adj[i, i + 1] = adj[i + 1, i] = entry
     return adj
 
 
@@ -70,13 +67,10 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
     single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
     negative and non-finite values are rejected (gamma = 0 is admitted and
     leaves just the oracle term), and so is a gamma so large that
-    gamma * A overflows.
+    gamma * A overflows (``scheme._check_model``).
     """
-    _check_gamma(gamma)
-    with np.errstate(over="ignore"):
-        hamiltonian = -float(gamma) * reduced_adjacency(n, k)
-    if not np.isfinite(hamiltonian).all():
-        raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
+    _check_model(n, k, gamma)
+    hamiltonian = -float(gamma) * reduced_adjacency(n, k)
     hamiltonian[0, 0] -= 1.0
     return hamiltonian
 

@@ -17,6 +17,9 @@ pole delta = 0 at any N (the diagonal-plus-rank-one problem of Gu &
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  A root's eigenvector
 has components z_j/(g_j - delta), so its overlap with |s> needs no matrix.
 
+``secular.secular_spectrum`` solves all k+1 roots, the two beside the pole
+with ``_pole_roots`` as the balance does.
+
 The module imports the standard library only: the critical-gamma command and
 every input rule of the package run without numpy.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -39,6 +42,35 @@ DEFAULT_VERTEX_CAP = 4000
 
 class SearchBracketError(ValueError):
     """The overlap balance has no sign change, so there is no critical rate."""
+
+
+def _count_text(count: int) -> str:
+    """A count in decimal, or as a power of two once it is long.
+
+    Python refuses to print an integer of more than 4300 digits.
+    """
+    if count.bit_length() <= 64:
+        return str(count)
+    return f"about 2^{count.bit_length() - 1}"
+
+
+class VertexCapError(ValueError):
+    """Brute-force construction refused: the vertex count exceeds the cap.
+
+    ``n_vertices`` is None when the count is far enough above the cap to be
+    refused without computing it.
+    """
+
+    def __init__(self, n_vertices: Optional[int], cap: int):
+        self.n_vertices = n_vertices
+        self.cap = cap
+        if n_vertices is None:
+            size = f"far more vertices than the configured cap {_count_text(cap)}"
+        else:
+            size = (f"{_count_text(n_vertices)} vertices, above the configured "
+                    f"cap {_count_text(cap)}")
+        super().__init__(
+            f"J(n,k) has {size}; raise the cap to force brute-force construction")
 
 
 class CriticalGammaResult(NamedTuple):
@@ -112,6 +144,73 @@ def _check_positive_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
+def _adjacency_entries(n: int, k: int) -> tuple[list[int], list[float]]:
+    """The reduced adjacency's diagonal a_i = i(n-2i), i = 0..k, and its
+    off-diagonal (i+1) sqrt((k-i)(n-k-i)), i = 0..k-1, for n >= 2k >= 2."""
+    _check_reduced_params(n, k)
+    return ([i * (n - 2 * i) for i in range(k + 1)],
+            [(i + 1) * math.sqrt((k - i) * (n - k - i)) for i in range(k)])
+
+
+def _check_model(n: int, k: int, gamma: float) -> None:
+    """The search Hamiltonian's input rules, in order: gamma, (n, k), and a
+    gamma whose product with an entry of the reduced adjacency overflows
+    (the entries are non-negative, so the largest decides)."""
+    _check_gamma(gamma)
+    diagonal, off = _adjacency_entries(n, k)
+    if not math.isfinite(gamma * max(map(float, diagonal + off))):
+        raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
+
+
+def _check_vertex_cap(n: int, k: int, cap: int) -> int:
+    """Validate 1 <= k < n and return C(n,k), refusing a count above ``cap``.
+
+    The lower bound C(n,k) >= (n/m)^m, m = min(k, n-k), refuses a count more
+    than 2^64 times the cap before the exact count is computed, which takes
+    most of a minute at m ~ 1e6.
+    """
+    _check_params(n, k)
+    m = min(k, n - k)
+    if m * (math.log(n) - math.log(m)) > math.log(max(cap, 1)) + 64 * math.log(2):
+        raise VertexCapError(None, cap)
+    n_vertices = binomial(n, k)
+    if n_vertices > cap:
+        raise VertexCapError(n_vertices, cap)
+    return n_vertices
+
+
+def _check_steps(steps) -> None:
+    """Validate a grid size: an integer >= 2 that a float64 array can hold."""
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps}")
+    if steps > sys.maxsize // 8:  # the most float64s numpy addresses
+        raise ValueError(f"a grid of {steps} points is too large to address")
+
+
+def _check_time(t: float, name: str) -> None:
+    """Validate a time: finite (the phases E*t are checked where E is known)."""
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite, got {t}")
+
+
+def _check_grid(t_max: float, steps) -> None:
+    """Validate a time grid [0, t_max] of ``steps`` points, in this order."""
+    _check_steps(steps)
+    _check_time(t_max, "t_max")
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
+
+
+def class_sizes(n: int, k: int) -> list[int]:
+    """Sizes |d_i| = C(k,i) * C(n-k,i) of the k+1 distance classes.
+
+    Requires n >= 2k so that all k+1 classes are nonempty.  The sizes sum
+    to C(n,k).
+    """
+    _check_class_params(n, k)
+    return [binomial(k, i) * binomial(n - k, i) for i in range(k + 1)]
+
+
 def predicted_peak_time(n: int, k: int) -> float:
     """Time pi*sqrt(N)/2 at which the marked amplitude should peak.
 
@@ -153,23 +252,24 @@ def gamma_c_formula_k3(n: int) -> float:
 
 
 def _root(phi, lo: float, hi: float, x: float, negative_below: bool) -> float:
-    """The root of phi in (lo, hi), from x, by safeguarded Newton steps.
+    """The root of phi in (lo, hi), from x, by safeguarded steps.
 
-    ``phi`` returns (value, slope).  Each evaluation shrinks the bracket; a
-    step that leaves it, or that would not halve the step before last, is
-    replaced by the bracket's midpoint (Press et al., rtsafe), so the bracket
-    at least halves every two steps.
+    ``phi`` returns (value, correction): the step is x - correction, a Newton
+    step when the correction is value/slope.  Each evaluation shrinks the
+    bracket; a step that leaves it, or that would not halve the step before
+    last, is replaced by the bracket's midpoint (Press et al., rtsafe), so
+    the bracket at least halves every two steps.
     """
     last = hi - lo
     while True:
-        f, slope = phi(x)
+        f, correction = phi(x)
         if f == 0.0:
             return x
         if (f < 0.0) == negative_below:
             lo = x
         else:
             hi = x
-        before_last, last = last, (f / slope if slope else math.inf)
+        before_last, last = last, correction
         if abs(last) <= 4.0 * sys.float_info.epsilon * abs(x):
             return x - last
         step = x - last
@@ -181,19 +281,16 @@ def _root(phi, lo: float, hi: float, x: float, negative_below: bool) -> float:
         x = step
 
 
-def _balance(eta: float, s1: float, d: list[int], z2: list[float], r: float
-             ) -> tuple[float, float]:
-    """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta.
+def _pole_roots(c: float, a: list[float], g: list[float], r: float, top: float
+                ) -> tuple[float, Optional[float]]:
+    """The two roots x = delta*r beside the pole delta = 0, r = sqrt(N).
 
-    q_i = (1 - |<s|psi_i>|^2) / |<s|psi_i>|^2 for the two roots beside the
-    pole.  The roots are solved in x = delta*r, r = sqrt(N), where the
-    secular function times x is 1 + c x - x^2 sum_j a_j/(g_j - x/r), close
-    to a quadratic for large N.
+    In x the secular function times x is 1 + c x - x^2 sum_j a_j/(g_j - x/r),
+    with c = r*eta/(1+eta), a_j = z_j^2/g_j and g_j = gamma*D_j (j >= 1);
+    it is close to a quadratic for large N, whose roots start the searches.
+    x_0 lies in [-r, 0), and x_1 is solved in (0, top), which lies below
+    g_1 r; it is None when top is 0, for a root 1 nearer the pole g_1.
     """
-    g = [s1 * (1.0 + eta) * dj for dj in d]
-    a = [zj / gj for zj, gj in zip(z2, g)]
-    c = eta / (1.0 + eta) * r
-
     def phi(x: float) -> tuple[float, float]:
         u = x / r
         t1 = t2 = 0.0
@@ -201,18 +298,31 @@ def _balance(eta: float, s1: float, d: list[int], z2: list[float], r: float
             inv = 1.0 / (gj - u)
             t1 += aj * inv
             t2 += aj * inv * inv
-        return 1.0 + x * (c - x * t1), c - 2.0 * x * t1 - x * x * t2 / r
+        value = 1.0 + x * (c - x * t1)
+        slope = c - 2.0 * x * t1 - x * x * t2 / r
+        return value, (value / slope if slope else math.inf)
 
-    # Roots of 1 + c x - x^2 sum_j a_j/g_j, the start of each search.
     curvature = sum(aj / gj for aj, gj in zip(a, g))
     t = math.hypot(c, 2.0 * math.sqrt(curvature))
     x0, x1 = ((-2.0 / (c + t), (c + t) / (2.0 * curvature)) if c >= 0.0
               else ((c - t) / (2.0 * curvature), 2.0 / (t - c)))
-    # delta_0 lies in [-1, 0) and delta_1 between the poles 0 and g_1.
     x0 = _root(phi, -r, 0.0, min(max(x0, -r), 0.0), True)
-    x1 = _root(phi, 0.0, g[0] * r, min(x1, g[0] * r), False)
+    if not top:
+        return x0, None
+    return x0, _root(phi, 0.0, top, x1 if x1 < top else 0.5 * top, False)
+
+
+def _balance(eta: float, s1: float, d: list[int], z2: list[float], r: float
+             ) -> tuple[float, float]:
+    """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta.
+
+    q_i = (1 - |<s|psi_i>|^2) / |<s|psi_i>|^2 for the two roots beside the
+    pole, from ``_pole_roots``.
+    """
+    g = [s1 * (1.0 + eta) * dj for dj in d]
+    a = [zj / gj for zj, gj in zip(z2, g)]
     logs, weights = [], []
-    for x in (x0, x1):
+    for x in _pole_roots(eta / (1.0 + eta) * r, a, g, r, g[0] * r):
         u = x / r
         q = x * x * sum(zj / (gj - u) ** 2 for zj, gj in zip(z2, g))
         logs.append(math.log(q))

@@ -1,5 +1,6 @@
 """CLI dispatch, CSV/SVG emission, and exit codes."""
 
+import array
 import contextlib
 import csv
 import functools
@@ -183,6 +184,18 @@ def test_write_csv_split_to_stdout(workers, capsys):
     assert capsys.readouterr().out.encode() == expected
 
 
+@pytest.mark.parametrize("rows", [0, 5, 2 * output._CHUNK_ROWS + 3])
+def test_write_csv_takes_plain_arrays(tmp_path, workers, rows):
+    # array.array columns of typecode d, q and Q go through the bulk writer
+    # and its helpers, as ndarrays of those types do, with the same bytes.
+    header, columns, _ = _numeric_table(max(rows, 6))
+    columns = [columns[0][:rows], columns[2][:rows], columns[4][:rows]]
+    plain = [array.array(code, column.tolist())
+             for code, column in zip("dqQ", columns)]
+    expected = _reference_csv(["f64", "i64", "u64"], columns)
+    assert _written_csv(tmp_path, ["f64", "i64", "u64"], plain) == expected
+
+
 _LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
 
 
@@ -248,6 +261,25 @@ def test_sweep_gamma_csv(tmp_path):
     # grid endpoints are the default bracket
     assert float(rows[0][0]) == pytest.approx(1.0 / (2 * 3 * 20), abs=1e-15)
     assert float(rows[-1][0]) == pytest.approx(2.0 / (3 * 20), abs=1e-15)
+
+
+def test_sweep_gamma_blocks_are_the_spectrum_at_each_rate(capsys):
+    assert cli.main(["sweep-gamma", "--n", "20", "--k", "3", "--points", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for start in range(0, len(rows), 4):
+        gamma = rows[start].split(",")[0]
+        assert cli.main(["spectrum", "--n", "20", "--k", "3", "--gamma", gamma]) == 0
+        spectrum = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",", 1)[1] for row in rows[start:start + 4]] == spectrum
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+       st.integers(2, 300), st.booleans())
+def test_sweep_grid_is_numpy_linspace(lo, hi, points, subnormal):
+    if subnormal:  # a step that underflows to 0 takes numpy's other branch
+        lo, hi = lo * 5e-324 / 1e300, hi * 5e-324 / 1e300
+    assert cli._grid(lo, hi, points) == np.linspace(lo, hi, points).tolist()
 
 
 def test_sweep_gamma_svg_has_four_series(tmp_path):
@@ -559,16 +591,25 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["critical-gamma", "--n", "5", "--k", "3"], 1),
     (["simulate", "--n", "150", "--k", "3", "--gamma", "nan"], 1),
     (["spectrum", "--n", "3000", "--k", "500", "--gamma", "0.001"], 1),
+    (["spectrum", "--n", "150000", "--k", "3"], 0),
+    (["sweep-gamma", "--n", "100", "--k", "3", "--points", "200"], 0),
+    (["verify", "--n", "30", "--k", "3"], 1),
+    (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], 1),
+    (["sweep-gamma", "--n", "0", "--k", "0"], 1),
+    (["analyze-pt", "--n", "5"], 1),
 ], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
-        "simulate-gamma-nan", "spectrum-float-range"])
+        "simulate-gamma-nan", "spectrum-float-range", "spectrum", "sweep-csv",
+        "verify-vertex-cap", "simulate-t-max-inf", "sweep-n0-k0", "pt-n5"])
 def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
-    # critical-gamma needs only the scheme's spectrum, and these refusals are
-    # decided before a command loads the array modules.
+    # critical-gamma, spectrum and a CSV sweep need only the scheme's
+    # spectrum and its secular roots, and these refusals are decided before
+    # a command loads the array modules.  A run without --verbose does not
+    # load logging either.
     program = ("import sys; from johnsonwalk import cli; code = cli.main(sys.argv[1:]); "
-               "print(code, 'numpy' in sys.modules)")
+               "print(code, 'numpy' in sys.modules, 'logging' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", program, *argv],
                          env=_program_env(), capture_output=True, timeout=60)
-    assert run.stdout.decode().splitlines()[-1] == f"{code} False"
+    assert run.stdout.decode().splitlines()[-1] == f"{code} False False"
 
 
 def test_import_loads_no_dataclasses():

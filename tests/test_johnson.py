@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from johnsonwalk import johnson, reduced
+from johnsonwalk import johnson, reduced, scheme
 from johnsonwalk.johnson import VertexCapError
 
 
@@ -101,7 +101,7 @@ def test_vertex_cap_refuses_far_past_the_cap_without_the_exact_count(
     def exact_count(n, k):
         raise AssertionError(f"C({n},{k}) computed exactly")
 
-    monkeypatch.setattr(johnson, "binomial", exact_count)
+    monkeypatch.setattr(scheme, "binomial", exact_count)
     with pytest.raises(VertexCapError) as err:
         johnson.full_adjacency(n, k)
     assert err.value.n_vertices is None

@@ -1,0 +1,155 @@
+"""All roots of the secular equation: against the dense eigensolver, an
+extended-precision reference, and at rates near the float range's ends."""
+
+import math
+import sys
+from fractions import Fraction
+
+import pytest
+
+from johnsonwalk import scheme, secular
+
+
+def _eigensolver(n, k, gamma):
+    """The distance-basis H's spectrum through the dense eigensolver."""
+    pytest.importorskip("numpy")
+    from johnsonwalk import linalg, reduced
+
+    return linalg.overlap_spectrum(reduced.search_hamiltonian(n, k, gamma),
+                                   reduced.initial_state(n, k))
+
+
+def test_secular_spectrum_matches_the_eigensolver():
+    # Within 1e-13, or within the eigensolver's own error where that is
+    # larger: LAPACK's eigenvectors are good to about eps*|H|/gap, and the
+    # two lowest eigenvalues are 2/sqrt(N) apart near S_1 (measured: at most
+    # 1.6 eps*|H|/gap, at J(38,18), where N = 3.4e10).
+    eps = sys.float_info.epsilon
+    for n in range(2, 40):
+        for k in range(1, n // 2 + 1):
+            s1 = float(scheme.critical_rate(n, k))
+            for gamma in (0.5 * s1, s1, 2.0 * s1):
+                roots = secular.secular_spectrum(n, k, gamma)
+                reference = _eigensolver(n, k, gamma)
+                norm = gamma * k * (n - k) + 1.0
+                for i, shift in enumerate(roots.shifts):
+                    gap = min(abs(shift - other) for j, other in
+                              enumerate(roots.shifts) if j != i)
+                    tol = max(1e-13, 4.0 * eps * norm / gap)
+                    for ours, theirs in zip(roots[:3], reference):
+                        assert abs(ours[i] - theirs[i]) <= tol, (n, k, gamma, i)
+
+
+def _reference(n, k, gamma, digits):
+    """Eigenvalues and overlaps of the distance-basis H from mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        g = mpmath.mpf(gamma.numerator) / gamma.denominator
+        h = mpmath.zeros(k + 1)
+        for i in range(k + 1):
+            h[i, i] = -g * i * (n - 2 * i)
+            if i < k:
+                off = -g * (i + 1) * mpmath.sqrt((k - i) * (n - k - i))
+                h[i, i + 1] = h[i + 1, i] = off
+        h[0, 0] -= 1
+        sizes = scheme.class_sizes(n, k)
+        s = [mpmath.sqrt(mpmath.mpf(size) / sum(sizes)) for size in sizes]
+        energies, vectors = mpmath.eigsy(h)
+        order = sorted(range(k + 1), key=lambda i: energies[i])
+        shifts = [energies[i] + g * k * (n - k) for i in order]
+        overlap_s = [mpmath.fsum(vectors[j, i] * s[j] for j in range(k + 1)) ** 2
+                     for i in order]
+        overlap_w = [vectors[0, i] ** 2 for i in order]
+        return ([float(energies[i]) for i in order], [float(x) for x in overlap_s],
+                [float(x) for x in overlap_w], [float(x) for x in shifts])
+
+
+@pytest.mark.parametrize("n,k", [(150000, 3), (150, 20), (2000, 20)])
+@pytest.mark.parametrize("rate", ["gamma_c", "float_s1"])
+def test_secular_spectrum_matches_extended_precision(n, k, rate):
+    s1 = scheme.critical_rate(n, k)
+    gamma = scheme.gamma_c_numeric(n, k).gamma if rate == "gamma_c" else float(s1)
+    roots = secular.secular_spectrum(n, k, gamma)
+    energies, overlap_s, overlap_w, shifts = _reference(
+        n, k, Fraction(gamma), int(math.log10(math.comb(n, k))) + 40)
+    eps = sys.float_info.epsilon
+    for ours, theirs in zip(roots.energies, energies):
+        assert abs(ours - theirs) <= 2.0 * eps * abs(theirs)
+    for ours, theirs in zip(roots.shifts, shifts):
+        assert abs(ours - theirs) <= 4.0 * eps * abs(theirs)
+    # Measured: at most 15 eps relative, even on overlaps of 1e-68.
+    for column, reference in ((roots.overlap_s, overlap_s),
+                              (roots.overlap_w, overlap_w)):
+        for ours, theirs in zip(column, reference):
+            assert abs(ours - theirs) <= 64.0 * eps * theirs
+
+
+@pytest.mark.parametrize("n,k,o", [(2000, 20, 5), (10**7, 4, 2), (10**150, 2, 1)],
+                         ids=["2000-20-pole5", "1e7-4-pole2", "1e150-2-pole1"])
+def test_secular_spectrum_where_a_pole_balances(n, k, o):
+    # At gamma = sum_{j != o} z_j^2/(D_j - D_o), pole o's own term balances
+    # the others, and the two roots beside it mix |w> about evenly.  Without
+    # the exact balance, overlap_w was off by 0.49 at J(2000,20) and 0.5 at
+    # J(1e150,2), while still summing to one.
+    theta, mult = scheme.scheme_spectrum(n, k)
+    count, d = sum(mult), [theta[0] - t for t in theta]
+    gamma = float(sum(Fraction(m, (dj - d[o]) * count)
+                      for j, (m, dj) in enumerate(zip(mult, d)) if j != o))
+    roots = secular.secular_spectrum(n, k, gamma)
+    reference = _reference(n, k, Fraction(gamma), int(math.log10(count)) + 40)
+    for ours, theirs in zip(roots[:3], reference):
+        for x, y in zip(ours, theirs):
+            assert abs(x - y) <= 1e-15
+
+
+def test_secular_gap_at_the_exact_critical_rate():
+    # gap*sqrt(N)/2 at J(2000,20), as in the ROADMAP's 90-digit table; the
+    # gap, 5e-24, is taken from the shifts, since the energies round it away.
+    n, k = 2000, 20
+    spectrum = secular.secular_spectrum(n, k, scheme.critical_rate(n, k))
+    gap = spectrum.shifts[1] - spectrum.shifts[0]
+    assert abs(gap * math.sqrt(math.comb(n, k)) / 2.0 - 0.99998599) <= 1e-6
+    assert spectrum.overlap_s[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (2, 1), (40, 20), (100, 1)])
+def test_secular_spectrum_at_zero_rate_is_the_eigensolver_s(n, k):
+    # H = -|w><w|: the eigensolver returns the distance states themselves.
+    roots = secular.secular_spectrum(n, k, 0.0)
+    reference = _eigensolver(n, k, 0.0)
+    for ours, theirs in zip(roots[:3], reference):
+        assert [(x, math.copysign(1.0, x)) for x in ours] == \
+            [(float(x), math.copysign(1.0, x)) for x in theirs]
+
+
+@pytest.mark.parametrize("n,k", [(10**5, 60), (1029, 514)])
+def test_secular_spectrum_in_range_near_the_float_limit(n, k):
+    # N is 1.2e218 and 1.4e307: z_j^2 reaches 1/N and the offsets z_j^2.
+    s1 = float(scheme.critical_rate(n, k))
+    for gamma in (0.5 * s1, s1, 2.0 * s1):
+        spectrum = secular.secular_spectrum(n, k, gamma)
+        for column in spectrum:
+            assert all(math.isfinite(x) for x in column)
+        assert spectrum.shifts == sorted(spectrum.shifts)
+        assert spectrum.shifts[0] < 0.0 < spectrum.shifts[1]
+        assert all(x > 0.0 for x in spectrum.overlap_w)
+        assert abs(math.fsum(spectrum.overlap_s) - 1.0) <= 1e-12
+        assert abs(math.fsum(spectrum.overlap_w) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,gamma", [
+    (2, 1, 1e308), (3, 1, 8.5e307), (10, 3, 5e-324), (10**7, 4, 1e-300),
+    (10**150, 2, 1e-150), (10**7, 4, 5e-08), (2000, 20, 1e10)],
+    ids=["2-1-1e308", "3-1-8.5e307", "10-3-5e-324", "1e7-4-1e-300",
+         "1e150-2-1e-150", "1e7-4-5e-08", "2000-20-1e10"])
+def test_secular_spectrum_at_extreme_rates(n, k, gamma):
+    # Rates where a pole gap overflows, where gamma is subnormal, and where
+    # a pole's own term balances the others (J(1e150,2) at 1/n, J(1e7,4) at
+    # 2 S_1): the overlaps still sum to one.
+    # The shifts from the top pole overflow where its gap does.
+    spectrum = secular.secular_spectrum(n, k, gamma)
+    for column in spectrum[:3]:
+        assert all(math.isfinite(x) for x in column)
+    assert spectrum.energies == sorted(spectrum.energies)
+    assert abs(math.fsum(spectrum.overlap_s) - 1.0) <= 1e-12
+    assert abs(math.fsum(spectrum.overlap_w) - 1.0) <= 1e-12
