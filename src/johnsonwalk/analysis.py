@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import johnson, reduced, scheme
-from .linalg import eig_sym, success_curve
+from . import johnson, reduced, scheme, secular
+from .linalg import eig_sym, secular_curve, success_curve
 from .scheme import DEFAULT_VERTEX_CAP
 
 
@@ -175,7 +175,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
 
 
 class VerificationResult(NamedTuple):
-    """Outcome of a full-graph vs reduced-model comparison."""
+    """Outcome of a full-graph vs secular-root comparison."""
 
     n: int
     k: int
@@ -188,34 +188,33 @@ class VerificationResult(NamedTuple):
 def run_verification(n: int, k: int, gamma: float,
                      t_max: Optional[float] = None, steps: int = 200,
                      cap: int = DEFAULT_VERTEX_CAP) -> VerificationResult:
-    """Compare brute-force and reduced success curves on a shared grid.
+    """Compare the brute-force graph's success curve with simulate's, from
+    the secular roots (``linalg.secular_curve``), on a shared grid.
 
-    The marked vertex is the lexicographically first k-subset (index 0).
-    The default window [0, 2*pi*sqrt(N)] covers a full revival.  Returns
-    the maximum pointwise deviation; anything beyond ~1e-10 indicates a
-    broken quotient, not numerical noise.
+    The marked vertex is the first k-subset (index 0); the graph rounds a
+    ``Fraction`` gamma to a double.  The default window [0, 2*pi*sqrt(N)]
+    covers a full revival.  A deviation beyond ~1e-10 indicates a broken
+    reduction, not numerical noise.
     """
     # Checked first, so a bad gamma or n < 2k is reported before the cap.
-    hamiltonian = reduced.search_hamiltonian(n, k, gamma)
+    spectrum = secular.secular_spectrum(n, k, gamma)
     graph = johnson.full_adjacency(n, k, cap=cap)
     n_vertices = graph.n_vertices
     if t_max is None:
         t_max = 2.0 * math.pi * math.sqrt(n_vertices)
 
     s_full = np.full(n_vertices, 1.0 / math.sqrt(n_vertices))
-    psi0 = reduced.initial_state(n, k)
     scheme._check_steps(steps)
     if t_max == 0.0:
-        # exp(-iH*0) is the identity, so the grid degenerates to a single
-        # point where both curves are just the initial marked probability.
-        deviation = abs(s_full[0] ** 2 - psi0[0] ** 2)
+        # exp(-iH*0) = I: one point, where both curves are |<w|s>|^2 = 1/N.
+        deviation = abs(s_full[0] ** 2 - (1.0 / math.sqrt(n_vertices)) ** 2)
         return VerificationResult(n=n, k=k, gamma=float(gamma), t_max=0.0,
                                   steps=1, max_deviation=float(deviation))
 
     h_full = -float(gamma) * graph.adjacency.astype(float)
     h_full[0, 0] -= 1.0
     full_curve = success_curve(h_full, s_full, t_max, steps=steps)
-    reduced_curve = success_curve(hamiltonian, psi0, t_max, steps=steps)
+    reduced_curve = secular_curve(spectrum, t_max, steps)
     deviation = float(np.abs(full_curve.probabilities
                              - reduced_curve.probabilities).max())
     return VerificationResult(n=n, k=k, gamma=float(gamma), t_max=float(t_max),

@@ -6,7 +6,7 @@ Subcommands:
   sweep-gamma     eigenstate overlaps across a jumping-rate grid
   critical-gamma  closed-form (k=3) and numeric critical jumping rate
   spectrum        eigenvalues and overlaps at a single jumping rate
-  verify          brute-force vs reduced-model cross-check
+  verify          brute-force graph vs secular-root cross-check
   analyze-pt      perturbation-theory report for k = 3
 
 CSV goes to stdout unless --output is given; simulate and sweep-gamma can
@@ -22,11 +22,13 @@ write, such as buffered stdout flushed to a full disk or a closed pipe.
 critical-gamma, spectrum and sweep-gamma (as CSV) run without numpy:
 everything they print comes from the Johnson scheme's exact spectrum and
 the roots of its secular equation (``scheme``, ``secular``), and their CSV
-goes out through ``array.array`` columns.  verify, analyze-pt, simulate and
-an SVG sweep load numpy and the array modules inside the command, after
-every input check that needs no arrays, so a refused input costs no numpy
-import in any command.  The ``logging`` module is imported only by a run that logs
-(--verbose), or when the calling process has loaded it already.
+goes out through ``array.array`` columns; simulate solves the same roots
+and loads numpy only for its curve, which verify checks against the
+brute-force graph.  The default rate is the exact critical rate S_1.
+verify, analyze-pt, simulate and an SVG sweep load numpy inside the command,
+after every input check that needs no arrays, so a refused input costs no
+numpy import in any command.  The ``logging`` module is imported only by a
+run that logs (--verbose), or when the calling process has loaded it already.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import numbers
 import os
 import sys
 from array import array
@@ -42,7 +45,7 @@ from typing import Optional
 from . import scheme
 from .scheme import DEFAULT_VERTEX_CAP
 
-#: verify exits nonzero when the full-vs-reduced deviation exceeds this.
+#: verify exits nonzero when the full-vs-secular deviation exceeds this.
 VERIFY_TOLERANCE = 1e-8
 
 
@@ -57,17 +60,13 @@ def _info(message: str, *args) -> None:
         logging.getLogger("johnsonwalk").info(message, *args)
 
 
-def _rate(args: argparse.Namespace) -> float:
-    """--gamma, or the critical rate: closed form for k = 3, numeric otherwise."""
+def _rate(args: argparse.Namespace) -> numbers.Real:
+    """--gamma, or the critical rate S_1 as an exact ``Fraction``."""
     if args.gamma is not None:
         return args.gamma
-    if args.k == 3:
-        gamma = scheme.gamma_c_formula_k3(args.n)
-        _info("using formula gamma_c = %.10g", gamma)
-    else:
-        gamma = scheme.gamma_c_numeric(args.n, args.k).gamma
-        _info("using numeric gamma_c = %.10g", gamma)
-    return gamma
+    rate = scheme.critical_rate(args.n, args.k)
+    _info("using critical rate S_1 = %.10g", float(rate))
+    return rate
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:
@@ -106,7 +105,7 @@ def create_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser("simulate", parents=[n_and_k],
                               help="success probability as a function of time")
     sim.add_argument("--gamma", type=float, default=None,
-                     help="jumping rate (default: critical)")
+                     help="jumping rate (default: the critical rate S_1, exact)")
     sim.add_argument("--t-max", type=float, default=None,
                      help="end of the time grid (default: 1.5x predicted peak)")
     sim.add_argument("--steps", type=int, default=1000,
@@ -129,13 +128,13 @@ def create_parser() -> argparse.ArgumentParser:
     spec = commands.add_parser("spectrum", parents=[n_and_k],
                                help="eigenvalues and overlaps at one gamma")
     spec.add_argument("--gamma", type=float, default=None,
-                      help="jumping rate (default: critical)")
+                      help="jumping rate (default: the critical rate S_1, exact)")
     _add_output_options(spec, formats=False)
 
     verify = commands.add_parser("verify", parents=[n_and_k],
                                  help="compare against the brute-force graph")
     verify.add_argument("--gamma", type=float, default=None,
-                        help="jumping rate (default: critical)")
+                        help="jumping rate (default: the critical rate S_1, exact)")
     verify.add_argument("--t-max", type=float, default=None,
                         help="end of the time grid (default: 2*pi*sqrt(N))")
     verify.add_argument("--steps", type=int, default=200,
@@ -156,12 +155,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     gamma = _rate(args)
     t_max = (args.t_max if args.t_max is not None
              else 1.5 * scheme.predicted_peak_time(args.n, args.k))
-    scheme._check_model(args.n, args.k, gamma)
+    from . import secular
+    spectrum = secular.secular_spectrum(args.n, args.k, gamma)  # checks the model
     scheme._check_grid(t_max, args.steps)
-    from . import linalg, output, reduced
-    curve = linalg.success_curve(reduced.search_hamiltonian(args.n, args.k, gamma),
-                                 reduced.initial_state(args.n, args.k),
-                                 t_max, steps=args.steps)
+    scheme._check_phases(max(map(abs, spectrum.shifts)), t_max, "t_max")
+    from . import linalg, output
+    curve = linalg.secular_curve(spectrum, t_max, args.steps)
     if args.format == "svg":
         output.render_svg(args.output, [(curve.times, curve.probabilities)],
                           x_label="time", y_label="success probability")
@@ -235,7 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result = analysis.run_verification(args.n, args.k, gamma,
                                        t_max=args.t_max, steps=args.steps,
                                        cap=args.cap)
-    print(f"J({args.n},{args.k}) gamma={gamma:.10g}: "
+    print(f"J({args.n},{args.k}) gamma={float(gamma):.10g}: "
           f"max |p_full - p_reduced| = {result.max_deviation:.3e} "
           f"over {result.steps} points")
     if result.max_deviation > VERIFY_TOLERANCE:

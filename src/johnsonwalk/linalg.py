@@ -10,23 +10,23 @@ serves every time on a grid.  Every call decomposes afresh and returns
 arrays that the caller owns.  ``evolve``, ``success_curve`` and
 ``overlap_spectrum`` share one checked decomposition.  The marked vertex is
 basis state 0, as in the distance basis and the brute-force graph, so the
-marked amplitude is row 0 of the eigenvectors.  The success curve is
-summed in a fixed order over blocks of ``_BLOCK_TIMES`` times, which worker
-threads share out, one per CPU; memory beyond the output stays bounded (a
-block per thread), and the bits do not depend on the BLAS thread count or on
-the number of CPUs.
+marked amplitude is row 0 of the eigenvectors.  ``secular_curve``, which
+simulate and verify use, takes the curve from the secular roots instead.
+Both sum it in ``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES``
+times that worker threads share out, one per CPU; memory beyond the output
+stays bounded, and the bits do not depend on the BLAS or CPU count.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _split
-from .scheme import _check_grid, _check_time
+from .scheme import _check_grid, _check_phases, _check_time
+from .secular import SecularSpectrum
 
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
 SIGN_EPS = 1e-8
@@ -62,10 +62,8 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     max(1, largest |entry|); anything else raises ValueError.
 
     Eigenvalues come back ascending; eigenvector signs are fixed so that the
-    first component of magnitude above ``SIGN_EPS`` is non-negative.  With
-    that convention and ``success_curve``'s fixed summation order, CSV output
-    does not depend on the number of BLAS threads (the tests check
-    ``simulate`` at 1, 2 and 3).
+    first component of magnitude above ``SIGN_EPS`` is non-negative, so a
+    curve built from them does not depend on the number of BLAS threads.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -98,14 +96,6 @@ def _eigenbasis(hamiltonian: np.ndarray,
     return evals, evecs, evecs.T @ state
 
 
-# The time rule of ``evolve`` and ``success_curve``: t is finite, checked
-# before H is decomposed (``scheme._check_time``), and every phase E*t is
-# finite, checked after.
-def _check_phases(evals: np.ndarray, t: float, name: str) -> None:
-    if not math.isfinite(float(np.abs(evals).max()) * t):
-        raise ValueError(f"phases E*t overflow at {name}={t}")
-
-
 def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """Apply exp(-iHt) to ``psi0`` through the eigendecomposition of H.
 
@@ -113,7 +103,7 @@ def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     """
     _check_time(t, "t")
     evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
-    _check_phases(evals, t, "t")
+    _check_phases(float(np.abs(evals).max()), t, "t")
     return evecs @ (np.exp(-1j * evals * t) * coeffs)
 
 
@@ -122,20 +112,32 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
 
     The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1; one
-    eigendecomposition is shared by the whole grid.  The marked amplitude
-    sum_j w_j exp(-i E_j t) is added one eigenvalue at a time, in ascending
-    order and elementwise in t, so no time's bits depend on how the grid is
-    split; ``_BLOCK_TIMES`` times at a time keep memory beyond the output
-    bounded for any ``steps`` and dimension.  The blocks are striped over one
-    thread per CPU, and an error in any thread is raised here once all of
-    them have stopped.  ``t_max`` must be finite and non-negative, and every
-    phase E * t_max finite.
+    eigendecomposition serves the whole grid.  ``t_max`` must be finite and
+    non-negative, and every phase E * t_max finite.
     """
     _check_grid(t_max, steps)
     evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
-    _check_phases(evals, t_max, "t_max")
+    _check_phases(float(np.abs(evals).max()), t_max, "t_max")
+    return _curve(evals, evecs[0] * coeffs, t_max, steps)
+
+
+def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSeries:
+    """``success_curve`` from the secular roots, with ``spectrum.weights()``
+    and the phases shift_i * t, which keep the digits of the central gap
+    that E_i * t rounds away at large N and differ from it by a common phase.
+    """
+    _check_grid(t_max, steps)
+    _check_phases(max(map(abs, spectrum.shifts)), t_max, "t_max")
+    return _curve(np.array(spectrum.shifts), np.array(spectrum.weights()), t_max, steps)
+
+
+def _curve(energies: np.ndarray, weights: np.ndarray, t_max: float,
+           steps: int) -> TimeSeries:
+    """|sum_i weights_i exp(-i energies_i t)|^2 on ``success_curve``'s grid,
+    added one energy at a time in the given order, elementwise in t, so no
+    time's bits depend on the blocks, which are striped over one thread per
+    CPU; an error in any thread is raised once all of them have stopped."""
     times = np.linspace(0.0, float(t_max), int(steps))
-    weights = evecs[0] * coeffs
     probabilities = np.empty(times.size)
     starts = range(0, times.size, _BLOCK_TIMES)
     workers = min(_split.worker_count(), len(starts))
@@ -149,7 +151,7 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
                     return
                 block = times[start:start + _BLOCK_TIMES]
                 amplitude = np.zeros(block.size, dtype=complex)
-                for energy, weight in zip(evals, weights):
+                for energy, weight in zip(energies, weights):
                     amplitude += weight * np.exp(-1j * energy * block)
                 probabilities[start:start + _BLOCK_TIMES] = np.abs(amplitude) ** 2
         except BaseException as exc:

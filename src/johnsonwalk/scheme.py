@@ -26,6 +26,7 @@ every input rule of the package run without numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -188,9 +189,15 @@ def _check_steps(steps) -> None:
 
 
 def _check_time(t: float, name: str) -> None:
-    """Validate a time: finite (the phases E*t are checked where E is known)."""
+    """Validate a time: finite (``_check_phases`` checks E*t once E is known)."""
     if not math.isfinite(t):
         raise ValueError(f"{name} must be finite, got {t}")
+
+
+def _check_phases(energy: float, t: float, name: str) -> None:
+    """Validate the phases at time t, given max|E|: max|E| * t is finite."""
+    if not math.isfinite(energy * t):
+        raise ValueError(f"phases E*t overflow at {name}={t}")
 
 
 def _check_grid(t_max: float, steps) -> None:
@@ -231,6 +238,17 @@ def scheme_spectrum(n: int, k: int) -> tuple[list[int], list[int]]:
     return theta, mult
 
 
+@functools.lru_cache(maxsize=64)
+def _pole_balance(n: int, k: int, o: int) -> Fraction:
+    """sum_{j != o} m_j / (N (D_j - D_o)), exactly: at this rate pole o's own
+    term of the secular function balances the others (at o = 0 it is S_1)."""
+    from fractions import Fraction  # 0.4 MiB and 3 ms, which most runs skip
+
+    theta, mult = scheme_spectrum(n, k)
+    return sum(Fraction(m, theta[o] - t) for j, (t, m) in enumerate(zip(theta, mult))
+               if j != o) / sum(mult)  # the m_j add up to N = C(n,k)
+
+
 def critical_rate(n: int, k: int) -> Fraction:
     """S_1 = (1/N) sum_{j>=1} m_j / D_j, exactly, with D_j = j(n-j+1).
 
@@ -238,11 +256,7 @@ def critical_rate(n: int, k: int) -> Fraction:
     k >= 2; at k = 3 the first two terms are the closed form 1/(3n) +
     7/(6n^2), and the n^-3 coefficient is 29/6.
     """
-    from fractions import Fraction  # 0.4 MiB and 3 ms, which most runs skip
-
-    theta, mult = scheme_spectrum(n, k)
-    total = sum(Fraction(m, theta[0] - t) for t, m in zip(theta[1:], mult[1:]))
-    return total / sum(mult)  # the m_j add up to N = C(n,k)
+    return _pole_balance(n, k, 0)
 
 
 def gamma_c_formula_k3(n: int) -> float:

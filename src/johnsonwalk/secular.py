@@ -10,8 +10,8 @@ resolves at any N: the two beside d_0 with ``scheme._pole_roots``, in
 eta = gamma/S_1 - 1 as the balance search does, and the others by the
 two-pole rational iteration of LAPACK's dlaed4 (Bunch, Nielsen & Sorensen,
 Numer. Math. 31, 31 (1978); Li's "middle way"; Gu & Eisenstat, SIAM J.
-Matrix Anal. Appl. 16, 172 (1995)).  The spectrum and sweep-gamma commands
-print nothing else, so they need no matrix and no numpy.
+Matrix Anal. Appl. 16, 172 (1995)).  spectrum and sweep-gamma print nothing
+else, and simulate and verify draw the success curve from these roots.
 
 This is a module of its own so that the commands that do not need it do not
 compile it at start-up.  It imports the standard library only.
@@ -23,8 +23,8 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .scheme import (_check_model, _pole_roots, _root, class_sizes, critical_rate,
-                     scheme_spectrum)
+from .scheme import (_check_model, _pole_balance, _pole_roots, _root, class_sizes,
+                     critical_rate, scheme_spectrum)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -42,6 +42,12 @@ class SecularSpectrum(NamedTuple):
     overlap_s: list[float]
     overlap_w: list[float]
     shifts: list[float]
+
+    def weights(self) -> list[float]:
+        """<w|psi_i><psi_i|s> = -sign(shift_i) sqrt(overlap_s_i overlap_w_i) per root,
+        as <w|psi_i> = 1/|v_i|, <psi_i|s> = -z_0/(shift_i |v_i|); sum: 1/sqrt(N)."""
+        return [-math.copysign(math.sqrt(s * w), shift)
+                for s, w, shift in zip(self.overlap_s, self.overlap_w, self.shifts)]
 
 
 class _Scheme(NamedTuple):
@@ -81,18 +87,6 @@ def _scheme(n: int, k: int) -> _Scheme:
                           for zj, pj, _, _ in poles[i]) for i in range(1, k + 1)]
     return _Scheme(theta, d, z2, poles, consts, halves,
                    critical_rate(n, k), math.sqrt(count))
-
-
-@functools.lru_cache(maxsize=64)
-def _pole_balance(n: int, k: int, o: int) -> Fraction:
-    """sum_{j != o} m_j / (N (D_j - D_o)), exactly: at this rate pole o's own
-    term of the secular function balances the others (at o = 0 it is S_1)."""
-    from fractions import Fraction
-
-    theta, mult = scheme_spectrum(n, k)
-    count = sum(mult)
-    return sum(Fraction(m, (theta[o] - t) * count)
-               for j, (t, m) in enumerate(zip(theta, mult)) if j != o)
 
 
 def _lowest_step(poles: list[tuple[float, float, float, float]]):

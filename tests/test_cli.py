@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
-from johnsonwalk import _split, analysis, cli, output, reduced, linalg
+from johnsonwalk import _split, analysis, cli, output, reduced, linalg, scheme, secular
 
 
 def _read_csv(path):
@@ -35,12 +35,49 @@ def test_simulate_csv_roundtrip(tmp_path):
     header, rows = _read_csv(str(target))
     assert header == ["time", "probability"]
     assert len(rows) == 50
-    curve = linalg.success_curve(reduced.search_hamiltonian(8, 3, 0.03),
+    curve = linalg.secular_curve(secular.secular_spectrum(8, 3, 0.03), 20.0, 50)
+    dense = linalg.success_curve(reduced.search_hamiltonian(8, 3, 0.03),
                                  reduced.initial_state(8, 3), 20.0, 50)
     # 17 significant digits round-trip float64 exactly
-    for row, t, p in zip(rows, curve.times, curve.probabilities):
+    for row, t, p, q in zip(rows, curve.times, curve.probabilities,
+                            dense.probabilities):
         assert float(row[0]) == t
         assert float(row[1]) == p
+        assert abs(p - q) <= 1e-12
+
+
+def _peak(argv, capsys):
+    """The largest probability of a simulate run, and its time over pi sqrt(N)/2."""
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    t, p = max(((float(t), float(p)) for t, p in rows), key=lambda row: row[1])
+    n, k = int(argv[argv.index("--n") + 1]), int(argv[argv.index("--k") + 1])
+    return p, t / scheme.predicted_peak_time(n, k)
+
+
+def test_simulate_default_peaks_at_the_predicted_time(capsys):
+    # At the exact S_1 the walk on J(2000,20), N = 3.9e47, peaks at
+    # p = 0.999972 at t = pi sqrt(N)/2; no double lies in its window of
+    # rates, about 1/sqrt(N) wide, relative.
+    p, at = _peak(["simulate", "--n", "2000", "--k", "20", "--steps", "4001"], capsys)
+    assert p >= 0.9999
+    assert abs(at - 1.0) <= 1e-3
+
+
+def test_simulate_peaks_at_the_double_critical_rate(capsys):
+    # The gap 2/sqrt(N) at J(600,16) is below eps*|H|, so the curve needs the
+    # secular roots' shifts (measured: 0.99981298 on 2e5 points).
+    gamma = repr(scheme.gamma_c_numeric(600, 16).gamma)
+    p, _ = _peak(["simulate", "--n", "600", "--k", "16", "--gamma", gamma,
+                  "--steps", "4001"], capsys)
+    assert abs(p - 0.999813) <= 1e-6
+
+
+def test_simulate_default_rate_is_s1_for_k3(capsys):
+    # The closed form 1/(3n) + 7/(6n^2) lies half a window below S_1 at
+    # n = 100, where its peak is 0.918 (measured: 0.99125169 on 2e5 points).
+    p, _ = _peak(["simulate", "--n", "100", "--k", "3", "--steps", "4001"], capsys)
+    assert abs(p - 0.991252) <= 1e-6
 
 
 def test_csv_is_lf_and_utf8(tmp_path):
@@ -595,11 +632,13 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["sweep-gamma", "--n", "100", "--k", "3", "--points", "200"], 0),
     (["verify", "--n", "30", "--k", "3"], 1),
     (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], 1),
+    (["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"], 1),
     (["sweep-gamma", "--n", "0", "--k", "0"], 1),
     (["analyze-pt", "--n", "5"], 1),
 ], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
         "simulate-gamma-nan", "spectrum-float-range", "spectrum", "sweep-csv",
-        "verify-vertex-cap", "simulate-t-max-inf", "sweep-n0-k0", "pt-n5"])
+        "verify-vertex-cap", "simulate-t-max-inf", "simulate-phase-overflow",
+        "sweep-n0-k0", "pt-n5"])
 def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     # critical-gamma, spectrum and a CSV sweep need only the scheme's
     # spectrum and its secular roots, and these refusals are decided before
@@ -665,7 +704,7 @@ def test_verbose_writes_one_info_line_to_stderr():
                        env=env, capture_output=True, check=True, timeout=60)
         for flags in ([], ["--verbose"]))
     assert quiet.stderr == b""
-    assert verbose.stderr == b"INFO using formula gamma_c = 0.00345\n"
+    assert verbose.stderr == b"INFO using critical rate S_1 = 0.003454843629\n"
     assert verbose.stdout == quiet.stdout
 
 
@@ -677,7 +716,7 @@ def test_verbose_holds_for_each_in_process_call(order, caplog, capsys):
         caplog.clear()
         argv = ["--verbose"] * verbose + ["spectrum", "--n", "100", "--k", "3"]
         assert cli.main(argv) == 0
-        expected = ["using formula gamma_c = 0.00345"] if verbose else []
+        expected = ["using critical rate S_1 = 0.003454843629"] if verbose else []
         assert caplog.messages == expected
 
 
@@ -791,7 +830,7 @@ def test_cli_contract_on_adversarial_arguments(argv):
 def test_out_of_memory_exits_one(exc, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise exc
-    monkeypatch.setattr(linalg, "success_curve", exhausted)
+    monkeypatch.setattr(linalg, "secular_curve", exhausted)
     assert cli.main(["simulate", "--n", "100", "--k", "3", "--steps", "50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

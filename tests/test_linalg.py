@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from johnsonwalk import _split, linalg, reduced
+from johnsonwalk import _split, linalg, reduced, scheme, secular
 
 
 def _random_symmetric(dim, seed):
@@ -199,6 +199,33 @@ def test_success_curve_rejects_phase_overflow():
     h = reduced.search_hamiltonian(2, 1, 1e308)
     with pytest.raises(ValueError, match="overflow"):
         linalg.success_curve(h, reduced.initial_state(2, 1), 10.0, 5)
+
+
+@pytest.mark.parametrize("n,k,gamma", [
+    (8, 3, 0.03), (100, 3, 0.00345), (100, 3, None), (20, 10, None),
+], ids=["8-3", "100-3", "100-3-s1", "20-10-s1"])
+def test_secular_curve_matches_the_distance_basis(n, k, gamma):
+    # The same curve from the secular roots, with no matrix (measured: at
+    # most 2.4e-13 apart, at J(100,3) and gamma = 0.00345); None is S_1.
+    if gamma is None:
+        gamma = scheme.critical_rate(n, k)
+    t_max = 1.5 * scheme.predicted_peak_time(n, k)
+    ours = linalg.secular_curve(secular.secular_spectrum(n, k, gamma), t_max, 2001)
+    dense = linalg.success_curve(reduced.search_hamiltonian(n, k, float(gamma)),
+                                 reduced.initial_state(n, k), t_max, 2001)
+    assert np.array_equal(ours.times, dense.times)
+    assert np.abs(ours.probabilities - dense.probabilities).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gamma,t_max,message", [
+    (0.03, math.nan, "t_max must be finite"),
+    (0.03, -3.0, "t_max must be non-negative"),
+    (1e308, 10.0, "overflow"),
+], ids=["nan", "negative", "phase-overflow"])
+def test_secular_curve_shares_the_time_and_phase_rules(gamma, t_max, message):
+    # J(2,1) at gamma = 1e308: the shift gamma * D_1 is not finite
+    with pytest.raises(ValueError, match=message):
+        linalg.secular_curve(secular.secular_spectrum(2, 1, gamma), t_max, 5)
 
 
 def test_overlap_spectrum_completeness():

@@ -153,3 +153,18 @@ def test_secular_spectrum_at_extreme_rates(n, k, gamma):
     assert spectrum.energies == sorted(spectrum.energies)
     assert abs(math.fsum(spectrum.overlap_s) - 1.0) <= 1e-12
     assert abs(math.fsum(spectrum.overlap_w) - 1.0) <= 1e-12
+
+
+def test_weights_sum_to_the_marked_overlap():
+    # <w|psi_i><psi_i|s> summed over the roots is <w|s> = 1/sqrt(N), even
+    # where the two largest weights, near +-1/2, cancel to 1e-24 (measured:
+    # within 1.9 eps over the small graphs).
+    eps = sys.float_info.epsilon
+    cases = [(n, k) for n in range(2, 30) for k in range(1, n // 2 + 1)]
+    for n, k in cases + [(600, 16), (2000, 20), (150000, 3), (200, 100)]:
+        s1 = scheme.critical_rate(n, k)
+        for gamma in (0.0, 0.5 * float(s1), s1, 2.0 * float(s1)):
+            weights = secular.secular_spectrum(n, k, gamma).weights()
+            assert len(weights) == k + 1
+            total = math.fsum(weights)
+            assert abs(total - 1.0 / math.sqrt(math.comb(n, k))) <= 4.0 * eps, (n, k)
