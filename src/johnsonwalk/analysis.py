@@ -1,14 +1,17 @@
-"""Eigensolver cross-checks, energy gap, and perturbation-theory checks.
+"""The eigensolver's balance check, the k=3 perturbation analysis, and
+the brute-force verification.
 
 The critical jumping rate itself comes from ``scheme``, without a matrix.
 ``overlap_balance`` is the same balance taken from an eigendecomposition of
 the distance-basis Hamiltonian, so it checks the rate ``scheme`` returns at
 moderate N.  Around that rate the walk behaves as a two-level system, and
-the functions in the second half of this module rebuild that picture
-numerically: the characteristic cubic of the (d0, r', r'') block, and
+the middle of this module rebuilds that picture numerically: the
+characteristic cubic of the (d0, r', r'') block, and
 ``perturbation_report``, which finds the block eigenpair (lambda_u, |u>)
 with lambda_u nearest -1 - 1/(2n) and the effective 2x2 Hamiltonian over
 (r, u) whose gap sets the runtime pi/(E_plus - E_minus).
+``run_verification`` compares the brute-force graph's curve with the one
+``simulate`` prints.
 """
 
 from __future__ import annotations
@@ -36,13 +39,6 @@ def overlap_balance(n: int, k: int, gamma: float) -> float:
     _, evecs = eig_sym(reduced.search_hamiltonian(n, k, gamma))
     overlaps = (evecs.T @ s) ** 2
     return float(overlaps[0] - overlaps[1])
-
-
-def energy_gap(n: int, k: int, gamma: float) -> float:
-    """E_1 - E_0 of the reduced search Hamiltonian."""
-    scheme._check_positive_gamma(gamma)
-    evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma))
-    return float(evals[1] - evals[0])
 
 
 class NaiveSplitting(NamedTuple):
@@ -205,12 +201,6 @@ def run_verification(n: int, k: int, gamma: float,
 
     s_full = np.full(n_vertices, 1.0 / math.sqrt(n_vertices))
     scheme._check_steps(steps)
-    if t_max == 0.0:
-        # exp(-iH*0) = I: one point, where both curves are |<w|s>|^2 = 1/N.
-        deviation = abs(s_full[0] ** 2 - (1.0 / math.sqrt(n_vertices)) ** 2)
-        return VerificationResult(n=n, k=k, gamma=float(gamma), t_max=0.0,
-                                  steps=1, max_deviation=float(deviation))
-
     h_full = -float(gamma) * graph.adjacency.astype(float)
     h_full[0, 0] -= 1.0
     full_curve = success_curve(h_full, s_full, t_max, steps=steps)

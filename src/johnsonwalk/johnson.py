@@ -3,10 +3,9 @@
 The Johnson graph J(n,k) has the k-element subsets of {0, ..., n-1} as
 vertices, two subsets being adjacent when they share exactly k-1 elements.
 This module provides the exact combinatorial side of the project: vertex
-enumeration, the dense brute-force adjacency matrix, and distance
-classification around a marked vertex.  Everything here is meant to be
-small and obviously correct; the brute-force graph serves as the oracle
-against which the reduced model is validated.
+enumeration and the dense brute-force adjacency matrix.  Everything here is
+meant to be small and obviously correct; the brute-force graph serves as
+the oracle against which the reduced model is validated.
 """
 
 from __future__ import annotations
@@ -62,19 +61,3 @@ def full_adjacency(n: int, k: int, cap: int = DEFAULT_VERTEX_CAP) -> FullGraph:
     overlaps = membership @ membership.T
     adjacency = (overlaps == k - 1).astype(np.int8)
     return FullGraph(n=n, k=k, vertices=vertices, adjacency=adjacency)
-
-
-def distance_classes(graph: FullGraph, w: int = 0) -> list[np.ndarray]:
-    """Vertex indices grouped by graph distance from vertex ``w``.
-
-    On a Johnson graph the distance between two vertices is k minus the size
-    of the subset intersection, so no traversal is needed; class i holds the
-    vertices at distance i and there are min(k, n-k) + 1 classes.
-    """
-    if not 0 <= w < graph.n_vertices:
-        raise ValueError(f"marked vertex index {w} out of range")
-    n, k = graph.n, graph.k
-    w_set = set(graph.vertices[w])
-    dist = np.array([k - len(w_set.intersection(v)) for v in graph.vertices])
-    n_classes = min(k, n - k) + 1
-    return [np.nonzero(dist == i)[0] for i in range(n_classes)]

@@ -1,20 +1,19 @@
-"""Dense symmetric eigendecomposition and spectral time evolution.
+"""Dense symmetric eigendecomposition and the success curve.
 
 ``eig_sym`` is a thin wrapper over LAPACK's symmetric eigensolver as shipped
 with numpy (``np.linalg.eigh``).  It adds the input checks and a
-deterministic eigenvector sign convention, so output built from the
-eigenvectors is reproducible.
+deterministic eigenvector sign convention, which fixes the printed
+components of ``analyze-pt`` (u and h_ru) and the report's alpha vectors.
 
-Evolution under exp(-iHt) is computed spectrally: one decomposition of H
-serves every time on a grid.  Every call decomposes afresh and returns
-arrays that the caller owns.  ``evolve``, ``success_curve`` and
-``overlap_spectrum`` share one checked decomposition.  The marked vertex is
-basis state 0, as in the distance basis and the brute-force graph, so the
-marked amplitude is row 0 of the eigenvectors.  ``secular_curve``, which
-simulate and verify use, takes the curve from the secular roots instead.
-Both sum it in ``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES``
-times that worker threads share out, one per CPU; memory beyond the output
-stays bounded, and the bits do not depend on the BLAS or CPU count.
+The success curve |<w|exp(-iHt)|s>|^2 has two entry points.
+``secular_curve``, which simulate and verify use, takes it from the secular
+roots with no matrix; ``success_curve`` takes it from one eigendecomposition
+of a dense H, and is verify's brute-force oracle.  The marked vertex is
+basis state 0, as in the distance basis and the brute-force graph, so its
+amplitude is row 0 of the eigenvectors.  Both sum the curve in ``_curve``,
+in a fixed order over blocks of ``_BLOCK_TIMES`` times that worker threads
+share out, one per CPU; memory beyond the output stays bounded, and the
+bits do not depend on the BLAS or CPU count.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _split
-from .scheme import _check_grid, _check_phases, _check_time
+from .scheme import _check_grid, _check_phases
 from .secular import SecularSpectrum
 
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
@@ -47,14 +46,6 @@ class TimeSeries(NamedTuple):
     probabilities: np.ndarray
 
 
-class OverlapSpectrum(NamedTuple):
-    """Per-eigenvector energies and squared overlaps with |s> and |w>."""
-
-    energies: np.ndarray
-    overlap_s: np.ndarray
-    overlap_w: np.ndarray
-
-
 def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a real symmetric matrix with LAPACK (``np.linalg.eigh``).
 
@@ -62,8 +53,9 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     max(1, largest |entry|); anything else raises ValueError.
 
     Eigenvalues come back ascending; eigenvector signs are fixed so that the
-    first component of magnitude above ``SIGN_EPS`` is non-negative, so a
-    curve built from them does not depend on the number of BLAS threads.
+    first component of magnitude above ``SIGN_EPS`` is non-negative.  A
+    success curve does not need this: its weight evecs[0] * (evecs^T s)
+    keeps its value when a column flips sign.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -83,30 +75,6 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
 
 
-def _eigenbasis(hamiltonian: np.ndarray,
-                state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of H, and the array ``state`` in that basis.
-
-    Checks that ``state`` fits H before decomposing it.
-    """
-    hamiltonian = np.asarray(hamiltonian)
-    if hamiltonian.ndim != 2 or state.shape != (hamiltonian.shape[0],):
-        raise ValueError("hamiltonian/state dimension mismatch")
-    evals, evecs = eig_sym(hamiltonian)
-    return evals, evecs, evecs.T @ state
-
-
-def evolve(hamiltonian: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(-iHt) to ``psi0`` through the eigendecomposition of H.
-
-    ``t`` may be negative, but must be finite, and so must every phase E*t.
-    """
-    _check_time(t, "t")
-    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
-    _check_phases(float(np.abs(evals).max()), t, "t")
-    return evecs @ (np.exp(-1j * evals * t) * coeffs)
-
-
 def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
                   steps: int) -> TimeSeries:
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
@@ -116,9 +84,13 @@ def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
     non-negative, and every phase E * t_max finite.
     """
     _check_grid(t_max, steps)
-    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(psi0, dtype=complex))
+    hamiltonian = np.asarray(hamiltonian)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if hamiltonian.ndim != 2 or psi0.shape != (hamiltonian.shape[0],):
+        raise ValueError("hamiltonian/state dimension mismatch")
+    evals, evecs = eig_sym(hamiltonian)
     _check_phases(float(np.abs(evals).max()), t_max, "t_max")
-    return _curve(evals, evecs[0] * coeffs, t_max, steps)
+    return _curve(evals, evecs[0] * (evecs.T @ psi0), t_max, steps)
 
 
 def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSeries:
@@ -170,13 +142,3 @@ def _curve(energies: np.ndarray, weights: np.ndarray, t_max: float,
     if errors:
         raise errors[0]
     return TimeSeries(times=times, probabilities=probabilities)
-
-
-def overlap_spectrum(hamiltonian: np.ndarray, s: np.ndarray) -> OverlapSpectrum:
-    """Energies E_i with |<s|psi_i>|^2 and |<w|psi_i>|^2 per eigenvector.
-
-    Both overlap columns sum to one (completeness of the eigenbasis).
-    """
-    evals, evecs, coeffs = _eigenbasis(hamiltonian, np.asarray(s, dtype=float))
-    return OverlapSpectrum(energies=evals, overlap_s=coeffs ** 2,
-                           overlap_w=evecs[0] ** 2)

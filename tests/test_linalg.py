@@ -1,12 +1,12 @@
-"""Symmetric eigensolver wrapper and spectral time evolution."""
+"""Symmetric eigensolver wrapper and the success curve."""
 
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import reference
 from johnsonwalk import _split, linalg, reduced, scheme, secular
 
 
@@ -85,50 +85,22 @@ def test_eig_sym_handles_tiny_offdiagonal():
 def test_returned_arrays_do_not_leak_into_later_calls():
     h = reduced.search_hamiltonian(10, 3, 0.02)
     s = reduced.initial_state(10, 3)
-    expected = linalg.overlap_spectrum(h, s)
+    expected = linalg.success_curve(h, s, 50.0, 7)
     expected_evals, expected_evecs = linalg.eig_sym(h)
 
-    spectrum = linalg.overlap_spectrum(h, s)
-    for array in spectrum:
+    curve = linalg.success_curve(h, s, 50.0, 7)
+    for array in curve:
         array[:] = 0.0
     evals, evecs = linalg.eig_sym(h.copy())
     evals[:] = 0.0
     evecs[:] = 0.0
 
-    again = linalg.overlap_spectrum(h, s)
+    again = linalg.success_curve(h, s, 50.0, 7)
     for got, want in zip(again, expected):
         assert np.array_equal(got, want)
     evals, evecs = linalg.eig_sym(h)
     assert np.array_equal(evals, expected_evals)
     assert np.array_equal(evecs, expected_evecs)
-
-
-def test_evolve_t_zero_is_identity():
-    h = reduced.search_hamiltonian(8, 3, 0.05)
-    psi0 = reduced.initial_state(8, 3)
-    assert np.abs(linalg.evolve(h, psi0, 0.0) - psi0).max() < 1e-13
-
-
-@given(st.floats(0.0, 50.0))
-@settings(max_examples=30, deadline=None)
-def test_evolve_is_unitary(t):
-    h = reduced.search_hamiltonian(9, 3, 0.04)
-    psi = linalg.evolve(h, reduced.initial_state(9, 3), t)
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evolve_composes():
-    h = reduced.search_hamiltonian(7, 2, 0.1)
-    psi0 = reduced.initial_state(7, 2)
-    one_shot = linalg.evolve(h, psi0, 0.7 + 1.9)
-    two_step = linalg.evolve(h, linalg.evolve(h, psi0, 0.7), 1.9)
-    assert np.abs(one_shot - two_step).max() < 1e-12
-
-
-def test_evolve_dimension_mismatch():
-    h = reduced.search_hamiltonian(7, 2, 0.1)
-    with pytest.raises(ValueError):
-        linalg.evolve(h, np.ones(4), 1.0)
 
 
 def test_success_curve_grid_and_consistency():
@@ -139,10 +111,9 @@ def test_success_curve_grid_and_consistency():
     assert curve.times[0] == 0.0
     assert curve.times[-1] == 12.0
     assert np.allclose(np.diff(curve.times), 12.0 / 24)
-    for j in (0, 7, 24):
-        psi = linalg.evolve(h, psi0, curve.times[j])
-        assert curve.probabilities[j] == pytest.approx(abs(psi[0]) ** 2,
-                                                       abs=1e-13)
+    np.testing.assert_allclose(curve.probabilities,
+                               _one_product_curve(h, psi0, 12.0, 25),
+                               rtol=0.0, atol=1e-13)
     assert np.all(curve.probabilities >= 0)
     assert np.all(curve.probabilities <= 1 + 1e-12)
 
@@ -165,9 +136,8 @@ def test_success_curve_rejects_non_finite_t_max(t_max):
 
 
 TIMED_ENTRY_POINTS = pytest.mark.parametrize("call", [
-    lambda h, s, t: linalg.evolve(h, s, t),
     lambda h, s, t: linalg.success_curve(h, s, t, 5),
-], ids=["evolve", "success_curve"])
+], ids=["success_curve"])
 
 
 @TIMED_ENTRY_POINTS
@@ -185,13 +155,6 @@ def test_timed_entry_points_share_the_phase_rule(call):
     with pytest.raises(ValueError, match="overflow"):
         call(reduced.search_hamiltonian(2, 1, 1e308), reduced.initial_state(2, 1),
              10.0)
-
-
-def test_evolve_runs_backward():
-    h = reduced.search_hamiltonian(7, 2, 0.1)
-    psi0 = reduced.initial_state(7, 2)
-    back = linalg.evolve(h, linalg.evolve(h, psi0, 2.6), -2.6)
-    assert np.abs(back - psi0).max() < 1e-12
 
 
 def test_success_curve_rejects_phase_overflow():
@@ -229,21 +192,19 @@ def test_secular_curve_shares_the_time_and_phase_rules(gamma, t_max, message):
 
 
 def test_overlap_spectrum_completeness():
-    h = reduced.search_hamiltonian(12, 3, 0.02)
-    spectrum = linalg.overlap_spectrum(h, reduced.initial_state(12, 3))
-    assert spectrum.energies.shape == (4,)
-    assert np.all(np.diff(spectrum.energies) >= 0)
-    assert spectrum.overlap_s.sum() == pytest.approx(1.0, abs=1e-12)
-    assert spectrum.overlap_w.sum() == pytest.approx(1.0, abs=1e-12)
+    energies, overlap_s, overlap_w = reference.overlap_spectrum(12, 3, 0.02)
+    assert energies.shape == (4,)
+    assert np.all(np.diff(energies) >= 0)
+    assert overlap_s.sum() == pytest.approx(1.0, abs=1e-12)
+    assert overlap_w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_spectrum_small_gamma_sits_on_first_excited():
     """Far below the critical rate the uniform state is essentially the
     first excited eigenstate (the marked vertex dominates the ground one)."""
-    spectrum = linalg.overlap_spectrum(reduced.search_hamiltonian(100, 3, 0.0005),
-                                       reduced.initial_state(100, 3))
-    assert spectrum.overlap_s[1] == pytest.approx(0.999991471103782, abs=1e-9)
-    assert spectrum.overlap_w[0] > 0.999
+    _, overlap_s, overlap_w = reference.overlap_spectrum(100, 3, 0.0005)
+    assert overlap_s[1] == pytest.approx(0.999991471103782, abs=1e-9)
+    assert overlap_w[0] > 0.999
 
 
 def test_search_hamiltonian_eigensolver_matches_lapack():
@@ -295,6 +256,21 @@ def test_success_curve_matches_one_product(n, k, steps):
                                rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
+def test_success_curve_does_not_need_the_sign_convention(monkeypatch, n, k, steps):
+    # A weight evecs[0] * (evecs^T s) keeps its bits when a column flips.
+    _, _, default = _curve(n, k, steps)
+    eig_sym = linalg.eig_sym
+
+    def negated_eig_sym(matrix):
+        evals, evecs = eig_sym(matrix)
+        return linalg.SpectralDecomposition(evals, -evecs)
+
+    monkeypatch.setattr(linalg, "eig_sym", negated_eig_sym)
+    _, _, flipped = _curve(n, k, steps)
+    assert np.array_equal(flipped, default)
+
+
 def test_success_curve_rejects_negative_t_max():
     h = reduced.search_hamiltonian(8, 3, 0.03)
     with pytest.raises(ValueError,
@@ -308,10 +284,8 @@ def test_eig_sym_rejects_empty_matrix():
 
 
 @pytest.mark.parametrize("call", [
-    lambda h, s: linalg.evolve(h, s, 1.0),
     lambda h, s: linalg.success_curve(h, s, 1.0, 5),
-    lambda h, s: linalg.overlap_spectrum(h, s),
-], ids=["evolve", "success_curve", "overlap_spectrum"])
+], ids=["success_curve"])
 def test_spectral_entry_points_share_input_checks(call):
     h = reduced.search_hamiltonian(7, 2, 0.1)
     with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from johnsonwalk import johnson, linalg, reduced, scheme
 
 # spectrum of the (7,3) search Hamiltonian at gamma = 0.05, from an
@@ -61,7 +62,7 @@ def test_reduced_adjacency_is_equitable_quotient(n, k):
     """Collapsing the brute-force adjacency onto normalized class
     indicators must reproduce the reduced matrix exactly."""
     graph = johnson.full_adjacency(n, k)
-    classes = johnson.distance_classes(graph)
+    classes = reference.distance_classes(graph)
     s = np.zeros((graph.n_vertices, k + 1))
     for i, members in enumerate(classes):
         s[members, i] = 1.0 / math.sqrt(len(members))

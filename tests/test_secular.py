@@ -13,10 +13,9 @@ from johnsonwalk import scheme, secular
 def _eigensolver(n, k, gamma):
     """The distance-basis H's spectrum through the dense eigensolver."""
     pytest.importorskip("numpy")
-    from johnsonwalk import linalg, reduced
+    import reference
 
-    return linalg.overlap_spectrum(reduced.search_hamiltonian(n, k, gamma),
-                                   reduced.initial_state(n, k))
+    return reference.overlap_spectrum(n, k, gamma)
 
 
 def test_secular_spectrum_matches_the_eigensolver():
