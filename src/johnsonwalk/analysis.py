@@ -11,7 +11,7 @@ characteristic cubic of the (d0, r', r'') block, and
 with lambda_u nearest -1 - 1/(2n) and the effective 2x2 Hamiltonian over
 (r, u) whose gap sets the runtime pi/(E_plus - E_minus).
 ``run_verification`` compares the brute-force graph's curve with the one
-``simulate`` prints.
+``simulate`` prints, from ``scheme.secular_spectrum``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import johnson, reduced, scheme, secular
+from . import johnson, reduced, scheme
 from .linalg import eig_sym, secular_curve, success_curve
 from .scheme import DEFAULT_VERTEX_CAP
 
@@ -193,7 +193,7 @@ def run_verification(n: int, k: int, gamma: float,
     reduction, not numerical noise.
     """
     # Checked first, so a bad gamma or n < 2k is reported before the cap.
-    spectrum = secular.secular_spectrum(n, k, gamma)
+    spectrum = scheme.secular_spectrum(n, k, gamma)
     graph = johnson.full_adjacency(n, k, cap=cap)
     n_vertices = graph.n_vertices
     if t_max is None:

@@ -20,11 +20,11 @@ processes, one per CPU beyond the first.  It also includes a failed final
 write, such as buffered stdout flushed to a full disk or a closed pipe.
 
 critical-gamma, spectrum and sweep-gamma (as CSV) run without numpy:
-everything they print comes from the Johnson scheme's exact spectrum and
-the roots of its secular equation (``scheme``, ``secular``), and their CSV
-goes out through ``array.array`` columns; simulate solves the same roots
-and loads numpy only for its curve, which verify checks against the
-brute-force graph.  The default rate is the exact critical rate S_1.
+everything they print comes from ``scheme``, the Johnson scheme's exact
+spectrum and the roots of its secular equation, and their CSV goes out
+through ``array.array`` columns; simulate solves the same roots and loads
+numpy only for its curve, which verify checks against the brute-force
+graph.  The default rate is the exact critical rate S_1.
 verify, analyze-pt, simulate and an SVG sweep load numpy inside the command,
 after every input check that needs no arrays, so a refused input costs no
 numpy import in any command.  The ``logging`` module is imported only by a
@@ -155,8 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     gamma = _rate(args)
     t_max = (args.t_max if args.t_max is not None
              else 1.5 * scheme.predicted_peak_time(args.n, args.k))
-    from . import secular
-    spectrum = secular.secular_spectrum(args.n, args.k, gamma)  # checks the model
+    spectrum = scheme.secular_spectrum(args.n, args.k, gamma)  # checks the model
     scheme._check_grid(t_max, args.steps)
     scheme._check_phases(max(map(abs, spectrum.shifts)), t_max, "t_max")
     from . import linalg, output
@@ -183,9 +182,9 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
         raise ValueError(f"gamma range [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
-    from . import output, secular
+    from . import output
     gammas = _grid(lo, hi, points)
-    spectra = [secular.secular_spectrum(n, k, gamma) for gamma in gammas]
+    spectra = [scheme.secular_spectrum(n, k, gamma) for gamma in gammas]
     if args.format == "svg":
         series = [(gammas, [spectrum.overlap_s[j] for spectrum in spectra])
                   for j in range(k + 1)]
@@ -217,8 +216,8 @@ def cmd_critical_gamma(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     gamma = _rate(args)
-    from . import output, secular
-    spectrum = secular.secular_spectrum(args.n, args.k, gamma)
+    from . import output
+    spectrum = scheme.secular_spectrum(args.n, args.k, gamma)
     output.write_csv(args.output,
                      ["eig_index", "energy", "overlap_s", "overlap_w"],
                      [array("q", range(args.k + 1)), array("d", spectrum.energies),

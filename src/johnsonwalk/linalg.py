@@ -7,13 +7,13 @@ components of ``analyze-pt`` (u and h_ru) and the report's alpha vectors.
 
 The success curve |<w|exp(-iHt)|s>|^2 has two entry points.
 ``secular_curve``, which simulate and verify use, takes it from the secular
-roots with no matrix; ``success_curve`` takes it from one eigendecomposition
-of a dense H, and is verify's brute-force oracle.  The marked vertex is
-basis state 0, as in the distance basis and the brute-force graph, so its
-amplitude is row 0 of the eigenvectors.  Both sum the curve in ``_curve``,
-in a fixed order over blocks of ``_BLOCK_TIMES`` times that worker threads
-share out, one per CPU; memory beyond the output stays bounded, and the
-bits do not depend on the BLAS or CPU count.
+roots (``scheme``) with no matrix; ``success_curve`` takes it from one
+eigendecomposition of a dense H, and is verify's brute-force oracle.  The
+marked vertex is basis state 0, as in the distance basis and the brute-force
+graph, so its amplitude is row 0 of the eigenvectors.  Both sum the curve in
+``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES`` times that
+worker threads share out, one per CPU; memory beyond the output stays
+bounded, and the bits do not depend on the BLAS or CPU count.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _split
-from .scheme import _check_grid, _check_phases
-from .secular import SecularSpectrum
+from .scheme import SecularSpectrum, _check_grid, _check_phases
 
 #: Magnitude threshold used by the deterministic eigenvector sign convention.
 SIGN_EPS = 1e-8

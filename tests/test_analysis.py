@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import analysis, johnson, reduced, scheme, secular
+from johnsonwalk import analysis, johnson, reduced, scheme
 from johnsonwalk.scheme import SearchBracketError
 from johnsonwalk.johnson import VertexCapError
 from johnsonwalk.linalg import eig_sym
@@ -381,8 +381,8 @@ def test_run_verification_zero_window():
 
 def test_run_verification_zero_window_sees_wrong_weights(monkeypatch):
     # Doubled secular weights put the reduced curve at 4/N at t = 0.
-    weights = secular.SecularSpectrum.weights
-    monkeypatch.setattr(secular.SecularSpectrum, "weights",
+    weights = scheme.SecularSpectrum.weights
+    monkeypatch.setattr(scheme.SecularSpectrum, "weights",
                         lambda self: [2.0 * w for w in weights(self)])
     result = analysis.run_verification(6, 3, 0.1, t_max=0.0)
     assert result.max_deviation == pytest.approx(3.0 / 20.0, rel=1e-12)

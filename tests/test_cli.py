@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
-from johnsonwalk import _split, analysis, cli, output, reduced, linalg, scheme, secular
+from johnsonwalk import _split, analysis, cli, output, reduced, linalg, scheme
 
 
 def _read_csv(path):
@@ -35,7 +35,7 @@ def test_simulate_csv_roundtrip(tmp_path):
     header, rows = _read_csv(str(target))
     assert header == ["time", "probability"]
     assert len(rows) == 50
-    curve = linalg.secular_curve(secular.secular_spectrum(8, 3, 0.03), 20.0, 50)
+    curve = linalg.secular_curve(scheme.secular_spectrum(8, 3, 0.03), 20.0, 50)
     dense = linalg.success_curve(reduced.search_hamiltonian(8, 3, 0.03),
                                  reduced.initial_state(8, 3), 20.0, 50)
     # 17 significant digits round-trip float64 exactly
@@ -649,6 +649,25 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     run = subprocess.run([sys.executable, "-c", program, *argv],
                          env=_program_env(), capture_output=True, timeout=60)
     assert run.stdout.decode().splitlines()[-1] == f"{code} False False"
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["critical-gamma", "--n", "100", "--k", "3"], ["cli", "scheme"]),
+    (["spectrum", "--n", "100", "--k", "3"], ["_split", "cli", "output", "scheme"]),
+    (["sweep-gamma", "--n", "100", "--k", "3", "--points", "20"],
+     ["_split", "cli", "output", "scheme"]),
+], ids=["critical-gamma", "spectrum", "sweep-csv"])
+def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
+    # Each process compiles the package modules it imports.  The secular
+    # roots live in scheme, which every command loads, so these runs
+    # compile no module that they do not run.
+    program = ("import sys; from johnsonwalk import cli; cli.main(sys.argv[1:]); "
+               "print(sorted(m.split('.', 1)[1] for m in sys.modules "
+               "if m.startswith('johnsonwalk.')))")
+    run = subprocess.run([sys.executable, "-c", program, *argv],
+                         env=_program_env(), capture_output=True, check=True,
+                         timeout=60)
+    assert run.stdout.decode().splitlines()[-1] == str(modules)
 
 
 def test_import_loads_no_dataclasses():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import _split, linalg, reduced, scheme, secular
+from johnsonwalk import _split, linalg, reduced, scheme
 
 
 def _random_symmetric(dim, seed):
@@ -173,7 +173,7 @@ def test_secular_curve_matches_the_distance_basis(n, k, gamma):
     if gamma is None:
         gamma = scheme.critical_rate(n, k)
     t_max = 1.5 * scheme.predicted_peak_time(n, k)
-    ours = linalg.secular_curve(secular.secular_spectrum(n, k, gamma), t_max, 2001)
+    ours = linalg.secular_curve(scheme.secular_spectrum(n, k, gamma), t_max, 2001)
     dense = linalg.success_curve(reduced.search_hamiltonian(n, k, float(gamma)),
                                  reduced.initial_state(n, k), t_max, 2001)
     assert np.array_equal(ours.times, dense.times)
@@ -188,7 +188,7 @@ def test_secular_curve_matches_the_distance_basis(n, k, gamma):
 def test_secular_curve_shares_the_time_and_phase_rules(gamma, t_max, message):
     # J(2,1) at gamma = 1e308: the shift gamma * D_1 is not finite
     with pytest.raises(ValueError, match=message):
-        linalg.secular_curve(secular.secular_spectrum(2, 1, gamma), t_max, 5)
+        linalg.secular_curve(scheme.secular_spectrum(2, 1, gamma), t_max, 5)
 
 
 def test_overlap_spectrum_completeness():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from johnsonwalk import scheme, secular
+from johnsonwalk import scheme
 
 
 def _eigensolver(n, k, gamma):
@@ -28,7 +28,7 @@ def test_secular_spectrum_matches_the_eigensolver():
         for k in range(1, n // 2 + 1):
             s1 = float(scheme.critical_rate(n, k))
             for gamma in (0.5 * s1, s1, 2.0 * s1):
-                roots = secular.secular_spectrum(n, k, gamma)
+                roots = scheme.secular_spectrum(n, k, gamma)
                 reference = _eigensolver(n, k, gamma)
                 norm = gamma * k * (n - k) + 1.0
                 for i, shift in enumerate(roots.shifts):
@@ -68,7 +68,7 @@ def _reference(n, k, gamma, digits):
 def test_secular_spectrum_matches_extended_precision(n, k, rate):
     s1 = scheme.critical_rate(n, k)
     gamma = scheme.gamma_c_numeric(n, k).gamma if rate == "gamma_c" else float(s1)
-    roots = secular.secular_spectrum(n, k, gamma)
+    roots = scheme.secular_spectrum(n, k, gamma)
     energies, overlap_s, overlap_w, shifts = _reference(
         n, k, Fraction(gamma), int(math.log10(math.comb(n, k))) + 40)
     eps = sys.float_info.epsilon
@@ -94,7 +94,7 @@ def test_secular_spectrum_where_a_pole_balances(n, k, o):
     count, d = sum(mult), [theta[0] - t for t in theta]
     gamma = float(sum(Fraction(m, (dj - d[o]) * count)
                       for j, (m, dj) in enumerate(zip(mult, d)) if j != o))
-    roots = secular.secular_spectrum(n, k, gamma)
+    roots = scheme.secular_spectrum(n, k, gamma)
     reference = _reference(n, k, Fraction(gamma), int(math.log10(count)) + 40)
     for ours, theirs in zip(roots[:3], reference):
         for x, y in zip(ours, theirs):
@@ -105,7 +105,7 @@ def test_secular_gap_at_the_exact_critical_rate():
     # gap*sqrt(N)/2 at J(2000,20), as in the ROADMAP's 90-digit table; the
     # gap, 5e-24, is taken from the shifts, since the energies round it away.
     n, k = 2000, 20
-    spectrum = secular.secular_spectrum(n, k, scheme.critical_rate(n, k))
+    spectrum = scheme.secular_spectrum(n, k, scheme.critical_rate(n, k))
     gap = spectrum.shifts[1] - spectrum.shifts[0]
     assert abs(gap * math.sqrt(math.comb(n, k)) / 2.0 - 0.99998599) <= 1e-6
     assert spectrum.overlap_s[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -114,7 +114,7 @@ def test_secular_gap_at_the_exact_critical_rate():
 @pytest.mark.parametrize("n,k", [(7, 3), (2, 1), (40, 20), (100, 1)])
 def test_secular_spectrum_at_zero_rate_is_the_eigensolver_s(n, k):
     # H = -|w><w|: the eigensolver returns the distance states themselves.
-    roots = secular.secular_spectrum(n, k, 0.0)
+    roots = scheme.secular_spectrum(n, k, 0.0)
     reference = _eigensolver(n, k, 0.0)
     for ours, theirs in zip(roots[:3], reference):
         assert [(x, math.copysign(1.0, x)) for x in ours] == \
@@ -126,7 +126,7 @@ def test_secular_spectrum_in_range_near_the_float_limit(n, k):
     # N is 1.2e218 and 1.4e307: z_j^2 reaches 1/N and the offsets z_j^2.
     s1 = float(scheme.critical_rate(n, k))
     for gamma in (0.5 * s1, s1, 2.0 * s1):
-        spectrum = secular.secular_spectrum(n, k, gamma)
+        spectrum = scheme.secular_spectrum(n, k, gamma)
         for column in spectrum:
             assert all(math.isfinite(x) for x in column)
         assert spectrum.shifts == sorted(spectrum.shifts)
@@ -146,7 +146,7 @@ def test_secular_spectrum_at_extreme_rates(n, k, gamma):
     # a pole's own term balances the others (J(1e150,2) at 1/n, J(1e7,4) at
     # 2 S_1): the overlaps still sum to one.
     # The shifts from the top pole overflow where its gap does.
-    spectrum = secular.secular_spectrum(n, k, gamma)
+    spectrum = scheme.secular_spectrum(n, k, gamma)
     for column in spectrum[:3]:
         assert all(math.isfinite(x) for x in column)
     assert spectrum.energies == sorted(spectrum.energies)
@@ -163,7 +163,7 @@ def test_weights_sum_to_the_marked_overlap():
     for n, k in cases + [(600, 16), (2000, 20), (150000, 3), (200, 100)]:
         s1 = scheme.critical_rate(n, k)
         for gamma in (0.0, 0.5 * float(s1), s1, 2.0 * float(s1)):
-            weights = secular.secular_spectrum(n, k, gamma).weights()
+            weights = scheme.secular_spectrum(n, k, gamma).weights()
             assert len(weights) == k + 1
             total = math.fsum(weights)
             assert abs(total - 1.0 / math.sqrt(math.comb(n, k))) <= 4.0 * eps, (n, k)
