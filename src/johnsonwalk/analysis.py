@@ -1,5 +1,4 @@
-"""The eigensolver's balance check, the k=3 perturbation analysis, and
-the brute-force verification.
+"""The eigensolver's balance check and the k=3 perturbation analysis.
 
 The critical jumping rate itself comes from ``scheme``, without a matrix.
 ``overlap_balance`` is the same balance taken from an eigendecomposition of
@@ -9,9 +8,8 @@ the middle of this module rebuilds that picture numerically: the
 characteristic cubic of the (d0, r', r'') block, and
 ``perturbation_report``, which finds the block eigenpair (lambda_u, |u>)
 with lambda_u nearest -1 - 1/(2n) and the effective 2x2 Hamiltonian over
-(r, u) whose gap sets the runtime pi/(E_plus - E_minus).
-``run_verification`` compares the brute-force graph's curve with the one
-``simulate`` prints, from ``scheme.secular_spectrum``.
+(r, u) whose gap sets the runtime pi/(E_plus - E_minus).  The brute-force
+verification is ``johnson.run_verification``.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import johnson, reduced, scheme
-from .linalg import eig_sym, secular_curve, success_curve
-from .scheme import DEFAULT_VERTEX_CAP
+from . import reduced, scheme
+from .linalg import eig_sym
 
 
 def overlap_balance(n: int, k: int, gamma: float) -> float:
@@ -168,44 +165,3 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
         if not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValueError(f"{name} overflows at n={n}, gamma={gamma}")
     return report
-
-
-class VerificationResult(NamedTuple):
-    """Outcome of a full-graph vs secular-root comparison."""
-
-    n: int
-    k: int
-    gamma: float
-    t_max: float
-    steps: int
-    max_deviation: float
-
-
-def run_verification(n: int, k: int, gamma: float,
-                     t_max: Optional[float] = None, steps: int = 200,
-                     cap: int = DEFAULT_VERTEX_CAP) -> VerificationResult:
-    """Compare the brute-force graph's success curve with simulate's, from
-    the secular roots (``linalg.secular_curve``), on a shared grid.
-
-    The marked vertex is the first k-subset (index 0); the graph rounds a
-    ``Fraction`` gamma to a double.  The default window [0, 2*pi*sqrt(N)]
-    covers a full revival.  A deviation beyond ~1e-10 indicates a broken
-    reduction, not numerical noise.
-    """
-    # Checked first, so a bad gamma or n < 2k is reported before the cap.
-    spectrum = scheme.secular_spectrum(n, k, gamma)
-    graph = johnson.full_adjacency(n, k, cap=cap)
-    n_vertices = graph.n_vertices
-    if t_max is None:
-        t_max = 2.0 * math.pi * math.sqrt(n_vertices)
-
-    s_full = np.full(n_vertices, 1.0 / math.sqrt(n_vertices))
-    scheme._check_steps(steps)
-    h_full = -float(gamma) * graph.adjacency.astype(float)
-    h_full[0, 0] -= 1.0
-    full_curve = success_curve(h_full, s_full, t_max, steps=steps)
-    reduced_curve = secular_curve(spectrum, t_max, steps)
-    deviation = float(np.abs(full_curve.probabilities
-                             - reduced_curve.probabilities).max())
-    return VerificationResult(n=n, k=k, gamma=float(gamma), t_max=float(t_max),
-                              steps=int(steps), max_deviation=deviation)

@@ -6,11 +6,12 @@ deterministic eigenvector sign convention, which fixes the printed
 components of ``analyze-pt`` (u and h_ru) and the report's alpha vectors.
 
 The success curve |<w|exp(-iHt)|s>|^2 has two entry points.
-``secular_curve``, which simulate and verify use, takes it from the secular
-roots (``scheme``) with no matrix; ``success_curve`` takes it from one
-eigendecomposition of a dense H, and is verify's brute-force oracle.  The
-marked vertex is basis state 0, as in the distance basis and the brute-force
-graph, so its amplitude is row 0 of the eigenvectors.  Both sum the curve in
+``secular_curve``, which simulate uses, takes it from the secular roots
+(``scheme``) with no matrix; ``success_curve`` takes it from one
+eigendecomposition of a dense H, the reference the tests hold the
+distance-basis model and verify's matrix-free oracle to.  The marked vertex
+is basis state 0, as in the distance basis and the full graph, so its
+amplitude is row 0 of the eigenvectors.  Both sum the curve in
 ``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES`` times that
 worker threads share out, one per CPU; memory beyond the output stays
 bounded, and the bits do not depend on the BLAS or CPU count.

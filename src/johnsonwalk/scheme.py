@@ -35,14 +35,14 @@ import functools
 import math
 import numbers
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-#: Default ceiling on C(n,k) for brute-force construction.  Dense storage and
-#: full eigendecompositions stay comfortable below this size.  It is defined
-#: here so that the command line's help can show it without loading numpy.
+#: Default ceiling on C(n,k) for brute-force construction, the dense oracle's
+#: old limit; the matrix-free one runs far past it when the cap is raised.  It
+#: is defined here so that the command line's help can show it without numpy.
 DEFAULT_VERTEX_CAP = 4000
 
 
@@ -191,6 +191,17 @@ def _check_steps(steps) -> None:
         raise ValueError(f"steps must be an integer >= 2, got {steps}")
     if steps > sys.maxsize // 8:  # the most float64s numpy addresses
         raise ValueError(f"a grid of {steps} points is too large to address")
+
+
+def _grid(lo: float, hi: float, points: int) -> Iterator[float]:
+    """``np.linspace(lo, hi, points)``, bit for bit, one point at a time:
+    lo + i*step, ending at hi."""
+    div = points - 1
+    step = (hi - lo) / div
+    for i in range(div):
+        # numpy's branch for a step that underflows
+        yield i / div * (hi - lo) + lo if step == 0 else i * step + lo
+    yield hi
 
 
 def _check_time(t: float, name: str) -> None:

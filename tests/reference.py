@@ -2,14 +2,54 @@
 
 The package computes none of these: the overlap spectrum and the energy gap
 come from the distance-basis Hamiltonian, which the secular roots must
-match, and the distance classes from the brute-force graph, which the
-distance-basis model must reduce to.
+match; the dense adjacency of the full graph, which ``johnson``'s
+matrix-free product and its oracle must match; and the distance classes
+from that graph, which the distance-basis model must reduce to.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from johnsonwalk import reduced
+from johnsonwalk import johnson, reduced
 from johnsonwalk.linalg import eig_sym
+from johnsonwalk.scheme import DEFAULT_VERTEX_CAP, _check_vertex_cap
+
+
+class FullGraph(NamedTuple):
+    """Brute-force Johnson graph: vertex list plus dense adjacency matrix."""
+
+    n: int
+    k: int
+    vertices: list
+    adjacency: np.ndarray
+
+    @property
+    def n_vertices(self):
+        return len(self.vertices)
+
+
+def full_adjacency(n, k, cap=DEFAULT_VERTEX_CAP):
+    """J(n,k) as a dense 0/1 adjacency matrix, by ``johnson``'s vertex order.
+
+    Two k-subsets are adjacent iff their intersection has k-1 elements.  The
+    matrix is built from the vertex membership matrix M (one row per vertex,
+    one column per symbol): (M M^T)[u,v] is the intersection size, which a
+    float product (BLAS) gives exactly, since every partial sum is at most k.
+    """
+    n_vertices = _check_vertex_cap(n, k, cap)
+    vertices = johnson.enumerate_vertices(n, k)
+    membership = np.zeros((n_vertices, n))
+    membership[np.arange(n_vertices)[:, None], vertices] = 1.0
+    adjacency = (membership @ membership.T == k - 1).astype(np.int8)
+    return FullGraph(n=n, k=k, vertices=vertices, adjacency=adjacency)
+
+
+def dense_hamiltonian(n, k, gamma, cap=DEFAULT_VERTEX_CAP):
+    """-gamma A - |w><w| on the full graph, w the first k-subset."""
+    h = -float(gamma) * full_adjacency(n, k, cap).adjacency.astype(float)
+    h[0, 0] -= 1.0
+    return h
 
 
 def overlap_spectrum(n, k, gamma):

@@ -59,7 +59,7 @@ def test_criterion_3_full_vs_reduced():
     worst = 0.0
     for n, k in [(5, 2), (6, 2), (6, 3), (7, 3), (8, 4)]:
         for gamma in (0.5 / (k * n), 1.0 / (k * n), 2.0 / (k * n)):
-            result = analysis.run_verification(n, k, gamma)
+            result = johnson.run_verification(n, k, gamma)
             worst = max(worst, result.max_deviation)
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-10 and elapsed < 30.0
@@ -197,7 +197,7 @@ def _diameter(adjacency):
 
 def test_criterion_8_diameter():
     """Brute-force J(n,3) has diameter exactly 3 for 6 <= n <= 10."""
-    diameters = {n: _diameter(johnson.full_adjacency(n, 3).adjacency)
+    diameters = {n: _diameter(reference.full_adjacency(n, 3).adjacency)
                  for n in range(6, 11)}
     passed = all(d == 3 for d in diameters.values())
     _report(8, "diameter", passed,

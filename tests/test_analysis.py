@@ -366,14 +366,14 @@ def test_perturbation_report_consistency():
 
 
 def test_run_verification_small_graphs():
-    assert analysis.run_verification(6, 3, 0.1).max_deviation <= 1e-10
-    assert analysis.run_verification(5, 2, 0.2).max_deviation <= 1e-10
+    assert johnson.run_verification(6, 3, 0.1).max_deviation <= 1e-10
+    assert johnson.run_verification(5, 2, 0.2).max_deviation <= 1e-10
 
 
 def test_run_verification_zero_window():
     # A zero window draws both curves on the steps-point grid at t = 0,
     # where each is |<w|s>|^2 = 1/N up to rounding.
-    result = analysis.run_verification(6, 3, 0.1, t_max=0.0)
+    result = johnson.run_verification(6, 3, 0.1, t_max=0.0)
     assert result.steps == 200
     assert result.t_max == 0.0
     assert result.max_deviation <= 1e-15
@@ -384,25 +384,25 @@ def test_run_verification_zero_window_sees_wrong_weights(monkeypatch):
     weights = scheme.SecularSpectrum.weights
     monkeypatch.setattr(scheme.SecularSpectrum, "weights",
                         lambda self: [2.0 * w for w in weights(self)])
-    result = analysis.run_verification(6, 3, 0.1, t_max=0.0)
+    result = johnson.run_verification(6, 3, 0.1, t_max=0.0)
     assert result.max_deviation == pytest.approx(3.0 / 20.0, rel=1e-12)
 
 
 def test_run_verification_records_window():
-    result = analysis.run_verification(5, 2, 0.05, steps=40)
+    result = johnson.run_verification(5, 2, 0.05, steps=40)
     assert result.t_max == pytest.approx(2.0 * math.pi * math.sqrt(10), abs=1e-12)
     assert result.steps == 40
 
 
 def test_run_verification_honors_cap():
     with pytest.raises(VertexCapError):
-        analysis.run_verification(30, 3, 0.01, cap=100)
+        johnson.run_verification(30, 3, 0.01, cap=100)
     with pytest.raises(ValueError):
-        analysis.run_verification(6, 3, -0.5)
+        johnson.run_verification(6, 3, -0.5)
     with pytest.raises(ValueError, match="finite"):
-        analysis.run_verification(6, 3, math.nan)
+        johnson.run_verification(6, 3, math.nan)
     with pytest.raises(ValueError, match="finite"):
-        analysis.run_verification(6, 3, 0.1, t_max=math.inf)
+        johnson.run_verification(6, 3, 0.1, t_max=math.inf)
 
 
 def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
@@ -412,7 +412,7 @@ def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
     monkeypatch.setattr(scheme, "binomial", exact_count)
     monkeypatch.setattr(johnson, "binomial", exact_count)
     with pytest.raises(ValueError, match="float range"):
-        analysis.run_verification(10**7, 10**6, 0.001)
+        johnson.run_verification(10**7, 10**6, 0.001)
 
 
 # Every k=3 entry point with a valid jumping rate; n and gamma are swapped in

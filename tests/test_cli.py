@@ -316,7 +316,7 @@ def test_sweep_gamma_blocks_are_the_spectrum_at_each_rate(capsys):
 def test_sweep_grid_is_numpy_linspace(lo, hi, points, subnormal):
     if subnormal:  # a step that underflows to 0 takes numpy's other branch
         lo, hi = lo * 5e-324 / 1e300, hi * 5e-324 / 1e300
-    assert cli._grid(lo, hi, points) == np.linspace(lo, hi, points).tolist()
+    assert list(scheme._grid(lo, hi, points)) == np.linspace(lo, hi, points).tolist()
 
 
 def test_sweep_gamma_svg_has_four_series(tmp_path):
@@ -635,15 +635,16 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"], 1),
     (["sweep-gamma", "--n", "0", "--k", "0"], 1),
     (["analyze-pt", "--n", "5"], 1),
+    (["verify", "--n", "9", "--k", "4"], 0),
 ], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
         "simulate-gamma-nan", "spectrum-float-range", "spectrum", "sweep-csv",
         "verify-vertex-cap", "simulate-t-max-inf", "simulate-phase-overflow",
-        "sweep-n0-k0", "pt-n5"])
+        "sweep-n0-k0", "pt-n5", "verify"])
 def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     # critical-gamma, spectrum and a CSV sweep need only the scheme's
-    # spectrum and its secular roots, and these refusals are decided before
-    # a command loads the array modules.  A run without --verbose does not
-    # load logging either.
+    # spectrum and its secular roots, verify adds the full graph's matrix-free
+    # oracle, and these refusals are decided before a command loads the array
+    # modules.  A run without --verbose does not load logging either.
     program = ("import sys; from johnsonwalk import cli; code = cli.main(sys.argv[1:]); "
                "print(code, 'numpy' in sys.modules, 'logging' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", program, *argv],
@@ -656,7 +657,8 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     (["spectrum", "--n", "100", "--k", "3"], ["_split", "cli", "output", "scheme"]),
     (["sweep-gamma", "--n", "100", "--k", "3", "--points", "20"],
      ["_split", "cli", "output", "scheme"]),
-], ids=["critical-gamma", "spectrum", "sweep-csv"])
+    (["verify", "--n", "9", "--k", "4"], ["cli", "johnson", "scheme"]),
+], ids=["critical-gamma", "spectrum", "sweep-csv", "verify"])
 def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
     # Each process compiles the package modules it imports.  The secular
     # roots live in scheme, which every command loads, so these runs
@@ -737,6 +739,16 @@ def test_verbose_holds_for_each_in_process_call(order, caplog, capsys):
         assert cli.main(argv) == 0
         expected = ["using critical rate S_1 = 0.003454843629"] if verbose else []
         assert caplog.messages == expected
+
+
+def test_verify_verbose_logs_the_oracle(caplog, capsys):
+    assert cli.main(["--verbose", "verify", "--n", "9", "--k", "4"]) == 0
+    assert caplog.messages[0] == "using critical rate S_1 = 0.05247700932"
+    assert len(caplog.messages) == 2
+    match = re.fullmatch(r"verified on N = 126 vertices: Krylov dimension 5, "
+                         r"closure residual (\S+)", caplog.messages[1])
+    assert match and float(match.group(1)) <= 1e-20
+    assert capsys.readouterr().out.startswith("J(9,4) gamma=0.05247700932: ")
 
 
 def test_verify_failure_is_one_error_line(capsys):

@@ -1,5 +1,6 @@
-"""Brute-force Johnson graph construction, and the reference distance
-classes against a breadth-first search."""
+"""The Johnson graph's matrix-free adjacency against the dense reference,
+the reference distance classes against a breadth-first search, and the
+brute-force oracle against the dense success curve."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from johnsonwalk import johnson, reduced, scheme
+from johnsonwalk import cli, johnson, linalg, reduced, scheme
 from johnsonwalk.johnson import VertexCapError
 
 
@@ -43,8 +44,19 @@ def test_enumerate_vertices_lexicographic(n, k):
     assert all(len(set(v)) == k for v in verts)
 
 
+def _assert_product_matches_the_reference(n, k, seed=0):
+    # The matrix-free A x against the dense reference's, for random x: the
+    # same integer sums in another order.
+    graph = johnson.incidence(n, k)
+    adjacency = reference.full_adjacency(n, k).adjacency.astype(float)
+    assert graph.n_faces == math.comb(n, k - 1)
+    for x in np.random.default_rng(seed).standard_normal((3, len(graph.faces))):
+        product = np.array(johnson.adjacency_times(graph, x.tolist()))
+        assert np.abs(product - adjacency @ x).max() <= 1e-12 * k * n
+
+
 def test_full_adjacency_j52():
-    graph = johnson.full_adjacency(5, 2)
+    graph = reference.full_adjacency(5, 2)
     adj = graph.adjacency
     assert graph.n_vertices == 10
     assert adj.shape == (10, 10)
@@ -52,46 +64,62 @@ def test_full_adjacency_j52():
     assert np.all(np.diag(adj) == 0)
     # J(n,k) is regular of degree k(n-k)
     assert np.all(adj.sum(axis=0) == 2 * 3)
+    ones = [1.0] * 10
+    assert johnson.adjacency_times(johnson.incidence(5, 2), ones) == [6.0] * 10
 
 
 def test_full_adjacency_rule():
-    graph = johnson.full_adjacency(4, 2)
+    graph = reference.full_adjacency(4, 2)
     verts = graph.vertices
     i = verts.index((0, 1))
     j = verts.index((0, 2))
     disjoint = verts.index((2, 3))
     assert graph.adjacency[i, j] == 1
     assert graph.adjacency[i, disjoint] == 0
+    # Column j of A through the matrix-free product
+    e_j = [float(v == j) for v in range(graph.n_vertices)]
+    column = johnson.adjacency_times(johnson.incidence(4, 2), e_j)
+    assert column == graph.adjacency[:, j].tolist()
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (9, 4), (10, 5), (12, 3)])
 def test_full_adjacency_matches_the_definition(n, k):
     # Reference: two k-subsets are adjacent iff they share k-1 elements.
-    graph = johnson.full_adjacency(n, k)
+    graph = reference.full_adjacency(n, k)
     sets = [set(v) for v in graph.vertices]
     expected = [[len(a & b) == k - 1 for b in sets] for a in sets]
     assert np.array_equal(graph.adjacency, expected)
+    _assert_product_matches_the_reference(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in range(1, n)])
+def test_adjacency_times_matches_the_dense_reference(n, k):
+    _assert_product_matches_the_reference(n, k, seed=n * 10 + k)
 
 
 @pytest.mark.parametrize("n", [7, johnson.DEFAULT_VERTEX_CAP])
 def test_full_adjacency_k1_is_complete_graph(n):
-    # J(4000,1) is the oracle at its default cap.
-    graph = johnson.full_adjacency(n, 1)
-    expected = 1 - np.eye(n, dtype=np.int8)
-    assert np.array_equal(graph.adjacency, expected)
+    # J(4000,1) is the oracle at its default cap: A x = sum(x) - x.
+    x = np.random.default_rng(n).standard_normal(n)
+    product = np.array(johnson.adjacency_times(johnson.incidence(n, 1), x.tolist()))
+    assert np.abs(product - (x.sum() - x)).max() <= 1e-12 * n
+    if n == 7:
+        expected = 1 - np.eye(n, dtype=np.int8)
+        assert np.array_equal(reference.full_adjacency(n, 1).adjacency, expected)
 
 
 def test_full_adjacency_large_k_is_complete_graph():
     # J(201,200) is K_201.  Intersection sizes reach k = 200, past int8.
-    graph = johnson.full_adjacency(201, 200)
+    graph = reference.full_adjacency(201, 200)
     assert graph.adjacency.dtype == np.int8
     assert np.array_equal(graph.adjacency.sum(axis=1), np.full(201, 200))
     assert not graph.adjacency.diagonal().any()
+    _assert_product_matches_the_reference(201, 200)
 
 
 def test_vertex_cap():
     with pytest.raises(VertexCapError) as err:
-        johnson.full_adjacency(30, 3, cap=100)
+        johnson.incidence(30, 3, cap=100)
     assert err.value.n_vertices == 4060
     assert err.value.cap == 100
 
@@ -105,7 +133,7 @@ def test_vertex_cap_refuses_far_past_the_cap_without_the_exact_count(
 
     monkeypatch.setattr(scheme, "binomial", exact_count)
     with pytest.raises(VertexCapError) as err:
-        johnson.full_adjacency(n, k)
+        johnson.incidence(n, k)
     assert err.value.n_vertices is None
     assert str(err.value) == ("J(n,k) has far more vertices than the configured "
                               "cap 4000; raise the cap to force brute-force "
@@ -120,7 +148,7 @@ def test_vertex_cap_refuses_far_past_the_cap_without_the_exact_count(
 ])
 def test_vertex_cap_reports_a_near_count(n, k, cap, text):
     with pytest.raises(VertexCapError) as err:
-        johnson.full_adjacency(n, k, cap=cap)
+        johnson.incidence(n, k, cap=cap)
     assert err.value.n_vertices == math.comb(n, k)
     assert text in str(err.value)
 
@@ -145,7 +173,7 @@ def _bfs_distances(adjacency, source):
 
 @pytest.mark.parametrize("n,k", [(6, 3), (7, 3), (7, 2), (8, 4)])
 def test_distance_classes_match_bfs(n, k):
-    graph = johnson.full_adjacency(n, k)
+    graph = reference.full_adjacency(n, k)
     classes = reference.distance_classes(graph, w=0)
     assert len(classes) == min(k, n - k) + 1
     bfs = _bfs_distances(graph.adjacency, 0)
@@ -156,14 +184,14 @@ def test_distance_classes_match_bfs(n, k):
 
 
 def test_distance_classes_sizes_match_formula():
-    graph = johnson.full_adjacency(8, 3)
+    graph = reference.full_adjacency(8, 3)
     classes = reference.distance_classes(graph)
     assert [len(c) for c in classes] == johnson.class_sizes(8, 3)
     assert len(classes[0]) == 1 and classes[0][0] == 0
 
 
 def test_distance_classes_other_marked_vertex():
-    graph = johnson.full_adjacency(6, 3)
+    graph = reference.full_adjacency(6, 3)
     classes = reference.distance_classes(graph, w=7)
     assert classes[0][0] == 7
     assert [len(c) for c in classes] == [1, 9, 9, 1]
@@ -199,8 +227,72 @@ def test_class_sizes_and_reduced_model_share_the_n_2k_rule():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        johnson.full_adjacency(5, 0)
+        johnson.incidence(5, 0)
     with pytest.raises(ValueError):
-        johnson.full_adjacency(5, 5)
+        johnson.incidence(5, 5)
     with pytest.raises(ValueError):
         johnson.enumerate_vertices(3.5, 2)
+
+
+# The graphs of acceptance criterion 3 at its three rates, and the
+# benchmark's six verify graphs at the critical rate.
+ORACLE_CASES = ([(n, k, factor / (k * n)) for n, k in
+                 [(5, 2), (6, 2), (6, 3), (7, 3), (8, 4)] for factor in (0.5, 1.0, 2.0)]
+                + [(n, k, scheme.critical_rate(n, k)) for n, k in
+                   [(7, 3), (8, 3), (9, 3), (10, 3), (16, 2), (9, 4)]])
+
+
+@pytest.mark.parametrize("n,k,gamma", ORACLE_CASES)
+def test_lanczos_curve_matches_the_dense_curve(n, k, gamma):
+    pairs, _ = johnson._krylov_curve(johnson.incidence(n, k), float(gamma))
+    n_vertices = math.comb(n, k)
+    t_max, steps = 2.0 * math.pi * math.sqrt(n_vertices), 400
+    dense = linalg.success_curve(reference.dense_hamiltonian(n, k, gamma),
+                                 np.full(n_vertices, n_vertices ** -0.5), t_max, steps)
+    amplitude = sum(c * np.exp(-1j * e * dense.times) for e, c in pairs)
+    assert np.abs(np.abs(amplitude) ** 2 - dense.probabilities).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,gamma", ORACLE_CASES)
+def test_krylov_space_of_s_has_dimension_k_plus_1(n, k, gamma):
+    result = johnson.run_verification(n, k, gamma)
+    assert result.krylov_dimension == k + 1
+    assert result.closure_residual <= 1e-20
+    assert result.max_deviation <= 1e-12
+
+
+def test_krylov_space_without_hopping_is_s_and_w():
+    # At gamma = 0, H = -|w><w| and the Krylov space of |s> is span{s, w}.
+    result = johnson.run_verification(9, 4, 0.0)
+    assert result.krylov_dimension == 2
+    assert result.max_deviation <= 1e-15
+
+
+def _drop_one_face(monkeypatch):
+    # Vertex 5 loses a face, and with it the edges through that face: the
+    # graph is no longer distance-regular around the marked vertex.
+    incidence = johnson.incidence
+
+    def broken(n, k, cap=johnson.DEFAULT_VERTEX_CAP):
+        graph = incidence(n, k, cap)
+        graph.faces[5] = graph.faces[5][1:]
+        return graph
+
+    monkeypatch.setattr(johnson, "incidence", broken)
+
+
+def test_oracle_measures_a_krylov_space_that_does_not_close(monkeypatch):
+    _drop_one_face(monkeypatch)
+    result = johnson.run_verification(7, 3, 0.08)
+    assert result.krylov_dimension == 5
+    assert result.closure_residual > 1e-3
+
+
+def test_verify_refuses_a_krylov_space_that_does_not_close(monkeypatch, capsys):
+    # The curve on a space that does not close is not the full graph's, so
+    # verify prints no deviation for it.
+    _drop_one_face(monkeypatch)
+    assert cli.main(["verify", "--n", "7", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verification FAILED (tolerance 1.0e-08)\n"

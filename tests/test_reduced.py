@@ -61,7 +61,7 @@ def test_offdiagonal_squares(k, data):
 def test_reduced_adjacency_is_equitable_quotient(n, k):
     """Collapsing the brute-force adjacency onto normalized class
     indicators must reproduce the reduced matrix exactly."""
-    graph = johnson.full_adjacency(n, k)
+    graph = reference.full_adjacency(n, k)
     classes = reference.distance_classes(graph)
     s = np.zeros((graph.n_vertices, k + 1))
     for i, members in enumerate(classes):
