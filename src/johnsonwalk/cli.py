@@ -19,14 +19,14 @@ such as a long simulate curve or sweep-gamma grid, is formatted in helper
 processes, one per CPU beyond the first.  It also includes a failed final
 write, such as buffered stdout flushed to a full disk or a closed pipe.
 
-critical-gamma, spectrum, sweep-gamma (as CSV) and verify run without
-numpy: what they print comes from ``scheme``, the Johnson scheme's exact
-spectrum and the roots of its secular equation, which verify checks against
-the full graph through ``johnson``'s matrix-free oracle, and their CSV goes
-out through ``array.array`` columns.  The default rate is the exact
-critical rate S_1.  analyze-pt, simulate (for its curve) and an SVG sweep
-load numpy inside the command, after every input check that needs no
-arrays, so a refused input costs no numpy import in any command.  The
+critical-gamma, spectrum, sweep-gamma (as CSV), verify and analyze-pt run
+without numpy: what they print comes from ``scheme``, the Johnson scheme's
+exact spectrum and the roots of its secular equation, which verify checks
+against the full graph through ``johnson``'s matrix-free oracle, or from
+``reduced``'s closed forms for k = 3.  The default rate is the exact
+critical rate S_1.  simulate (for its curve) and an SVG sweep load numpy
+inside the command, after every input check that needs no arrays, so a
+refused input costs no numpy import in any command.  The
 ``logging`` module is imported only by a run that logs (--verbose), or when
 the calling process has loaded it already.
 """
@@ -232,29 +232,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_pt(args: argparse.Namespace) -> int:
-    # perturbation_report's rules in its order, before numpy loads
-    gamma = args.gamma if args.gamma is not None else scheme.gamma_c_formula_k3(args.n)
-    scheme._check_positive_gamma(gamma)
-    scheme._check_k3_params(args.n)
-    from . import analysis, output
-    report = analysis.perturbation_report(args.n, args.gamma)
-    c3, c2, c1, c0 = report.cubic_coefficients
+    from . import output, reduced
+    report = reduced.perturbation_report(args.n, args.gamma)
+    (h_rr, h_ru), (_, h_uu) = report.effective_2x2
     rows = [
-        ("n", report.n),
-        ("gamma", report.gamma),
-        ("cubic_lambda3", c3),
-        ("cubic_lambda2", c2),
-        ("cubic_lambda1", c1),
-        ("cubic_lambda0", c0),
+        ("n", report.n), ("gamma", report.gamma),
+        *zip(("cubic_lambda3", "cubic_lambda2", "cubic_lambda1", "cubic_lambda0"),
+             report.cubic_coefficients),
         ("lambda_u", report.lambda_u),
-        ("u_d0", report.u[0]),
-        ("u_rprime", report.u[1]),
-        ("u_rdoubleprime", report.u[2]),
-        ("h_rr", report.effective_2x2[0, 0]),
-        ("h_ru", report.effective_2x2[0, 1]),
-        ("h_uu", report.effective_2x2[1, 1]),
-        ("e_minus", report.e_minus),
-        ("e_plus", report.e_plus),
+        *zip(("u_d0", "u_rprime", "u_rdoubleprime"), report.u),
+        ("h_rr", h_rr), ("h_ru", h_ru), ("h_uu", h_uu),
+        ("e_minus", report.e_minus), ("e_plus", report.e_plus),
         ("predicted_gap", report.predicted_gap),
         ("predicted_runtime", report.predicted_runtime),
     ]

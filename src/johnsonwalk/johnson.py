@@ -6,8 +6,8 @@ vertices, two subsets being adjacent when they share exactly k-1 elements.
 So A = D^T D - k I, where D is the 0/1 incidence of the k-subsets on their
 k faces, the (k-1)-subsets (Brouwer, Cohen & Neumaier, 1989), and a product
 with A is one scatter onto the faces and one gather back.  On it,
-``run_verification`` measures the walk's invariant subspace by Lanczos from
-|s> (J. Res. Nat. Bur. Standards 45, 255 (1950)) and checks the reduced
+``run_verification`` measures the walk's invariant subspace by Lanczos on A
+from |w> (J. Res. Nat. Bur. Standards 45, 255 (1950)) and checks the reduced
 model's curve against the full graph's.
 """
 
@@ -73,24 +73,24 @@ def adjacency_times(graph: Incidence, x: list[float]) -> list[float]:
 def _krylov_curve(graph: Incidence, gamma: float
                   ) -> tuple[list[tuple[float, float]], float]:
     """The full graph's curve |sum_i c_i exp(-i E_i t)|^2 as its (E_i, c_i),
-    and beta |H|, which times t bounds |exp(-iHt)|s> - Q exp(-iTt) e_1|.
+    and gamma beta |A|, which times t bounds the error of its amplitude.
 
-    Lanczos runs on H/|H|, H = -gamma A - |w><w|, |H| <= gamma k(n-k) + 1,
-    from q_1 = |s>, each new vector orthogonalised twice against all the
-    earlier ones, until the residual beta is at most 1e-13 or there are k+2
-    vectors, one past the reduction's claim.  With T = Y diag(E/|H|) Y^T,
-    c_i = (Q Y)[w,i] Y[0,i].
+    Lanczos runs on A/|A|, |A| = k(n-k), from q_1 = |w>, each new vector
+    orthogonalised twice against all the earlier ones, until the residual
+    beta is at most 1e-13, whatever gamma is, or there are k+2 vectors, one
+    past the reduction's claim.  (|s> is an eigenvector of A; the Krylov
+    space of |w>, the distance states, holds it.)  There H is
+    T = -gamma |A| T_A - e_1 e_1^T = Y diag(E) Y^T, and
+    c_i = Y[0,i] sum_j <q_j|s> Y[j,i].
     """
     n_vertices, k = len(graph.faces), graph.k
-    norm = gamma * k * (graph.n - k) + 1.0
-    a, b = gamma / norm, 1.0 / norm
-    q = [1.0 / math.sqrt(n_vertices)] * n_vertices
-    basis: list[list[float]] = []
-    diagonal, off = [], []
+    norm, root = k * (graph.n - k), math.sqrt(n_vertices)
+    q = [1.0] + [0.0] * (n_vertices - 1)
+    basis, overlaps, diagonal, off = [], [], [], []
     while True:
         basis.append(q)
-        r = [-a * y for y in adjacency_times(graph, q)]
-        r[0] -= b * q[0]
+        overlaps.append(math.fsum(q) / root)
+        r = [y / norm for y in adjacency_times(graph, q)]
         alpha = 0.0
         for _ in range(2):
             for v in basis:
@@ -103,11 +103,13 @@ def _krylov_curve(graph: Incidence, gamma: float
             break
         off.append(beta)
         q = [x / beta for x in r]
-    m, row = len(basis), [v[0] for v in basis]
-    values, vectors = _jacobi([[diagonal[i] if i == j else off[min(i, j)] if abs(i - j) == 1
-                                else 0.0 for j in range(m)] for i in range(m)])
-    return ([(norm * value, math.fsum(map(mul, row, y)) * y[0])
-             for value, y in zip(values, zip(*vectors))], beta * norm)
+    m, scale = len(basis), -gamma * norm
+    t = [[scale * diagonal[i] if i == j else scale * off[min(i, j)] if abs(i - j) == 1
+          else 0.0 for j in range(m)] for i in range(m)]
+    t[0][0] -= 1.0
+    values, vectors = _jacobi(t)
+    return ([(value, y[0] * math.fsum(map(mul, overlaps, y)))
+             for value, y in zip(values, zip(*vectors))], gamma * beta * norm)
 
 
 def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
@@ -139,8 +141,8 @@ def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
 
 class VerificationResult(NamedTuple):
     """Outcome of a full-graph vs secular-root comparison.  The Krylov space
-    of |s> is (k+1)-dimensional by the reduction, and the full graph's curve
-    is right to within twice ``closure_residual``.
+    of |w> under A is (k+1)-dimensional by the reduction, and the full
+    graph's curve is right to within twice ``closure_residual``.
     """
 
     n: int

@@ -2,8 +2,8 @@
 
 ``eig_sym`` is a thin wrapper over LAPACK's symmetric eigensolver as shipped
 with numpy (``np.linalg.eigh``).  It adds the input checks and a
-deterministic eigenvector sign convention, which fixes the printed
-components of ``analyze-pt`` (u and h_ru) and the report's alpha vectors.
+deterministic eigenvector sign convention, ``scheme.SIGN_EPS``'s, which
+``reduced.perturbation_report`` applies to the eigenvectors it computes.
 
 The success curve |<w|exp(-iHt)|s>|^2 has two entry points.
 ``secular_curve``, which simulate uses, takes it from the secular roots
@@ -25,10 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _split
-from .scheme import SecularSpectrum, _check_grid, _check_phases
-
-#: Magnitude threshold used by the deterministic eigenvector sign convention.
-SIGN_EPS = 1e-8
+# SIGN_EPS is also this module's API.
+from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
 
 #: Times ``success_curve`` evaluates at once, bounding its working memory.
 _BLOCK_TIMES = 1 << 14

@@ -1,26 +1,32 @@
-"""Distance-basis reduction of the search problem.
+"""Distance-basis reduction of the search problem, and the k = 3 two-level
+picture, in the standard library only.
 
 Because J(n,k) is distance-transitive, the search dynamics started from the
 uniform superposition stay inside the (k+1)-dimensional span of the distance
 states |d_i> (uniform superpositions over the vertices at distance i from
-the marked vertex).  The marked vertex sits alone in class d_0, which is basis
-state 0; distance-transitivity means any vertex may be the marked one, so
-no other choice is offered.  This module builds that reduced picture:
-intersection array, reduced adjacency and Hamiltonian, the initial state,
-and -- for k = 3 -- the orthogonal change of basis
-{|d_0>, |r>, |r'>, |r''>} in which the Hamiltonian becomes amenable to
-degenerate perturbation theory.
+the marked vertex, which is basis state 0).  This module holds the
+intersection array of that reduction and, for k = 3, the orthogonal change
+of basis {|d_0>, |r>, |r'>, |r''>} in which the Hamiltonian becomes amenable
+to degenerate perturbation theory: the transformed Hamiltonian in closed
+form, the characteristic cubic of its (d0, r', r'') block, and
+``perturbation_report``, the effective 2x2 Hamiltonian over |r> and the
+block eigenvector |u>, whose gap sets the runtime pi/(E_plus - E_minus).
+Matrices are tuples of rows; ``analysis`` builds the distance-basis
+Hamiltonian as an ndarray.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import sys
+from operator import mul
+from typing import NamedTuple, Optional
 
-import numpy as np
+from .scheme import (SIGN_EPS, _check_gamma, _check_k3_params,
+                     _check_positive_gamma, _check_reduced_params,
+                     gamma_c_formula_k3)
 
-from .scheme import (_adjacency_entries, _check_k3_params, _check_model,
-                     _check_positive_gamma, _check_reduced_params, class_sizes)
+Rows = tuple[tuple[float, ...], ...]
 
 
 class IntersectionArray(NamedTuple):
@@ -43,51 +49,7 @@ def intersection_array(n: int, k: int) -> IntersectionArray:
     return IntersectionArray(c=c, a=a, b=b)
 
 
-def reduced_adjacency(n: int, k: int) -> np.ndarray:
-    """Adjacency matrix collapsed onto the normalized distance states.
-
-    Tridiagonal and symmetric: the diagonal carries the same-class counts
-    a_i, and the off-diagonal entry between classes i and i+1 is
-    (i+1) * sqrt((k-i)(n-k-i)), the geometric mean sqrt(b_i * c_{i+1}) that
-    symmetrizes the up/down neighbor counts.
-    """
-    diagonal, off = _adjacency_entries(n, k)
-    adj = np.zeros((k + 1, k + 1))
-    for i, entry in enumerate(diagonal):
-        adj[i, i] = entry
-    for i, entry in enumerate(off):
-        adj[i, i + 1] = adj[i + 1, i] = entry
-    return adj
-
-
-def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
-    """H = -gamma * A_reduced - |d_0><d_0| in the distance basis.
-
-    The marked vertex sits alone in class 0, so the oracle projector is the
-    single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
-    negative and non-finite values are rejected (gamma = 0 is admitted and
-    leaves just the oracle term), and so is a gamma so large that
-    gamma * A overflows (``scheme._check_model``).
-    """
-    _check_model(n, k, gamma)
-    hamiltonian = -float(gamma) * reduced_adjacency(n, k)
-    hamiltonian[0, 0] -= 1.0
-    return hamiltonian
-
-
-def initial_state(n: int, k: int) -> np.ndarray:
-    """Uniform superposition over all vertices, written in the distance basis.
-
-    Component i is sqrt(|d_i| / N): the full-space uniform state projected
-    onto the normalized class indicator vectors.  Raises ValueError when N
-    does not fit in a float.
-    """
-    n_vertices = _check_reduced_params(n, k)
-    state = np.sqrt(np.array(class_sizes(n, k), dtype=float))
-    return state / math.sqrt(n_vertices)
-
-
-def basis_change_T(n: int) -> np.ndarray:
+def basis_change_T(n: int) -> Rows:
     """Orthogonal basis change for k = 3: columns (|d_0>, |r>, |r'>, |r''>).
 
     |r> is the normalized uniform superposition over the N-1 unmarked
@@ -102,38 +64,23 @@ def basis_change_T(n: int) -> np.ndarray:
     Requires n >= 6 so all radicands are non-negative.
     """
     _check_k3_params(n)
-    T = np.zeros((4, 4))
-    T[0, 0] = 1.0
     c_r = math.sqrt(18.0 / (n * n + 2))
-    T[1, 1] = c_r
-    T[2, 1] = c_r * math.sqrt((n - 4) / 2.0)
-    T[3, 1] = c_r * math.sqrt((n - 4) * (n - 5) / 18.0)
     c_rp = math.sqrt(9.0 / (n + 4))
-    T[2, 2] = -c_rp * math.sqrt((n - 5) / 9.0)
-    T[3, 2] = c_rp
     c_rpp = 9.0 * math.sqrt(2.0) / math.sqrt((n * n + 2) * (n + 4))
-    T[1, 3] = c_rpp * (n + 4) * math.sqrt(n - 4.0) / (9.0 * math.sqrt(2.0))
-    T[2, 3] = -c_rpp
-    T[3, 3] = -c_rpp * math.sqrt(n - 5.0) / 3.0
-    return T
+    return (
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, c_r, 0.0, c_rpp * (n + 4) * math.sqrt(n - 4.0) / (9.0 * math.sqrt(2.0))),
+        (0.0, c_r * math.sqrt((n - 4) / 2.0), -c_rp * math.sqrt((n - 5) / 9.0), -c_rpp),
+        (0.0, c_r * math.sqrt((n - 4) * (n - 5) / 18.0), c_rp,
+         -c_rpp * math.sqrt(n - 5.0) / 3.0),
+    )
 
 
-def transformed_hamiltonian(n: int, gamma: float) -> np.ndarray:
-    """H' = T^T H T for the k = 3 search Hamiltonian.
-
-    T is orthogonal, so the transpose realizes T^(-1) exactly.  Agrees with
-    :func:`transformed_hamiltonian_closed` to machine precision.
-    """
-    T = basis_change_T(n)
-    return T.T @ search_hamiltonian(n, 3, gamma) @ T
-
-
-def transformed_hamiltonian_closed(n: int, gamma: float) -> np.ndarray:
-    """Closed-form entries of H' in the {d_0, r, r', r''} basis.
+def transformed_hamiltonian_closed(n: int, gamma: float) -> Rows:
+    """Closed-form entries of H' = T^T H T in the {d_0, r, r', r''} basis.
 
     Written as -gamma * M with M symmetric; the (0,2) and (1,2) entries are
-    structural zeros.  Useful as an independent check on the numerically
-    transformed matrix.
+    structural zeros.
     """
     _check_k3_params(n)
     _check_positive_gamma(gamma)
@@ -143,11 +90,165 @@ def transformed_hamiltonian_closed(n: int, gamma: float) -> np.ndarray:
     m03 = s(3 * (n - 3) * (n - 4) * (n + 4)) / s(q)
     m13 = -3 * s(2 * (n - 4) * (n + 4)) / q
     m23 = -2 * s(2 * (n - 5) * q) / (n + 4)
-    M = np.array([
-        [1.0 / gamma, m01, 0.0, m03],
-        [m01, 3 * (n**3 - 3 * n**2 + 2 * n - 12) / q, 0.0, m13],
-        [0.0, 0.0, (2 * n * n - 9 * n - 32) / (n + 4), m23],
-        [m03, m13, m23,
-         (n**4 + 2 * n**3 - 42 * n**2 + 22 * n - 16) / ((n + 4) * q)],
-    ])
-    return -gamma * M
+    M = (
+        (1.0 / gamma, m01, 0.0, m03),
+        (m01, 3 * (n**3 - 3 * n**2 + 2 * n - 12) / q, 0.0, m13),
+        (0.0, 0.0, (2 * n * n - 9 * n - 32) / (n + 4), m23),
+        (m03, m13, m23, (n**4 + 2 * n**3 - 42 * n**2 + 22 * n - 16) / ((n + 4) * q)),
+    )
+    return tuple(tuple(-gamma * entry for entry in row) for row in M)
+
+
+def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]:
+    """Coefficients (lambda^3, lambda^2, lambda, 1) of the block cubic.
+
+    This is the characteristic polynomial det(B - lambda) of the 3x3
+    perturbation block over (d0, r', r''),
+
+        B = [[-1, 0, -g sqrt(3n)],
+             [0, -g (2n-17), 2g sqrt(2n)],
+             [-g sqrt(3n), 2g sqrt(2n), -g (n-2)]],
+
+    expanded in closed form; its roots are the block eigenvalues, one of
+    which is lambda_u.
+    """
+    _check_k3_params(n)
+    _check_gamma(gamma)
+    g = float(gamma)
+    return (
+        -1.0,
+        -(3.0 * g * n - 19.0 * g + 1.0),
+        g * (19.0 - 34.0 * g - 2.0 * g * n * n + n * (32.0 * g - 3.0)),
+        g * g * (-34.0 + n * (29.0 - 51.0 * g) + n * n * (-2.0 + 6.0 * g)),
+    )
+
+
+def _signed(vector: tuple[float, ...]) -> tuple[float, ...]:
+    """``linalg.eig_sym``'s sign rule: the first component of magnitude above
+    ``SIGN_EPS`` is made non-negative."""
+    lead = next((x for x in vector if abs(x) > SIGN_EPS), 0.0)
+    return tuple(0.0 - x for x in vector) if lead < 0.0 else vector  # no -0.0
+
+
+def _block_pair(n: int, gamma: float, cubic: tuple[float, float, float, float]
+                ) -> tuple[float, tuple[float, float, float]]:
+    """The eigenpair of the block B of ``char_cubic_coeffs`` (``cubic``) with
+    its eigenvalue nearest -1 - 1/(2n): Newton's root of the factored
+    determinant (b00-l)[(b11-l)(b22-l) - b12^2] - b02^2 (b11-l) from there,
+    or, where the cubic deflated by it has a root nearer the seed, that root
+    polished by Newton.  B is scaled by a power of two, exactly, so that no
+    product of three entries overflows.  B - l has rank 2 at an eigenvalue,
+    so the largest cross product of two of its rows gives the eigenvector.
+    """
+    g = float(gamma)
+    entries = (-1.0, -g * math.sqrt(3.0 * n), -g * (2.0 * n - 17.0),
+               2.0 * g * math.sqrt(2.0 * n), -g * (n - 2.0))
+    if not all(map(math.isfinite, entries)):
+        raise ValueError(f"the k=3 block at n={n}, gamma={gamma} is not a finite matrix")
+    scale = 2.0 ** math.frexp(max(map(abs, entries)))[1]
+    b00, b02, b11, b12, b22 = (x / scale for x in entries)
+
+    def newton(lam: float) -> float:
+        for _ in range(100):
+            p, q, w = b00 - lam, b11 - lam, b22 - lam
+            rest = q * w - b12 * b12
+            slope = b02 * b02 - rest - p * (q + w)
+            step = (p * rest - b02 * b02 * q) / slope if slope else 0.0
+            lam -= step
+            if not abs(step) > 2.0 * sys.float_info.epsilon * abs(lam):
+                break
+        return lam
+
+    seed = -1.0 - 1.0 / (2.0 * n)
+    lam = newton(seed / scale)
+    # The cubic over (l - lambda) is -l^2 + 2 half l + c (its l^3 term is
+    # -1), with roots half +- root.
+    _, c2, c1, _ = cubic
+    half = 0.5 * (c2 - lam * scale)
+    root = math.sqrt(max(half * half + c1 + 2.0 * half * lam * scale, 0.0))
+    other = min(half - root, half + root, key=lambda x: abs(x - seed))
+    if abs(other - seed) < abs(lam * scale - seed):
+        lam = newton(other / scale)
+    p, q, w = b00 - lam, b11 - lam, b22 - lam
+    cross = max(((-b02 * q, -p * b12, p * q), (-b02 * b12, b02 * b02 - p * w, p * b12),
+                 (q * w - b12 * b12, b12 * b02, -q * b02)), key=lambda v: math.hypot(*v))
+    norm = math.hypot(*cross)
+    return lam * scale, _signed(tuple(x / norm for x in cross))
+
+
+class PerturbationReport(NamedTuple):
+    """The k=3 two-level reduction at one (n, gamma).
+
+    (lambda_u, u) is the block eigenpair the effective 2x2 Hamiltonian over
+    (r, u) is built from; e_minus <= e_plus are its eigenvalues and
+    alpha_minus, alpha_plus the matching eigenvectors.
+    """
+
+    n: int
+    gamma: float
+    cubic_coefficients: tuple[float, float, float, float]
+    lambda_u: float
+    u: tuple[float, float, float]
+    effective_2x2: Rows
+    e_minus: float
+    e_plus: float
+    alpha_minus: tuple[float, float]
+    alpha_plus: tuple[float, float]
+    predicted_gap: float
+    predicted_runtime: float
+
+
+def _finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return math.isfinite(value)
+
+
+def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationReport:
+    """Project the transformed Hamiltonian onto span{|r>, |u>} at one rate.
+
+    gamma defaults to the closed-form critical rate, where the reduction is
+    designed to hold, and must otherwise be finite and positive.
+    (lambda_u, |u>) is the (d0, r', r'') block eigenpair with lambda_u
+    nearest -1 - 1/(2n), from ``_block_pair``.  With |u> embedded at zero
+    r-component, the 2x2 entries are quadratic forms of
+    ``transformed_hamiltonian_closed``; its eigenpairs are in closed form.
+    Near the critical rate its eigenvectors tend to (1, +-1)/sqrt(2) and its
+    gap shrinks like 2*sqrt(6)/n^(3/2).  Eigenvectors take ``eig_sym``'s
+    sign rule.  The gap is a difference of eigenvalues of size ~1, so it is
+    refused with ValueError once it is within 1e3 ulps of them (n above
+    about 7.5e8 at the critical rate), as is a report with any value outside
+    the float range (the cubic's gamma^3 n^2 term overflows near
+    gamma = 1e102 at n = 100).
+    """
+    if gamma is None:
+        gamma = gamma_c_formula_k3(n)
+    _check_positive_gamma(gamma)
+    cubic = char_cubic_coeffs(n, gamma)
+    lam, u = _block_pair(n, gamma, cubic)
+    hp = transformed_hamiltonian_closed(n, gamma)
+    u4 = (u[0], 0.0, u[1], u[2])
+    h_rr = hp[1][1]
+    h_ru = math.fsum(map(mul, hp[1], u4))
+    h_uu = math.fsum(x * y * entry for x, row in zip(u4, hp)
+                     for y, entry in zip(u4, row))
+    mean, half = 0.5 * (h_rr + h_uu), 0.5 * (h_rr - h_uu)
+    radius = math.hypot(half, h_ru)
+    e_minus, e_plus = mean - radius, mean + radius
+    theta = 0.5 * math.atan2(h_ru, half)  # alpha_plus = (cos, sin) of it
+    gap = e_plus - e_minus
+    if gap <= 1e3 * sys.float_info.epsilon * max(abs(e_minus), abs(e_plus)):
+        raise ValueError(f"the two-level gap at n={n}, gamma={gamma} is not "
+                         "resolved in double precision")
+    report = PerturbationReport(
+        n=n, gamma=float(gamma),
+        cubic_coefficients=cubic,
+        lambda_u=lam, u=u, effective_2x2=((h_rr, h_ru), (h_ru, h_uu)),
+        e_minus=e_minus, e_plus=e_plus,
+        alpha_minus=_signed((-math.sin(theta), math.cos(theta))),
+        alpha_plus=_signed((math.cos(theta), math.sin(theta))),
+        predicted_gap=gap, predicted_runtime=math.pi / gap)
+    for name, value in report._asdict().items():
+        if not _finite(value):
+            raise ValueError(f"{name} overflows at n={n}, gamma={gamma}")
+    return report

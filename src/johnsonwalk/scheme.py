@@ -45,6 +45,10 @@ if TYPE_CHECKING:
 #: is defined here so that the command line's help can show it without numpy.
 DEFAULT_VERTEX_CAP = 4000
 
+#: The eigenvector sign rule of ``linalg.eig_sym`` and ``reduced`` makes the
+#: first component of magnitude above this non-negative.
+SIGN_EPS = 1e-8
+
 
 class SearchBracketError(ValueError):
     """The overlap balance has no sign change, so there is no critical rate."""

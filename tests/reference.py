@@ -3,15 +3,18 @@
 The package computes none of these: the overlap spectrum and the energy gap
 come from the distance-basis Hamiltonian, which the secular roots must
 match; the dense adjacency of the full graph, which ``johnson``'s
-matrix-free product and its oracle must match; and the distance classes
-from that graph, which the distance-basis model must reduce to.
+matrix-free product and its oracle must match; the distance classes from
+that graph, which the distance-basis model must reduce to; and, for k = 3,
+the perturbation block and the numerically transformed Hamiltonian, which
+``reduced``'s closed forms and its two-level report must match.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from johnsonwalk import johnson, reduced
+from johnsonwalk import analysis, johnson, reduced, scheme
 from johnsonwalk.linalg import eig_sym
 from johnsonwalk.scheme import DEFAULT_VERTEX_CAP, _check_vertex_cap
 
@@ -55,13 +58,13 @@ def dense_hamiltonian(n, k, gamma, cap=DEFAULT_VERTEX_CAP):
 def overlap_spectrum(n, k, gamma):
     """Energies E_i of the distance-basis H with |<s|psi_i>|^2 and
     |<w|psi_i>|^2 per eigenvector, as (energies, overlap_s, overlap_w)."""
-    evals, evecs = eig_sym(reduced.search_hamiltonian(n, k, gamma))
-    return evals, (evecs.T @ reduced.initial_state(n, k)) ** 2, evecs[0] ** 2
+    evals, evecs = eig_sym(analysis.search_hamiltonian(n, k, gamma))
+    return evals, (evecs.T @ analysis.initial_state(n, k)) ** 2, evecs[0] ** 2
 
 
 def energy_gap(n, k, gamma):
     """E_1 - E_0 of the distance-basis H."""
-    evals, _ = eig_sym(reduced.search_hamiltonian(n, k, gamma))
+    evals, _ = eig_sym(analysis.search_hamiltonian(n, k, gamma))
     return float(evals[1] - evals[0])
 
 
@@ -73,3 +76,53 @@ def distance_classes(graph, w=0):
     w_set = set(graph.vertices[w])
     dist = np.array([graph.k - len(w_set.intersection(v)) for v in graph.vertices])
     return [np.nonzero(dist == i)[0] for i in range(min(graph.k, graph.n - graph.k) + 1)]
+
+
+def pt_block(n, gamma):
+    """3x3 leading-order Hamiltonian block over (d0, r', r''), the matrix
+    whose characteristic polynomial is ``reduced.char_cubic_coeffs``."""
+    scheme._check_k3_params(n)
+    scheme._check_gamma(gamma)
+    g = float(gamma)
+    return np.array([
+        [-1.0, 0.0, -g * math.sqrt(3.0 * n)],
+        [0.0, -g * (2.0 * n - 17.0), 2.0 * g * math.sqrt(2.0 * n)],
+        [-g * math.sqrt(3.0 * n), 2.0 * g * math.sqrt(2.0 * n), -g * (n - 2.0)],
+    ])
+
+
+def transformed_hamiltonian(n, gamma):
+    """H' = T^T H T for the k = 3 search Hamiltonian, from the dense H.
+
+    T is orthogonal, so the transpose realizes T^(-1) exactly.
+    """
+    T = np.array(reduced.basis_change_T(n))
+    return T.T @ analysis.search_hamiltonian(n, 3, gamma) @ T
+
+
+class NaiveSplitting(NamedTuple):
+    """Leading/subleading split of the k=3 search Hamiltonian.
+
+    h0 carries the oracle and the diagonal hopping terms, h1 the
+    off-diagonal hoppings of order sqrt(n); everything smaller is dropped.
+    d0_d3_coupling is the (0,3) entry of h0 + h1, identically zero because
+    the walk has no edge between the marked class and the far class.
+    """
+
+    h0: np.ndarray
+    h1: np.ndarray
+    d0_d3_coupling: float
+
+
+def naive_splitting_diagnostic(n, gamma):
+    """Split H (k = 3) into the naive leading and first-order pieces."""
+    scheme._check_k3_params(n)
+    scheme._check_gamma(gamma)
+    h0 = np.diag([-1.0, -gamma * n, -2.0 * gamma * n, -3.0 * gamma * n])
+    h1 = -gamma * np.array([
+        [0.0, math.sqrt(3.0 * n), 0.0, 0.0],
+        [math.sqrt(3.0 * n), 0.0, 2.0 * math.sqrt(2.0 * n), 0.0],
+        [0.0, 2.0 * math.sqrt(2.0 * n), 0.0, 3.0 * math.sqrt(n)],
+        [0.0, 0.0, 3.0 * math.sqrt(n), 0.0],
+    ])
+    return NaiveSplitting(h0=h0, h1=h1, d0_d3_coupling=float((h0 + h1)[0, 3]))

@@ -19,8 +19,8 @@ def _report(index, name, passed, detail):
 def test_criterion_1_peak_curve_n100():
     """n=100, k=3, gamma=0.003455: peak >= 0.99 near t = 631.65."""
     start = time.perf_counter()
-    curve = linalg.success_curve(reduced.search_hamiltonian(100, 3, 0.003455),
-                                 reduced.initial_state(100, 3), 700.0, 2801)
+    curve = linalg.success_curve(analysis.search_hamiltonian(100, 3, 0.003455),
+                                 analysis.initial_state(100, 3), 700.0, 2801)
     elapsed = time.perf_counter() - start
     peak = float(curve.probabilities.max())
     t_peak = float(curve.times[int(np.argmax(curve.probabilities))])
@@ -36,9 +36,9 @@ def test_criterion_2_peak_curve_n1000():
     """n=1000, k=3, formula gamma: probability >= 0.99 at t in 20248.5 +- 50."""
     gamma = 1.0 / 3000.0 + 7.0 / 6.0e6
     start = time.perf_counter()
-    h = reduced.search_hamiltonian(1000, 3, gamma)
+    h = analysis.search_hamiltonian(1000, 3, gamma)
     t_max = 1.5 * scheme.predicted_peak_time(1000, 3)
-    curve = linalg.success_curve(h, reduced.initial_state(1000, 3), t_max, 4001)
+    curve = linalg.success_curve(h, analysis.initial_state(1000, 3), t_max, 4001)
     elapsed = time.perf_counter() - start
     window = np.abs(curve.times - 20248.5) <= 50.0
     window_max = float(curve.probabilities[window].max())
@@ -113,9 +113,9 @@ def test_criterion_6_perturbation_report():
     passed = True
     for n in (100, 1000):
         gamma = scheme.gamma_c_formula_k3(n)
-        system = analysis.perturbation_report(n, gamma)
+        system = reduced.perturbation_report(n, gamma)
         target = math.sqrt(6.0) / n ** 1.5
-        off_rel = abs(abs(system.effective_2x2[0, 1]) - target) / target
+        off_rel = abs(abs(system.effective_2x2[0][1]) - target) / target
         gap_rel = abs((system.e_plus - system.e_minus) - 2 * target) / (2 * target)
         lam_dev = abs(system.lambda_u + 1.0 + 1.0 / (2.0 * n))
         details.append(f"n={n}: off {off_rel:.3f}, gap {gap_rel:.3f}, "
@@ -125,9 +125,9 @@ def test_criterion_6_perturbation_report():
     _report(6, "perturbation report", passed, "; ".join(details))
     for n in (100, 1000):
         gamma = scheme.gamma_c_formula_k3(n)
-        system = analysis.perturbation_report(n, gamma)
+        system = reduced.perturbation_report(n, gamma)
         target = math.sqrt(6.0) / n ** 1.5
-        assert abs(abs(system.effective_2x2[0, 1]) - target) / target <= 0.25
+        assert abs(abs(system.effective_2x2[0][1]) - target) / target <= 0.25
         assert abs((system.e_plus - system.e_minus) - 2 * target) / (2 * target) <= 0.25
         assert abs(system.lambda_u + 1.0 + 1.0 / (2.0 * n)) <= 10.0 / n ** 2
 
@@ -147,9 +147,9 @@ def test_criterion_7_structural_identities():
     basis_ok = True
     for n in (6, 10, 100, 1000):
         gamma = scheme.gamma_c_formula_k3(n)
-        t = reduced.basis_change_T(n)
+        t = np.array(reduced.basis_change_T(n))
         basis_ok = basis_ok and np.abs(t.T @ t - np.eye(4)).max() <= 1e-12
-        diff = np.abs(reduced.transformed_hamiltonian(n, gamma)
+        diff = np.abs(reference.transformed_hamiltonian(n, gamma)
                       - reduced.transformed_hamiltonian_closed(n, gamma)).max()
         basis_ok = basis_ok and diff <= 1e-12
 
@@ -158,13 +158,13 @@ def test_criterion_7_structural_identities():
     for _ in range(20):
         n = int(rng.integers(6, 2000))
         gamma = float(rng.uniform(0.2 / (3 * n), 3.0 / (3 * n)))
-        monic = np.poly(analysis.pt_block(n, gamma))
-        c3, c2, c1, c0 = analysis.char_cubic_coeffs(n, gamma)
+        monic = np.poly(reference.pt_block(n, gamma))
+        c3, c2, c1, c0 = reduced.char_cubic_coeffs(n, gamma)
         mine = np.array([1.0, -c2, -c1, -c0])
         rel = np.abs((mine - monic) / np.maximum(1e-30, np.abs(monic))).max()
         cubic_worst = max(cubic_worst, float(rel))
 
-    coupling = analysis.naive_splitting_diagnostic(100, 0.003).d0_d3_coupling
+    coupling = reference.naive_splitting_diagnostic(100, 0.003).d0_d3_coupling
     passed = sums_ok and basis_ok and cubic_worst <= 1e-9 and coupling == 0.0
     _report(7, "structural identities", passed,
             f"sums {'ok' if sums_ok else 'BAD'}, basis {'ok' if basis_ok else 'BAD'}, "

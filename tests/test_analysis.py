@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import analysis, johnson, reduced, scheme
+from johnsonwalk import analysis, johnson, linalg, reduced, scheme
 from johnsonwalk.scheme import SearchBracketError
 from johnsonwalk.johnson import VertexCapError
-from johnsonwalk.linalg import eig_sym
 
 GAMMA_C_100 = 1.0 / 300.0 + 7.0 / 60000.0
 # bisection result for J(100,3) from the reference pipeline
@@ -128,7 +127,7 @@ def test_predicted_peak_time_rejects_vertex_count_beyond_float():
 
 def test_naive_splitting_structure():
     gamma = 1.0 / 300.0
-    split = analysis.naive_splitting_diagnostic(100, gamma)
+    split = reference.naive_splitting_diagnostic(100, gamma)
     assert split.d0_d3_coupling == 0.0
     assert np.allclose(np.diag(split.h0),
                        [-1.0, -gamma * 100, -2 * gamma * 100, -3 * gamma * 100])
@@ -143,15 +142,15 @@ def test_naive_splitting_residual(n):
     """Dropped terms sit at O(gamma), far below the O(gamma*sqrt(n))
     entries that were kept."""
     gamma = 1.0 / (3.0 * n)
-    split = analysis.naive_splitting_diagnostic(n, gamma)
-    h = reduced.search_hamiltonian(n, 3, gamma)
+    split = reference.naive_splitting_diagnostic(n, gamma)
+    h = analysis.search_hamiltonian(n, 3, gamma)
     residual = np.abs(h - (split.h0 + split.h1)).max()
     assert residual == pytest.approx(18.0 * gamma, rel=1e-12)
     assert residual <= 1.0 / math.sqrt(n)
 
 
 def test_char_cubic_gamma_zero():
-    assert analysis.char_cubic_coeffs(50, 0.0) == (-1.0, -1.0, 0.0, 0.0)
+    assert reduced.char_cubic_coeffs(50, 0.0) == (-1.0, -1.0, 0.0, 0.0)
     # roots of -l^3 - l^2: 0, 0, -1
     roots = np.roots([-1.0, -1.0, 0.0, 0.0])
     assert sorted(np.round(roots, 12).tolist()) == [-1.0, 0.0, 0.0]
@@ -159,23 +158,23 @@ def test_char_cubic_gamma_zero():
 
 @pytest.mark.parametrize("n,gamma", [(100, 0.00345), (37, 0.01), (800, 4.2e-4)])
 def test_char_cubic_matches_block_charpoly(n, gamma):
-    monic = np.poly(analysis.pt_block(n, gamma))
-    c3, c2, c1, c0 = analysis.char_cubic_coeffs(n, gamma)
+    monic = np.poly(reference.pt_block(n, gamma))
+    c3, c2, c1, c0 = reduced.char_cubic_coeffs(n, gamma)
     mine = np.array([1.0, -c2, -c1, -c0])   # divide by c3 = -1
     assert np.abs((mine - monic) / np.maximum(1e-30, np.abs(monic))).max() < 1e-10
 
 
 def test_cubic_roots_are_block_spectrum():
     n, gamma = 100, GAMMA_C_100
-    roots = np.roots(analysis.char_cubic_coeffs(n, gamma))
+    roots = np.roots(reduced.char_cubic_coeffs(n, gamma))
     assert np.abs(roots.imag).max() < 1e-12
-    evals = np.linalg.eigvalsh(analysis.pt_block(n, gamma))
+    evals = np.linalg.eigvalsh(reference.pt_block(n, gamma))
     assert np.abs(np.sort(roots.real) - evals).max() < 1e-9
 
 
 def _pair(n, gamma):
-    system = analysis.perturbation_report(n, gamma)
-    return system.lambda_u, system.u
+    system = reduced.perturbation_report(n, gamma)
+    return system.lambda_u, np.array(system.u)
 
 
 def test_lambda_u_frozen_values():
@@ -190,7 +189,7 @@ def test_lambda_u_frozen_values():
 def test_lambda_u_is_block_eigenvalue():
     for n, gamma in [(50, 0.008), (100, GAMMA_C_100), (300, 0.0012)]:
         lam, _ = _pair(n, gamma)
-        evals = np.linalg.eigvalsh(analysis.pt_block(n, gamma))
+        evals = np.linalg.eigvalsh(reference.pt_block(n, gamma))
         assert np.abs(evals - lam).min() < 1e-9
 
 
@@ -208,7 +207,7 @@ def test_u_frozen_and_eigen_residual():
     assert np.abs(u - np.array(U_100)).max() < 1e-10
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
     assert u[0] > 0
-    block = analysis.pt_block(100, GAMMA_C_100)
+    block = reference.pt_block(100, GAMMA_C_100)
     assert np.linalg.norm(block @ u - lam * u) <= 1e-8
 
 
@@ -216,7 +215,7 @@ def test_u_frozen_and_eigen_residual():
 def test_u_matches_eigensolver(n):
     gamma = scheme.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
-    evals, evecs = np.linalg.eigh(analysis.pt_block(n, gamma))
+    evals, evecs = np.linalg.eigh(reference.pt_block(n, gamma))
     ref = evecs[:, int(np.argmin(np.abs(evals - lam)))]
     if ref[0] < 0:
         ref = -ref
@@ -231,10 +230,10 @@ def test_pair_is_accurate_eigenpair_and_cubic_root(n):
     the block, and lambda_u a root of the paper's closed-form cubic."""
     gamma = scheme.gamma_c_formula_k3(n)
     lam, u = _pair(n, gamma)
-    block = analysis.pt_block(n, gamma)
+    block = reference.pt_block(n, gamma)
     eps = np.finfo(float).eps
     assert np.linalg.norm(block @ u - lam * u) <= 4.0 * eps * np.linalg.norm(block, 2)
-    c3, c2, c1, c0 = analysis.char_cubic_coeffs(n, gamma)
+    c3, c2, c1, c0 = reduced.char_cubic_coeffs(n, gamma)
     p = ((c3 * lam + c2) * lam + c1) * lam + c0
     dp = (3.0 * c3 * lam + 2.0 * c2) * lam + c1
     assert abs(p) <= 1e-13 * abs(dp)
@@ -265,36 +264,28 @@ def test_pair_matches_high_precision_eigensolve(n):
 def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
     # The energy gap (tests/reference.py) has no gamma rule of its own.
     with pytest.raises(ValueError, match="finite and positive"):
-        analysis.perturbation_report(100, gamma)
+        reduced.perturbation_report(100, gamma)
 
 
-def test_perturbation_report_solves_twice(monkeypatch):
-    # The report solves the 3x3 block once for (lambda_u, u) and the 2x2
-    # system once, reports the pair and the alphas from those two solves,
-    # and evaluates the closed-form cubic only for its own output.
-    calls, solves, cubic_calls = [], [], []
-    char_cubic_coeffs = analysis.char_cubic_coeffs
-
-    def counting_eig_sym(matrix):
-        calls.append(np.shape(matrix))
-        solves.append(eig_sym(matrix))
-        return solves[-1]
-
-    def counting_cubic(n, gamma):
-        cubic_calls.append((n, gamma))
-        return char_cubic_coeffs(n, gamma)
-
-    monkeypatch.setattr(analysis, "eig_sym", counting_eig_sym)
-    monkeypatch.setattr(analysis, "char_cubic_coeffs", counting_cubic)
-    report = analysis.perturbation_report(100)
-    assert calls == [(3, 3), (2, 2)]
-    assert cubic_calls == [(100, report.gamma)]
-    (block_evals, block_evecs), (_, alphas) = solves
-    index = int(np.argmin(np.abs(block_evals - report.lambda_u)))
-    assert report.lambda_u == block_evals[index]
-    assert np.array_equal(report.u, block_evecs[:, index])
-    assert np.array_equal(report.alpha_minus, alphas[:, 0])
-    assert np.array_equal(report.alpha_plus, alphas[:, 1])
+def test_perturbation_report_pair_is_the_nearest_eigh_pair():
+    # The report finds (lambda_u, u) without an eigensolver; LAPACK's eigh on
+    # the dense block, with eig_sym's sign rule, finds the same pair off the
+    # critical rate too.  lambda_u is compared in units of the block's
+    # largest entry, which reaches 1e9 here.  At n = 8, gamma = 0.1, Newton
+    # from the seed lands on another root, and the deflated cubic's check
+    # takes the nearest one instead.
+    cases = [(8, 0.1)] + [(n, gamma) for n in (6, 9, 37, 100, 1000, 10**4, 10**5, 10**6)
+                          for gamma in (1e-6, 1e-4, 1e-2, 1.0, 1e3)]
+    for n, gamma in cases:
+        report = reduced.perturbation_report(n, gamma)
+        block = reference.pt_block(n, gamma)
+        evals, evecs = np.linalg.eigh(block)
+        index = int(np.argmin(np.abs(evals - (-1.0 - 1.0 / (2.0 * n)))))
+        ref = evecs[:, index]
+        ref *= np.sign(ref[np.abs(ref) > linalg.SIGN_EPS][0])
+        scale = max(1.0, np.abs(block).max())
+        assert abs(report.lambda_u - evals[index]) <= 1e-12 * scale, (n, gamma)
+        assert np.abs(np.array(report.u) - ref).max() <= 1e-12, (n, gamma)
 
 
 @pytest.mark.parametrize("n", [8 * 10**8, 10**10, 10**11, 10**12, 10**25])
@@ -304,28 +295,28 @@ def test_perturbation_report_refuses_an_unresolved_gap(n):
     # off the 2*sqrt(6)/n^1.5 law at 1e10, and 3.3e-16 for about 1.5e-37 at
     # 1e25.
     with pytest.raises(ValueError, match="not resolved in double precision"):
-        analysis.perturbation_report(n)
+        reduced.perturbation_report(n)
 
 
 @pytest.mark.parametrize("n", [2 * 10**5, 10**7, 7 * 10**8])
 def test_perturbation_report_keeps_a_resolved_gap(n):
-    report = analysis.perturbation_report(n)
+    report = reduced.perturbation_report(n)
     law = 2.0 * math.sqrt(6.0) / n ** 1.5
     assert abs(report.predicted_gap - law) / law < 0.01
 
 
 def test_perturbation_report_rejects_overflowing_gamma():
     with pytest.raises(ValueError, match="finite matrix"):
-        analysis.perturbation_report(100, 1e308)
+        reduced.perturbation_report(100, 1e308)
 
 
 def test_effective_two_level_frozen_n100():
-    system = analysis.perturbation_report(100, GAMMA_C_100)
-    assert system.effective_2x2.shape == (2, 2)
-    assert system.effective_2x2[0, 1] == pytest.approx(system.effective_2x2[1, 0],
+    system = reduced.perturbation_report(100, GAMMA_C_100)
+    assert np.shape(system.effective_2x2) == (2, 2)
+    assert system.effective_2x2[0][1] == pytest.approx(system.effective_2x2[1][0],
                                                         abs=1e-15)
     target = math.sqrt(6.0) / 100 ** 1.5
-    assert abs(abs(system.effective_2x2[0, 1]) - target) / target < 0.02
+    assert abs(abs(system.effective_2x2[0][1]) - target) / target < 0.02
     assert system.e_minus == pytest.approx(E_MINUS_100, abs=1e-12)
     assert system.e_plus == pytest.approx(E_PLUS_100, abs=1e-12)
     gap = system.e_plus - system.e_minus
@@ -336,13 +327,13 @@ def test_effective_two_level_frozen_n100():
 def test_effective_two_level_gap_matches_exact():
     for n in (100, 1000):
         gamma = scheme.gamma_c_formula_k3(n)
-        system = analysis.perturbation_report(n, gamma)
+        system = reduced.perturbation_report(n, gamma)
         exact = reference.energy_gap(n, 3, gamma)
         assert abs((system.e_plus - system.e_minus) - exact) / exact < 0.2
 
 
 def test_effective_two_level_alphas_approach_equal_mixing():
-    system = analysis.perturbation_report(1000, scheme.gamma_c_formula_k3(1000))
+    system = reduced.perturbation_report(1000, scheme.gamma_c_formula_k3(1000))
     assert np.abs(system.alpha_minus - np.array(ALPHA_MINUS_1000)).max() < 1e-9
     equal = 1.0 / math.sqrt(2.0)
     assert np.abs(np.abs(system.alpha_minus) - equal).max() < 0.05
@@ -350,9 +341,9 @@ def test_effective_two_level_alphas_approach_equal_mixing():
 
 
 def test_perturbation_report_consistency():
-    report = analysis.perturbation_report(100)
+    report = reduced.perturbation_report(100)
     assert report.gamma == pytest.approx(GAMMA_C_100, abs=1e-18)
-    assert report.cubic_coefficients == analysis.char_cubic_coeffs(100, report.gamma)
+    assert report.cubic_coefficients == reduced.char_cubic_coeffs(100, report.gamma)
     assert report.lambda_u == pytest.approx(LAMBDA_U_100, abs=1e-12)
     assert np.linalg.norm(report.u) == pytest.approx(1.0, abs=1e-14)
     assert report.e_minus <= report.e_plus
@@ -419,13 +410,13 @@ def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
 # per case.
 K3_ENTRY_POINTS = {
     "gamma_c_formula_k3": lambda n, g: scheme.gamma_c_formula_k3(n),
-    "naive_splitting_diagnostic": analysis.naive_splitting_diagnostic,
-    "char_cubic_coeffs": analysis.char_cubic_coeffs,
-    "pt_block": analysis.pt_block,
+    "naive_splitting_diagnostic": reference.naive_splitting_diagnostic,
+    "char_cubic_coeffs": reduced.char_cubic_coeffs,
+    "pt_block": reference.pt_block,
     "basis_change_T": lambda n, g: reduced.basis_change_T(n),
-    "transformed_hamiltonian": reduced.transformed_hamiltonian,
+    "transformed_hamiltonian": reference.transformed_hamiltonian,
     "transformed_hamiltonian_closed": reduced.transformed_hamiltonian_closed,
-    "perturbation_report": analysis.perturbation_report,
+    "perturbation_report": reduced.perturbation_report,
 }
 #: The entry points that refuse a jumping rate that is not finite and positive.
 K3_POSITIVE_GAMMA = ("transformed_hamiltonian_closed", "perturbation_report")

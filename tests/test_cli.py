@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
+import reference
 from johnsonwalk import _split, analysis, cli, output, reduced, linalg, scheme
 
 
@@ -36,8 +37,8 @@ def test_simulate_csv_roundtrip(tmp_path):
     assert header == ["time", "probability"]
     assert len(rows) == 50
     curve = linalg.secular_curve(scheme.secular_spectrum(8, 3, 0.03), 20.0, 50)
-    dense = linalg.success_curve(reduced.search_hamiltonian(8, 3, 0.03),
-                                 reduced.initial_state(8, 3), 20.0, 50)
+    dense = linalg.success_curve(analysis.search_hamiltonian(8, 3, 0.03),
+                                 analysis.initial_state(8, 3), 20.0, 50)
     # 17 significant digits round-trip float64 exactly
     for row, t, p, q in zip(rows, curve.times, curve.probabilities,
                             dense.probabilities):
@@ -125,8 +126,8 @@ def _written_csv(tmp_path, header, columns):
 
 
 def test_write_csv_matches_row_writer_on_curve(tmp_path):
-    curve = linalg.success_curve(reduced.search_hamiltonian(100, 3, 0.00345),
-                                 reduced.initial_state(100, 3), 700.0, 2801)
+    curve = linalg.success_curve(analysis.search_hamiltonian(100, 3, 0.00345),
+                                 analysis.initial_state(100, 3), 700.0, 2801)
     header = ["time", "probability"]
     columns = [curve.times, curve.probabilities]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
@@ -447,10 +448,10 @@ def test_analyze_pt_key_value(capsys):
 
 def test_analyze_pt_text(capsys):
     assert cli.main(["analyze-pt", "--n", "100"]) == 0
-    report = analysis.perturbation_report(100)
+    report = reduced.perturbation_report(100)
     h = report.effective_2x2
     values = [report.gamma, *report.cubic_coefficients, report.lambda_u,
-              *report.u, h[0, 0], h[0, 1], h[1, 1], report.e_minus,
+              *report.u, h[0][0], h[0][1], h[1][1], report.e_minus,
               report.e_plus, report.predicted_gap, report.predicted_runtime]
     keys = ["gamma", "cubic_lambda3", "cubic_lambda2", "cubic_lambda1",
             "cubic_lambda0", "lambda_u", "u_d0", "u_rprime", "u_rdoubleprime",
@@ -470,7 +471,7 @@ def test_analyze_pt_where_the_block_has_a_zero_component(capsys):
              (line.split(",", 1) for line in lines[1:])}
     lam = table["lambda_u"]
     u = np.array([table["u_d0"], table["u_rprime"], table["u_rdoubleprime"]])
-    block = analysis.pt_block(9, 1.0)
+    block = reference.pt_block(9, 1.0)
     assert lam == pytest.approx(-1.0, abs=1e-14)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
     assert u[0] > 0
@@ -636,14 +637,18 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["sweep-gamma", "--n", "0", "--k", "0"], 1),
     (["analyze-pt", "--n", "5"], 1),
     (["verify", "--n", "9", "--k", "4"], 0),
+    (["analyze-pt", "--n", "100"], 0),
+    (["analyze-pt", "--n", "150000"], 0),
+    (["analyze-pt", "--n", "9", "--gamma", "1"], 0),
 ], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
         "simulate-gamma-nan", "spectrum-float-range", "spectrum", "sweep-csv",
         "verify-vertex-cap", "simulate-t-max-inf", "simulate-phase-overflow",
-        "sweep-n0-k0", "pt-n5", "verify"])
+        "sweep-n0-k0", "pt-n5", "verify", "pt", "pt-150000", "pt-9-gamma-1"])
 def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     # critical-gamma, spectrum and a CSV sweep need only the scheme's
     # spectrum and its secular roots, verify adds the full graph's matrix-free
-    # oracle, and these refusals are decided before a command loads the array
+    # oracle, analyze-pt solves its 3x3 block and 2x2 system in closed form,
+    # and these refusals are decided before a command loads the array
     # modules.  A run without --verbose does not load logging either.
     program = ("import sys; from johnsonwalk import cli; code = cli.main(sys.argv[1:]); "
                "print(code, 'numpy' in sys.modules, 'logging' in sys.modules)")
@@ -658,7 +663,8 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     (["sweep-gamma", "--n", "100", "--k", "3", "--points", "20"],
      ["_split", "cli", "output", "scheme"]),
     (["verify", "--n", "9", "--k", "4"], ["cli", "johnson", "scheme"]),
-], ids=["critical-gamma", "spectrum", "sweep-csv", "verify"])
+    (["analyze-pt", "--n", "100"], ["_split", "cli", "output", "reduced", "scheme"]),
+], ids=["critical-gamma", "spectrum", "sweep-csv", "verify", "analyze-pt"])
 def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
     # Each process compiles the package modules it imports.  The secular
     # roots live in scheme, which every command loads, so these runs

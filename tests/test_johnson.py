@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from johnsonwalk import cli, johnson, linalg, reduced, scheme
+from johnsonwalk import analysis, cli, johnson, linalg, reduced, scheme
 from johnsonwalk.johnson import VertexCapError
 
 
@@ -219,7 +219,7 @@ def test_class_sizes_requires_majority_complement():
 
 def test_class_sizes_and_reduced_model_share_the_n_2k_rule():
     message = "reduced model requires n >= 2k, got n=5, k=3"
-    for call in (johnson.class_sizes, reduced.initial_state,
+    for call in (johnson.class_sizes, analysis.initial_state,
                  reduced.intersection_array):
         with pytest.raises(ValueError, match=message):
             call(5, 3)
@@ -261,11 +261,17 @@ def test_krylov_space_of_s_has_dimension_k_plus_1(n, k, gamma):
     assert result.max_deviation <= 1e-12
 
 
-def test_krylov_space_without_hopping_is_s_and_w():
-    # At gamma = 0, H = -|w><w| and the Krylov space of |s> is span{s, w}.
-    result = johnson.run_verification(9, 4, 0.0)
-    assert result.krylov_dimension == 2
-    assert result.max_deviation <= 1e-15
+@pytest.mark.parametrize("n,k,gamma", [(9, 4, 0.0), (9, 3, 1e12), (9, 3, 1e15)])
+def test_krylov_space_of_w_does_not_depend_on_gamma(n, k, gamma, capsys):
+    # Lanczos runs on A, so its stop does not depend on gamma.  Run on H, it
+    # stopped at dimension 1 at gamma = 1e12, once the oracle's coupling to
+    # |s> fell below the stop, and verify failed.  At gamma = 0, H = -|w><w|.
+    result = johnson.run_verification(n, k, gamma)
+    assert result.krylov_dimension == k + 1
+    assert result.closure_residual <= 1e-20
+    assert result.max_deviation <= 1e-14
+    assert cli.main(["verify", "--n", str(n), "--k", str(k), "--gamma", str(gamma)]) == 0
+    assert "max |p_full - p_reduced|" in capsys.readouterr().out
 
 
 def _drop_one_face(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import _split, linalg, reduced, scheme
+from johnsonwalk import _split, analysis, linalg, scheme
 
 
 def _random_symmetric(dim, seed):
@@ -83,8 +83,8 @@ def test_eig_sym_handles_tiny_offdiagonal():
 
 
 def test_returned_arrays_do_not_leak_into_later_calls():
-    h = reduced.search_hamiltonian(10, 3, 0.02)
-    s = reduced.initial_state(10, 3)
+    h = analysis.search_hamiltonian(10, 3, 0.02)
+    s = analysis.initial_state(10, 3)
     expected = linalg.success_curve(h, s, 50.0, 7)
     expected_evals, expected_evecs = linalg.eig_sym(h)
 
@@ -104,8 +104,8 @@ def test_returned_arrays_do_not_leak_into_later_calls():
 
 
 def test_success_curve_grid_and_consistency():
-    h = reduced.search_hamiltonian(8, 3, 0.03)
-    psi0 = reduced.initial_state(8, 3)
+    h = analysis.search_hamiltonian(8, 3, 0.03)
+    psi0 = analysis.initial_state(8, 3)
     curve = linalg.success_curve(h, psi0, 12.0, 25)
     assert curve.times.shape == (25,)
     assert curve.times[0] == 0.0
@@ -119,8 +119,8 @@ def test_success_curve_grid_and_consistency():
 
 
 def test_success_curve_validates_arguments():
-    h = reduced.search_hamiltonian(8, 3, 0.03)
-    psi0 = reduced.initial_state(8, 3)
+    h = analysis.search_hamiltonian(8, 3, 0.03)
+    psi0 = analysis.initial_state(8, 3)
     with pytest.raises(ValueError):
         linalg.success_curve(h, psi0, 10.0, 1)
     with pytest.raises(ValueError):
@@ -129,8 +129,8 @@ def test_success_curve_validates_arguments():
 
 @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
 def test_success_curve_rejects_non_finite_t_max(t_max):
-    h = reduced.search_hamiltonian(8, 3, 0.03)
-    psi0 = reduced.initial_state(8, 3)
+    h = analysis.search_hamiltonian(8, 3, 0.03)
+    psi0 = analysis.initial_state(8, 3)
     with pytest.raises(ValueError, match="t_max must be finite"):
         linalg.success_curve(h, psi0, t_max, 5)
 
@@ -143,8 +143,8 @@ TIMED_ENTRY_POINTS = pytest.mark.parametrize("call", [
 @TIMED_ENTRY_POINTS
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_timed_entry_points_share_the_time_rule(call, t):
-    h = reduced.search_hamiltonian(8, 3, 0.03)
-    psi0 = reduced.initial_state(8, 3)
+    h = analysis.search_hamiltonian(8, 3, 0.03)
+    psi0 = analysis.initial_state(8, 3)
     with pytest.raises(ValueError, match="must be finite"):
         call(h, psi0, t)
 
@@ -153,15 +153,15 @@ def test_timed_entry_points_share_the_time_rule(call, t):
 def test_timed_entry_points_share_the_phase_rule(call):
     # J(2,1) at gamma = 1e308 is finite, but E * t is not
     with pytest.raises(ValueError, match="overflow"):
-        call(reduced.search_hamiltonian(2, 1, 1e308), reduced.initial_state(2, 1),
+        call(analysis.search_hamiltonian(2, 1, 1e308), analysis.initial_state(2, 1),
              10.0)
 
 
 def test_success_curve_rejects_phase_overflow():
     # J(2,1) at gamma = 1e308 is finite, but E * t_max is not
-    h = reduced.search_hamiltonian(2, 1, 1e308)
+    h = analysis.search_hamiltonian(2, 1, 1e308)
     with pytest.raises(ValueError, match="overflow"):
-        linalg.success_curve(h, reduced.initial_state(2, 1), 10.0, 5)
+        linalg.success_curve(h, analysis.initial_state(2, 1), 10.0, 5)
 
 
 @pytest.mark.parametrize("n,k,gamma", [
@@ -174,8 +174,8 @@ def test_secular_curve_matches_the_distance_basis(n, k, gamma):
         gamma = scheme.critical_rate(n, k)
     t_max = 1.5 * scheme.predicted_peak_time(n, k)
     ours = linalg.secular_curve(scheme.secular_spectrum(n, k, gamma), t_max, 2001)
-    dense = linalg.success_curve(reduced.search_hamiltonian(n, k, float(gamma)),
-                                 reduced.initial_state(n, k), t_max, 2001)
+    dense = linalg.success_curve(analysis.search_hamiltonian(n, k, float(gamma)),
+                                 analysis.initial_state(n, k), t_max, 2001)
     assert np.array_equal(ours.times, dense.times)
     assert np.abs(ours.probabilities - dense.probabilities).max() <= 1e-12
 
@@ -209,7 +209,7 @@ def test_overlap_spectrum_small_gamma_sits_on_first_excited():
 
 def test_search_hamiltonian_eigensolver_matches_lapack():
     gamma = 1.0 / 300.0 + 7.0 / 60000.0
-    h = reduced.search_hamiltonian(100, 3, gamma)
+    h = analysis.search_hamiltonian(100, 3, gamma)
     evals, _ = linalg.eig_sym(h)
     assert np.abs(evals - np.linalg.eigvalsh(h)).max() < 1e-13
 
@@ -223,8 +223,8 @@ def _one_product_curve(h, psi0, t_max, steps):
 
 
 def _curve(n, k, steps):
-    h = reduced.search_hamiltonian(n, k, 1.0 / (k * n))
-    psi0 = reduced.initial_state(n, k)
+    h = analysis.search_hamiltonian(n, k, 1.0 / (k * n))
+    psi0 = analysis.initial_state(n, k)
     return h, psi0, linalg.success_curve(h, psi0, 3000.0, steps).probabilities
 
 
@@ -272,10 +272,10 @@ def test_success_curve_does_not_need_the_sign_convention(monkeypatch, n, k, step
 
 
 def test_success_curve_rejects_negative_t_max():
-    h = reduced.search_hamiltonian(8, 3, 0.03)
+    h = analysis.search_hamiltonian(8, 3, 0.03)
     with pytest.raises(ValueError,
                        match="t_max must be non-negative, got -3.0"):
-        linalg.success_curve(h, reduced.initial_state(8, 3), -3.0, 3)
+        linalg.success_curve(h, analysis.initial_state(8, 3), -3.0, 3)
 
 
 def test_eig_sym_rejects_empty_matrix():
@@ -287,7 +287,7 @@ def test_eig_sym_rejects_empty_matrix():
     lambda h, s: linalg.success_curve(h, s, 1.0, 5),
 ], ids=["success_curve"])
 def test_spectral_entry_points_share_input_checks(call):
-    h = reduced.search_hamiltonian(7, 2, 0.1)
+    h = analysis.search_hamiltonian(7, 2, 0.1)
     with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
         call(h, np.ones(4))
     with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):

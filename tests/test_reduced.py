@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from johnsonwalk import johnson, linalg, reduced, scheme
+from johnsonwalk import analysis, johnson, linalg, reduced, scheme
 
 # spectrum of the (7,3) search Hamiltonian at gamma = 0.05, from an
 # independent dense eigensolver; note the positive top eigenvalue
@@ -41,7 +41,7 @@ def test_reduced_adjacency_j63_frozen():
         [0.0, 4.0, 4.0, 3.0],
         [0.0, 0.0, 3.0, 0.0],
     ])
-    assert np.allclose(reduced.reduced_adjacency(6, 3), expected, atol=1e-14)
+    assert np.allclose(analysis.reduced_adjacency(6, 3), expected, atol=1e-14)
 
 
 @given(st.integers(1, 6), st.data())
@@ -49,7 +49,7 @@ def test_reduced_adjacency_j63_frozen():
 def test_offdiagonal_squares(k, data):
     """Quotient symmetrization: off-diagonal^2 = b_i * c_{i+1}."""
     n = data.draw(st.integers(2 * k, 2 * k + 24))
-    adj = reduced.reduced_adjacency(n, k)
+    adj = analysis.reduced_adjacency(n, k)
     arr = reduced.intersection_array(n, k)
     for i in range(k):
         # arr.c starts at c_1, so index i holds c_{i+1}
@@ -67,37 +67,37 @@ def test_reduced_adjacency_is_equitable_quotient(n, k):
     for i, members in enumerate(classes):
         s[members, i] = 1.0 / math.sqrt(len(members))
     quotient = s.T @ graph.adjacency @ s
-    assert np.abs(quotient - reduced.reduced_adjacency(n, k)).max() < 1e-12
+    assert np.abs(quotient - analysis.reduced_adjacency(n, k)).max() < 1e-12
 
 
 def test_search_hamiltonian_structure():
-    h = reduced.search_hamiltonian(6, 3, 0.25)
+    h = analysis.search_hamiltonian(6, 3, 0.25)
     assert h.shape == (4, 4)
     assert np.array_equal(h, h.T)
     assert h[0, 0] == -1.0   # a_0 = 0, so only the oracle term survives
-    assert np.allclose(h + 0.25 * reduced.reduced_adjacency(6, 3)
+    assert np.allclose(h + 0.25 * analysis.reduced_adjacency(6, 3)
                        + np.diag([1.0, 0, 0, 0]), 0.0, atol=1e-15)
 
 
 def test_search_hamiltonian_gamma_zero_is_oracle_only():
-    h = reduced.search_hamiltonian(6, 3, 0.0)
+    h = analysis.search_hamiltonian(6, 3, 0.0)
     assert np.array_equal(h, np.diag([-1.0, 0.0, 0.0, 0.0]))
 
 
 def test_search_hamiltonian_rejects_negative_gamma():
     with pytest.raises(ValueError):
-        reduced.search_hamiltonian(6, 3, -0.1)
+        analysis.search_hamiltonian(6, 3, -0.1)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
 def test_search_hamiltonian_rejects_non_finite_gamma(gamma):
     with pytest.raises(ValueError, match="finite"):
-        reduced.search_hamiltonian(6, 3, gamma)
+        analysis.search_hamiltonian(6, 3, gamma)
 
 
 def test_search_hamiltonian_rejects_overflowing_gamma():
     with pytest.raises(ValueError, match="overflows"):
-        reduced.search_hamiltonian(7, 3, 1e308)
+        analysis.search_hamiltonian(7, 3, 1e308)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0])
@@ -117,10 +117,10 @@ def test_k3_basis_change_rejects_vertex_count_beyond_float():
 def test_initial_state_rejects_vertex_count_beyond_float():
     # C(3000, 500) ~ 1e585 and C(1100, 500) ~ 1e327 overflow; C(1000, 500) ~ 1e299 fits
     with pytest.raises(ValueError, match="float range"):
-        reduced.initial_state(3000, 500)
+        analysis.initial_state(3000, 500)
     with pytest.raises(ValueError, match="float range"):
-        reduced.initial_state(1100, 500)
-    s = reduced.initial_state(1000, 500)
+        analysis.initial_state(1100, 500)
+    s = analysis.initial_state(1000, 500)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_float_range_border():
 
 
 def test_initial_state_j63():
-    s = reduced.initial_state(6, 3)
+    s = analysis.initial_state(6, 3)
     assert np.allclose(s, np.sqrt([1, 9, 9, 1]) / math.sqrt(20), atol=1e-15)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-14)
 
@@ -150,21 +150,21 @@ def test_initial_state_j63():
 @given(st.integers(1, 6), st.data())
 def test_initial_state_normalized(k, data):
     n = data.draw(st.integers(2 * k, 2 * k + 24))
-    s = reduced.initial_state(n, k)
+    s = analysis.initial_state(n, k)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
     assert np.all(s > 0)
 
 
 def test_search_spectrum_j73_frozen():
     """Spectrum at (7,3), gamma=0.05; the top eigenvalue is positive."""
-    evals, _ = linalg.eig_sym(reduced.search_hamiltonian(7, 3, 0.05))
+    evals, _ = linalg.eig_sym(analysis.search_hamiltonian(7, 3, 0.05))
     assert np.abs(evals - np.array(J73_EIGS)).max() < 1e-12
     assert evals[-1] > 0
 
 
 @pytest.mark.parametrize("n", [6, 10, 100, 1000])
 def test_basis_change_orthogonal(n):
-    t = reduced.basis_change_T(n)
+    t = np.array(reduced.basis_change_T(n))
     assert np.abs(t.T @ t - np.eye(4)).max() < 1e-14
     # first column is the marked distance-0 state itself
     assert np.array_equal(t[:, 0], [1.0, 0.0, 0.0, 0.0])
@@ -176,7 +176,7 @@ def test_basis_change_r_column_is_rest_superposition():
     sizes = johnson.class_sizes(100, 3)
     rest = np.array([0.0] + [math.sqrt(d) for d in sizes[1:]])
     rest /= math.sqrt(sum(sizes) - 1)
-    assert np.abs(reduced.basis_change_T(100)[:, 1] - rest).max() < 1e-14
+    assert np.abs(np.array(reduced.basis_change_T(100))[:, 1] - rest).max() < 1e-14
 
 
 def test_basis_change_requires_n_at_least_6():
@@ -187,8 +187,8 @@ def test_basis_change_requires_n_at_least_6():
 @pytest.mark.parametrize("n", [6, 10, 100, 1000])
 def test_transformed_hamiltonian_closed_form(n):
     gamma = 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
-    numeric = reduced.transformed_hamiltonian(n, gamma)
-    closed = reduced.transformed_hamiltonian_closed(n, gamma)
+    numeric = reference.transformed_hamiltonian(n, gamma)
+    closed = np.array(reduced.transformed_hamiltonian_closed(n, gamma))
     assert np.abs(numeric - closed).max() < 1e-12
     # the (d0, r') and (r, r') couplings vanish identically
     assert closed[0, 2] == 0.0
@@ -197,8 +197,8 @@ def test_transformed_hamiltonian_closed_form(n):
 
 def test_transformed_hamiltonian_same_spectrum():
     gamma = 0.01
-    original = reduced.search_hamiltonian(20, 3, gamma)
-    transformed = reduced.transformed_hamiltonian(20, gamma)
+    original = analysis.search_hamiltonian(20, 3, gamma)
+    transformed = reference.transformed_hamiltonian(20, gamma)
     assert np.allclose(np.sort(np.linalg.eigvalsh(original)),
                        np.sort(np.linalg.eigvalsh(transformed)), atol=1e-12)
 
@@ -212,6 +212,6 @@ def test_transformed_hamiltonian_closed_rejects_bad_params():
 
 def test_reduced_params_validation():
     with pytest.raises(ValueError):
-        reduced.reduced_adjacency(5, 3)   # needs n >= 2k
+        analysis.reduced_adjacency(5, 3)   # needs n >= 2k
     with pytest.raises(ValueError):
-        reduced.initial_state(6, 0)
+        analysis.initial_state(6, 0)
