@@ -107,36 +107,9 @@ def _krylov_curve(graph: Incidence, gamma: float
     t = [[scale * diagonal[i] if i == j else scale * off[min(i, j)] if abs(i - j) == 1
           else 0.0 for j in range(m)] for i in range(m)]
     t[0][0] -= 1.0
-    values, vectors = _jacobi(t)
+    values, vectors = scheme._jacobi(t)
     return ([(value, y[0] * math.fsum(map(mul, overlaps, y)))
              for value, y in zip(values, zip(*vectors))], gamma * beta * norm)
-
-
-def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Eigenvalues and eigenvectors (columns) of a small symmetric matrix by
-    cyclic Jacobi rotations, each skipped where the entry is negligible
-    beside both diagonal entries of its pair (Numerical Recipes' jacobi)."""
-    m = len(a)
-    v = [[float(i == j) for j in range(m)] for i in range(m)]
-    for _ in range(64):
-        rotated = False
-        for p, q in itertools.combinations(range(m), 2):
-            g = 100.0 * abs(a[p][q])
-            if abs(a[p][p]) + g == abs(a[p][p]) and abs(a[q][q]) + g == abs(a[q][q]):
-                continue
-            rotated = True
-            theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1.0 / math.hypot(t, 1.0)
-            s = t * c
-            for row in a + v:  # the columns of A and V, then the rows of A
-                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-            a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
-                          [s * x + c * y for x, y in zip(a[p], a[q])])
-            a[p][q] = a[q][p] = 0.0
-        if not rotated:
-            return [a[i][i] for i in range(m)], v
-    raise ValueError("the Jacobi rotations did not converge")
 
 
 class VerificationResult(NamedTuple):

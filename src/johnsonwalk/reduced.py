@@ -22,9 +22,8 @@ import sys
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .scheme import (SIGN_EPS, _check_gamma, _check_k3_params,
-                     _check_positive_gamma, _check_reduced_params,
-                     gamma_c_formula_k3)
+from .scheme import (SIGN_EPS, _check_gamma, _check_k3_params, _check_positive_gamma,
+                     _check_reduced_params, _jacobi, gamma_c_formula_k3)
 
 Rows = tuple[tuple[float, ...], ...]
 
@@ -130,50 +129,21 @@ def _signed(vector: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(0.0 - x for x in vector) if lead < 0.0 else vector  # no -0.0
 
 
-def _block_pair(n: int, gamma: float, cubic: tuple[float, float, float, float]
-                ) -> tuple[float, tuple[float, float, float]]:
-    """The eigenpair of the block B of ``char_cubic_coeffs`` (``cubic``) with
-    its eigenvalue nearest -1 - 1/(2n): Newton's root of the factored
-    determinant (b00-l)[(b11-l)(b22-l) - b12^2] - b02^2 (b11-l) from there,
-    or, where the cubic deflated by it has a root nearer the seed, that root
-    polished by Newton.  B is scaled by a power of two, exactly, so that no
-    product of three entries overflows.  B - l has rank 2 at an eigenvalue,
-    so the largest cross product of two of its rows gives the eigenvector.
-    """
+def _block_pair(n: int, gamma: float) -> tuple[float, tuple[float, float, float]]:
+    """The eigenpair of the block B of ``char_cubic_coeffs`` with its
+    eigenvalue nearest -1 - 1/(2n), by ``scheme._jacobi``.  B is refused
+    unless 4 sum |b_ij| is finite, a bound on every number the rotations
+    form."""
     g = float(gamma)
-    entries = (-1.0, -g * math.sqrt(3.0 * n), -g * (2.0 * n - 17.0),
-               2.0 * g * math.sqrt(2.0 * n), -g * (n - 2.0))
-    if not all(map(math.isfinite, entries)):
+    b02, b12 = -g * math.sqrt(3.0 * n), 2.0 * g * math.sqrt(2.0 * n)
+    block = [[-1.0, 0.0, b02], [0.0, -g * (2.0 * n - 17.0), b12],
+             [b02, b12, -g * (n - 2.0)]]
+    if not math.isfinite(4.0 * sum(abs(x) for row in block for x in row)):
         raise ValueError(f"the k=3 block at n={n}, gamma={gamma} is not a finite matrix")
-    scale = 2.0 ** math.frexp(max(map(abs, entries)))[1]
-    b00, b02, b11, b12, b22 = (x / scale for x in entries)
-
-    def newton(lam: float) -> float:
-        for _ in range(100):
-            p, q, w = b00 - lam, b11 - lam, b22 - lam
-            rest = q * w - b12 * b12
-            slope = b02 * b02 - rest - p * (q + w)
-            step = (p * rest - b02 * b02 * q) / slope if slope else 0.0
-            lam -= step
-            if not abs(step) > 2.0 * sys.float_info.epsilon * abs(lam):
-                break
-        return lam
-
+    values, vectors = _jacobi(block)
     seed = -1.0 - 1.0 / (2.0 * n)
-    lam = newton(seed / scale)
-    # The cubic over (l - lambda) is -l^2 + 2 half l + c (its l^3 term is
-    # -1), with roots half +- root.
-    _, c2, c1, _ = cubic
-    half = 0.5 * (c2 - lam * scale)
-    root = math.sqrt(max(half * half + c1 + 2.0 * half * lam * scale, 0.0))
-    other = min(half - root, half + root, key=lambda x: abs(x - seed))
-    if abs(other - seed) < abs(lam * scale - seed):
-        lam = newton(other / scale)
-    p, q, w = b00 - lam, b11 - lam, b22 - lam
-    cross = max(((-b02 * q, -p * b12, p * q), (-b02 * b12, b02 * b02 - p * w, p * b12),
-                 (q * w - b12 * b12, b12 * b02, -q * b02)), key=lambda v: math.hypot(*v))
-    norm = math.hypot(*cross)
-    return lam * scale, _signed(tuple(x / norm for x in cross))
+    i = min(range(3), key=lambda i: abs(values[i] - seed))
+    return values[i], _signed(tuple(row[i] for row in vectors))
 
 
 class PerturbationReport(NamedTuple):
@@ -225,7 +195,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
         gamma = gamma_c_formula_k3(n)
     _check_positive_gamma(gamma)
     cubic = char_cubic_coeffs(n, gamma)
-    lam, u = _block_pair(n, gamma, cubic)
+    lam, u = _block_pair(n, gamma)
     hp = transformed_hamiltonian_closed(n, gamma)
     u4 = (u[0], 0.0, u[1], u[2])
     h_rr = hp[1][1]

@@ -26,12 +26,15 @@ roots take the two-pole rational step of LAPACK's dlaed4 (Bunch, Nielsen &
 Sorensen, Numer. Math. 31, 31 (1978); Li's "middle way").
 
 The module imports the standard library only: critical-gamma, spectrum,
-sweep-gamma and every input rule of the package run without numpy.
+sweep-gamma and every input rule of the package run without numpy.  It also
+holds ``_jacobi``, the small symmetric eigensolver of ``verify`` and
+``analyze-pt``, which load this module anyway.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import sys
@@ -642,3 +645,30 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
             t = 0.5 * (lo + hi)
         add(o, sigma, _root(_pole_step(h, poles, o, i), lo, hi, t, False), poles)
     return result
+
+
+def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors (columns) of a small symmetric matrix by
+    cyclic Jacobi rotations, each skipped where the entry is negligible
+    beside both diagonal entries of its pair (Numerical Recipes' jacobi)."""
+    m = len(a)
+    v = [[float(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(64):
+        rotated = False
+        for p, q in itertools.combinations(range(m), 2):
+            g = 100.0 * abs(a[p][q])
+            if abs(a[p][p]) + g == abs(a[p][p]) and abs(a[q][q]) + g == abs(a[q][q]):
+                continue
+            rotated = True
+            theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            for row in a + v:  # the columns of A and V, then the rows of A
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                          [s * x + c * y for x, y in zip(a[p], a[q])])
+            a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            return [a[i][i] for i in range(m)], v
+    raise ValueError("the Jacobi rotations did not converge")

@@ -267,13 +267,20 @@ def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
         reduced.perturbation_report(100, gamma)
 
 
+def _signed(vectors):
+    # eig_sym's sign rule on each column: its first component of magnitude
+    # above SIGN_EPS is made non-negative.
+    return np.column_stack([v * np.sign(v[np.abs(v) > linalg.SIGN_EPS][0])
+                            for v in vectors.T])
+
+
 def test_perturbation_report_pair_is_the_nearest_eigh_pair():
-    # The report finds (lambda_u, u) without an eigensolver; LAPACK's eigh on
-    # the dense block, with eig_sym's sign rule, finds the same pair off the
-    # critical rate too.  lambda_u is compared in units of the block's
-    # largest entry, which reaches 1e9 here.  At n = 8, gamma = 0.1, Newton
-    # from the seed lands on another root, and the deflated cubic's check
-    # takes the nearest one instead.
+    # The report solves the block and the 2x2 without numpy; LAPACK's eigh on
+    # the dense block and on the report's 2x2, with eig_sym's sign rule,
+    # finds the same pairs off the critical rate too.  lambda_u is compared
+    # in units of the block's largest entry, which reaches 1e9 here.  At
+    # n = 8, gamma = 0.1, the block eigenvalue nearest the seed is not the
+    # one Newton's method from the seed would reach.
     cases = [(8, 0.1)] + [(n, gamma) for n in (6, 9, 37, 100, 1000, 10**4, 10**5, 10**6)
                           for gamma in (1e-6, 1e-4, 1e-2, 1.0, 1e3)]
     for n, gamma in cases:
@@ -281,11 +288,12 @@ def test_perturbation_report_pair_is_the_nearest_eigh_pair():
         block = reference.pt_block(n, gamma)
         evals, evecs = np.linalg.eigh(block)
         index = int(np.argmin(np.abs(evals - (-1.0 - 1.0 / (2.0 * n)))))
-        ref = evecs[:, index]
-        ref *= np.sign(ref[np.abs(ref) > linalg.SIGN_EPS][0])
         scale = max(1.0, np.abs(block).max())
         assert abs(report.lambda_u - evals[index]) <= 1e-12 * scale, (n, gamma)
-        assert np.abs(np.array(report.u) - ref).max() <= 1e-12, (n, gamma)
+        assert np.abs(np.array(report.u) - _signed(evecs)[:, index]).max() <= 1e-12, (n, gamma)
+        alphas = _signed(np.linalg.eigh(np.array(report.effective_2x2))[1])
+        assert np.abs(np.array(report.alpha_minus) - alphas[:, 0]).max() <= 1e-12, (n, gamma)
+        assert np.abs(np.array(report.alpha_plus) - alphas[:, 1]).max() <= 1e-12, (n, gamma)
 
 
 @pytest.mark.parametrize("n", [8 * 10**8, 10**10, 10**11, 10**12, 10**25])

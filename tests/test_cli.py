@@ -512,6 +512,10 @@ def test_verify_zero_window_still_checks_steps(steps, capsys):
     ["analyze-pt", "--n", "100", "--gamma", "inf"],
     ["analyze-pt", "--n", "100", "--gamma", "1e308"],
     ["analyze-pt", "--n", "100", "--gamma", "1e102"],
+    # Every entry of the k=3 block is finite, but not every number its
+    # rotations would form: at n = 10 one of them divided by zero.
+    ["analyze-pt", "--n", "100", "--gamma", "6e305"],
+    ["analyze-pt", "--n", "10", "--gamma", "1.8e307"],
     ["verify", "--n", "7", "--k", "3", "--gamma", "1e308"],
     ["sweep-gamma", "--n", "10", "--k", "3", "--points", "2",
      "--gamma-max", "1e308"],
@@ -523,7 +527,8 @@ def test_verify_zero_window_still_checks_steps(steps, capsys):
     ["verify", "--n", "7", "--k", "3", "--steps", "9223372036854775807"],
     ["sweep-gamma", "--n", "10", "--k", "3", "--points",
      "9223372036854775807"],
-], ids=["pt-nan", "pt-inf", "pt-1e308", "pt-1e102", "verify-1e308",
+], ids=["pt-nan", "pt-inf", "pt-1e308", "pt-1e102", "pt-6e305", "pt-n10-1.8e307",
+        "verify-1e308",
         "sweep-1e308", "sweep-infinite-range", "simulate-phase-overflow",
         "simulate-huge-grid", "verify-huge-grid", "sweep-huge-grid"])
 def test_overflowing_input_exits_one(argv, capsys):

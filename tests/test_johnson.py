@@ -269,7 +269,7 @@ def test_krylov_space_of_w_does_not_depend_on_gamma(n, k, gamma, capsys):
     result = johnson.run_verification(n, k, gamma)
     assert result.krylov_dimension == k + 1
     assert result.closure_residual <= 1e-20
-    assert result.max_deviation <= 1e-14
+    assert result.max_deviation <= 1e-15
     assert cli.main(["verify", "--n", str(n), "--k", str(k), "--gamma", str(gamma)]) == 0
     assert "max |p_full - p_reduced|" in capsys.readouterr().out
 
