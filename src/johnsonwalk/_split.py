@@ -7,15 +7,15 @@ that many threads and ``output.write_csv`` that many row formatters.
 in-process on the first range of rows, and each further range goes to this
 file run as a script in a helper process:
 
-    python -I -S _split.py KINDS ROWS
+    python -I -S _split.py TYPECODES ROWS
 
-KINDS holds one numpy dtype kind per column (``f``, ``i`` or ``u``, e.g.
-``fif``), and ``FORMATS`` maps each kind to the raw typecode the caller
-writes and the printf conversion that formats it.  The helper reads ROWS
-rows from stdin as raw native numbers, laid out a chunk of ``CHUNK_ROWS``
-rows at a time with the chunk's columns one after another, and writes the
-rows' text to stdout.  It runs isolated and without site-packages, so this
-module imports the standard library only.
+TYPECODES holds one ``array`` typecode per column (``d``, ``q`` or ``Q``,
+e.g. ``dqd``), and ``FORMATS`` maps each typecode to the printf conversion
+that formats it.  The helper reads ROWS rows from stdin as raw native
+numbers, laid out a chunk of ``CHUNK_ROWS`` rows at a time with the chunk's
+columns one after another, and writes the rows' text to stdout.  It runs
+isolated and without site-packages, so this module imports the standard
+library only.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import sys
 #: what a formatter holds in memory at a time.
 CHUNK_ROWS = 1 << 16
 
-#: Raw typecode (float64, int64, uint64) and printf conversion per numeric
-#: dtype kind; a column of any other kind is not written by ``write_rows``.
-FORMATS = {"f": ("d", "%.17g"), "i": ("q", "%d"), "u": ("Q", "%d")}
+#: printf conversion per raw typecode (float64, int64, uint64); a column of
+#: any other type is not written by ``write_rows``.
+FORMATS = {"d": "%.17g", "q": "%d", "Q": "%d"}
 
 
 def worker_count() -> int:
@@ -40,14 +40,13 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def write_rows(write, kinds: str, columns, n_rows: int) -> None:
+def write_rows(write, typecodes: str, columns, n_rows: int) -> None:
     """Write ``n_rows`` CSV rows, one ``write`` call per chunk of rows.
 
-    ``columns`` are sliceable sequences whose slices have a ``tolist``
-    method (ndarrays, memoryviews), one per dtype kind in ``kinds``.
+    ``columns`` are 1-d memoryviews, one per typecode in ``typecodes``.
     """
     width = len(columns)
-    template = ",".join(FORMATS[kind][1] for kind in kinds) + "\n"
+    template = ",".join(FORMATS[code] for code in typecodes) + "\n"
     for start in range(0, n_rows, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n_rows)
         interleaved: list = [None] * ((stop - start) * width)
@@ -56,18 +55,18 @@ def write_rows(write, kinds: str, columns, n_rows: int) -> None:
         write(template * (stop - start) % tuple(interleaved))
 
 
-def _main(kinds: str, n_rows: int) -> None:
+def _main(typecodes: str, n_rows: int) -> None:
     source, sink = sys.stdin.buffer, sys.stdout.buffer
     for start in range(0, n_rows, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, n_rows - start)
         size = 8 * rows
-        data = memoryview(source.read(size * len(kinds)))
-        if len(data) != size * len(kinds):
+        data = memoryview(source.read(size * len(typecodes)))
+        if len(data) != size * len(typecodes):
             raise SystemExit(f"expected {n_rows} rows, input ended early")
-        columns = [data[j * size:(j + 1) * size].cast(FORMATS[kind][0])
-                   for j, kind in enumerate(kinds)]
+        columns = [data[j * size:(j + 1) * size].cast(code)
+                   for j, code in enumerate(typecodes)]
         write_rows(lambda text: sink.write(text.encode("ascii")),
-                   kinds, columns, rows)
+                   typecodes, columns, rows)
 
 
 if __name__ == "__main__":

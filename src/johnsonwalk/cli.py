@@ -19,16 +19,18 @@ such as a long simulate curve or sweep-gamma grid, is formatted in helper
 processes, one per CPU beyond the first.  It also includes a failed final
 write, such as buffered stdout flushed to a full disk or a closed pipe.
 
-critical-gamma, spectrum, sweep-gamma (as CSV), verify and analyze-pt run
-without numpy: what they print comes from ``scheme``, the Johnson scheme's
-exact spectrum and the roots of its secular equation, which verify checks
-against the full graph through ``johnson``'s matrix-free oracle, or from
-``reduced``'s closed forms for k = 3.  The default rate is the exact
-critical rate S_1.  simulate (for its curve) and an SVG sweep load numpy
-inside the command, after every input check that needs no arrays, so a
-refused input costs no numpy import in any command.  The
-``logging`` module is imported only by a run that logs (--verbose), or when
-the calling process has loaded it already.
+critical-gamma, spectrum, sweep-gamma (as CSV or SVG), verify and
+analyze-pt run without numpy: what they print comes from ``scheme``, the
+Johnson scheme's exact spectrum and the roots of its secular equation, which
+verify checks against the full graph through ``johnson``'s matrix-free
+oracle, or from ``reduced``'s closed forms for k = 3, and ``output`` writes
+it with the standard library alone.  The default rate is the exact critical
+rate S_1.  Only simulate loads numpy, for its curve in ``linalg``, after
+every input check that needs no arrays, so a refused input costs no numpy
+import in any command.  A command loads ``output`` only once it has
+something to write, so a refusal loads no writer either.  The ``logging``
+module is imported only by a run that logs (--verbose), or when the
+calling process has loaded it already.
 """
 
 from __future__ import annotations
@@ -146,8 +148,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spectrum = scheme.secular_spectrum(args.n, args.k, gamma)  # checks the model
     scheme._check_grid(t_max, args.steps)
     scheme._check_phases(max(map(abs, spectrum.shifts)), t_max, "t_max")
-    from . import linalg, output
+    from . import linalg
     curve = linalg.secular_curve(spectrum, t_max, args.steps)
+    from . import output
     if args.format == "svg":
         output.render_svg(args.output, [(curve.times, curve.probabilities)],
                           x_label="time", y_label="success probability")
@@ -170,9 +173,9 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
         raise ValueError(f"gamma range [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
-    from . import output
     gammas = list(scheme._grid(lo, hi, points))
     spectra = [scheme.secular_spectrum(n, k, gamma) for gamma in gammas]
+    from . import output
     if args.format == "svg":
         series = [(gammas, [spectrum.overlap_s[j] for spectrum in spectra])
                   for j in range(k + 1)]
@@ -204,8 +207,8 @@ def cmd_critical_gamma(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     gamma = _rate(args)
-    from . import output
     spectrum = scheme.secular_spectrum(args.n, args.k, gamma)
+    from . import output
     output.write_csv(args.output,
                      ["eig_index", "energy", "overlap_s", "overlap_w"],
                      [array("q", range(args.k + 1)), array("d", spectrum.energies),
@@ -232,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_pt(args: argparse.Namespace) -> int:
-    from . import output, reduced
+    from . import reduced
     report = reduced.perturbation_report(args.n, args.gamma)
     (h_rr, h_ru), (_, h_uu) = report.effective_2x2
     rows = [
@@ -247,6 +250,7 @@ def cmd_analyze_pt(args: argparse.Namespace) -> int:
         ("predicted_runtime", report.predicted_runtime),
     ]
     keys, values = zip(*rows)
+    from . import output
     output.write_csv(args.output, ["key", "value"], [keys, values])
     return 0
 

@@ -3,28 +3,30 @@
 CSV is the interchange format: UTF-8, header row, LF line endings, floats
 printed with 17 significant digits so parsing the file back reproduces the
 exact float64 values.  ``write_csv`` takes the data as columns, not rows.
-A table whose columns are all float or integer arrays (ndarrays, or
-``array.array`` of typecode ``d``, ``q`` or ``Q``, which need no numpy) is
-formatted in bulk, one printf template per chunk of rows (``_split.FORMATS``
-maps a dtype kind to its typecode and conversion), and each chunk goes out
-in one write; such a table longer than one chunk is split into one range of
-rows per CPU: this process formats the first range, and helper processes
-running ``_split.py`` format the others through unnamed temporary files,
-whose text is copied on in bounded pieces.  Either way memory stays bounded for
-any row count, and the bytes do not depend on the number of CPUs.  Any
-other table, and every header, goes through ``csv.writer`` with LF line
-endings, which quotes text the way the running Python's ``csv`` module
-does.  The SVG writer draws a small standalone line chart (fixed 800x500
-canvas) for eyeballing success curves and overlap sweeps without a
-plotting stack.
+A table whose columns all export a 1-d buffer of float64, int64 or uint64
+values (such as ``array.array`` of typecode ``d``, ``q`` or ``Q``) is read
+through ``memoryview``, strided or not, and formatted in bulk, one
+printf template per chunk of rows (``_split.FORMATS`` maps a typecode to
+its conversion), and each chunk goes out in one write; such a table longer
+than one chunk is split into one range of rows per CPU: this process
+formats the first range, and helper processes running ``_split.py`` format
+the others through unnamed temporary files, whose text is copied on in
+bounded pieces.  Either way memory stays bounded for any row count, and the
+bytes do not depend on the number of CPUs.  Any other table, and every
+header, goes through ``csv.writer`` with LF line endings, which quotes text
+the way the running Python's ``csv`` module does.  The SVG writer draws a
+small standalone line chart (fixed 800x500 canvas) for eyeballing success
+curves and overlap sweeps without a plotting stack.
 
-The module imports numpy only to draw a chart or to write ndarrays, so
-writing plain columns leaves it unloaded.
+The module imports the standard library only: it reads array columns
+through the buffer protocol and chart series as sequences of numbers, so
+neither writing a table nor drawing a chart loads an array library.
 """
 
 from __future__ import annotations
 
-import array
+import math
+import numbers
 import os
 import sys
 from typing import IO, Optional, Sequence
@@ -56,34 +58,31 @@ _HELPER_START_VALUES = 24000
 #: Bytes of a helper's text copied on at a time.
 _COPY_BYTES = 1 << 20
 
-#: The dtype kind of each ``array.array`` typecode written in bulk.
-_TYPECODE_KINDS = {code: kind for kind, (code, _) in _split.FORMATS.items()}
-
-
-def _numpy():
-    """numpy if it is loaded: an ndarray or numpy scalar exists only then."""
-    return sys.modules.get("numpy")
+#: The ``_split.FORMATS`` typecode of each 8-byte buffer format written in
+#: bulk; array libraries export int64 and uint64 as ``l`` and ``L`` on LP64
+#: systems.
+_TYPECODES = {"d": "d", "q": "q", "l": "q", "Q": "Q", "L": "Q"}
 
 
 def _format_value(value) -> str:
-    np = _numpy()
-    if isinstance(value, bool) or (np and isinstance(value, np.bool_)):
+    if isinstance(value, bool):
         return str(value)
-    if isinstance(value, int) or (np and isinstance(value, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, float) or (np and isinstance(value, np.floating)):
+    if isinstance(value, numbers.Real):
         return format(float(value), ".17g")
     return str(value)
 
 
-def _kind(column) -> Optional[str]:
-    """The ``_split.FORMATS`` kind of a column written in bulk, else None."""
-    if isinstance(column, array.array):
-        return _TYPECODE_KINDS.get(column.typecode)
-    np = _numpy()
-    if np and isinstance(column, np.ndarray) and column.dtype.kind in _split.FORMATS:
-        return column.dtype.kind
-    return None
+def _typecode(column) -> Optional[str]:
+    """The ``_split.FORMATS`` typecode of a column written in bulk, else None."""
+    try:
+        view = memoryview(column)
+    except (TypeError, ValueError):  # no buffer, or one of an unexported type
+        return None
+    if view.ndim != 1:
+        raise ValueError(f"CSV columns must be 1-d, got shape {view.shape}")
+    return _TYPECODES.get(view.format) if view.itemsize == 8 else None
 
 
 def _write_columns(handle: IO[str], header: Sequence[str],
@@ -92,13 +91,11 @@ def _write_columns(handle: IO[str], header: Sequence[str],
 
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
-    np = _numpy()
-    for column in columns:
-        if np and isinstance(column, np.ndarray) and column.ndim != 1:
-            raise ValueError(f"CSV columns must be 1-d, got shape {column.shape}")
-    kinds = "".join(_kind(column) or "?" for column in columns)
-    numeric = "?" not in kinds
-    if not numeric:
+    typecodes = "".join(_typecode(column) or "?" for column in columns)
+    numeric = "?" not in typecodes
+    if numeric:
+        columns = [memoryview(column) for column in columns]
+    else:
         columns = [[_format_value(value) for value in column] for column in columns]
     n_rows = len(columns[0]) if columns else 0
     if any(len(column) != n_rows for column in columns):
@@ -110,25 +107,25 @@ def _write_columns(handle: IO[str], header: Sequence[str],
         return
     workers = _split.worker_count()
     if workers > 1 and n_rows > _CHUNK_ROWS and sys.executable:
-        _write_split(handle, kinds, columns, n_rows, workers)
+        _write_split(handle, typecodes, columns, n_rows, workers)
     else:
-        _split.write_rows(handle.write, kinds, columns, n_rows)
+        _split.write_rows(handle.write, typecodes, columns, n_rows)
 
 
-def _write_split(handle: IO[str], kinds: str, columns: Sequence,
+def _write_split(handle: IO[str], typecodes: str, columns: Sequence[memoryview],
                  n_rows: int, workers: int) -> None:
     """Format the first range of rows here and each other range in a helper.
 
-    Each helper reads its rows from one unnamed temporary file and writes
-    their text to another, which is copied on to ``handle`` in pieces of
-    ``_COPY_BYTES`` once this process has written its own range.
+    Each helper reads its rows, copied out of the column views a chunk at a
+    time, from one unnamed temporary file and writes their text to another,
+    which is copied on to ``handle`` in pieces of ``_COPY_BYTES`` once this
+    process has written its own range.
     """
     import subprocess
     import tempfile
 
     bounds = _split_bounds(n_rows, len(columns), workers)
-    typecodes = [_split.FORMATS[kind][0] for kind in kinds]
-    argv = [*_HELPER_ARGV, kinds]
+    argv = [*_HELPER_ARGV, typecodes]
     processes, sinks = [], []
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
@@ -136,18 +133,13 @@ def _write_split(handle: IO[str], kinds: str, columns: Sequence,
             with tempfile.TemporaryFile() as source:
                 for lo in range(start, stop, _CHUNK_ROWS):
                     hi = min(lo + _CHUNK_ROWS, stop)
-                    for column, code in zip(columns, typecodes):
-                        chunk = column[lo:hi]
-                        if not isinstance(chunk, array.array):
-                            import numpy as np
-
-                            chunk = np.ascontiguousarray(chunk, dtype=code)
-                        source.write(chunk)
+                    for column in columns:
+                        source.write(column[lo:hi].tobytes())
                 source.seek(0)
                 processes.append(subprocess.Popen(
                     argv + [str(stop - start)], stdin=source, stdout=sinks[-1],
                     stderr=subprocess.PIPE))
-        _split.write_rows(handle.write, kinds, columns, bounds[1])
+        _split.write_rows(handle.write, typecodes, columns, bounds[1])
         for process, sink in zip(processes, sinks):
             _, err = process.communicate()
             if process.returncode != 0:
@@ -184,12 +176,14 @@ def write_csv(path: Optional[str], header: Sequence[str],
     """Write one header row plus one data row per index; path None means stdout.
 
     ``columns`` holds one sequence per header field, all of one length.
-    When every column is a float or integer ndarray or ``array.array``,
+    When every column is a 1-d buffer of float64, int64 or uint64 values,
     floats are written with 17 significant digits and integers in decimal,
     a chunk of rows at a time.  Otherwise (lists, mixed values, str, bool,
-    complex) every value is formatted on its own and the rows go through
-    ``csv.writer``, which quotes fields as the running Python's ``csv``
-    module does; so does the header.  Zero-length columns produce a
+    complex, narrower number types) every value is formatted on its own,
+    with the same text for a number: a bool by name, an integer in decimal
+    and any other real number as a float with 17 significant digits.  The
+    rows then go through ``csv.writer``, which quotes fields as the running
+    Python's ``csv`` module does; so does the header.  Zero-length columns produce a
     header-only file, which keeps downstream concatenation and diffing
     predictable.
     """
@@ -207,8 +201,15 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _extent(values: list[float]) -> tuple[float, float]:
+    """The least and the greatest value, both NaN if a value is NaN."""
+    if any(map(math.isnan, values)):
+        return math.nan, math.nan
+    return min(values), max(values)
+
+
 def render_svg(path: Optional[str],
-               series: Sequence[tuple[np.ndarray, np.ndarray]],
+               series: Sequence[tuple[Sequence[float], Sequence[float]]],
                x_label: str = "", y_label: str = "") -> None:
     """Render (x, y) series as a standalone SVG line chart.
 
@@ -217,34 +218,30 @@ def render_svg(path: Optional[str],
     data ranges are padded so a flat series still renders.  Empty input is
     a domain error, not an empty picture.
     """
-    import numpy as np
-
     cleaned = []
     for xs, ys in series:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.shape != ys.shape or xs.ndim != 1:
+        xs, ys = list(map(float, xs)), list(map(float, ys))
+        if len(xs) != len(ys):
             raise ValueError("each series needs matching 1-d x and y arrays")
-        if xs.size == 0:
+        if not xs:
             raise ValueError("cannot render an empty series")
         cleaned.append((xs, ys))
     if not cleaned:
         raise ValueError("cannot render an empty chart")
 
-    x_lo, x_hi = _padded(min(float(xs.min()) for xs, _ in cleaned),
-                         max(float(xs.max()) for xs, _ in cleaned))
-    y_lo, y_hi = _padded(min(float(ys.min()) for _, ys in cleaned),
-                         max(float(ys.max()) for _, ys in cleaned))
+    x_ends = [_extent(xs) for xs, _ in cleaned]
+    y_ends = [_extent(ys) for _, ys in cleaned]
+    x_lo, x_hi = _padded(min(lo for lo, _ in x_ends), max(hi for _, hi in x_ends))
+    y_lo, y_hi = _padded(min(lo for lo, _ in y_ends), max(hi for _, hi in y_ends))
     plot_w = CANVAS_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = CANVAS_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     base_y = CANVAS_HEIGHT - _MARGIN_BOTTOM
 
-    # Both take a float or an array of floats.
-    def px(x):
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def px(xs: list[float]) -> list[float]:
+        return [_MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w for x in xs]
 
-    def py(y):
-        return base_y - (y - y_lo) / (y_hi - y_lo) * plot_h
+    def py(ys: list[float]) -> list[float]:
+        return [base_y - (y - y_lo) / (y_hi - y_lo) * plot_h for y in ys]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -256,16 +253,14 @@ def render_svg(path: Optional[str],
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
         f'y2="{base_y}" stroke="black"/>',
     ]
-    for i in range(5):
-        frac = i / 4.0
-        xt = x_lo + frac * (x_hi - x_lo)
-        xp = px(xt)
+    fracs = [i / 4.0 for i in range(5)]
+    x_ticks = [x_lo + frac * (x_hi - x_lo) for frac in fracs]
+    y_ticks = [y_lo + frac * (y_hi - y_lo) for frac in fracs]
+    for xt, xp, yt, yp in zip(x_ticks, px(x_ticks), y_ticks, py(y_ticks)):
         parts.append(f'<line x1="{xp:.2f}" y1="{base_y}" x2="{xp:.2f}" '
                      f'y2="{base_y + 5}" stroke="black"/>')
         parts.append(f'<text x="{xp:.2f}" y="{base_y + 20}" font-size="12" '
                      f'text-anchor="middle">{format(xt, ".4g")}</text>')
-        yt = y_lo + frac * (y_hi - y_lo)
-        yp = py(yt)
         parts.append(f'<line x1="{_MARGIN_LEFT - 5}" y1="{yp:.2f}" '
                      f'x2="{_MARGIN_LEFT}" y2="{yp:.2f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN_LEFT - 8}" y="{yp + 4:.2f}" font-size="12" '
@@ -279,14 +274,14 @@ def render_svg(path: Optional[str],
                      f'y="18" font-size="14" text-anchor="middle">{y_label}</text>')
     for idx, (xs, ys) in enumerate(cleaned):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        if xs.size == 1:
-            parts.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(ys[0]):.2f}" '
+        if len(xs) == 1:
+            parts.append(f'<circle cx="{px(xs)[0]:.2f}" cy="{py(ys)[0]:.2f}" '
                          f'r="4" fill="{color}"/>')
             continue
-        coords = np.empty(2 * xs.size)
+        coords = [0.0] * (2 * len(xs))
         coords[0::2] = px(xs)
         coords[1::2] = py(ys)
-        points = " ".join(["%.2f,%.2f"] * xs.size) % tuple(coords.tolist())
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{points}"/>')
     parts.append("</svg>")

@@ -4,6 +4,7 @@ import array
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import math
 import os
@@ -133,7 +134,8 @@ def test_write_csv_matches_row_writer_on_curve(tmp_path):
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
-def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path):
+def _mixed_table():
+    """A header and columns of every kind of value, bulk and not."""
     header = ["text", "flag", "np_flag", "i64", "u8", "py_int", "f64", "f32",
               "py_mixed", "obj"]
     columns = [
@@ -148,6 +150,11 @@ def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path):
         [1.5, 2, "x,y", None, np.float32(0.1), np.float64(-0.0)],
         np.array(["s", 1, 2.5, True, None, 'q"'], dtype=object),
     ]
+    return header, columns
+
+
+def test_write_csv_matches_row_writer_on_mixed_columns(tmp_path):
+    header, columns = _mixed_table()
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
@@ -192,8 +199,8 @@ def workers(request, monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def _numeric_table(rows):
-    """Header, numeric columns and the row writer's bytes for them."""
+def _numeric_columns(rows):
+    """Random numeric columns by name, with edge values at both ends."""
     rng = np.random.default_rng(rows)
     f64 = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
@@ -204,16 +211,43 @@ def _numeric_table(rows):
     u64[-3:] = [2**64 - 1, 2**63 - 1, 2**63]
     i64 = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True)
     i64[:2] = [-(2**63), 2**63 - 1]
-    header = ["f64", "f32", "i64", "u8", "u64"]
-    columns = [f64, (f64 * 1e-280).astype(np.float32), i64,
-               rng.integers(0, 256, rows).astype(np.uint8), u64]
-    return header, columns, _reference_csv(header, columns)
+    return {"f64": f64, "f32": (f64 * 1e-280).astype(np.float32), "i64": i64,
+            "u8": rng.integers(0, 256, rows).astype(np.uint8), "u64": u64}
+
+
+#: Columns written in bulk, whose rows are split across the helpers.
+_BULK_HEADER = ("f64", "i64", "u64")
+
+#: Narrower number types, which the row writer formats with the same text.
+_NARROW_HEADER = ("f32", "u8")
+
+
+@functools.lru_cache(maxsize=None)
+def _numeric_table(rows, header=_BULK_HEADER):
+    """Header, numeric columns and the row writer's bytes for them."""
+    columns = [_numeric_columns(rows)[name] for name in header]
+    return list(header), columns, _reference_csv(header, columns)
 
 
 @pytest.mark.parametrize("rows", [output._CHUNK_ROWS + 1, 2 * output._CHUNK_ROWS + 3])
 def test_write_csv_split_matches_row_writer(tmp_path, workers, rows):
     header, columns, expected = _numeric_table(rows)
     assert _written_csv(tmp_path, header, columns) == expected
+
+
+def test_write_csv_narrow_columns_match_row_writer(tmp_path, workers):
+    header, columns, expected = _numeric_table(output._CHUNK_ROWS + 1, _NARROW_HEADER)
+    assert _written_csv(tmp_path, header, columns) == expected
+
+
+def test_write_csv_takes_strided_columns(tmp_path, workers):
+    # Every other row of each column: views longer than one chunk, whose
+    # helper ranges are copied out a chunk at a time.
+    header, columns, _ = _numeric_table(2 * output._CHUNK_ROWS + 3)
+    strided = [column[::2] for column in columns]
+    assert len(strided[0]) > output._CHUNK_ROWS
+    expected = _reference_csv(header, strided)
+    assert _written_csv(tmp_path, header, strided) == expected
 
 
 def test_write_csv_split_to_stdout(workers, capsys):
@@ -227,11 +261,43 @@ def test_write_csv_takes_plain_arrays(tmp_path, workers, rows):
     # array.array columns of typecode d, q and Q go through the bulk writer
     # and its helpers, as ndarrays of those types do, with the same bytes.
     header, columns, _ = _numeric_table(max(rows, 6))
-    columns = [columns[0][:rows], columns[2][:rows], columns[4][:rows]]
+    columns = [column[:rows] for column in columns]
     plain = [array.array(code, column.tolist())
              for code, column in zip("dqQ", columns)]
-    expected = _reference_csv(["f64", "i64", "u64"], columns)
-    assert _written_csv(tmp_path, ["f64", "i64", "u64"], plain) == expected
+    assert _written_csv(tmp_path, header, plain) == _reference_csv(header, columns)
+
+
+# The sha256 of outputs whose bytes are fixed: the row-writer tests above
+# take their reference from output._format_value, so only these catch a
+# change in how it, or the chart writer, formats a value.
+_FROZEN_SVG = {
+    "sweep-gamma --n 2000 --k 20 --points 200 --format svg":
+        "a6f994aa3e5e48dc7c15ad62aa7511c9fa3844e43bec268037f281e77c103eb0",
+    "simulate --n 150 --k 3 --steps 50000 --format svg":
+        "602a8fa51daba7b20c933cd7a06c72fdce6e78ae232035f222e0e0cdecc31eb7",
+}
+_FROZEN_MIXED_CSV = "6db7b0926d2a03bd930c632c7ba6770e62d4445b0e9bdc70ab7eb9f8dba18fad"
+_FROZEN_NUMERIC_CSV = "2697784761479de715e83004b623a80aa3b2b187f7094ae905f54e0833de8c38"
+
+
+@pytest.mark.parametrize("argv", sorted(_FROZEN_SVG))
+def test_svg_bytes_are_frozen(tmp_path, argv):
+    target = tmp_path / "chart.svg"
+    assert cli.main(argv.split() + ["--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _FROZEN_SVG[argv]
+
+
+def test_mixed_csv_bytes_are_frozen(tmp_path):
+    written = _written_csv(tmp_path, *_mixed_table())
+    assert hashlib.sha256(written).hexdigest() == _FROZEN_MIXED_CSV
+
+
+def test_numeric_csv_bytes_are_frozen(tmp_path, workers):
+    # Bulk and narrow columns in one table, which the row writer formats.
+    header = ["f64", "f32", "i64", "u8", "u64"]
+    columns = [_numeric_columns(output._CHUNK_ROWS + 1)[name] for name in header]
+    written = _written_csv(tmp_path, header, columns)
+    assert hashlib.sha256(written).hexdigest() == _FROZEN_NUMERIC_CSV
 
 
 _LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
@@ -285,6 +351,8 @@ def test_write_csv_rejects_ragged_columns():
         output.write_csv(None, ["a", "b"], [np.zeros(3), np.zeros(2)])
     with pytest.raises(ValueError, match="header"):
         output.write_csv(None, ["a", "b"], [np.zeros(3)])
+    with pytest.raises(ValueError, match=r"1-d, got shape \(2, 2\)"):
+        output.write_csv(None, ["a"], [np.zeros((2, 2), dtype=np.uint8)])
 
 
 def test_sweep_gamma_csv(tmp_path):
@@ -636,6 +704,7 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["spectrum", "--n", "3000", "--k", "500", "--gamma", "0.001"], 1),
     (["spectrum", "--n", "150000", "--k", "3"], 0),
     (["sweep-gamma", "--n", "100", "--k", "3", "--points", "200"], 0),
+    (["sweep-gamma", "--n", "100", "--k", "3", "--points", "20", "--format", "svg"], 0),
     (["verify", "--n", "30", "--k", "3"], 1),
     (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], 1),
     (["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"], 1),
@@ -647,12 +716,13 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["analyze-pt", "--n", "9", "--gamma", "1"], 0),
 ], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
         "simulate-gamma-nan", "spectrum-float-range", "spectrum", "sweep-csv",
-        "verify-vertex-cap", "simulate-t-max-inf", "simulate-phase-overflow",
-        "sweep-n0-k0", "pt-n5", "verify", "pt", "pt-150000", "pt-9-gamma-1"])
+        "sweep-svg", "verify-vertex-cap", "simulate-t-max-inf",
+        "simulate-phase-overflow", "sweep-n0-k0", "pt-n5", "verify", "pt",
+        "pt-150000", "pt-9-gamma-1"])
 def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
-    # critical-gamma, spectrum and a CSV sweep need only the scheme's
-    # spectrum and its secular roots, verify adds the full graph's matrix-free
-    # oracle, analyze-pt solves its 3x3 block and 2x2 system in closed form,
+    # critical-gamma, spectrum and a sweep (CSV or SVG) need only the
+    # scheme's spectrum and its secular roots, verify adds the full graph's
+    # matrix-free oracle, analyze-pt solves its 3x3 block and 2x2 system in closed form,
     # and these refusals are decided before a command loads the array
     # modules.  A run without --verbose does not load logging either.
     program = ("import sys; from johnsonwalk import cli; code = cli.main(sys.argv[1:]); "
@@ -669,11 +739,17 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
      ["_split", "cli", "output", "scheme"]),
     (["verify", "--n", "9", "--k", "4"], ["cli", "johnson", "scheme"]),
     (["analyze-pt", "--n", "100"], ["_split", "cli", "output", "reduced", "scheme"]),
-], ids=["critical-gamma", "spectrum", "sweep-csv", "verify", "analyze-pt"])
+    (["spectrum", "--n", "3000", "--k", "500", "--gamma", "0.001"], ["cli", "scheme"]),
+    (["sweep-gamma", "--n", "100", "--k", "3", "--gamma-min", "1e308",
+      "--gamma-max", "1.7e308", "--points", "3"], ["cli", "scheme"]),
+    (["analyze-pt", "--n", "100", "--gamma", "6e305"], ["cli", "reduced", "scheme"]),
+], ids=["critical-gamma", "spectrum", "sweep-csv", "verify", "analyze-pt",
+        "refused-spectrum", "refused-sweep", "refused-analyze-pt"])
 def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
     # Each process compiles the package modules it imports.  The secular
     # roots live in scheme, which every command loads, so these runs
-    # compile no module that they do not run.
+    # compile no module that they do not run; a refused run loads no
+    # CSV writer.
     program = ("import sys; from johnsonwalk import cli; cli.main(sys.argv[1:]); "
                "print(sorted(m.split('.', 1)[1] for m in sys.modules "
                "if m.startswith('johnsonwalk.')))")
