@@ -1,30 +1,23 @@
 """Splitting ``simulate``'s work across the CPUs this process may use.
 
-``worker_count`` is the number of those CPUs; ``linalg.success_curve`` runs
-that many threads and ``output.write_csv`` that many row formatters.
+``worker_count`` is the number of those CPUs, and ``stripe`` shares a
+list of tasks out over that many threads; ``linalg.success_curve`` runs its
+time blocks through it, and ``_digits.write_rows`` its chunks of CSV rows.
 
-``write_rows`` is the one numeric CSV row formatter.  ``write_csv`` calls it
-in-process on the first range of rows, and each further range goes to this
-file run as a script in a helper process:
-
-    python -I -S _split.py TYPECODES ROWS
-
-TYPECODES holds one ``array`` typecode per column (``d``, ``q`` or ``Q``,
-e.g. ``dqd``), and ``FORMATS`` maps each typecode to the printf conversion
-that formats it.  The helper reads ROWS rows from stdin as raw native
-numbers, laid out a chunk of ``CHUNK_ROWS`` rows at a time with the chunk's
-columns one after another, and writes the rows' text to stdout.  It runs
-isolated and without site-packages, so this module imports the standard
-library only.
+``write_rows`` is the standard-library numeric CSV row formatter, which
+``output.write_csv`` runs for a table of float64, int64 and uint64 columns
+that is not float64 alone or that it writes without numpy loaded.
+``FORMATS`` maps each ``array`` typecode (``d``, ``q`` or ``Q``) to the
+printf conversion that formats it.
 """
 
 from __future__ import annotations
 
 import os
-import sys
+from typing import Callable
 
 #: Rows formatted and written per chunk; one chunk's text and values are
-#: what a formatter holds in memory at a time.
+#: what ``write_rows`` holds in memory at a time.
 CHUNK_ROWS = 1 << 16
 
 #: printf conversion per raw typecode (float64, int64, uint64); a column of
@@ -40,6 +33,41 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def stripe(task: Callable[[int], None], count: int) -> None:
+    """Call ``task(i)`` for i in range(count), striped over one thread per CPU.
+
+    The calling thread takes tasks 0, w, 2w, ... of w = min(worker_count(),
+    count) stripes, and each other stripe runs on a thread of its own.  An
+    error in any thread stops the others before their next task and is
+    raised once all of them have stopped.
+    """
+    import threading  # here: the numpy-free commands load this module too
+
+    workers = min(worker_count(), count) or 1
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, count, workers):
+                if errors:
+                    return
+                task(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 def write_rows(write, typecodes: str, columns, n_rows: int) -> None:
     """Write ``n_rows`` CSV rows, one ``write`` call per chunk of rows.
 
@@ -53,21 +81,3 @@ def write_rows(write, typecodes: str, columns, n_rows: int) -> None:
         for j, values in enumerate(columns):
             interleaved[j::width] = values[start:stop].tolist()
         write(template * (stop - start) % tuple(interleaved))
-
-
-def _main(typecodes: str, n_rows: int) -> None:
-    source, sink = sys.stdin.buffer, sys.stdout.buffer
-    for start in range(0, n_rows, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, n_rows - start)
-        size = 8 * rows
-        data = memoryview(source.read(size * len(typecodes)))
-        if len(data) != size * len(typecodes):
-            raise SystemExit(f"expected {n_rows} rows, input ended early")
-        columns = [data[j * size:(j + 1) * size].cast(code)
-                   for j, code in enumerate(typecodes)]
-        write_rows(lambda text: sink.write(text.encode("ascii")),
-                   typecodes, columns, rows)
-
-
-if __name__ == "__main__":
-    _main(sys.argv[1], int(sys.argv[2]))

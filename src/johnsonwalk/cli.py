@@ -14,10 +14,12 @@ emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 1 for domain or computation errors, 2 for usage errors.  An exit-1 run
 writes exactly one line, starting "error: ", to stderr.  That includes a
 grid (--steps, --points) of over 2^60 - 1 points, refused before any array
-is made, and a CSV row helper process that fails: a long numeric table,
-such as a long simulate curve or sweep-gamma grid, is formatted in helper
-processes, one per CPU beyond the first.  It also includes a failed final
-write, such as buffered stdout flushed to a full disk or a closed pipe.
+is made, and an error in any of simulate's worker threads, one per CPU,
+which compute the curve and format its CSV rows; it is reported once every
+thread has stopped.  It also includes a failed final write, such as
+buffered stdout flushed to a full disk or a closed pipe.  With --verbose,
+simulate logs the rows it wrote as CSV, the seconds that took, and how
+many values the formatter left to '%.17g'.
 
 critical-gamma, spectrum, sweep-gamma (as CSV or SVG), verify and
 analyze-pt run without numpy: what they print comes from ``scheme``, the
@@ -41,6 +43,7 @@ import math
 import numbers
 import os
 import sys
+import time
 from array import array
 from typing import Optional
 
@@ -155,8 +158,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         output.render_svg(args.output, [(curve.times, curve.probabilities)],
                           x_label="time", y_label="success probability")
     else:
-        output.write_csv(args.output, ["time", "probability"],
-                         [curve.times, curve.probabilities])
+        start = time.perf_counter()
+        fallbacks = output.write_csv(args.output, ["time", "probability"],
+                                     [curve.times, curve.probabilities])
+        _info("wrote %d rows in %.3f s, %d values by the %%.17g fallback",
+              args.steps, time.perf_counter() - start, fallbacks)
     return 0
 
 

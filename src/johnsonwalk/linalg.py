@@ -13,13 +13,13 @@ distance-basis model and verify's matrix-free oracle to.  The marked vertex
 is basis state 0, as in the distance basis and the full graph, so its
 amplitude is row 0 of the eigenvectors.  Both sum the curve in
 ``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES`` times that
-worker threads share out, one per CPU; memory beyond the output stays
-bounded, and the bits do not depend on the BLAS or CPU count.
+worker threads share out, one per CPU (``_split.stripe``); memory beyond
+the output stays bounded, and the bits do not depend on the BLAS or CPU
+count.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -109,34 +109,14 @@ def _curve(energies: np.ndarray, weights: np.ndarray, t_max: float,
     CPU; an error in any thread is raised once all of them have stopped."""
     times = np.linspace(0.0, float(t_max), int(steps))
     probabilities = np.empty(times.size)
-    starts = range(0, times.size, _BLOCK_TIMES)
-    workers = min(_split.worker_count(), len(starts))
-    errors: list[BaseException] = []
 
-    def fill(stripe: range) -> None:
-        # numpy's ufuncs release the GIL, so stripes run side by side.
-        try:
-            for start in stripe:
-                if errors:
-                    return
-                block = times[start:start + _BLOCK_TIMES]
-                amplitude = np.zeros(block.size, dtype=complex)
-                for energy, weight in zip(energies, weights):
-                    amplitude += weight * np.exp(-1j * energy * block)
-                probabilities[start:start + _BLOCK_TIMES] = np.abs(amplitude) ** 2
-        except BaseException as exc:
-            errors.append(exc)
+    def fill(i: int) -> None:
+        # numpy's ufuncs release the GIL, so blocks run side by side.
+        block = times[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES]
+        amplitude = np.zeros(block.size, dtype=complex)
+        for energy, weight in zip(energies, weights):
+            amplitude += weight * np.exp(-1j * energy * block)
+        probabilities[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES] = np.abs(amplitude) ** 2
 
-    threads = [threading.Thread(target=fill, args=(starts[w::workers],))
-               for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        fill(starts[0::workers])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    _split.stripe(fill, -(-times.size // _BLOCK_TIMES))
     return TimeSeries(times=times, probabilities=probabilities)

@@ -5,18 +5,18 @@ printed with 17 significant digits so parsing the file back reproduces the
 exact float64 values.  ``write_csv`` takes the data as columns, not rows.
 A table whose columns all export a 1-d buffer of float64, int64 or uint64
 values (such as ``array.array`` of typecode ``d``, ``q`` or ``Q``) is read
-through ``memoryview``, strided or not, and formatted in bulk, one
-printf template per chunk of rows (``_split.FORMATS`` maps a typecode to
-its conversion), and each chunk goes out in one write; such a table longer
-than one chunk is split into one range of rows per CPU: this process
-formats the first range, and helper processes running ``_split.py`` format
-the others through unnamed temporary files, whose text is copied on in
-bounded pieces.  Either way memory stays bounded for any row count, and the
-bytes do not depend on the number of CPUs.  Any other table, and every
-header, goes through ``csv.writer`` with LF line endings, which quotes text
-the way the running Python's ``csv`` module does.  The SVG writer draws a
-small standalone line chart (fixed 800x500 canvas) for eyeballing success
-curves and overlap sweeps without a plotting stack.
+through ``memoryview``, strided or not, and formatted in bulk, a chunk of
+rows per write.  When every column is float64 and numpy is already loaded,
+as in ``simulate``, ``_digits`` formats the chunks with numpy, striped over
+one thread per CPU; any other such table goes through ``_split``'s one
+printf template per chunk (``_split.FORMATS`` maps a typecode to its
+conversion).  Either way memory stays bounded for any row count, and the
+bytes are ``'%.17g'``'s and ``'%d'``'s, whatever the number of CPUs.  Any
+other table, and every header, goes through ``csv.writer`` with LF line
+endings, which quotes text the way the running Python's ``csv`` module
+does.  The SVG writer draws a small standalone line chart (fixed 800x500
+canvas) for eyeballing success curves and overlap sweeps without a
+plotting stack.
 
 The module imports the standard library only: it reads array columns
 through the buffer protocol and chart series as sequences of numbers, so
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import sys
 from typing import IO, Optional, Sequence
 
@@ -41,22 +40,6 @@ _MARGIN_TOP = 25.0
 _MARGIN_BOTTOM = 55.0
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                   "#ff7f0e", "#8c564b")
-
-#: Rows formatted and written per chunk by ``write_csv``; a numeric table
-#: longer than this is split across the CPUs.
-_CHUNK_ROWS = _split.CHUNK_ROWS
-
-#: The helper that formats a range of rows in another process; it imports
-#: the standard library only, so it runs isolated and without site-packages.
-_HELPER_ARGV = (sys.executable, "-I", "-S", os.path.abspath(_split.__file__))
-
-#: Values this process formats while a helper starts, measured on a 2-core
-#: x86_64 (a helper starts in 10-20 ms, a value takes about 0.7 us); the
-#: first range is that much longer than the others.
-_HELPER_START_VALUES = 24000
-
-#: Bytes of a helper's text copied on at a time.
-_COPY_BYTES = 1 << 20
 
 #: The ``_split.FORMATS`` typecode of each 8-byte buffer format written in
 #: bulk; array libraries export int64 and uint64 as ``l`` and ``L`` on LP64
@@ -86,7 +69,7 @@ def _typecode(column) -> Optional[str]:
 
 
 def _write_columns(handle: IO[str], header: Sequence[str],
-                   columns: Sequence) -> None:
+                   columns: Sequence) -> int:
     import csv
 
     if len(columns) != len(header):
@@ -104,75 +87,16 @@ def _write_columns(handle: IO[str], header: Sequence[str],
     writer.writerow(header)
     if not numeric:
         writer.writerows(zip(*columns))
-        return
-    workers = _split.worker_count()
-    if workers > 1 and n_rows > _CHUNK_ROWS and sys.executable:
-        _write_split(handle, typecodes, columns, n_rows, workers)
-    else:
-        _split.write_rows(handle.write, typecodes, columns, n_rows)
-
-
-def _write_split(handle: IO[str], typecodes: str, columns: Sequence[memoryview],
-                 n_rows: int, workers: int) -> None:
-    """Format the first range of rows here and each other range in a helper.
-
-    Each helper reads its rows, copied out of the column views a chunk at a
-    time, from one unnamed temporary file and writes their text to another,
-    which is copied on to ``handle`` in pieces of ``_COPY_BYTES`` once this
-    process has written its own range.
-    """
-    import subprocess
-    import tempfile
-
-    bounds = _split_bounds(n_rows, len(columns), workers)
-    argv = [*_HELPER_ARGV, typecodes]
-    processes, sinks = [], []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            sinks.append(tempfile.TemporaryFile())
-            with tempfile.TemporaryFile() as source:
-                for lo in range(start, stop, _CHUNK_ROWS):
-                    hi = min(lo + _CHUNK_ROWS, stop)
-                    for column in columns:
-                        source.write(column[lo:hi].tobytes())
-                source.seek(0)
-                processes.append(subprocess.Popen(
-                    argv + [str(stop - start)], stdin=source, stdout=sinks[-1],
-                    stderr=subprocess.PIPE))
-        _split.write_rows(handle.write, typecodes, columns, bounds[1])
-        for process, sink in zip(processes, sinks):
-            _, err = process.communicate()
-            if process.returncode != 0:
-                detail = err.decode("utf-8", "replace").strip().splitlines()
-                raise ChildProcessError(
-                    f"CSV row helper exited with status {process.returncode}"
-                    + (f": {detail[-1]}" if detail else ""))
-            sink.seek(0)
-            while piece := sink.read(_COPY_BYTES):
-                handle.write(piece.decode("ascii"))
-    finally:
-        for process in processes:
-            if process.returncode is None:
-                process.kill()
-                process.communicate()
-        for sink in sinks:
-            sink.close()
-
-
-def _split_bounds(n_rows: int, width: int, workers: int) -> list[int]:
-    """Row boundaries of ``workers`` ranges, the first one this process's.
-
-    A helper starts later than this process, by about
-    ``_HELPER_START_VALUES`` formatted values, so the first range is that
-    much longer and all ranges finish together.
-    """
-    share = max(0, (n_rows - _HELPER_START_VALUES // width) // workers)
-    first = n_rows - (workers - 1) * share
-    return [0] + [first + i * share for i in range(workers)]
+        return 0
+    if typecodes == "d" * len(columns) and "numpy" in sys.modules:
+        from . import _digits
+        return _digits.write_rows(handle.write, columns, n_rows)
+    _split.write_rows(handle.write, typecodes, columns, n_rows)
+    return 0
 
 
 def write_csv(path: Optional[str], header: Sequence[str],
-              columns: Sequence) -> None:
+              columns: Sequence) -> int:
     """Write one header row plus one data row per index; path None means stdout.
 
     ``columns`` holds one sequence per header field, all of one length.
@@ -185,13 +109,13 @@ def write_csv(path: Optional[str], header: Sequence[str],
     rows then go through ``csv.writer``, which quotes fields as the running
     Python's ``csv`` module does; so does the header.  Zero-length columns produce a
     header-only file, which keeps downstream concatenation and diffing
-    predictable.
+    predictable.  Returns how many values of an all-float64 table formatted
+    with numpy were left to ``'%.17g'`` itself (0 for any other table).
     """
     if path is None:
-        _write_columns(sys.stdout, header, columns)
-        return
+        return _write_columns(sys.stdout, header, columns)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_columns(handle, header, columns)
+        return _write_columns(handle, header, columns)
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
 import reference
-from johnsonwalk import _split, analysis, cli, output, reduced, linalg, scheme
+from johnsonwalk import _digits, _split, analysis, cli, output, reduced, linalg, scheme
 
 
 def _read_csv(path):
@@ -181,7 +181,7 @@ def test_write_csv_without_columns_is_one_empty_line(tmp_path):
     assert _written_csv(tmp_path, [], []) == b"\n"
 
 
-@pytest.mark.parametrize("rows", [0, output._CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, _split.CHUNK_ROWS + 1])
 def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
     rng = np.random.default_rng(rows)
     header = ["x", "i", "label"]
@@ -211,12 +211,17 @@ def _numeric_columns(rows):
     u64[-3:] = [2**64 - 1, 2**63 - 1, 2**63]
     i64 = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True)
     i64[:2] = [-(2**63), 2**63 - 1]
-    return {"f64": f64, "f32": (f64 * 1e-280).astype(np.float32), "i64": i64,
-            "u8": rng.integers(0, 256, rows).astype(np.uint8), "u64": u64}
+    columns = {"f64": f64, "f32": (f64 * 1e-280).astype(np.float32), "i64": i64,
+               "u8": rng.integers(0, 256, rows).astype(np.uint8), "u64": u64}
+    columns["p"] = rng.random(rows)
+    return columns
 
 
-#: Columns written in bulk, whose rows are split across the helpers.
+#: Columns written in bulk by the standard-library row formatter.
 _BULK_HEADER = ("f64", "i64", "u64")
+
+#: Float64 columns, whose chunks of rows numpy formats split across threads.
+_FLOAT_HEADER = ("f64", "p")
 
 #: Narrower number types, which the row writer formats with the same text.
 _NARROW_HEADER = ("f32", "u8")
@@ -229,37 +234,118 @@ def _numeric_table(rows, header=_BULK_HEADER):
     return list(header), columns, _reference_csv(header, columns)
 
 
-@pytest.mark.parametrize("rows", [output._CHUNK_ROWS + 1, 2 * output._CHUNK_ROWS + 3])
+@pytest.mark.parametrize("rows", [_split.CHUNK_ROWS + 1, 2 * _split.CHUNK_ROWS + 3])
 def test_write_csv_split_matches_row_writer(tmp_path, workers, rows):
+    header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
+    assert _written_csv(tmp_path, header, columns) == expected
+
+
+@pytest.mark.parametrize("rows", [6, _split.CHUNK_ROWS + 1])
+def test_write_csv_bulk_matches_row_writer(tmp_path, rows):
     header, columns, expected = _numeric_table(rows)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
+def _edge_floats():
+    """Float64 values where '%.17g' switches notation, rounds a tie, meets a
+    power of ten or leaves the normal range, with their negatives."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+        [9.9999999999999999e-05, 99999999999999999.0, 1e16 + 2, 1e16 - 2],
+        [1234567890123456.5, 0.5, 1.5, 2.5, 2.0**-25, 3 * 2.0**-25],
+        [0.0, math.nan, math.inf, 5e-324, 0.1, 2.2250738585072014e-308,
+         1.7976931348623157e308],
+    ])
+    return np.concatenate([values, -values])
+
+
+def test_float_csv_matches_row_writer_at_the_edges(tmp_path, workers):
+    values = _edge_floats()
+    header, columns = ["x", "y"], [values, values[::-1].copy()]
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("rows", [_digits.CHUNK_ROWS - 1, _digits.CHUNK_ROWS + 1,
+                                  3 * _digits.CHUNK_ROWS])
+def test_float_csv_matches_row_writer_across_chunks(tmp_path, workers, rows):
+    header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
+    assert _written_csv(tmp_path, header, columns) == expected
+
+
+def test_float_csv_bytes_hold_under_thread_switching(tmp_path, monkeypatch):
+    # More threads than CPUs, switching as often as the interpreter allows:
+    # every chunk's text still lands once, in order.
+    monkeypatch.setattr(_split, "worker_count", lambda: 4)
+    header, columns, expected = _numeric_table(5 * _digits.CHUNK_ROWS + 1, _FLOAT_HEADER)
+    threads = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        written = _written_csv(tmp_path, header, columns)
+    finally:
+        sys.setswitchinterval(interval)
+    assert written == expected
+    assert threading.enumerate() == threads
+
+
+def test_float_csv_takes_strided_columns(tmp_path, workers):
+    header, columns, _ = _numeric_table(2 * _digits.CHUNK_ROWS + 3, _FLOAT_HEADER)
+    strided = [column[::2] for column in columns]
+    assert len(strided[0]) > _digits.CHUNK_ROWS
+    expected = _reference_csv(header, strided)
+    assert _written_csv(tmp_path, header, strided) == expected
+
+
+def test_float_csv_fallback_takes_only_what_it_cannot_certify(tmp_path):
+    target = str(tmp_path / "out.csv")
+    left = [math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e-300, 2.0**-25]
+    assert output.write_csv(target, ["x"], [np.array(left)]) == len(left)
+    built = [0.0, -0.0, 0.1, 0.5, 1.5, 1234567890123456.5, 99999999999999999.0]
+    assert output.write_csv(target, ["x"], [np.array(built)]) == 0
+    assert output.write_csv(target, ["x", "y"], [[1.5], [2.5]]) == 0
+
+
+@pytest.mark.parametrize("n,k,gamma,steps", [
+    (1500, 3, None, 200000), (1500000, 3, None, 200000),
+    (2000, 20, 2.5e-05, 100000),
+], ids=["1500-3", "1500000-3", "2000-20"])
+def test_float_csv_fallback_is_rare_on_the_curves(tmp_path, n, k, gamma, steps):
+    # The benchmark's three curves: at most 1 in 10^4 values by '%.17g'.
+    if gamma is None:
+        gamma = scheme.critical_rate(n, k)
+    curve = linalg.secular_curve(scheme.secular_spectrum(n, k, gamma),
+                                 1.5 * scheme.predicted_peak_time(n, k), steps)
+    header, columns = ["time", "probability"], [curve.times, curve.probabilities]
+    target = tmp_path / "curve.csv"
+    assert output.write_csv(str(target), header, columns) <= 2 * steps // 10**4
+    assert target.read_bytes() == _reference_csv(header, columns)
+
+
 def test_write_csv_narrow_columns_match_row_writer(tmp_path, workers):
-    header, columns, expected = _numeric_table(output._CHUNK_ROWS + 1, _NARROW_HEADER)
+    header, columns, expected = _numeric_table(_split.CHUNK_ROWS + 1, _NARROW_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
 def test_write_csv_takes_strided_columns(tmp_path, workers):
-    # Every other row of each column: views longer than one chunk, whose
-    # helper ranges are copied out a chunk at a time.
-    header, columns, _ = _numeric_table(2 * output._CHUNK_ROWS + 3)
+    # Every other row of each column: views longer than one chunk.
+    header, columns, _ = _numeric_table(2 * _split.CHUNK_ROWS + 3)
     strided = [column[::2] for column in columns]
-    assert len(strided[0]) > output._CHUNK_ROWS
+    assert len(strided[0]) > _split.CHUNK_ROWS
     expected = _reference_csv(header, strided)
     assert _written_csv(tmp_path, header, strided) == expected
 
 
 def test_write_csv_split_to_stdout(workers, capsys):
-    header, columns, expected = _numeric_table(output._CHUNK_ROWS + 1)
+    header, columns, expected = _numeric_table(_split.CHUNK_ROWS + 1, _FLOAT_HEADER)
     output.write_csv(None, header, columns)
     assert capsys.readouterr().out.encode() == expected
 
 
-@pytest.mark.parametrize("rows", [0, 5, 2 * output._CHUNK_ROWS + 3])
+@pytest.mark.parametrize("rows", [0, 5, 2 * _split.CHUNK_ROWS + 3])
 def test_write_csv_takes_plain_arrays(tmp_path, workers, rows):
-    # array.array columns of typecode d, q and Q go through the bulk writer
-    # and its helpers, as ndarrays of those types do, with the same bytes.
+    # array.array columns of typecode d, q and Q go through the bulk writer,
+    # as ndarrays of those types do, with the same bytes.
     header, columns, _ = _numeric_table(max(rows, 6))
     columns = [column[:rows] for column in columns]
     plain = [array.array(code, column.tolist())
@@ -295,7 +381,7 @@ def test_mixed_csv_bytes_are_frozen(tmp_path):
 def test_numeric_csv_bytes_are_frozen(tmp_path, workers):
     # Bulk and narrow columns in one table, which the row writer formats.
     header = ["f64", "f32", "i64", "u8", "u64"]
-    columns = [_numeric_columns(output._CHUNK_ROWS + 1)[name] for name in header]
+    columns = [_numeric_columns(_split.CHUNK_ROWS + 1)[name] for name in header]
     written = _written_csv(tmp_path, header, columns)
     assert hashlib.sha256(written).hexdigest() == _FROZEN_NUMERIC_CSV
 
@@ -315,14 +401,22 @@ def test_simulate_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     assert outputs[2] == outputs[0]
 
 
-def test_failing_row_helper_exits_one(tmp_path, monkeypatch, capsys):
+def test_error_in_a_format_thread_exits_one(tmp_path, monkeypatch, capsys):
+    # With two workers every other chunk of rows is formatted off the main
+    # thread.
+    format_values = _digits._format
+
+    def exhausted_off_main(x, words):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 416. KiB")
+        return format_values(x, words)
+
     monkeypatch.setattr(_split, "worker_count", lambda: 2)
-    monkeypatch.setattr(output, "_HELPER_ARGV",
-                        (sys.executable, "-c", "raise SystemExit(3)"))
+    monkeypatch.setattr(_digits, "_format", exhausted_off_main)
     threads = threading.enumerate()
     rc = cli.main(_LONG_SIMULATE + ["--output", str(tmp_path / "x.csv")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: CSV row helper exited with status 3\n"
+    assert capsys.readouterr().err == "error: Unable to allocate 416. KiB\n"
     assert threading.enumerate() == threads
 
 
@@ -675,6 +769,16 @@ def test_import_loads_neither_csv_nor_subprocess():
     assert run.stdout == b"[]\n"
 
 
+def test_long_simulate_csv_loads_no_subprocess(tmp_path):
+    # Its rows are formatted in threads of this process, not in helpers.
+    program = ("import sys; from johnsonwalk import cli; "
+               "code = cli.main(sys.argv[1:]); print(code, 'subprocess' in sys.modules)")
+    argv = _LONG_SIMULATE + ["--output", str(tmp_path / "curve.csv")]
+    run = subprocess.run([sys.executable, "-c", program, *argv], env=_program_env(),
+                         capture_output=True, check=True, timeout=60)
+    assert run.stdout == b"0 False\n"
+
+
 def _program_env():
     """Environment for running the CLI as a program, with buffered stdout."""
     src = os.path.dirname(os.path.dirname(johnsonwalk.__file__))
@@ -826,6 +930,22 @@ def test_verbose_holds_for_each_in_process_call(order, caplog, capsys):
         assert cli.main(argv) == 0
         expected = ["using critical rate S_1 = 0.003454843629"] if verbose else []
         assert caplog.messages == expected
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--steps", "2000"],
+     r"wrote 2000 rows in (\d+\.\d{3}) s, 0 values by the %\.17g fallback"),
+    (["--steps", "3", "--t-max", "1e-320"],
+     r"wrote 3 rows in (\d+\.\d{3}) s, 2 values by the %\.17g fallback"),
+], ids=["curve", "subnormal-times"])
+def test_simulate_verbose_logs_the_csv_write(argv, line, tmp_path, caplog):
+    argv = ["--verbose", "simulate", "--n", "100", "--k", "3", *argv,
+            "--output", str(tmp_path / "curve.csv")]
+    assert cli.main(argv) == 0
+    assert caplog.messages[0] == "using critical rate S_1 = 0.003454843629"
+    assert len(caplog.messages) == 2
+    match = re.fullmatch(line, caplog.messages[1])
+    assert match and float(match.group(1)) < 60.0
 
 
 def test_verify_verbose_logs_the_oracle(caplog, capsys):
