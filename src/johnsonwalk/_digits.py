@@ -1,10 +1,11 @@
 """Float64 columns as CSV rows, each value byte-identical to ``'%.17g'``.
 
 ``write_rows`` is ``output.write_csv``'s formatter for a table whose
-columns are all float64, once numpy is loaded.  It formats ``CHUNK_ROWS``
-rows at a time with whole-array numpy operations, one chunk per thread per
-CPU (``_split.stripe``), and writes the chunks in order, so memory stays
-bounded and the bytes do not depend on the number of CPUs.
+columns are all float64, once numpy is loaded.  It formats
+``output.CHUNK_ROWS`` rows at a time with whole-array numpy operations, one
+chunk per thread per CPU (``linalg._stripe``), and writes the chunks in
+order, so memory stays bounded and the bytes do not depend on the number of
+CPUs.
 
 Digits.  With e the decimal exponent of |x|, y = |x| * 10^(16 - e) lies in
 [1e16, 1e17).  The power of ten is a pair of doubles (hi, lo) whose sum is
@@ -37,10 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _split
-
-#: Rows formatted per chunk; a thread holds one chunk's arrays at a time.
-CHUNK_ROWS = 1 << 13
+from . import linalg
+from .output import CHUNK_ROWS
 
 #: Decimal exponents the digit step covers: |x| in [1e-280, 1e280] has
 #: floor(log10 |x|) in [-281, 280], and for those e every partial product
@@ -218,7 +217,7 @@ def write_rows(write, columns, n_rows: int) -> int:
     np.empty(1 << 21)
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     starts = range(0, n_rows, CHUNK_ROWS)
-    workers = _split.worker_count()
+    workers = linalg._worker_count()
     fallbacks = 0
     for first in range(0, len(starts), workers):
         batch = starts[first:first + workers]
@@ -227,7 +226,7 @@ def write_rows(write, columns, n_rows: int) -> int:
         def format_chunk(i: int) -> None:
             texts[i] = _chunk(columns, batch[i], min(batch[i] + CHUNK_ROWS, n_rows))
 
-        _split.stripe(format_chunk, len(batch))
+        linalg._stripe(format_chunk, len(batch))
         for text, left in texts:
             write(text)
             fallbacks += left

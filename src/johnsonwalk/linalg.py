@@ -13,18 +13,22 @@ distance-basis model and verify's matrix-free oracle to.  The marked vertex
 is basis state 0, as in the distance basis and the full graph, so its
 amplitude is row 0 of the eigenvectors.  Both sum the curve in
 ``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES`` times that
-worker threads share out, one per CPU (``_split.stripe``); memory beyond
-the output stays bounded, and the bits do not depend on the BLAS or CPU
-count.
+worker threads share out, one per CPU; memory beyond the output stays
+bounded, and the bits do not depend on the BLAS or CPU count.
+
+``_stripe`` is that sharing out, over ``_worker_count()`` threads, the
+number of CPUs this process may use; ``_digits`` runs its chunks of CSV
+rows through it too.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import os
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _split
 # SIGN_EPS is also this module's API.
 from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
 
@@ -118,5 +122,46 @@ def _curve(energies: np.ndarray, weights: np.ndarray, t_max: float,
             amplitude += weight * np.exp(-1j * energy * block)
         probabilities[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES] = np.abs(amplitude) ** 2
 
-    _split.stripe(fill, -(-times.size // _BLOCK_TIMES))
+    _stripe(fill, -(-times.size // _BLOCK_TIMES))
     return TimeSeries(times=times, probabilities=probabilities)
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on (at least 1)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _stripe(task: Callable[[int], None], count: int) -> None:
+    """Call ``task(i)`` for i in range(count), striped over one thread per CPU.
+
+    The calling thread takes tasks 0, w, 2w, ... of w = min(_worker_count(),
+    count) stripes, and each other stripe runs on a thread of its own.  An
+    error in any thread stops the others before their next task and is
+    raised once all of them have stopped.
+    """
+    workers = min(_worker_count(), count) or 1
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, count, workers):
+                if errors:
+                    return
+                task(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]

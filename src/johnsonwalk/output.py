@@ -3,20 +3,21 @@
 CSV is the interchange format: UTF-8, header row, LF line endings, floats
 printed with 17 significant digits so parsing the file back reproduces the
 exact float64 values.  ``write_csv`` takes the data as columns, not rows.
-A table whose columns all export a 1-d buffer of float64, int64 or uint64
-values (such as ``array.array`` of typecode ``d``, ``q`` or ``Q``) is read
-through ``memoryview``, strided or not, and formatted in bulk, a chunk of
-rows per write.  When every column is float64 and numpy is already loaded,
-as in ``simulate``, ``_digits`` formats the chunks with numpy, striped over
-one thread per CPU; any other such table goes through ``_split``'s one
-printf template per chunk (``_split.FORMATS`` maps a typecode to its
-conversion).  Either way memory stays bounded for any row count, and the
-bytes are ``'%.17g'``'s and ``'%d'``'s, whatever the number of CPUs.  Any
-other table, and every header, goes through ``csv.writer`` with LF line
-endings, which quotes text the way the running Python's ``csv`` module
-does.  The SVG writer draws a small standalone line chart (fixed 800x500
-canvas) for eyeballing success curves and overlap sweeps without a
-plotting stack.
+A table whose columns all export a 1-d buffer of ``memoryview`` format
+``d`` or ``q`` (float64 or int64: ``array.array`` of those typecodes, or a
+float64 ndarray) is read through ``memoryview``, strided or not, and
+formatted in bulk, ``CHUNK_ROWS`` rows per write.  When every column is
+float64 and numpy is already loaded, as in ``simulate``, ``_digits``
+formats the chunks with numpy, striped over one thread per CPU; any other
+such table goes through one printf template per chunk (``_FORMATS`` maps a
+format to its conversion).  Either way memory stays bounded for any row
+count, and the bytes are ``'%.17g'``'s and ``'%d'``'s, whatever the number
+of CPUs.  Any other table (int64 and uint64 ndarrays among them), and
+every header, goes through ``csv.writer`` with LF line endings, which
+quotes text the way the running Python's ``csv`` module does and prints a
+number with the same text.  The SVG writer draws a small standalone line
+chart (fixed 800x500 canvas) for eyeballing success curves and overlap
+sweeps without a plotting stack.
 
 The module imports the standard library only: it reads array columns
 through the buffer protocol and chart series as sequences of numbers, so
@@ -30,8 +31,6 @@ import numbers
 import sys
 from typing import IO, Optional, Sequence
 
-from . import _split
-
 CANVAS_WIDTH = 800
 CANVAS_HEIGHT = 500
 _MARGIN_LEFT = 70.0
@@ -41,10 +40,13 @@ _MARGIN_BOTTOM = 55.0
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                   "#ff7f0e", "#8c564b")
 
-#: The ``_split.FORMATS`` typecode of each 8-byte buffer format written in
-#: bulk; array libraries export int64 and uint64 as ``l`` and ``L`` on LP64
-#: systems.
-_TYPECODES = {"d": "d", "q": "q", "l": "q", "Q": "Q", "L": "Q"}
+#: Rows formatted and written per chunk of a table written in bulk; a
+#: chunk's values and text are what a formatter holds at a time.
+CHUNK_ROWS = 1 << 13
+
+#: printf conversion per ``memoryview`` format written in bulk; a column of
+#: any other format goes value by value.
+_FORMATS = {"d": "%.17g", "q": "%d"}
 
 
 def _format_value(value) -> str:
@@ -58,14 +60,27 @@ def _format_value(value) -> str:
 
 
 def _typecode(column) -> Optional[str]:
-    """The ``_split.FORMATS`` typecode of a column written in bulk, else None."""
+    """The ``_FORMATS`` key of a column written in bulk, else None."""
     try:
         view = memoryview(column)
     except (TypeError, ValueError):  # no buffer, or one of an unexported type
         return None
     if view.ndim != 1:
         raise ValueError(f"CSV columns must be 1-d, got shape {view.shape}")
-    return _TYPECODES.get(view.format) if view.itemsize == 8 else None
+    return view.format if view.format in _FORMATS else None
+
+
+def _write_rows(write, typecodes: str, columns, n_rows: int) -> None:
+    """Write ``n_rows`` CSV rows of the memoryviews ``columns``, one per
+    ``_FORMATS`` key in ``typecodes``, one ``write`` call per chunk."""
+    width = len(columns)
+    template = ",".join(_FORMATS[code] for code in typecodes) + "\n"
+    for start in range(0, n_rows, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n_rows)
+        interleaved: list = [None] * ((stop - start) * width)
+        for j, values in enumerate(columns):
+            interleaved[j::width] = values[start:stop].tolist()
+        write(template * (stop - start) % tuple(interleaved))
 
 
 def _write_columns(handle: IO[str], header: Sequence[str],
@@ -91,7 +106,7 @@ def _write_columns(handle: IO[str], header: Sequence[str],
     if typecodes == "d" * len(columns) and "numpy" in sys.modules:
         from . import _digits
         return _digits.write_rows(handle.write, columns, n_rows)
-    _split.write_rows(handle.write, typecodes, columns, n_rows)
+    _write_rows(handle.write, typecodes, columns, n_rows)
     return 0
 
 
@@ -100,10 +115,10 @@ def write_csv(path: Optional[str], header: Sequence[str],
     """Write one header row plus one data row per index; path None means stdout.
 
     ``columns`` holds one sequence per header field, all of one length.
-    When every column is a 1-d buffer of float64, int64 or uint64 values,
-    floats are written with 17 significant digits and integers in decimal,
-    a chunk of rows at a time.  Otherwise (lists, mixed values, str, bool,
-    complex, narrower number types) every value is formatted on its own,
+    When every column is a 1-d buffer of format ``d`` or ``q``, floats are
+    written with 17 significant digits and integers in decimal, a chunk of
+    rows at a time.  Otherwise (lists, mixed values, str, bool, complex,
+    other number types) every value is formatted on its own,
     with the same text for a number: a bool by name, an integer in decimal
     and any other real number as a float with 17 significant digits.  The
     rows then go through ``csv.writer``, which quotes fields as the running

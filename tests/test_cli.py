@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import math
+import numbers
 import os
 import re
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import johnsonwalk
 import reference
-from johnsonwalk import _digits, _split, analysis, cli, output, reduced, linalg, scheme
+from johnsonwalk import _digits, analysis, cli, output, reduced, linalg, scheme
 
 
 def _read_csv(path):
@@ -110,13 +111,24 @@ def test_write_csv_stdout(capsys):
     assert capsys.readouterr().out == "a\n1.5\n2\n"
 
 
+def _reference_value(value):
+    """A value as write_csv's contract prints it, formatted apart from it."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return "%.17g" % float(value)
+    return str(value)
+
+
 def _reference_csv(header, columns):
     """The row-at-a-time writer that write_csv replaced."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
     for row in zip(*columns):
-        writer.writerow([output._format_value(value) for value in row])
+        writer.writerow([_reference_value(value) for value in row])
     return buffer.getvalue().encode("utf-8")
 
 
@@ -181,7 +193,7 @@ def test_write_csv_without_columns_is_one_empty_line(tmp_path):
     assert _written_csv(tmp_path, [], []) == b"\n"
 
 
-@pytest.mark.parametrize("rows", [0, _split.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 8 * output.CHUNK_ROWS + 1])
 def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
     rng = np.random.default_rng(rows)
     header = ["x", "i", "label"]
@@ -194,7 +206,7 @@ def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
 @pytest.fixture(params=[1, 2, 3])
 def workers(request, monkeypatch):
     """Split the work as on a machine with 1, 2 or 3 CPUs."""
-    monkeypatch.setattr(_split, "worker_count", lambda: request.param)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: request.param)
     return request.param
 
 
@@ -217,8 +229,9 @@ def _numeric_columns(rows):
     return columns
 
 
-#: Columns written in bulk by the standard-library row formatter.
-_BULK_HEADER = ("f64", "i64", "u64")
+#: Columns written in bulk by the printf template, once the int64 column is
+#: an ``array('q')`` (``_plain``) as sweep-gamma's and spectrum's are.
+_BULK_HEADER = ("f64", "i64")
 
 #: Float64 columns, whose chunks of rows numpy formats split across threads.
 _FLOAT_HEADER = ("f64", "p")
@@ -234,15 +247,25 @@ def _numeric_table(rows, header=_BULK_HEADER):
     return list(header), columns, _reference_csv(header, columns)
 
 
-@pytest.mark.parametrize("rows", [_split.CHUNK_ROWS + 1, 2 * _split.CHUNK_ROWS + 3])
+def _plain(columns, codes="dq"):
+    """Columns as ``array.array`` of the given typecodes, each checked to be
+    one that write_csv takes in bulk."""
+    plain = [array.array(code, column.tolist()) for code, column in zip(codes, columns)]
+    assert all(output._typecode(column) for column in plain)
+    return plain
+
+
+@pytest.mark.parametrize("rows", [8 * output.CHUNK_ROWS + 1, 16 * output.CHUNK_ROWS + 3])
 def test_write_csv_split_matches_row_writer(tmp_path, workers, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-@pytest.mark.parametrize("rows", [6, _split.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [6, 8 * output.CHUNK_ROWS + 1])
 def test_write_csv_bulk_matches_row_writer(tmp_path, rows):
+    # A float64 ndarray next to an array('q'): the printf template's table.
     header, columns, expected = _numeric_table(rows)
+    columns = [columns[0], *_plain(columns[1:], "q")]
     assert _written_csv(tmp_path, header, columns) == expected
 
 
@@ -266,8 +289,8 @@ def test_float_csv_matches_row_writer_at_the_edges(tmp_path, workers):
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
-@pytest.mark.parametrize("rows", [_digits.CHUNK_ROWS - 1, _digits.CHUNK_ROWS + 1,
-                                  3 * _digits.CHUNK_ROWS])
+@pytest.mark.parametrize("rows", [output.CHUNK_ROWS - 1, output.CHUNK_ROWS + 1,
+                                  3 * output.CHUNK_ROWS])
 def test_float_csv_matches_row_writer_across_chunks(tmp_path, workers, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
@@ -276,8 +299,8 @@ def test_float_csv_matches_row_writer_across_chunks(tmp_path, workers, rows):
 def test_float_csv_bytes_hold_under_thread_switching(tmp_path, monkeypatch):
     # More threads than CPUs, switching as often as the interpreter allows:
     # every chunk's text still lands once, in order.
-    monkeypatch.setattr(_split, "worker_count", lambda: 4)
-    header, columns, expected = _numeric_table(5 * _digits.CHUNK_ROWS + 1, _FLOAT_HEADER)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 4)
+    header, columns, expected = _numeric_table(5 * output.CHUNK_ROWS + 1, _FLOAT_HEADER)
     threads = threading.enumerate()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -290,9 +313,9 @@ def test_float_csv_bytes_hold_under_thread_switching(tmp_path, monkeypatch):
 
 
 def test_float_csv_takes_strided_columns(tmp_path, workers):
-    header, columns, _ = _numeric_table(2 * _digits.CHUNK_ROWS + 3, _FLOAT_HEADER)
+    header, columns, _ = _numeric_table(2 * output.CHUNK_ROWS + 3, _FLOAT_HEADER)
     strided = [column[::2] for column in columns]
-    assert len(strided[0]) > _digits.CHUNK_ROWS
+    assert len(strided[0]) > output.CHUNK_ROWS
     expected = _reference_csv(header, strided)
     assert _written_csv(tmp_path, header, strided) == expected
 
@@ -323,39 +346,44 @@ def test_float_csv_fallback_is_rare_on_the_curves(tmp_path, n, k, gamma, steps):
 
 
 def test_write_csv_narrow_columns_match_row_writer(tmp_path, workers):
-    header, columns, expected = _numeric_table(_split.CHUNK_ROWS + 1, _NARROW_HEADER)
+    header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _NARROW_HEADER)
+    assert _written_csv(tmp_path, header, columns) == expected
+
+
+def test_write_csv_int64_ndarrays_match_row_writer(tmp_path):
+    # No command writes int64 or uint64 ndarrays: they go value by value.
+    header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, ("i64", "u64"))
+    assert not any(output._typecode(column) for column in columns)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
 def test_write_csv_takes_strided_columns(tmp_path, workers):
     # Every other row of each column: views longer than one chunk.
-    header, columns, _ = _numeric_table(2 * _split.CHUNK_ROWS + 3)
-    strided = [column[::2] for column in columns]
-    assert len(strided[0]) > _split.CHUNK_ROWS
+    header, columns, _ = _numeric_table(16 * output.CHUNK_ROWS + 3)
+    strided = [columns[0][::2], memoryview(_plain(columns[1:], "q")[0])[::2]]
+    assert len(strided[0]) > output.CHUNK_ROWS
     expected = _reference_csv(header, strided)
     assert _written_csv(tmp_path, header, strided) == expected
 
 
 def test_write_csv_split_to_stdout(workers, capsys):
-    header, columns, expected = _numeric_table(_split.CHUNK_ROWS + 1, _FLOAT_HEADER)
+    header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _FLOAT_HEADER)
     output.write_csv(None, header, columns)
     assert capsys.readouterr().out.encode() == expected
 
 
-@pytest.mark.parametrize("rows", [0, 5, 2 * _split.CHUNK_ROWS + 3])
+@pytest.mark.parametrize("rows", [0, 5, 16 * output.CHUNK_ROWS + 3])
 def test_write_csv_takes_plain_arrays(tmp_path, workers, rows):
-    # array.array columns of typecode d, q and Q go through the bulk writer,
-    # as ndarrays of those types do, with the same bytes.
+    # array.array columns of typecode d and q, as sweep-gamma and spectrum
+    # pass them, go through the bulk writer with the ndarrays' bytes.
     header, columns, _ = _numeric_table(max(rows, 6))
     columns = [column[:rows] for column in columns]
-    plain = [array.array(code, column.tolist())
-             for code, column in zip("dqQ", columns)]
-    assert _written_csv(tmp_path, header, plain) == _reference_csv(header, columns)
+    assert _written_csv(tmp_path, header, _plain(columns)) == _reference_csv(header, columns)
 
 
 # The sha256 of outputs whose bytes are fixed: the row-writer tests above
-# take their reference from output._format_value, so only these catch a
-# change in how it, or the chart writer, formats a value.
+# hold write_csv to _reference_csv, and these hold both of them, and the
+# chart writer, to the bytes they have always written.
 _FROZEN_SVG = {
     "sweep-gamma --n 2000 --k 20 --points 200 --format svg":
         "a6f994aa3e5e48dc7c15ad62aa7511c9fa3844e43bec268037f281e77c103eb0",
@@ -381,7 +409,7 @@ def test_mixed_csv_bytes_are_frozen(tmp_path):
 def test_numeric_csv_bytes_are_frozen(tmp_path, workers):
     # Bulk and narrow columns in one table, which the row writer formats.
     header = ["f64", "f32", "i64", "u8", "u64"]
-    columns = [_numeric_columns(_split.CHUNK_ROWS + 1)[name] for name in header]
+    columns = [_numeric_columns(65537)[name] for name in header]
     written = _written_csv(tmp_path, header, columns)
     assert hashlib.sha256(written).hexdigest() == _FROZEN_NUMERIC_CSV
 
@@ -392,7 +420,7 @@ _LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
 def test_simulate_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     outputs = []
     for count in (1, 2, 3):
-        monkeypatch.setattr(_split, "worker_count", lambda: count)
+        monkeypatch.setattr(linalg, "_worker_count", lambda: count)
         target = tmp_path / f"{count}.csv"
         assert cli.main(_LONG_SIMULATE + ["--output", str(target)]) == 0
         outputs.append(target.read_bytes())
@@ -411,7 +439,7 @@ def test_error_in_a_format_thread_exits_one(tmp_path, monkeypatch, capsys):
             raise MemoryError("Unable to allocate 416. KiB")
         return format_values(x, words)
 
-    monkeypatch.setattr(_split, "worker_count", lambda: 2)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
     monkeypatch.setattr(_digits, "_format", exhausted_off_main)
     threads = threading.enumerate()
     rc = cli.main(_LONG_SIMULATE + ["--output", str(tmp_path / "x.csv")])
@@ -430,7 +458,7 @@ def test_memory_error_in_a_curve_thread_exits_one(monkeypatch, capsys):
             raise MemoryError("Unable to allocate 256. KiB")
         return exp(x)
 
-    monkeypatch.setattr(_split, "worker_count", lambda: 2)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
     monkeypatch.setattr(np, "exp", exhausted_off_main)
     threads = threading.enumerate()
     assert cli.main(["simulate", "--n", "100", "--k", "3", "--steps", "40000"]) == 1
@@ -838,11 +866,11 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
 
 @pytest.mark.parametrize("argv,modules", [
     (["critical-gamma", "--n", "100", "--k", "3"], ["cli", "scheme"]),
-    (["spectrum", "--n", "100", "--k", "3"], ["_split", "cli", "output", "scheme"]),
+    (["spectrum", "--n", "100", "--k", "3"], ["cli", "output", "scheme"]),
     (["sweep-gamma", "--n", "100", "--k", "3", "--points", "20"],
-     ["_split", "cli", "output", "scheme"]),
+     ["cli", "output", "scheme"]),
     (["verify", "--n", "9", "--k", "4"], ["cli", "johnson", "scheme"]),
-    (["analyze-pt", "--n", "100"], ["_split", "cli", "output", "reduced", "scheme"]),
+    (["analyze-pt", "--n", "100"], ["cli", "output", "reduced", "scheme"]),
     (["spectrum", "--n", "3000", "--k", "500", "--gamma", "0.001"], ["cli", "scheme"]),
     (["sweep-gamma", "--n", "100", "--k", "3", "--gamma-min", "1e308",
       "--gamma-max", "1.7e308", "--points", "3"], ["cli", "scheme"]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import _split, analysis, linalg, scheme
+from johnsonwalk import analysis, linalg, scheme
 
 
 def _random_symmetric(dim, seed):
@@ -238,7 +238,7 @@ def test_success_curve_bits_do_not_depend_on_blocks(monkeypatch, n, k, steps,
     # moves no bit.
     _, _, default = _curve(n, k, steps)
     monkeypatch.setattr(linalg, "_BLOCK_TIMES", block_times)
-    monkeypatch.setattr(_split, "worker_count", lambda: workers)
+    monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
