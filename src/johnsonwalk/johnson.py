@@ -144,9 +144,9 @@ def run_verification(n: int, k: int, gamma: float,
     if t_max is None:
         t_max = 2.0 * math.pi * math.sqrt(len(graph.faces))
     scheme._check_grid(t_max, steps)
-    scheme._check_phases(max(map(abs, spectrum.shifts)), t_max, "t_max")
+    scheme._check_phases(max(map(abs, spectrum.shifts)), t_max)
     full, drift = _krylov_curve(graph, float(gamma))
-    scheme._check_phases(max(abs(e) for e, _ in full), t_max, "t_max")
+    scheme._check_phases(max(abs(e) for e, _ in full), t_max)
     # Each curve as (-E_i, c_i), so a term is rect(c_i, -E_i t).
     full_terms = [(-e, c) for e, c in full]
     reduced_terms = [(-e, c) for e, c in zip(spectrum.shifts, spectrum.weights())]

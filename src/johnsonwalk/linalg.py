@@ -4,17 +4,14 @@
 with numpy (``np.linalg.eigh``).  It adds the input checks and a
 deterministic eigenvector sign convention, ``scheme.SIGN_EPS``'s, which
 ``reduced.perturbation_report`` applies to the eigenvectors it computes.
+No command calls it: it is ``analysis.overlap_balance``'s eigensolver and
+the tests' reference.
 
-The success curve |<w|exp(-iHt)|s>|^2 has two entry points.
-``secular_curve``, which simulate uses, takes it from the secular roots
-(``scheme``) with no matrix; ``success_curve`` takes it from one
-eigendecomposition of a dense H, the reference the tests hold the
-distance-basis model and verify's matrix-free oracle to.  The marked vertex
-is basis state 0, as in the distance basis and the full graph, so its
-amplitude is row 0 of the eigenvectors.  Both sum the curve in
-``_curve``, in a fixed order over blocks of ``_BLOCK_TIMES`` times that
-worker threads share out, one per CPU; memory beyond the output stays
-bounded, and the bits do not depend on the BLAS or CPU count.
+``secular_curve`` is the success curve |<w|exp(-iHt)|s>|^2 that simulate
+prints, from the secular roots (``scheme``) with no matrix.  It sums the
+curve in a fixed order over blocks of ``_BLOCK_TIMES`` times that worker
+threads share out, one per CPU; memory beyond the output stays bounded,
+and the bits do not depend on the CPU count.
 
 ``_stripe`` is that sharing out, over ``_worker_count()`` threads, the
 number of CPUs this process may use; ``_digits`` runs its chunks of CSV
@@ -32,7 +29,7 @@ import numpy as np
 # SIGN_EPS is also this module's API.
 from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
 
-#: Times ``success_curve`` evaluates at once, bounding its working memory.
+#: Times ``secular_curve`` evaluates at once, bounding its working memory.
 _BLOCK_TIMES = 1 << 14
 
 
@@ -77,40 +74,22 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
 
 
-def success_curve(hamiltonian: np.ndarray, psi0: np.ndarray, t_max: float,
-                  steps: int) -> TimeSeries:
+def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSeries:
     """Success probability |<w|psi(t)>|^2 on a uniform inclusive time grid.
 
-    The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1; one
-    eigendecomposition serves the whole grid.  ``t_max`` must be finite and
-    non-negative, and every phase E * t_max finite.
+    The grid is t_j = j * t_max / (steps - 1) for j = 0 .. steps-1.  The
+    amplitude is sum_i weights_i exp(-i shift_i t), with
+    ``spectrum.weights()`` and the shifts, which keep the digits of the
+    central gap that E_i * t rounds away at large N and differ from it by a
+    common phase.  It is added one root at a time in the given order,
+    elementwise in t, so no time's bits depend on the blocks, which are
+    striped over one thread per CPU; an error in any thread is raised once
+    all of them have stopped.  ``t_max`` must be finite and non-negative,
+    and every phase shift_i * t_max finite.
     """
     _check_grid(t_max, steps)
-    hamiltonian = np.asarray(hamiltonian)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if hamiltonian.ndim != 2 or psi0.shape != (hamiltonian.shape[0],):
-        raise ValueError("hamiltonian/state dimension mismatch")
-    evals, evecs = eig_sym(hamiltonian)
-    _check_phases(float(np.abs(evals).max()), t_max, "t_max")
-    return _curve(evals, evecs[0] * (evecs.T @ psi0), t_max, steps)
-
-
-def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSeries:
-    """``success_curve`` from the secular roots, with ``spectrum.weights()``
-    and the phases shift_i * t, which keep the digits of the central gap
-    that E_i * t rounds away at large N and differ from it by a common phase.
-    """
-    _check_grid(t_max, steps)
-    _check_phases(max(map(abs, spectrum.shifts)), t_max, "t_max")
-    return _curve(np.array(spectrum.shifts), np.array(spectrum.weights()), t_max, steps)
-
-
-def _curve(energies: np.ndarray, weights: np.ndarray, t_max: float,
-           steps: int) -> TimeSeries:
-    """|sum_i weights_i exp(-i energies_i t)|^2 on ``success_curve``'s grid,
-    added one energy at a time in the given order, elementwise in t, so no
-    time's bits depend on the blocks, which are striped over one thread per
-    CPU; an error in any thread is raised once all of them have stopped."""
+    _check_phases(max(map(abs, spectrum.shifts)), t_max)
+    energies, weights = np.array(spectrum.shifts), np.array(spectrum.weights())
     times = np.linspace(0.0, float(t_max), int(steps))
     probabilities = np.empty(times.size)
 

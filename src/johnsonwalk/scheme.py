@@ -211,22 +211,18 @@ def _grid(lo: float, hi: float, points: int) -> Iterator[float]:
     yield hi
 
 
-def _check_time(t: float, name: str) -> None:
-    """Validate a time: finite (``_check_phases`` checks E*t once E is known)."""
-    if not math.isfinite(t):
-        raise ValueError(f"{name} must be finite, got {t}")
-
-
-def _check_phases(energy: float, t: float, name: str) -> None:
-    """Validate the phases at time t, given max|E|: max|E| * t is finite."""
-    if not math.isfinite(energy * t):
-        raise ValueError(f"phases E*t overflow at {name}={t}")
+def _check_phases(energy: float, t_max: float) -> None:
+    """Validate the phases up to t_max, given max|E|: max|E| * t_max is finite."""
+    if not math.isfinite(energy * t_max):
+        raise ValueError(f"phases E*t overflow at t_max={t_max}")
 
 
 def _check_grid(t_max: float, steps) -> None:
-    """Validate a time grid [0, t_max] of ``steps`` points, in this order."""
+    """Validate a time grid [0, t_max] of ``steps`` points, in this order;
+    ``_check_phases`` checks E * t_max once E is known."""
     _check_steps(steps)
-    _check_time(t_max, "t_max")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
 

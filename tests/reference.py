@@ -1,12 +1,14 @@
 """References the tests hold the package against, over ``linalg.eig_sym``.
 
-The package computes none of these: the overlap spectrum and the energy gap
-come from the distance-basis Hamiltonian, which the secular roots must
-match; the dense adjacency of the full graph, which ``johnson``'s
-matrix-free product and its oracle must match; the distance classes from
-that graph, which the distance-basis model must reduce to; and, for k = 3,
-the perturbation block and the numerically transformed Hamiltonian, which
-``reduced``'s closed forms and its two-level report must match.
+The package computes none of these: the success curve from one
+eigendecomposition of a dense H, which the secular curve and the oracle's
+Lanczos curve must match; the overlap spectrum and the energy gap from the
+distance-basis Hamiltonian, which the secular roots must match; the dense
+adjacency of the full graph, which ``johnson``'s matrix-free product and
+its oracle must match; the distance classes from that graph, which the
+distance-basis model must reduce to; and, for k = 3, the perturbation block
+and the numerically transformed Hamiltonian, which ``reduced``'s closed
+forms and its two-level report must match.
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from johnsonwalk import analysis, johnson, reduced, scheme
-from johnsonwalk.linalg import eig_sym
+from johnsonwalk.linalg import TimeSeries, eig_sym
 from johnsonwalk.scheme import DEFAULT_VERTEX_CAP, _check_vertex_cap
 
 
@@ -53,6 +55,16 @@ def dense_hamiltonian(n, k, gamma, cap=DEFAULT_VERTEX_CAP):
     h = -float(gamma) * full_adjacency(n, k, cap).adjacency.astype(float)
     h[0, 0] -= 1.0
     return h
+
+
+def dense_curve(hamiltonian, psi0, t_max, steps):
+    """The success curve |<w|exp(-iHt)|psi0>|^2 on ``linalg.secular_curve``'s
+    grid, from one eigendecomposition of H and one product over the grid;
+    the marked vertex is basis state 0."""
+    evals, evecs = eig_sym(hamiltonian)
+    times = np.linspace(0.0, t_max, steps)
+    weights = evecs[0] * (evecs.T @ np.asarray(psi0, dtype=complex))
+    return TimeSeries(times, np.abs(weights @ np.exp(-1j * np.outer(evals, times))) ** 2)
 
 
 def overlap_spectrum(n, k, gamma):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import analysis, johnson, linalg, reduced, scheme
+from johnsonwalk import johnson, linalg, reduced, scheme
 
 
 def _report(index, name, passed, detail):
@@ -19,8 +19,7 @@ def _report(index, name, passed, detail):
 def test_criterion_1_peak_curve_n100():
     """n=100, k=3, gamma=0.003455: peak >= 0.99 near t = 631.65."""
     start = time.perf_counter()
-    curve = linalg.success_curve(analysis.search_hamiltonian(100, 3, 0.003455),
-                                 analysis.initial_state(100, 3), 700.0, 2801)
+    curve = linalg.secular_curve(scheme.secular_spectrum(100, 3, 0.003455), 700.0, 2801)
     elapsed = time.perf_counter() - start
     peak = float(curve.probabilities.max())
     t_peak = float(curve.times[int(np.argmax(curve.probabilities))])
@@ -36,9 +35,8 @@ def test_criterion_2_peak_curve_n1000():
     """n=1000, k=3, formula gamma: probability >= 0.99 at t in 20248.5 +- 50."""
     gamma = 1.0 / 3000.0 + 7.0 / 6.0e6
     start = time.perf_counter()
-    h = analysis.search_hamiltonian(1000, 3, gamma)
     t_max = 1.5 * scheme.predicted_peak_time(1000, 3)
-    curve = linalg.success_curve(h, analysis.initial_state(1000, 3), t_max, 4001)
+    curve = linalg.secular_curve(scheme.secular_spectrum(1000, 3, gamma), t_max, 4001)
     elapsed = time.perf_counter() - start
     window = np.abs(curve.times - 20248.5) <= 50.0
     window_max = float(curve.probabilities[window].max())

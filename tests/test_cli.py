@@ -39,8 +39,8 @@ def test_simulate_csv_roundtrip(tmp_path):
     assert header == ["time", "probability"]
     assert len(rows) == 50
     curve = linalg.secular_curve(scheme.secular_spectrum(8, 3, 0.03), 20.0, 50)
-    dense = linalg.success_curve(analysis.search_hamiltonian(8, 3, 0.03),
-                                 analysis.initial_state(8, 3), 20.0, 50)
+    dense = reference.dense_curve(analysis.search_hamiltonian(8, 3, 0.03),
+                                  analysis.initial_state(8, 3), 20.0, 50)
     # 17 significant digits round-trip float64 exactly
     for row, t, p, q in zip(rows, curve.times, curve.probabilities,
                             dense.probabilities):
@@ -139,8 +139,7 @@ def _written_csv(tmp_path, header, columns):
 
 
 def test_write_csv_matches_row_writer_on_curve(tmp_path):
-    curve = linalg.success_curve(analysis.search_hamiltonian(100, 3, 0.00345),
-                                 analysis.initial_state(100, 3), 700.0, 2801)
+    curve = linalg.secular_curve(scheme.secular_spectrum(100, 3, 0.00345), 700.0, 2801)
     header = ["time", "probability"]
     columns = [curve.times, curve.probabilities]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
@@ -990,7 +989,19 @@ def test_verify_failure_is_one_error_line(capsys):
     # Phases near 1e308 keep no precision, so the two curves disagree.
     argv = ["verify", "--n", "7", "--k", "2", "--t-max", "1e308"]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: verification FAILED (tolerance 1.0e-08)\n"
+    match = re.fullmatch(r"error: verification FAILED: deviation (\S+) "
+                         r"above tolerance 1\.0e-08\n", capsys.readouterr().err)
+    assert match and float(match.group(1)) > 0.1
+
+
+def test_verify_names_the_closure_bound_it_fails_on(capsys):
+    # The closure bound gamma * beta * |A| * t_max is far above the tolerance
+    # at t_max = 1e300, so verify prints no deviation and names the bound.
+    assert cli.main(["verify", "--n", "9", "--k", "3", "--t-max", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: verification FAILED: closure bound 1.268e+252 "
+                            "above tolerance 1.0e-08\n")
 
 
 def test_cap_error_exits_one(capsys):

@@ -3,13 +3,14 @@ the reference distance classes against a breadth-first search, and the
 brute-force oracle against the dense success curve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from johnsonwalk import analysis, cli, johnson, linalg, reduced, scheme
+from johnsonwalk import analysis, cli, johnson, reduced, scheme
 from johnsonwalk.johnson import VertexCapError
 
 
@@ -247,8 +248,8 @@ def test_lanczos_curve_matches_the_dense_curve(n, k, gamma):
     pairs, _ = johnson._krylov_curve(johnson.incidence(n, k), float(gamma))
     n_vertices = math.comb(n, k)
     t_max, steps = 2.0 * math.pi * math.sqrt(n_vertices), 400
-    dense = linalg.success_curve(reference.dense_hamiltonian(n, k, gamma),
-                                 np.full(n_vertices, n_vertices ** -0.5), t_max, steps)
+    dense = reference.dense_curve(reference.dense_hamiltonian(n, k, gamma),
+                                  np.full(n_vertices, n_vertices ** -0.5), t_max, steps)
     amplitude = sum(c * np.exp(-1j * e * dense.times) for e, c in pairs)
     assert np.abs(np.abs(amplitude) ** 2 - dense.probabilities).max() <= 1e-12
 
@@ -301,4 +302,6 @@ def test_verify_refuses_a_krylov_space_that_does_not_close(monkeypatch, capsys):
     assert cli.main(["verify", "--n", "7", "--k", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: verification FAILED (tolerance 1.0e-08)\n"
+    match = re.fullmatch(r"error: verification FAILED: closure bound (\S+) "
+                         r"above tolerance 1\.0e-08\n", captured.err)
+    assert match and float(match.group(1)) > 1e-3

@@ -83,19 +83,19 @@ def test_eig_sym_handles_tiny_offdiagonal():
 
 
 def test_returned_arrays_do_not_leak_into_later_calls():
+    spectrum = scheme.secular_spectrum(10, 3, 0.02)
     h = analysis.search_hamiltonian(10, 3, 0.02)
-    s = analysis.initial_state(10, 3)
-    expected = linalg.success_curve(h, s, 50.0, 7)
+    expected = linalg.secular_curve(spectrum, 50.0, 7)
     expected_evals, expected_evecs = linalg.eig_sym(h)
 
-    curve = linalg.success_curve(h, s, 50.0, 7)
+    curve = linalg.secular_curve(spectrum, 50.0, 7)
     for array in curve:
         array[:] = 0.0
     evals, evecs = linalg.eig_sym(h.copy())
     evals[:] = 0.0
     evecs[:] = 0.0
 
-    again = linalg.success_curve(h, s, 50.0, 7)
+    again = linalg.secular_curve(spectrum, 50.0, 7)
     for got, want in zip(again, expected):
         assert np.array_equal(got, want)
     evals, evecs = linalg.eig_sym(h)
@@ -103,88 +103,31 @@ def test_returned_arrays_do_not_leak_into_later_calls():
     assert np.array_equal(evecs, expected_evecs)
 
 
-def test_success_curve_grid_and_consistency():
-    h = analysis.search_hamiltonian(8, 3, 0.03)
-    psi0 = analysis.initial_state(8, 3)
-    curve = linalg.success_curve(h, psi0, 12.0, 25)
-    assert curve.times.shape == (25,)
-    assert curve.times[0] == 0.0
-    assert curve.times[-1] == 12.0
-    assert np.allclose(np.diff(curve.times), 12.0 / 24)
-    np.testing.assert_allclose(curve.probabilities,
-                               _one_product_curve(h, psi0, 12.0, 25),
-                               rtol=0.0, atol=1e-13)
-    assert np.all(curve.probabilities >= 0)
-    assert np.all(curve.probabilities <= 1 + 1e-12)
-
-
-def test_success_curve_validates_arguments():
-    h = analysis.search_hamiltonian(8, 3, 0.03)
-    psi0 = analysis.initial_state(8, 3)
-    with pytest.raises(ValueError):
-        linalg.success_curve(h, psi0, 10.0, 1)
-    with pytest.raises(ValueError):
-        linalg.success_curve(h, np.ones(7), 10.0, 5)
-
-
-@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
-def test_success_curve_rejects_non_finite_t_max(t_max):
-    h = analysis.search_hamiltonian(8, 3, 0.03)
-    psi0 = analysis.initial_state(8, 3)
-    with pytest.raises(ValueError, match="t_max must be finite"):
-        linalg.success_curve(h, psi0, t_max, 5)
-
-
-TIMED_ENTRY_POINTS = pytest.mark.parametrize("call", [
-    lambda h, s, t: linalg.success_curve(h, s, t, 5),
-], ids=["success_curve"])
-
-
-@TIMED_ENTRY_POINTS
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-def test_timed_entry_points_share_the_time_rule(call, t):
-    h = analysis.search_hamiltonian(8, 3, 0.03)
-    psi0 = analysis.initial_state(8, 3)
-    with pytest.raises(ValueError, match="must be finite"):
-        call(h, psi0, t)
-
-
-@TIMED_ENTRY_POINTS
-def test_timed_entry_points_share_the_phase_rule(call):
-    # J(2,1) at gamma = 1e308 is finite, but E * t is not
-    with pytest.raises(ValueError, match="overflow"):
-        call(analysis.search_hamiltonian(2, 1, 1e308), analysis.initial_state(2, 1),
-             10.0)
-
-
-def test_success_curve_rejects_phase_overflow():
-    # J(2,1) at gamma = 1e308 is finite, but E * t_max is not
-    h = analysis.search_hamiltonian(2, 1, 1e308)
-    with pytest.raises(ValueError, match="overflow"):
-        linalg.success_curve(h, analysis.initial_state(2, 1), 10.0, 5)
-
-
-@pytest.mark.parametrize("n,k,gamma", [
-    (8, 3, 0.03), (100, 3, 0.00345), (100, 3, None), (20, 10, None),
-], ids=["8-3", "100-3", "100-3-s1", "20-10-s1"])
-def test_secular_curve_matches_the_distance_basis(n, k, gamma):
-    # The same curve from the secular roots, with no matrix (measured: at
-    # most 2.4e-13 apart, at J(100,3) and gamma = 0.00345); None is S_1.
+@pytest.mark.parametrize("n,k,gamma,steps", [
+    (8, 3, 0.03, 2001), (100, 3, 0.00345, 2001), (100, 3, None, 2001),
+    (20, 10, None, 2001), (100, 3, 0.00345, 40001), (100, 3, None, 40001),
+], ids=["8-3", "100-3", "100-3-s1", "20-10-s1", "100-3-blocks", "100-3-s1-blocks"])
+def test_secular_curve_matches_the_distance_basis(n, k, gamma, steps):
+    # The same curve from the secular roots, with no matrix, as from one
+    # dense product (measured: at most 2.5e-13 apart, at J(100,3) and
+    # gamma = 0.00345); None is S_1.  40001 times are three blocks.
     if gamma is None:
         gamma = scheme.critical_rate(n, k)
     t_max = 1.5 * scheme.predicted_peak_time(n, k)
-    ours = linalg.secular_curve(scheme.secular_spectrum(n, k, gamma), t_max, 2001)
-    dense = linalg.success_curve(analysis.search_hamiltonian(n, k, float(gamma)),
-                                 analysis.initial_state(n, k), t_max, 2001)
+    ours = linalg.secular_curve(scheme.secular_spectrum(n, k, gamma), t_max, steps)
+    dense = reference.dense_curve(analysis.search_hamiltonian(n, k, float(gamma)),
+                                  analysis.initial_state(n, k), t_max, steps)
     assert np.array_equal(ours.times, dense.times)
     assert np.abs(ours.probabilities - dense.probabilities).max() <= 1e-12
 
 
 @pytest.mark.parametrize("gamma,t_max,message", [
     (0.03, math.nan, "t_max must be finite"),
+    (0.03, math.inf, "t_max must be finite"),
+    (0.03, -math.inf, "t_max must be finite"),
     (0.03, -3.0, "t_max must be non-negative"),
     (1e308, 10.0, "overflow"),
-], ids=["nan", "negative", "phase-overflow"])
+], ids=["nan", "inf", "-inf", "negative", "phase-overflow"])
 def test_secular_curve_shares_the_time_and_phase_rules(gamma, t_max, message):
     # J(2,1) at gamma = 1e308: the shift gamma * D_1 is not finite
     with pytest.raises(ValueError, match=message):
@@ -214,81 +157,30 @@ def test_search_hamiltonian_eigensolver_matches_lapack():
     assert np.abs(evals - np.linalg.eigvalsh(h)).max() < 1e-13
 
 
-def _one_product_curve(h, psi0, t_max, steps):
-    """The success curve as one product over the whole time grid."""
-    evals, evecs = linalg.eig_sym(h)
-    times = np.linspace(0.0, t_max, steps)
-    weights = evecs[0] * (evecs.T @ psi0.astype(complex))
-    return np.abs(weights @ np.exp(-1j * np.outer(evals, times))) ** 2
-
-
 def _curve(n, k, steps):
-    h = analysis.search_hamiltonian(n, k, 1.0 / (k * n))
-    psi0 = analysis.initial_state(n, k)
-    return h, psi0, linalg.success_curve(h, psi0, 3000.0, steps).probabilities
+    spectrum = scheme.secular_spectrum(n, k, 1.0 / (k * n))
+    return linalg.secular_curve(spectrum, 3000.0, steps).probabilities
 
 
 @pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
 @pytest.mark.parametrize("block_times", [7, 1000, 20001, 1 << 20])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_success_curve_bits_do_not_depend_on_blocks(monkeypatch, n, k, steps,
-                                                    block_times, workers):
-    # Each time's amplitude is summed over the eigenvalues in one fixed
-    # order, so splitting the grid differently, or over other threads,
-    # moves no bit.
-    _, _, default = _curve(n, k, steps)
+def test_secular_curve_bits_do_not_depend_on_blocks(monkeypatch, n, k, steps,
+                                                   block_times, workers):
+    # Each time's amplitude is summed over the roots in one fixed order, so
+    # splitting the grid differently, or over other threads, moves no bit.
+    default = _curve(n, k, steps)
     monkeypatch.setattr(linalg, "_BLOCK_TIMES", block_times)
     monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _, _, blocked = _curve(n, k, steps)
+        blocked = _curve(n, k, steps)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(blocked, default)
 
 
-@pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 100000)])
-def test_success_curve_matches_one_product(n, k, steps):
-    h, psi0, probabilities = _curve(n, k, steps)
-    np.testing.assert_allclose(probabilities,
-                               _one_product_curve(h, psi0, 3000.0, steps),
-                               rtol=0.0, atol=1e-14)
-
-
-@pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
-def test_success_curve_does_not_need_the_sign_convention(monkeypatch, n, k, steps):
-    # A weight evecs[0] * (evecs^T s) keeps its bits when a column flips.
-    _, _, default = _curve(n, k, steps)
-    eig_sym = linalg.eig_sym
-
-    def negated_eig_sym(matrix):
-        evals, evecs = eig_sym(matrix)
-        return linalg.SpectralDecomposition(evals, -evecs)
-
-    monkeypatch.setattr(linalg, "eig_sym", negated_eig_sym)
-    _, _, flipped = _curve(n, k, steps)
-    assert np.array_equal(flipped, default)
-
-
-def test_success_curve_rejects_negative_t_max():
-    h = analysis.search_hamiltonian(8, 3, 0.03)
-    with pytest.raises(ValueError,
-                       match="t_max must be non-negative, got -3.0"):
-        linalg.success_curve(h, analysis.initial_state(8, 3), -3.0, 3)
-
-
 def test_eig_sym_rejects_empty_matrix():
     with pytest.raises(ValueError, match="eig_sym requires a non-empty matrix"):
         linalg.eig_sym(np.zeros((0, 0)))
-
-
-@pytest.mark.parametrize("call", [
-    lambda h, s: linalg.success_curve(h, s, 1.0, 5),
-], ids=["success_curve"])
-def test_spectral_entry_points_share_input_checks(call):
-    h = analysis.search_hamiltonian(7, 2, 0.1)
-    with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
-        call(h, np.ones(4))
-    with pytest.raises(ValueError, match="hamiltonian/state dimension mismatch"):
-        call(h[0], np.ones(3))
