@@ -2,10 +2,9 @@
 
 ``write_rows`` is ``output.write_csv``'s formatter for a table whose
 columns are all float64, once numpy is loaded.  It formats
-``output.CHUNK_ROWS`` rows at a time with whole-array numpy operations, one
-chunk per thread per CPU (``linalg._stripe``), and writes the chunks in
-order, so memory stays bounded and the bytes do not depend on the number of
-CPUs.
+``output.CHUNK_ROWS`` rows at a time with whole-array numpy operations and
+writes each chunk before it formats the next, on the calling thread, so
+memory stays bounded for any row count.
 
 Digits.  With e the decimal exponent of |x|, y = |x| * 10^(16 - e) lies in
 [1e16, 1e17).  The power of ten is a pair of doubles (hi, lo) whose sum is
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .output import CHUNK_ROWS
 
 #: Decimal exponents the digit step covers: |x| in [1e-280, 1e280] has
@@ -211,23 +209,10 @@ def write_rows(write, columns, n_rows: int) -> int:
     """Write ``n_rows`` CSV rows of the float64 ``columns`` (1-d buffers),
     one ``write`` call per chunk of rows; return how many values were
     formatted by ``'%.17g'`` itself."""
-    # Freeing an array this large raises glibc's mmap and trim thresholds,
-    # so every chunk after the first reuses the heap pages of the one
-    # before instead of faulting in fresh ones.
-    np.empty(1 << 21)
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    starts = range(0, n_rows, CHUNK_ROWS)
-    workers = linalg._worker_count()
     fallbacks = 0
-    for first in range(0, len(starts), workers):
-        batch = starts[first:first + workers]
-        texts: list = [None] * len(batch)
-
-        def format_chunk(i: int) -> None:
-            texts[i] = _chunk(columns, batch[i], min(batch[i] + CHUNK_ROWS, n_rows))
-
-        linalg._stripe(format_chunk, len(batch))
-        for text, left in texts:
-            write(text)
-            fallbacks += left
+    for start in range(0, n_rows, CHUNK_ROWS):
+        text, left = _chunk(columns, start, min(start + CHUNK_ROWS, n_rows))
+        write(text)
+        fallbacks += left
     return fallbacks

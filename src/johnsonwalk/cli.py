@@ -15,10 +15,10 @@ emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 writes exactly one line, starting "error: ", to stderr.  That includes a
 grid (--steps, --points) of over 2^60 - 1 points, refused before any array
 is made, and an error in any of the threads, one per CPU
-(``linalg._stripe``), over which simulate shares out its curve and its
-CSV rows; it is reported once every thread has stopped.  It also includes
-a failed final write, such as buffered stdout flushed to a full disk or a
-closed pipe.  With --verbose, simulate logs the rows it wrote as CSV, the
+(``linalg._stripe``), over which simulate shares out its curve; it is
+reported once every thread has stopped.  It also includes a failed final
+write, such as buffered stdout flushed to a full disk or a closed pipe.
+With --verbose, simulate logs the rows it wrote as CSV, the
 seconds that took, and how many values the formatter left to '%.17g'.
 
 critical-gamma, spectrum, sweep-gamma (as CSV or SVG), verify and

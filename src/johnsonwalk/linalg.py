@@ -11,11 +11,13 @@ the tests' reference.
 prints, from the secular roots (``scheme``) with no matrix.  It sums the
 curve in a fixed order over blocks of ``_BLOCK_TIMES`` times that worker
 threads share out, one per CPU; memory beyond the output stays bounded,
-and the bits do not depend on the CPU count.
+and the bits do not depend on the CPU count.  It first frees a 16 MiB
+array, which raises glibc's mmap and trim thresholds for the rest of the
+process, so its blocks and then simulate's chunks of CSV rows reuse heap
+pages.
 
 ``_stripe`` is that sharing out, over ``_worker_count()`` threads, the
-number of CPUs this process may use; ``_digits`` runs its chunks of CSV
-rows through it too.
+number of CPUs this process may use.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSe
     """
     _check_grid(t_max, steps)
     _check_phases(max(map(abs, spectrum.shifts)), t_max)
+    # Freeing an array this large raises glibc's mmap and trim thresholds,
+    # so the blocks' temporaries, and then the chunks of simulate's CSV,
+    # reuse heap pages instead of faulting in fresh ones.
+    np.empty(1 << 21)
     energies, weights = np.array(spectrum.shifts), np.array(spectrum.weights())
     times = np.linspace(0.0, float(t_max), int(steps))
     probabilities = np.empty(times.size)

@@ -8,14 +8,14 @@ A table whose columns all export a 1-d buffer of ``memoryview`` format
 float64 ndarray) is read through ``memoryview``, strided or not, and
 formatted in bulk, ``CHUNK_ROWS`` rows per write.  When every column is
 float64 and numpy is already loaded, as in ``simulate``, ``_digits``
-formats the chunks with numpy, striped over one thread per CPU; any other
-such table goes through one printf template per chunk (``_FORMATS`` maps a
-format to its conversion).  Either way memory stays bounded for any row
-count, and the bytes are ``'%.17g'``'s and ``'%d'``'s, whatever the number
-of CPUs.  Any other table (int64 and uint64 ndarrays among them), and
-every header, goes through ``csv.writer`` with LF line endings, which
-quotes text the way the running Python's ``csv`` module does and prints a
-number with the same text.  The SVG writer draws a small standalone line
+formats the chunks with numpy; any other such table goes through one printf
+template per chunk (``_FORMATS`` maps a format to its conversion).  Either
+way each chunk is formatted and written on the calling thread before the
+next, so memory stays bounded for any row count, and the bytes are
+``'%.17g'``'s and ``'%d'``'s.  Any other table (int64 and uint64 ndarrays
+among them), and every header, goes through ``csv.writer`` with LF line
+endings, which quotes text the way the running Python's ``csv`` module does
+and prints a number with the same text.  The SVG writer draws a small standalone line
 chart (fixed 800x500 canvas) for eyeballing success curves and overlap
 sweeps without a plotting stack.
 

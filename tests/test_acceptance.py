@@ -202,3 +202,62 @@ def test_criterion_8_diameter():
             ", ".join(f"J({n},3)={d}" for n, d in diameters.items()))
     for n, d in diameters.items():
         assert d == 3
+
+
+def _peak(curve):
+    """The curve's greatest value, refined by the parabola through the grid
+    maximum and its two neighbours."""
+    p = curve.probabilities
+    i = int(np.argmax(p))
+    assert 0 < i < p.size - 1
+    before, top, after = p[i - 1], p[i], p[i + 1]
+    return float(top + (after - before) ** 2 / (8.0 * (2.0 * top - before - after)))
+
+
+def test_criterion_9_change_of_basis():
+    """k=3, n = 1e2 .. 1e7: the naive degenerate rate 1/(3n) fails as the
+    change of basis predicts, and the paper's rate 1/(3n) + 7/(6n^2) and S_1
+    succeed.
+
+    p is the peak of the curve over [0, 1.5T], T = pi sqrt(N)/2, on 200001
+    points (``_peak``).  At 1/(3n) the two-level system over (|r>, |u>) is
+    detuned from its crossing at S_1 by about 3n * 7/(6n^2) = 7/(2n) and
+    coupled by sqrt(6)/n^1.5, so p = h_ru^2/(h_ru^2 + (h_rr - h_uu)^2/4)
+    tends to (6/n^3)/(49/(16n^2)) = 96/(49n).  At S_1 the peak is about
+    S_1^2/S_2 (S_j = (1/N) sum_{i>=1} m_i/D_i^j), which is 1 - V/S_2 to
+    O(1/N), V the variance of 1/D_i under the weights m_i/N.  Eigenspace 2
+    has weight m_2/N -> 3/n at 1/D_2 -> 1/(2n), and nearly all the rest
+    lies at 1/D_3 -> 1/(3n), so 1 - p tends to
+    (3/n)((1/2 - 1/3)/(1/3))^2 = 3/(4n).
+
+    Measured with these grids: n p = 96/49 - c/n with c from 6.50 (n=1e2)
+    to 7.34, checked to 8/n; analyze-pt's 2x2 prediction is p (1 - c/n)
+    with c from 2.75 to 2.77, checked to 3/n; n (1 - p) at the paper's rate
+    runs from 8.18 to 9.51, checked below 10; and n (1 - p) at S_1 is
+    3/4 + c/n with c from 12.5 to 14.4, checked to 16/n.
+    """
+    start = time.perf_counter()
+    details = []
+    failures = []
+    for n in (10 ** e for e in range(2, 8)):
+        t_max = 1.5 * scheme.predicted_peak_time(n, 3)
+        naive, paper, s1 = (
+            _peak(linalg.secular_curve(scheme.secular_spectrum(n, 3, gamma), t_max, 200001))
+            for gamma in (1.0 / (3.0 * n), scheme.gamma_c_formula_k3(n),
+                          scheme.critical_rate(n, 3)))
+        (h_rr, h_ru), (_, h_uu) = reduced.perturbation_report(n, 1.0 / (3.0 * n)).effective_2x2
+        predicted = h_ru ** 2 / (h_ru ** 2 + (h_rr - h_uu) ** 2 / 4.0)
+        checks = {
+            "n p at 1/(3n)": (n * naive, abs(n * naive - 96.0 / 49.0) <= 8.0 / n),
+            "2x2 / p": (predicted / naive, abs(predicted / naive - 1.0) <= 3.0 / n),
+            "n (1 - p) at the paper's rate": (n * (1.0 - paper), n * (1.0 - paper) <= 10.0),
+            "n (1 - p) at S_1": (n * (1.0 - s1), abs(n * (1.0 - s1) - 0.75) <= 16.0 / n),
+        }
+        details.append(f"n={n}: " + ", ".join(f"{name} {value:.6g}"
+                                              for name, (value, _) in checks.items()))
+        failures += [f"n={n}: {name}" for name, (_, ok) in checks.items() if not ok]
+    elapsed = time.perf_counter() - start
+    _report(9, "change of basis", not failures and elapsed < 3.0,
+            "; ".join(details) + f" in {elapsed:.2f} s")
+    assert failures == []
+    assert elapsed < 3.0

@@ -202,13 +202,6 @@ def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
-@pytest.fixture(params=[1, 2, 3])
-def workers(request, monkeypatch):
-    """Split the work as on a machine with 1, 2 or 3 CPUs."""
-    monkeypatch.setattr(linalg, "_worker_count", lambda: request.param)
-    return request.param
-
-
 @functools.lru_cache(maxsize=None)
 def _numeric_columns(rows):
     """Random numeric columns by name, with edge values at both ends."""
@@ -232,7 +225,7 @@ def _numeric_columns(rows):
 #: an ``array('q')`` (``_plain``) as sweep-gamma's and spectrum's are.
 _BULK_HEADER = ("f64", "i64")
 
-#: Float64 columns, whose chunks of rows numpy formats split across threads.
+#: Float64 columns, whose chunks of rows numpy formats.
 _FLOAT_HEADER = ("f64", "p")
 
 #: Narrower number types, which the row writer formats with the same text.
@@ -255,7 +248,7 @@ def _plain(columns, codes="dq"):
 
 
 @pytest.mark.parametrize("rows", [8 * output.CHUNK_ROWS + 1, 16 * output.CHUNK_ROWS + 3])
-def test_write_csv_split_matches_row_writer(tmp_path, workers, rows):
+def test_write_csv_split_matches_row_writer(tmp_path, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
@@ -282,7 +275,7 @@ def _edge_floats():
     return np.concatenate([values, -values])
 
 
-def test_float_csv_matches_row_writer_at_the_edges(tmp_path, workers):
+def test_float_csv_matches_row_writer_at_the_edges(tmp_path):
     values = _edge_floats()
     header, columns = ["x", "y"], [values, values[::-1].copy()]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
@@ -290,28 +283,12 @@ def test_float_csv_matches_row_writer_at_the_edges(tmp_path, workers):
 
 @pytest.mark.parametrize("rows", [output.CHUNK_ROWS - 1, output.CHUNK_ROWS + 1,
                                   3 * output.CHUNK_ROWS])
-def test_float_csv_matches_row_writer_across_chunks(tmp_path, workers, rows):
+def test_float_csv_matches_row_writer_across_chunks(tmp_path, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-def test_float_csv_bytes_hold_under_thread_switching(tmp_path, monkeypatch):
-    # More threads than CPUs, switching as often as the interpreter allows:
-    # every chunk's text still lands once, in order.
-    monkeypatch.setattr(linalg, "_worker_count", lambda: 4)
-    header, columns, expected = _numeric_table(5 * output.CHUNK_ROWS + 1, _FLOAT_HEADER)
-    threads = threading.enumerate()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        written = _written_csv(tmp_path, header, columns)
-    finally:
-        sys.setswitchinterval(interval)
-    assert written == expected
-    assert threading.enumerate() == threads
-
-
-def test_float_csv_takes_strided_columns(tmp_path, workers):
+def test_float_csv_takes_strided_columns(tmp_path):
     header, columns, _ = _numeric_table(2 * output.CHUNK_ROWS + 3, _FLOAT_HEADER)
     strided = [column[::2] for column in columns]
     assert len(strided[0]) > output.CHUNK_ROWS
@@ -344,7 +321,7 @@ def test_float_csv_fallback_is_rare_on_the_curves(tmp_path, n, k, gamma, steps):
     assert target.read_bytes() == _reference_csv(header, columns)
 
 
-def test_write_csv_narrow_columns_match_row_writer(tmp_path, workers):
+def test_write_csv_narrow_columns_match_row_writer(tmp_path):
     header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _NARROW_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
@@ -356,7 +333,7 @@ def test_write_csv_int64_ndarrays_match_row_writer(tmp_path):
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-def test_write_csv_takes_strided_columns(tmp_path, workers):
+def test_write_csv_takes_strided_columns(tmp_path):
     # Every other row of each column: views longer than one chunk.
     header, columns, _ = _numeric_table(16 * output.CHUNK_ROWS + 3)
     strided = [columns[0][::2], memoryview(_plain(columns[1:], "q")[0])[::2]]
@@ -365,14 +342,14 @@ def test_write_csv_takes_strided_columns(tmp_path, workers):
     assert _written_csv(tmp_path, header, strided) == expected
 
 
-def test_write_csv_split_to_stdout(workers, capsys):
+def test_write_csv_split_to_stdout(capsys):
     header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _FLOAT_HEADER)
     output.write_csv(None, header, columns)
     assert capsys.readouterr().out.encode() == expected
 
 
 @pytest.mark.parametrize("rows", [0, 5, 16 * output.CHUNK_ROWS + 3])
-def test_write_csv_takes_plain_arrays(tmp_path, workers, rows):
+def test_write_csv_takes_plain_arrays(tmp_path, rows):
     # array.array columns of typecode d and q, as sweep-gamma and spectrum
     # pass them, go through the bulk writer with the ndarrays' bytes.
     header, columns, _ = _numeric_table(max(rows, 6))
@@ -405,7 +382,7 @@ def test_mixed_csv_bytes_are_frozen(tmp_path):
     assert hashlib.sha256(written).hexdigest() == _FROZEN_MIXED_CSV
 
 
-def test_numeric_csv_bytes_are_frozen(tmp_path, workers):
+def test_numeric_csv_bytes_are_frozen(tmp_path):
     # Bulk and narrow columns in one table, which the row writer formats.
     header = ["f64", "f32", "i64", "u8", "u64"]
     columns = [_numeric_columns(65537)[name] for name in header]
@@ -428,22 +405,23 @@ def test_simulate_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     assert outputs[2] == outputs[0]
 
 
-def test_error_in_a_format_thread_exits_one(tmp_path, monkeypatch, capsys):
-    # With two workers every other chunk of rows is formatted off the main
-    # thread.
+def test_memory_error_in_formatting_exits_one(tmp_path, monkeypatch, capsys):
+    # The second chunk of rows runs out of memory after the first is written.
     format_values = _digits._format
+    callers = []
 
-    def exhausted_off_main(x, words):
-        if threading.current_thread() is not threading.main_thread():
+    def exhausted_on_second_chunk(x, words):
+        callers.append(threading.current_thread())
+        if len(callers) == 2:
             raise MemoryError("Unable to allocate 416. KiB")
         return format_values(x, words)
 
-    monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
-    monkeypatch.setattr(_digits, "_format", exhausted_off_main)
+    monkeypatch.setattr(_digits, "_format", exhausted_on_second_chunk)
     threads = threading.enumerate()
     rc = cli.main(_LONG_SIMULATE + ["--output", str(tmp_path / "x.csv")])
     assert rc == 1
     assert capsys.readouterr().err == "error: Unable to allocate 416. KiB\n"
+    assert callers == [threading.main_thread()] * 2
     assert threading.enumerate() == threads
 
 
@@ -797,13 +775,34 @@ def test_import_loads_neither_csv_nor_subprocess():
 
 
 def test_long_simulate_csv_loads_no_subprocess(tmp_path):
-    # Its rows are formatted in threads of this process, not in helpers.
+    # Its rows are formatted in this process, not in helpers.
     program = ("import sys; from johnsonwalk import cli; "
                "code = cli.main(sys.argv[1:]); print(code, 'subprocess' in sys.modules)")
     argv = _LONG_SIMULATE + ["--output", str(tmp_path / "curve.csv")]
     run = subprocess.run([sys.executable, "-c", program, *argv], env=_program_env(),
                          capture_output=True, check=True, timeout=60)
     assert run.stdout == b"0 False\n"
+
+
+def test_float_csv_starts_no_thread_and_loads_no_linalg(tmp_path):
+    # The numpy formatter writes its chunks of rows on the calling thread.
+    program = (
+        "import sys, threading, numpy as np\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "def counted(thread): started.append(thread); start(thread)\n"
+        "threading.Thread.start = counted\n"
+        "from johnsonwalk import output\n"
+        "values = np.linspace(0.0, 1.0, 5 * output.CHUNK_ROWS + 1)\n"
+        "output.write_csv(sys.argv[1], ['x', 'y'], [values, values ** 2])\n"
+        "print(len(started), 'johnsonwalk.linalg' in sys.modules, "
+        "'johnsonwalk._digits' in sys.modules)\n")
+    target = tmp_path / "table.csv"
+    run = subprocess.run([sys.executable, "-c", program, str(target)],
+                         env=_program_env(), capture_output=True, check=True,
+                         timeout=60)
+    assert run.stdout == b"0 False True\n"
+    assert target.read_bytes().count(b"\n") == 5 * output.CHUNK_ROWS + 2
 
 
 def _program_env():
