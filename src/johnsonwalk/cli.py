@@ -15,7 +15,7 @@ emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 writes exactly one line, starting "error: ", to stderr.  That includes a
 grid (--steps, --points) of over 2^60 - 1 points, refused before any array
 is made, and an error in any of the threads, one per CPU
-(``linalg._stripe``), over which simulate shares out its curve; it is
+(``linalg.secular_curve``), over which simulate shares out its curve; it is
 reported once every thread has stopped.  It also includes a failed final
 write, such as buffered stdout flushed to a full disk or a closed pipe.
 With --verbose, simulate logs the rows it wrote as CSV, the
@@ -149,8 +149,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     t_max = (args.t_max if args.t_max is not None
              else 1.5 * scheme.predicted_peak_time(args.n, args.k))
     spectrum = scheme.secular_spectrum(args.n, args.k, gamma)  # checks the model
-    scheme._check_grid(t_max, args.steps)
-    scheme._check_phases(max(map(abs, spectrum.shifts)), t_max)
     from . import linalg
     curve = linalg.secular_curve(spectrum, t_max, args.steps)
     from . import output

@@ -9,37 +9,26 @@ the tests' reference.
 
 ``secular_curve`` is the success curve |<w|exp(-iHt)|s>|^2 that simulate
 prints, from the secular roots (``scheme``) with no matrix.  It sums the
-curve in a fixed order over blocks of ``_BLOCK_TIMES`` times that worker
-threads share out, one per CPU; memory beyond the output stays bounded,
-and the bits do not depend on the CPU count.  It first frees a 16 MiB
-array, which raises glibc's mmap and trim thresholds for the rest of the
-process, so its blocks and then simulate's chunks of CSV rows reuse heap
-pages.
+curve in a fixed order over blocks of ``_BLOCK_TIMES`` times, striped over
+one thread per CPU (``_worker_count()``, the CPUs this process may use);
+memory beyond the output stays bounded, and the bits do not depend on the
+CPU count.
 
-``_stripe`` is that sharing out, over ``_worker_count()`` threads, the
-number of CPUs this process may use.
+Each function imports numpy itself, and ``secular_curve`` only once its
+grid and phases pass their checks, so importing this module, or a refused
+curve, loads no numpy.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-# SIGN_EPS is also this module's API.
 from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
 
 #: Times ``secular_curve`` evaluates at once, bounding its working memory.
 _BLOCK_TIMES = 1 << 14
-
-
-class SpectralDecomposition(NamedTuple):
-    """Ascending eigenvalues with orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 class TimeSeries(NamedTuple):
@@ -47,17 +36,18 @@ class TimeSeries(NamedTuple):
     probabilities: np.ndarray
 
 
-def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
+def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a real symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     The matrix must be square, finite, and symmetric to within 1e-12 times
     max(1, largest |entry|); anything else raises ValueError.
 
-    Eigenvalues come back ascending; eigenvector signs are fixed so that the
-    first component of magnitude above ``SIGN_EPS`` is non-negative.  A
-    success curve does not need this: its weight evecs[0] * (evecs^T s)
-    keeps its value when a column flips sign.
+    Returns the eigenvalues, ascending, and the orthonormal eigenvectors as
+    columns; eigenvector signs are fixed so that the first component of
+    magnitude above ``SIGN_EPS`` is non-negative.
     """
+    import numpy as np
+
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eig_sym requires a square matrix")
@@ -73,7 +63,7 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     significant = np.abs(vecs) > SIGN_EPS
     lead = vecs[significant.argmax(axis=0), np.arange(vecs.shape[1])]
     vecs[:, significant.any(axis=0) & (lead < 0.0)] *= -1.0
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
+    return eigenvalues, vecs
 
 
 def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSeries:
@@ -84,13 +74,17 @@ def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSe
     ``spectrum.weights()`` and the shifts, which keep the digits of the
     central gap that E_i * t rounds away at large N and differ from it by a
     common phase.  It is added one root at a time in the given order,
-    elementwise in t, so no time's bits depend on the blocks, which are
-    striped over one thread per CPU; an error in any thread is raised once
-    all of them have stopped.  ``t_max`` must be finite and non-negative,
-    and every phase shift_i * t_max finite.
+    elementwise in t, so no time's bits depend on the blocks.  Block i runs
+    on stripe i mod w of w = min(_worker_count(), blocks), each stripe on a
+    thread of its own and stripe 0 on the calling thread; an error in any
+    stripe stops the others before their next block and is raised once all
+    of them have stopped.  ``t_max`` must be finite and non-negative, and
+    every phase shift_i * t_max finite.
     """
     _check_grid(t_max, steps)
     _check_phases(max(map(abs, spectrum.shifts)), t_max)
+    import numpy as np
+
     # Freeing an array this large raises glibc's mmap and trim thresholds,
     # so the blocks' temporaries, and then the chunks of simulate's CSV,
     # reuse heap pages instead of faulting in fresh ones.
@@ -98,16 +92,35 @@ def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSe
     energies, weights = np.array(spectrum.shifts), np.array(spectrum.weights())
     times = np.linspace(0.0, float(t_max), int(steps))
     probabilities = np.empty(times.size)
+    blocks = -(-times.size // _BLOCK_TIMES)
+    workers = min(_worker_count(), blocks) or 1
+    errors: list[BaseException] = []
 
-    def fill(i: int) -> None:
-        # numpy's ufuncs release the GIL, so blocks run side by side.
-        block = times[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES]
-        amplitude = np.zeros(block.size, dtype=complex)
-        for energy, weight in zip(energies, weights):
-            amplitude += weight * np.exp(-1j * energy * block)
-        probabilities[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES] = np.abs(amplitude) ** 2
+    def fill(stripe: int) -> None:
+        # numpy's ufuncs release the GIL, so stripes run side by side.
+        try:
+            for i in range(stripe, blocks, workers):
+                if errors:
+                    return
+                block = times[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES]
+                amplitude = np.zeros(block.size, dtype=complex)
+                for energy, weight in zip(energies, weights):
+                    amplitude += weight * np.exp(-1j * energy * block)
+                probabilities[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES] = np.abs(amplitude) ** 2
+        except BaseException as exc:
+            errors.append(exc)
 
-    _stripe(fill, -(-times.size // _BLOCK_TIMES))
+    threads = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        fill(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
     return TimeSeries(times=times, probabilities=probabilities)
 
 
@@ -117,36 +130,3 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _stripe(task: Callable[[int], None], count: int) -> None:
-    """Call ``task(i)`` for i in range(count), striped over one thread per CPU.
-
-    The calling thread takes tasks 0, w, 2w, ... of w = min(_worker_count(),
-    count) stripes, and each other stripe runs on a thread of its own.  An
-    error in any thread stops the others before their next task and is
-    raised once all of them have stopped.
-    """
-    workers = min(_worker_count(), count) or 1
-    errors: list[BaseException] = []
-
-    def run(first: int) -> None:
-        try:
-            for i in range(first, count, workers):
-                if errors:
-                    return
-                task(i)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from johnsonwalk import analysis, johnson, linalg, reduced, scheme
+from johnsonwalk import analysis, johnson, reduced, scheme
 from johnsonwalk.scheme import SearchBracketError
 from johnsonwalk.johnson import VertexCapError
 
@@ -270,7 +270,7 @@ def test_effective_two_level_and_energy_gap_reject_non_finite_gamma(gamma):
 def _signed(vectors):
     # eig_sym's sign rule on each column: its first component of magnitude
     # above SIGN_EPS is made non-negative.
-    return np.column_stack([v * np.sign(v[np.abs(v) > linalg.SIGN_EPS][0])
+    return np.column_stack([v * np.sign(v[np.abs(v) > scheme.SIGN_EPS][0])
                             for v in vectors.T])
 
 

@@ -880,13 +880,17 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     (["sweep-gamma", "--n", "100", "--k", "3", "--gamma-min", "1e308",
       "--gamma-max", "1.7e308", "--points", "3"], ["cli", "scheme"]),
     (["analyze-pt", "--n", "100", "--gamma", "6e305"], ["cli", "reduced", "scheme"]),
+    (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], ["cli", "linalg", "scheme"]),
+    (["simulate", "--n", "150", "--k", "3", "--gamma", "nan"], ["cli", "scheme"]),
 ], ids=["critical-gamma", "spectrum", "sweep-csv", "verify", "analyze-pt",
-        "refused-spectrum", "refused-sweep", "refused-analyze-pt"])
+        "refused-spectrum", "refused-sweep", "refused-analyze-pt",
+        "refused-simulate-grid", "refused-simulate-rate"])
 def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
     # Each process compiles the package modules it imports.  The secular
     # roots live in scheme, which every command loads, so these runs
     # compile no module that they do not run; a refused run loads no
-    # CSV writer.
+    # CSV writer.  simulate loads linalg once the model is accepted, and
+    # linalg refuses a grid or phase before it loads numpy.
     program = ("import sys; from johnsonwalk import cli; cli.main(sys.argv[1:]); "
                "print(sorted(m.split('.', 1)[1] for m in sys.modules "
                "if m.startswith('johnsonwalk.')))")
@@ -894,6 +898,14 @@ def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
                          env=_program_env(), capture_output=True, check=True,
                          timeout=60)
     assert run.stdout.decode().splitlines()[-1] == str(modules)
+
+
+def test_linalg_import_loads_no_numpy():
+    # eig_sym and secular_curve each import numpy when they run.
+    code = "import sys, johnsonwalk.linalg; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                         capture_output=True, check=True, timeout=60)
+    assert run.stdout == b"False\n"
 
 
 def test_import_loads_no_dataclasses():
