@@ -1,10 +1,9 @@
 """Float64 columns as CSV rows, each value byte-identical to ``'%.17g'``.
 
-``write_rows`` is ``output.write_csv``'s formatter for a table whose
-columns are all float64, once numpy is loaded.  It formats
-``output.CHUNK_ROWS`` rows at a time with whole-array numpy operations and
-writes each chunk before it formats the next, on the calling thread, so
-memory stays bounded for any row count.
+``formatter`` serves ``output.write_csv`` for a table whose columns are
+all float64, once numpy is loaded: it takes the columns as float64 arrays
+once per table, and turns the rows of each chunk ``output`` asks for into
+text with whole-array numpy operations.  The module imports numpy only.
 
 Digits.  With e the decimal exponent of |x|, y = |x| * 10^(16 - e) lies in
 [1e16, 1e17).  The power of ten is a pair of doubles (hi, lo) whose sum is
@@ -36,8 +35,6 @@ one.
 from __future__ import annotations
 
 import numpy as np
-
-from .output import CHUNK_ROWS
 
 #: Decimal exponents the digit step covers: |x| in [1e-280, 1e280] has
 #: floor(log10 |x|) in [-281, 280], and for those e every partial product
@@ -186,33 +183,26 @@ def _format(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.flatnonzero(fallback)
 
 
-def _chunk(columns: list[np.ndarray], start: int, stop: int) -> tuple[str, int]:
-    """The text of rows ``start`` to ``stop`` and how many of their values
-    ``'%.17g'`` formatted."""
-    width = len(columns)
-    values = np.empty((stop - start, width))
-    for j, column in enumerate(columns):
-        values[:, j] = column[start:stop]
-    values = values.ravel()
-    words = np.empty((_WORDS, values.size), np.uint32)
-    left = _format(values, words)
-    words[-1].reshape(-1, width)[:] |= _words([b"\0\0\0,"] * (width - 1) + [b"\0\0\0\n"])
-    rows = words.T.copy().view(np.uint8)
-    for i in left.tolist():
-        text = b"%.17g" % values[i]
-        rows[i, :-1] = 0
-        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return str(rows[rows != 0], "ascii"), len(left)
-
-
-def write_rows(write, columns, n_rows: int) -> int:
-    """Write ``n_rows`` CSV rows of the float64 ``columns`` (1-d buffers),
-    one ``write`` call per chunk of rows; return how many values were
-    formatted by ``'%.17g'`` itself."""
+def formatter(columns):
+    """The formatter of rows [start, stop) of the float64 ``columns`` (1-d
+    buffers): it returns their text and how many of their values
+    ``'%.17g'`` formatted itself."""
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
-    fallbacks = 0
-    for start in range(0, n_rows, CHUNK_ROWS):
-        text, left = _chunk(columns, start, min(start + CHUNK_ROWS, n_rows))
-        write(text)
-        fallbacks += left
-    return fallbacks
+    width = len(columns)
+    separators = _words([b"\0\0\0,"] * (width - 1) + [b"\0\0\0\n"])
+
+    def rows(start: int, stop: int) -> tuple[str, int]:
+        values = np.empty((stop - start, width))
+        for j, column in enumerate(columns):
+            values[:, j] = column[start:stop]
+        values = values.ravel()
+        words = np.empty((_WORDS, values.size), np.uint32)
+        left = _format(values, words)
+        words[-1].reshape(-1, width)[:] |= separators
+        text = words.T.copy().view(np.uint8)
+        for i in left.tolist():
+            digits = b"%.17g" % values[i]
+            text[i, :-1] = 0
+            text[i, :len(digits)] = np.frombuffer(digits, np.uint8)
+        return str(text[text != 0], "ascii"), len(left)
+    return rows

@@ -6,13 +6,13 @@ exact float64 values.  ``write_csv`` takes the data as columns, not rows.
 A table whose columns all export a 1-d buffer of ``memoryview`` format
 ``d`` or ``q`` (float64 or int64: ``array.array`` of those typecodes, or a
 float64 ndarray) is read through ``memoryview``, strided or not, and
-formatted in bulk, ``CHUNK_ROWS`` rows per write.  When every column is
-float64 and numpy is already loaded, as in ``simulate``, ``_digits``
-formats the chunks with numpy; any other such table goes through one printf
-template per chunk (``_FORMATS`` maps a format to its conversion).  Either
-way each chunk is formatted and written on the calling thread before the
-next, so memory stays bounded for any row count, and the bytes are
-``'%.17g'``'s and ``'%d'``'s.  Any other table (int64 and uint64 ndarrays
+written in bulk by one chunk loop, ``_write_rows``.  It picks a formatter
+once per table: ``_digits``' numpy formatter when every column is float64
+and numpy is already loaded, as in ``simulate``, else one printf template
+(``_FORMATS`` maps a format to its conversion).  It then formats and
+writes ``CHUNK_ROWS`` rows at a time on the calling thread, so memory
+stays bounded for any row count, and the bytes are ``'%.17g'``'s and
+``'%d'``'s.  Any other table (int64 and uint64 ndarrays
 among them), and every header, goes through ``csv.writer`` with LF line
 endings, which quotes text the way the running Python's ``csv`` module does
 and prints a number with the same text.  The SVG writer draws a small standalone line
@@ -70,17 +70,28 @@ def _typecode(column) -> Optional[str]:
     return view.format if view.format in _FORMATS else None
 
 
-def _write_rows(write, typecodes: str, columns, n_rows: int) -> None:
+def _write_rows(write, typecodes: str, columns, n_rows: int) -> int:
     """Write ``n_rows`` CSV rows of the memoryviews ``columns``, one per
-    ``_FORMATS`` key in ``typecodes``, one ``write`` call per chunk."""
+    ``_FORMATS`` key in ``typecodes``, one ``write`` call per chunk; return
+    how many values were left to ``'%.17g'`` itself."""
     width = len(columns)
     template = ",".join(_FORMATS[code] for code in typecodes) + "\n"
-    for start in range(0, n_rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n_rows)
+
+    def rows(start: int, stop: int) -> tuple[str, int]:
         interleaved: list = [None] * ((stop - start) * width)
         for j, values in enumerate(columns):
             interleaved[j::width] = values[start:stop].tolist()
-        write(template * (stop - start) % tuple(interleaved))
+        return template * (stop - start) % tuple(interleaved), 0
+
+    if typecodes == "d" * width and "numpy" in sys.modules:
+        from . import _digits
+        rows = _digits.formatter(columns)
+    fallbacks = 0
+    for start in range(0, n_rows, CHUNK_ROWS):
+        text, left = rows(start, min(start + CHUNK_ROWS, n_rows))
+        write(text)
+        fallbacks += left
+    return fallbacks
 
 
 def _write_columns(handle: IO[str], header: Sequence[str],
@@ -103,11 +114,7 @@ def _write_columns(handle: IO[str], header: Sequence[str],
     if not numeric:
         writer.writerows(zip(*columns))
         return 0
-    if typecodes == "d" * len(columns) and "numpy" in sys.modules:
-        from . import _digits
-        return _digits.write_rows(handle.write, columns, n_rows)
-    _write_rows(handle.write, typecodes, columns, n_rows)
-    return 0
+    return _write_rows(handle.write, typecodes, columns, n_rows)
 
 
 def write_csv(path: Optional[str], header: Sequence[str],

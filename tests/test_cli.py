@@ -908,6 +908,15 @@ def test_linalg_import_loads_no_numpy():
     assert run.stdout == b"False\n"
 
 
+def test_digits_import_loads_numpy_and_no_other_module():
+    # output owns the chunk loop; _digits only formats the rows it is given.
+    code = ("import sys, johnsonwalk._digits; print('numpy' in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('johnsonwalk.')))")
+    run = subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                         capture_output=True, check=True, timeout=60)
+    assert run.stdout == b"True ['johnsonwalk._digits']\n"
+
+
 def test_import_loads_no_dataclasses():
     # The result records are NamedTuples, which are cheaper to define.
     code = "import sys, johnsonwalk.cli; print('dataclasses' in sys.modules)"
