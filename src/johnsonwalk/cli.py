@@ -31,8 +31,7 @@ rate S_1.  Only simulate loads numpy, for its curve in ``linalg``, after
 every input check that needs no arrays, so a refused input costs no numpy
 import in any command.  A command loads ``output`` only once it has
 something to write, so a refusal loads no writer either.  The ``logging``
-module is imported only by a run that logs (--verbose), or when the
-calling process has loaded it already.
+module is imported only by a run that logs (--verbose).
 """
 
 from __future__ import annotations
@@ -54,15 +53,20 @@ from .scheme import DEFAULT_VERTEX_CAP
 VERIFY_TOLERANCE = 1e-8
 
 
-def _info(message: str, *args) -> None:
-    """Log on the package logger, if ``logging`` is loaded.
+def _info(args: argparse.Namespace, message: str, *values) -> None:
+    """Log ``message`` on the package logger if the run is --verbose.
 
-    ``main`` loads it for --verbose; in a run without it, the package logger
-    would drop an INFO record anyway, so importing it would be wasted.
+    Any other run leaves ``logging`` alone.  basicConfig acts only while the
+    root logger has no handler, so the level is set on the package logger.
     """
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("johnsonwalk").info(message, *args)
+    if not args.verbose:
+        return
+    import logging
+
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    logger = logging.getLogger("johnsonwalk")
+    logger.setLevel(logging.INFO)
+    logger.info(message, *values)
 
 
 def _rate(args: argparse.Namespace) -> numbers.Real:
@@ -70,7 +74,7 @@ def _rate(args: argparse.Namespace) -> numbers.Real:
     if args.gamma is not None:
         return args.gamma
     rate = scheme.critical_rate(args.n, args.k)
-    _info("using critical rate S_1 = %.10g", float(rate))
+    _info(args, "using critical rate S_1 = %.10g", float(rate))
     return rate
 
 
@@ -159,7 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         fallbacks = output.write_csv(args.output, ["time", "probability"],
                                      [curve.times, curve.probabilities])
-        _info("wrote %d rows in %.3f s, %d values by the %%.17g fallback",
+        _info(args, "wrote %d rows in %.3f s, %d values by the %%.17g fallback",
               args.steps, time.perf_counter() - start, fallbacks)
     return 0
 
@@ -226,9 +230,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result = johnson.run_verification(args.n, args.k, gamma,
                                       t_max=args.t_max, steps=args.steps,
                                       cap=args.cap)
-    _info("verified on N = %d vertices: Krylov dimension %d, closure residual %.3e",
-          scheme.binomial(args.n, args.k), result.krylov_dimension,
-          result.closure_residual)
+    _info(args, "verified on N = %d vertices: Krylov dimension %d, "
+          "closure residual %.3e", scheme.binomial(args.n, args.k),
+          result.krylov_dimension, result.closure_residual)
     if result.closure_residual <= VERIFY_TOLERANCE:  # else no full-graph curve
         print(f"J({args.n},{args.k}) gamma={float(gamma):.10g}: "
               f"max |p_full - p_reduced| = {result.max_deviation:.3e} "
@@ -275,14 +279,6 @@ COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = create_parser()
     args = parser.parse_args(argv)
-    if args.verbose or "logging" in sys.modules:
-        import logging
-
-        # basicConfig acts only while the root logger has no handler, so the
-        # level is set on the package logger, afresh for every call.
-        logging.basicConfig(format="%(levelname)s %(message)s")
-        logging.getLogger("johnsonwalk").setLevel(
-            logging.INFO if args.verbose else logging.WARNING)
     handler = COMMANDS[args.command]
     try:
         return handler(args)

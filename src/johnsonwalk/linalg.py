@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Times ``secular_curve`` evaluates at once, bounding its working memory.
 _BLOCK_TIMES = 1 << 14

@@ -1,9 +1,12 @@
 """CLI dispatch, CSV/SVG emission, and exit codes."""
 
 import array
+import ast
+import builtins
 import contextlib
 import csv
 import functools
+import glob
 import hashlib
 import io
 import math
@@ -917,6 +920,63 @@ def test_digits_import_loads_numpy_and_no_other_module():
     assert run.stdout == b"True ['johnsonwalk._digits']\n"
 
 
+def _module_bindings(tree):
+    """Builtins and the names a module binds at its top level or under
+    ``if TYPE_CHECKING:``."""
+    bound = set(dir(builtins))
+
+    def bind(statements):
+        for stmt in statements:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound.update((alias.asname or alias.name).split(".")[0]
+                             for alias in stmt.names)
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound.update(node.id for target in targets for node in ast.walk(target)
+                             if isinstance(node, ast.Name))
+            elif (isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name)
+                  and stmt.test.id == "TYPE_CHECKING"):
+                bind(stmt.body)
+
+    bind(tree.body)
+    return bound
+
+
+def _annotation_names(annotation):
+    """The names an annotation reads, inside string annotations too."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _annotation_names(ast.parse(node.value, mode="eval"))
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    os.path.dirname(johnsonwalk.__file__), "*.py"))), ids=os.path.basename)
+def test_annotations_name_only_module_level_bindings(path):
+    # Postponed annotations are never evaluated at run time, but a static
+    # checker resolves them in the module's namespace: a name a module binds
+    # only inside its functions, such as a lazily imported numpy, must also
+    # be bound under ``if TYPE_CHECKING:``.
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            arguments = node.args
+            annotations += [arg.annotation for arg in (
+                *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                arguments.vararg, arguments.kwarg) if arg is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = {name for annotation in annotations if annotation is not None
+             for name in _annotation_names(annotation)}
+    assert sorted(names - _module_bindings(tree)) == []
+
+
 def test_import_loads_no_dataclasses():
     # The result records are NamedTuples, which are cheaper to define.
     code = "import sys, johnsonwalk.cli; print('dataclasses' in sys.modules)"
@@ -930,9 +990,13 @@ def test_import_loads_no_dataclasses():
     ["critical-gamma", "--n", "100", "--k", "3"],
     ["verify", "--n", "9", "--k", "3"],
     ["spectrum", "--n", "100", "--k", "3"],
+    ["simulate", "--n", "100", "--k", "3", "--steps", "2000"],
 ], ids=lambda argv: argv[0])
 def test_failed_final_write_exits_one(argv):
-    # Buffered stdout holds the whole output until the program flushes it.
+    # Buffered stdout holds a short output until the program flushes it at
+    # the end.  simulate's 2000 rows overflow the buffer, so there the write
+    # fails inside write_csv, before that final flush: one error line either
+    # way.
     with open("/dev/full", "wb") as full:
         run = subprocess.run([sys.executable, "-m", "johnsonwalk.cli", *argv],
                              env=_program_env(), stdout=full,
@@ -972,6 +1036,23 @@ def test_verbose_writes_one_info_line_to_stderr():
     assert quiet.stderr == b""
     assert verbose.stderr == b"INFO using critical rate S_1 = 0.003454843629\n"
     assert verbose.stdout == quiet.stdout
+
+
+def test_quiet_main_leaves_the_callers_logging_alone():
+    # A run without --verbose adds no handler to the root logger and keeps
+    # the level the calling process gave the package logger.
+    program = (
+        "import logging, sys; from johnsonwalk import cli\n"
+        "logging.getLogger('johnsonwalk').setLevel(logging.DEBUG)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, logging.getLogger().handlers, "
+        "logging.getLevelName(logging.getLogger('johnsonwalk').level))\n")
+    argv = ["spectrum", "--n", "100", "--k", "3"]
+    run = subprocess.run([sys.executable, "-c", program, *argv],
+                         env=_program_env(), capture_output=True, check=True,
+                         timeout=60)
+    assert run.stderr == b""
+    assert run.stdout.decode().splitlines()[-1] == "0 [] DEBUG"
 
 
 @pytest.mark.parametrize("order", [(False, True), (True, False)],
