@@ -187,6 +187,10 @@ def formatter(columns):
     """The formatter of rows [start, stop) of the float64 ``columns`` (1-d
     buffers): it returns their text and how many of their values
     ``'%.17g'`` formatted itself."""
+    # Freeing an array this large raises glibc's mmap and trim thresholds,
+    # so the chunks' temporaries reuse heap pages instead of faulting in
+    # fresh ones.
+    np.empty(1 << 21)
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     width = len(columns)
     separators = _words([b"\0\0\0,"] * (width - 1) + [b"\0\0\0\n"])

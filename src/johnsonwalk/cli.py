@@ -14,10 +14,9 @@ emit an SVG chart instead via --format svg.  Exit status is 0 on success,
 1 for domain or computation errors, 2 for usage errors.  An exit-1 run
 writes exactly one line, starting "error: ", to stderr.  That includes a
 grid (--steps, --points) of over 2^60 - 1 points, refused before any array
-is made, and an error in any of the threads, one per CPU
-(``linalg.secular_curve``), over which simulate shares out its curve; it is
-reported once every thread has stopped.  It also includes a failed final
-write, such as buffered stdout flushed to a full disk or a closed pipe.
+is made, and an error inside simulate's curve (``linalg.secular_curve``),
+such as running out of memory.  It also includes a failed final write, such
+as buffered stdout flushed to a full disk or a closed pipe.
 With --verbose, simulate logs the rows it wrote as CSV, the
 seconds that took, and how many values the formatter left to '%.17g'.
 

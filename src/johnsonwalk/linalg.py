@@ -8,11 +8,12 @@ No command calls it: it is ``analysis.overlap_balance``'s eigensolver and
 the tests' reference.
 
 ``secular_curve`` is the success curve |<w|exp(-iHt)|s>|^2 that simulate
-prints, from the secular roots (``scheme``) with no matrix.  It sums the
-curve in a fixed order over blocks of ``_BLOCK_TIMES`` times, striped over
-one thread per CPU (``_worker_count()``, the CPUs this process may use);
-memory beyond the output stays bounded, and the bits do not depend on the
-CPU count.
+prints, from the secular roots (``scheme``) with no matrix.  It takes the
+phases from one table of exp(-i E t) over the first ``_ANCHOR_TIMES``
+times and one set of factors per anchor, so it evaluates few exponentials;
+it works through the grid in blocks of ``_BLOCK_TIMES`` times on the
+calling thread, and the bits depend neither on the blocks nor on the CPU
+count.
 
 Each function imports numpy itself, and ``secular_curve`` only once its
 grid and phases pass their checks, so importing this module, or a refused
@@ -21,8 +22,6 @@ curve, loads no numpy.
 
 from __future__ import annotations
 
-import os
-import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
@@ -30,8 +29,11 @@ from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
 if TYPE_CHECKING:
     import numpy as np
 
-#: Times ``secular_curve`` evaluates at once, bounding its working memory.
+#: Times ``secular_curve`` works through at once; no time's bits depend on it.
 _BLOCK_TIMES = 1 << 14
+
+#: Spacing of ``secular_curve``'s anchor times, and the width of its table.
+_ANCHOR_TIMES = 1 << 12
 
 
 class TimeSeries(NamedTuple):
@@ -76,60 +78,34 @@ def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSe
     amplitude is sum_i weights_i exp(-i shift_i t), with
     ``spectrum.weights()`` and the shifts, which keep the digits of the
     central gap that E_i * t rounds away at large N and differ from it by a
-    common phase.  It is added one root at a time in the given order,
-    elementwise in t, so no time's bits depend on the blocks.  Block i runs
-    on stripe i mod w of w = min(_worker_count(), blocks), each stripe on a
-    thread of its own and stripe 0 on the calling thread; an error in any
-    stripe stops the others before their next block and is raised once all
-    of them have stopped.  ``t_max`` must be finite and non-negative, and
-    every phase shift_i * t_max finite.
+    common phase.  Time j is taken as t_a + t_m, where a = A * floor(j / A)
+    is an anchor on the whole grid, A = ``_ANCHOR_TIMES`` and m = j - a:
+    each term is the factor weights_i exp(-i shift_i t_a) times
+    exp(-i shift_i t_m) from a (k+1) x A table built once, so a curve
+    takes k+1 exponentials per anchor and k+1 complex multiply-adds per
+    time.  The terms are added one root at a time in the given order,
+    elementwise in t with no BLAS product, so no time's bits depend on the
+    blocks.  ``t_max`` must be finite and non-negative, and every phase
+    shift_i * t_max finite.
     """
     _check_grid(t_max, steps)
     _check_phases(max(map(abs, spectrum.shifts)), t_max)
     import numpy as np
 
-    # Freeing an array this large raises glibc's mmap and trim thresholds,
-    # so the blocks' temporaries, and then the chunks of simulate's CSV,
-    # reuse heap pages instead of faulting in fresh ones.
-    np.empty(1 << 21)
     energies, weights = np.array(spectrum.shifts), np.array(spectrum.weights())
     times = np.linspace(0.0, float(t_max), int(steps))
+    table = np.empty((energies.size, min(times.size, _ANCHOR_TIMES)), dtype=complex)
+    for energy, row in zip(energies, table):
+        np.exp(-1j * energy * times[:_ANCHOR_TIMES], out=row)
     probabilities = np.empty(times.size)
-    blocks = -(-times.size // _BLOCK_TIMES)
-    workers = min(_worker_count(), blocks) or 1
-    errors: list[BaseException] = []
-
-    def fill(stripe: int) -> None:
-        # numpy's ufuncs release the GIL, so stripes run side by side.
-        try:
-            for i in range(stripe, blocks, workers):
-                if errors:
-                    return
-                block = times[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES]
-                amplitude = np.zeros(block.size, dtype=complex)
-                for energy, weight in zip(energies, weights):
-                    amplitude += weight * np.exp(-1j * energy * block)
-                probabilities[i * _BLOCK_TIMES:(i + 1) * _BLOCK_TIMES] = np.abs(amplitude) ** 2
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        fill(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    for start in range(0, times.size, _BLOCK_TIMES):
+        stop = min(start + _BLOCK_TIMES, times.size)
+        for anchor in range(start - start % _ANCHOR_TIMES, stop, _ANCHOR_TIMES):
+            lo, hi = max(start, anchor), min(stop, anchor + _ANCHOR_TIMES)
+            factors = weights * np.exp(-1j * energies * times[anchor])
+            rows = table[:, lo - anchor:hi - anchor]
+            amplitude = factors[0] * rows[0]
+            for factor, row in zip(factors[1:], rows[1:]):
+                amplitude += factor * row
+            probabilities[lo:hi] = np.abs(amplitude) ** 2
     return TimeSeries(times=times, probabilities=probabilities)
-
-
-def _worker_count() -> int:
-    """The number of CPUs this process may run on (at least 1)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1

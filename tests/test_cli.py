@@ -205,13 +205,6 @@ def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
-@pytest.fixture(params=[1, 2, 3])
-def workers(request, monkeypatch):
-    """Run as on a machine with 1, 2 or 3 CPUs: the CSV bytes must not change."""
-    monkeypatch.setattr(linalg, "_worker_count", lambda: request.param)
-    return request.param
-
-
 @functools.lru_cache(maxsize=None)
 def _numeric_columns(rows):
     """Random numeric columns by name, with edge values at both ends."""
@@ -258,7 +251,7 @@ def _plain(columns, codes="dq"):
 
 
 @pytest.mark.parametrize("rows", [8 * output.CHUNK_ROWS + 1, 16 * output.CHUNK_ROWS + 3])
-def test_write_csv_split_matches_row_writer(tmp_path, workers, rows):
+def test_write_csv_split_matches_row_writer(tmp_path, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
@@ -285,7 +278,7 @@ def _edge_floats():
     return np.concatenate([values, -values])
 
 
-def test_float_csv_matches_row_writer_at_the_edges(tmp_path, workers):
+def test_float_csv_matches_row_writer_at_the_edges(tmp_path):
     values = _edge_floats()
     header, columns = ["x", "y"], [values, values[::-1].copy()]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
@@ -293,12 +286,12 @@ def test_float_csv_matches_row_writer_at_the_edges(tmp_path, workers):
 
 @pytest.mark.parametrize("rows", [output.CHUNK_ROWS - 1, output.CHUNK_ROWS + 1,
                                   3 * output.CHUNK_ROWS])
-def test_float_csv_matches_row_writer_across_chunks(tmp_path, workers, rows):
+def test_float_csv_matches_row_writer_across_chunks(tmp_path, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-def test_float_csv_takes_strided_columns(tmp_path, workers):
+def test_float_csv_takes_strided_columns(tmp_path):
     header, columns, _ = _numeric_table(2 * output.CHUNK_ROWS + 3, _FLOAT_HEADER)
     strided = [column[::2] for column in columns]
     assert len(strided[0]) > output.CHUNK_ROWS
@@ -331,7 +324,7 @@ def test_float_csv_fallback_is_rare_on_the_curves(tmp_path, n, k, gamma, steps):
     assert target.read_bytes() == _reference_csv(header, columns)
 
 
-def test_write_csv_narrow_columns_match_row_writer(tmp_path, workers):
+def test_write_csv_narrow_columns_match_row_writer(tmp_path):
     header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _NARROW_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
@@ -343,7 +336,7 @@ def test_write_csv_int64_ndarrays_match_row_writer(tmp_path):
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-def test_write_csv_takes_strided_columns(tmp_path, workers):
+def test_write_csv_takes_strided_columns(tmp_path):
     # Every other row of each column: views longer than one chunk.
     header, columns, _ = _numeric_table(16 * output.CHUNK_ROWS + 3)
     strided = [columns[0][::2], memoryview(_plain(columns[1:], "q")[0])[::2]]
@@ -352,14 +345,14 @@ def test_write_csv_takes_strided_columns(tmp_path, workers):
     assert _written_csv(tmp_path, header, strided) == expected
 
 
-def test_write_csv_split_to_stdout(workers, capsys):
+def test_write_csv_split_to_stdout(capsys):
     header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _FLOAT_HEADER)
     output.write_csv(None, header, columns)
     assert capsys.readouterr().out.encode() == expected
 
 
 @pytest.mark.parametrize("rows", [0, 5, 16 * output.CHUNK_ROWS + 3])
-def test_write_csv_takes_plain_arrays(tmp_path, workers, rows):
+def test_write_csv_takes_plain_arrays(tmp_path, rows):
     # array.array columns of typecode d and q, as sweep-gamma and spectrum
     # pass them, go through the bulk writer with the ndarrays' bytes.
     header, columns, _ = _numeric_table(max(rows, 6))
@@ -392,7 +385,7 @@ def test_mixed_csv_bytes_are_frozen(tmp_path):
     assert hashlib.sha256(written).hexdigest() == _FROZEN_MIXED_CSV
 
 
-def test_numeric_csv_bytes_are_frozen(tmp_path, workers):
+def test_numeric_csv_bytes_are_frozen(tmp_path):
     # Bulk and narrow columns in one table, which the row writer formats.
     header = ["f64", "f32", "i64", "u8", "u64"]
     columns = [_numeric_columns(65537)[name] for name in header]
@@ -403,16 +396,14 @@ def test_numeric_csv_bytes_are_frozen(tmp_path, workers):
 _LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
 
 
-def test_simulate_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
-    outputs = []
-    for count in (1, 2, 3):
-        monkeypatch.setattr(linalg, "_worker_count", lambda: count)
-        target = tmp_path / f"{count}.csv"
-        assert cli.main(_LONG_SIMULATE + ["--output", str(target)]) == 0
-        outputs.append(target.read_bytes())
-    assert outputs[0].count(b"\n") == 70001
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
+def test_simulate_starts_no_thread(tmp_path, monkeypatch):
+    # The curve and its CSV rows are computed on the calling thread.
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    target = tmp_path / "curve.csv"
+    assert cli.main(_LONG_SIMULATE + ["--output", str(target)]) == 0
+    assert started == []
+    assert target.read_bytes().count(b"\n") == 70001
 
 
 def test_memory_error_in_formatting_exits_one(tmp_path, monkeypatch, capsys):
@@ -435,23 +426,25 @@ def test_memory_error_in_formatting_exits_one(tmp_path, monkeypatch, capsys):
     assert threading.enumerate() == threads
 
 
-def test_memory_error_in_a_curve_thread_exits_one(monkeypatch, capsys):
-    # With two workers the second 2^14-time block is computed off the main
-    # thread.
+def test_memory_error_inside_the_curve_exits_one(monkeypatch, capsys):
+    # The sixth exponential is the second anchor's, after the table's four
+    # rows and the first anchor's.
     exp = np.exp
+    callers = []
 
-    def exhausted_off_main(x):
-        if threading.current_thread() is not threading.main_thread():
+    def exhausted_on_sixth_call(*args, **kwargs):
+        callers.append(threading.current_thread())
+        if len(callers) == 6:
             raise MemoryError("Unable to allocate 256. KiB")
-        return exp(x)
+        return exp(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
-    monkeypatch.setattr(np, "exp", exhausted_off_main)
+    monkeypatch.setattr(np, "exp", exhausted_on_sixth_call)
     threads = threading.enumerate()
     assert cli.main(["simulate", "--n", "100", "--k", "3", "--steps", "40000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Unable to allocate 256. KiB\n"
+    assert callers == [threading.main_thread()] * 6
     assert threading.enumerate() == threads
 
 

@@ -40,20 +40,27 @@ def test_secular_spectrum_matches_the_eigensolver():
                         assert abs(ours[i] - theirs[i]) <= tol, (n, k, gamma, i)
 
 
+def _distance_basis(mpmath, n, k, gamma):
+    """The distance-basis H at rate ``gamma`` (a Fraction) and |s> in it, as
+    mpmath values at the working precision."""
+    g = mpmath.mpf(gamma.numerator) / gamma.denominator
+    h = mpmath.zeros(k + 1)
+    for i in range(k + 1):
+        h[i, i] = -g * i * (n - 2 * i)
+        if i < k:
+            off = -g * (i + 1) * mpmath.sqrt((k - i) * (n - k - i))
+            h[i, i + 1] = h[i + 1, i] = off
+    h[0, 0] -= 1
+    sizes = scheme.class_sizes(n, k)
+    return h, [mpmath.sqrt(mpmath.mpf(size) / sum(sizes)) for size in sizes]
+
+
 def _reference(n, k, gamma, digits):
     """Eigenvalues and overlaps of the distance-basis H from mpmath."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         g = mpmath.mpf(gamma.numerator) / gamma.denominator
-        h = mpmath.zeros(k + 1)
-        for i in range(k + 1):
-            h[i, i] = -g * i * (n - 2 * i)
-            if i < k:
-                off = -g * (i + 1) * mpmath.sqrt((k - i) * (n - k - i))
-                h[i, i + 1] = h[i + 1, i] = off
-        h[0, 0] -= 1
-        sizes = scheme.class_sizes(n, k)
-        s = [mpmath.sqrt(mpmath.mpf(size) / sum(sizes)) for size in sizes]
+        h, s = _distance_basis(mpmath, n, k, gamma)
         energies, vectors = mpmath.eigsy(h)
         order = sorted(range(k + 1), key=lambda i: energies[i])
         shifts = [energies[i] + g * k * (n - k) for i in order]
@@ -100,6 +107,37 @@ def test_secular_spectrum_where_a_pole_balances(n, k, o):
     for ours, theirs in zip(roots[:3], reference):
         for x, y in zip(ours, theirs):
             assert abs(x - y) <= 1e-15
+
+
+@pytest.mark.parametrize("n,k", [(100, 3), (30, 10), (2000, 20)])
+def test_secular_curve_matches_extended_precision(n, k):
+    # The curve simulate prints at the float S_1, against the walk on the
+    # distance-basis H in 60 digits at the same times: both ends, the peak
+    # near 2/3 of the grid, and both sides of the anchors at 4096 and 8192.
+    # At J(2000,20) no float rate reaches the crossing and p stays below
+    # 1e-14, so |amplitude| is held too.  Measured over 216 times of each
+    # curve: at most 1.0e-15 in p and 5.6e-16 in |amplitude|, as before the
+    # phase tables (7.8e-16 and 4.4e-16).
+    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("numpy")
+    from johnsonwalk import linalg
+
+    gamma = float(scheme.critical_rate(n, k))
+    t_max = 1.5 * scheme.predicted_peak_time(n, k)
+    curve = linalg.secular_curve(scheme.secular_spectrum(n, k, gamma), t_max, 20001)
+    picks = [0, 1, 4095, 4096, 4097, 8191, 8192, 13333, 17000, 20000]
+    with mpmath.workdps(60):
+        h, s = _distance_basis(mpmath, n, k, Fraction(gamma))
+        energies, vectors = mpmath.eigsy(h)
+        weights = [vectors[0, i] * mpmath.fsum(vectors[j, i] * s[j] for j in range(k + 1))
+                   for i in range(k + 1)]
+        for j in picks:
+            t = mpmath.mpf(float(curve.times[j]))
+            amplitude = mpmath.fsum(w * mpmath.expj(-e * t)
+                                    for w, e in zip(weights, energies))
+            p = curve.probabilities[j]
+            assert abs(float(abs(amplitude) ** 2) - p) <= 2e-15, j
+            assert abs(float(abs(amplitude)) - math.sqrt(p)) <= 1e-15, j
 
 
 def test_secular_gap_at_the_exact_critical_rate():
