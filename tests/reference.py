@@ -9,9 +9,14 @@ its oracle must match; the distance classes from that graph, which the
 distance-basis model must reduce to; and, for k = 3, the perturbation block
 and the numerically transformed Hamiltonian, which ``reduced``'s closed
 forms and its two-level report must match.
+
+``on_cpus`` runs a block of a test as on a machine with fewer CPUs, for the
+tests that hold output bytes to not depending on the CPU count.
 """
 
+import contextlib
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +24,22 @@ import numpy as np
 from johnsonwalk import analysis, johnson, reduced, scheme
 from johnsonwalk.linalg import TimeSeries, eig_sym
 from johnsonwalk.scheme import DEFAULT_VERTEX_CAP, _check_vertex_cap
+
+
+@contextlib.contextmanager
+def on_cpus(count):
+    """Pin the calling thread to its first ``count`` allowed CPUs (all of
+    them if it has fewer), and restore its CPU set on exit.  Where the OS
+    has no CPU affinity the block runs unpinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(allowed)[:count])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 class FullGraph(NamedTuple):

@@ -205,6 +205,13 @@ def test_write_csv_matches_row_writer_across_chunks(tmp_path, rows):
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
 
 
+@pytest.fixture(params=[1, 2, 3])
+def cpus(request):
+    """Run as on a machine with 1, 2 or 3 CPUs: the CSV bytes must not change."""
+    with reference.on_cpus(request.param):
+        yield request.param
+
+
 @functools.lru_cache(maxsize=None)
 def _numeric_columns(rows):
     """Random numeric columns by name, with edge values at both ends."""
@@ -251,7 +258,7 @@ def _plain(columns, codes="dq"):
 
 
 @pytest.mark.parametrize("rows", [8 * output.CHUNK_ROWS + 1, 16 * output.CHUNK_ROWS + 3])
-def test_write_csv_split_matches_row_writer(tmp_path, rows):
+def test_write_csv_split_matches_row_writer(tmp_path, cpus, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
@@ -278,7 +285,7 @@ def _edge_floats():
     return np.concatenate([values, -values])
 
 
-def test_float_csv_matches_row_writer_at_the_edges(tmp_path):
+def test_float_csv_matches_row_writer_at_the_edges(tmp_path, cpus):
     values = _edge_floats()
     header, columns = ["x", "y"], [values, values[::-1].copy()]
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
@@ -286,12 +293,12 @@ def test_float_csv_matches_row_writer_at_the_edges(tmp_path):
 
 @pytest.mark.parametrize("rows", [output.CHUNK_ROWS - 1, output.CHUNK_ROWS + 1,
                                   3 * output.CHUNK_ROWS])
-def test_float_csv_matches_row_writer_across_chunks(tmp_path, rows):
+def test_float_csv_matches_row_writer_across_chunks(tmp_path, cpus, rows):
     header, columns, expected = _numeric_table(rows, _FLOAT_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-def test_float_csv_takes_strided_columns(tmp_path):
+def test_float_csv_takes_strided_columns(tmp_path, cpus):
     header, columns, _ = _numeric_table(2 * output.CHUNK_ROWS + 3, _FLOAT_HEADER)
     strided = [column[::2] for column in columns]
     assert len(strided[0]) > output.CHUNK_ROWS
@@ -324,7 +331,7 @@ def test_float_csv_fallback_is_rare_on_the_curves(tmp_path, n, k, gamma, steps):
     assert target.read_bytes() == _reference_csv(header, columns)
 
 
-def test_write_csv_narrow_columns_match_row_writer(tmp_path):
+def test_write_csv_narrow_columns_match_row_writer(tmp_path, cpus):
     header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _NARROW_HEADER)
     assert _written_csv(tmp_path, header, columns) == expected
 
@@ -336,7 +343,7 @@ def test_write_csv_int64_ndarrays_match_row_writer(tmp_path):
     assert _written_csv(tmp_path, header, columns) == expected
 
 
-def test_write_csv_takes_strided_columns(tmp_path):
+def test_write_csv_takes_strided_columns(tmp_path, cpus):
     # Every other row of each column: views longer than one chunk.
     header, columns, _ = _numeric_table(16 * output.CHUNK_ROWS + 3)
     strided = [columns[0][::2], memoryview(_plain(columns[1:], "q")[0])[::2]]
@@ -345,14 +352,14 @@ def test_write_csv_takes_strided_columns(tmp_path):
     assert _written_csv(tmp_path, header, strided) == expected
 
 
-def test_write_csv_split_to_stdout(capsys):
+def test_write_csv_split_to_stdout(cpus, capsys):
     header, columns, expected = _numeric_table(8 * output.CHUNK_ROWS + 1, _FLOAT_HEADER)
     output.write_csv(None, header, columns)
     assert capsys.readouterr().out.encode() == expected
 
 
 @pytest.mark.parametrize("rows", [0, 5, 16 * output.CHUNK_ROWS + 3])
-def test_write_csv_takes_plain_arrays(tmp_path, rows):
+def test_write_csv_takes_plain_arrays(tmp_path, cpus, rows):
     # array.array columns of typecode d and q, as sweep-gamma and spectrum
     # pass them, go through the bulk writer with the ndarrays' bytes.
     header, columns, _ = _numeric_table(max(rows, 6))
@@ -385,7 +392,7 @@ def test_mixed_csv_bytes_are_frozen(tmp_path):
     assert hashlib.sha256(written).hexdigest() == _FROZEN_MIXED_CSV
 
 
-def test_numeric_csv_bytes_are_frozen(tmp_path):
+def test_numeric_csv_bytes_are_frozen(tmp_path, cpus):
     # Bulk and narrow columns in one table, which the row writer formats.
     header = ["f64", "f32", "i64", "u8", "u64"]
     columns = [_numeric_columns(65537)[name] for name in header]
@@ -394,6 +401,23 @@ def test_numeric_csv_bytes_are_frozen(tmp_path):
 
 
 _LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
+
+
+def test_simulate_bytes_do_not_depend_on_workers(tmp_path):
+    # A fresh program pinned to 1, 2 or 3 CPUs, so a BLAS library sizes its
+    # thread pool to each, prints the same curve.
+    env = _program_env()
+    outputs = []
+    for count in (1, 2, 3):
+        target = tmp_path / f"{count}.csv"
+        argv = [sys.executable, "-m", "johnsonwalk.cli", *_LONG_SIMULATE,
+                "--output", str(target)]
+        with reference.on_cpus(count):
+            subprocess.run(argv, env=env, check=True, timeout=120)
+        outputs.append(target.read_bytes())
+    assert outputs[0].count(b"\n") == 70001
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_simulate_starts_no_thread(tmp_path, monkeypatch):

@@ -163,14 +163,17 @@ def _curve(n, k, steps):
 
 @pytest.mark.parametrize("n,k,steps", [(8, 3, 1000), (2000, 20, 20001)])
 @pytest.mark.parametrize("block_times", [7, 1000, 20001, 1 << 20])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_secular_curve_bits_do_not_depend_on_blocks(monkeypatch, n, k, steps,
-                                                   block_times):
+                                                   block_times, cpus):
     # Each time's amplitude is summed over the roots in one fixed order from
-    # anchors on the whole grid, so splitting the grid differently moves no
-    # bit.
+    # anchors on the whole grid, with no BLAS call, so splitting the grid
+    # differently, or running on fewer CPUs, moves no bit.
     default = _curve(n, k, steps)
     monkeypatch.setattr(linalg, "_BLOCK_TIMES", block_times)
-    assert np.array_equal(_curve(n, k, steps), default)
+    with reference.on_cpus(cpus):
+        blocked = _curve(n, k, steps)
+    assert np.array_equal(blocked, default)
 
 
 def test_eig_sym_rejects_empty_matrix():
