@@ -10,10 +10,10 @@ the tests' reference.
 ``secular_curve`` is the success curve |<w|exp(-iHt)|s>|^2 that simulate
 prints, from the secular roots (``scheme``) with no matrix.  It takes the
 phases from one table of exp(-i E t) over the first ``_ANCHOR_TIMES``
-times and one set of factors per anchor, so it evaluates few exponentials;
-it works through the grid in blocks of ``_BLOCK_TIMES`` times on the
-calling thread, and the bits depend neither on the blocks nor on the CPU
-count.
+times and one set of factors per anchor, so it evaluates few exponentials.
+It works through the grid one anchor at a time on the calling thread, so
+no temporary beside the table outgrows one anchor's times, and no bit
+depends on the CPU count.
 
 Each function imports numpy itself, and ``secular_curve`` only once its
 grid and phases pass their checks, so importing this module, or a refused
@@ -28,9 +28,6 @@ from .scheme import SIGN_EPS, SecularSpectrum, _check_grid, _check_phases
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Times ``secular_curve`` works through at once; no time's bits depend on it.
-_BLOCK_TIMES = 1 << 14
 
 #: Spacing of ``secular_curve``'s anchor times, and the width of its table.
 _ANCHOR_TIMES = 1 << 12
@@ -85,7 +82,7 @@ def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSe
     takes k+1 exponentials per anchor and k+1 complex multiply-adds per
     time.  The terms are added one root at a time in the given order,
     elementwise in t with no BLAS product, so no time's bits depend on the
-    blocks.  ``t_max`` must be finite and non-negative, and every phase
+    CPU count.  ``t_max`` must be finite and non-negative, and every phase
     shift_i * t_max finite.
     """
     _check_grid(t_max, steps)
@@ -98,14 +95,11 @@ def secular_curve(spectrum: SecularSpectrum, t_max: float, steps: int) -> TimeSe
     for energy, row in zip(energies, table):
         np.exp(-1j * energy * times[:_ANCHOR_TIMES], out=row)
     probabilities = np.empty(times.size)
-    for start in range(0, times.size, _BLOCK_TIMES):
-        stop = min(start + _BLOCK_TIMES, times.size)
-        for anchor in range(start - start % _ANCHOR_TIMES, stop, _ANCHOR_TIMES):
-            lo, hi = max(start, anchor), min(stop, anchor + _ANCHOR_TIMES)
-            factors = weights * np.exp(-1j * energies * times[anchor])
-            rows = table[:, lo - anchor:hi - anchor]
-            amplitude = factors[0] * rows[0]
-            for factor, row in zip(factors[1:], rows[1:]):
-                amplitude += factor * row
-            probabilities[lo:hi] = np.abs(amplitude) ** 2
+    for anchor in range(0, times.size, _ANCHOR_TIMES):
+        factors = weights * np.exp(-1j * energies * times[anchor])
+        rows = table[:, :times.size - anchor]
+        amplitude = factors[0] * rows[0]
+        for factor, row in zip(factors[1:], rows[1:]):
+            amplitude += factor * row
+        probabilities[anchor:anchor + _ANCHOR_TIMES] = np.abs(amplitude) ** 2
     return TimeSeries(times=times, probabilities=probabilities)

@@ -261,7 +261,7 @@ def scheme_spectrum(n: int, k: int) -> tuple[list[int], list[int]]:
 def _pole_balance(n: int, k: int, o: int) -> Fraction:
     """sum_{j != o} m_j / (N (D_j - D_o)), exactly: at this rate pole o's own
     term of the secular function balances the others (at o = 0 it is S_1)."""
-    from fractions import Fraction  # 0.4 MiB and 3 ms, which most runs skip
+    from fractions import Fraction  # 2.3 ms that analyze-pt and early refusals skip
 
     theta, mult = scheme_spectrum(n, k)
     return sum(Fraction(m, theta[o] - t) for j, (t, m) in enumerate(zip(theta, mult))

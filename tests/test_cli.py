@@ -420,6 +420,27 @@ def test_simulate_bytes_do_not_depend_on_workers(tmp_path):
     assert outputs[2] == outputs[0]
 
 
+def test_simulate_without_simd_dispatch_stays_within_the_curve_bound():
+    # numpy fuses the curve's complex multiply-adds on a CPU with FMA, so
+    # its last bits depend on the SIMD code numpy dispatches to.  A fresh
+    # program with every dispatch target numpy found turned off prints the
+    # same times, and probabilities within 2e-15, the curve's bound against
+    # a 60-digit reference (measured: 2467 rows differ, by at most 4.4e-16).
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    argv = [sys.executable, "-m", "johnsonwalk.cli", *_LONG_SIMULATE]
+    outputs = []
+    plain_env = _program_env()
+    for env in (plain_env, dict(plain_env, NPY_DISABLE_CPU_FEATURES=" ".join(found))):
+        run = subprocess.run(argv, env=env, capture_output=True, check=True,
+                             timeout=120)
+        assert run.stderr == b""
+        outputs.append([line.split(b",") for line in run.stdout.splitlines()[1:]])
+    plain, baseline = outputs
+    assert len(plain) == len(baseline) == 70000
+    assert [row[0] for row in baseline] == [row[0] for row in plain]
+    assert max(abs(float(a[1]) - float(b[1])) for a, b in zip(plain, baseline)) <= 2e-15
+
+
 def test_simulate_starts_no_thread(tmp_path, monkeypatch):
     # The curve and its CSV rows are computed on the calling thread.
     started = []

@@ -109,6 +109,45 @@ def test_secular_spectrum_where_a_pole_balances(n, k, o):
             assert abs(x - y) <= 1e-15
 
 
+@pytest.mark.parametrize("n,k,rate", [
+    (2000, 20, None), (2000, 20, 10.0), (40, 20, None), (40, 20, 0.1), (200, 100, 1.0),
+], ids=["2000-20-s1", "2000-20-10s1", "40-20-s1", "40-20-0.1s1", "200-100-float-s1"])
+def test_every_secular_root_is_certified_exactly(monkeypatch, n, k, rate):
+    # Each root is found as an offset t from a pole o in units u, as
+    # ``_weights`` receives them.  In exact arithmetic, the secular function
+    # 1 - sum_j (m_j/N)/(gamma (theta_o - theta_j) - u x) must change sign
+    # between x = t - 64 ulps and t + 64 ulps with no pole in between, so a
+    # root lies there.  None is the exact S_1, a number the float multiple
+    # of it.  This sees roots 2-9 of J(2000,20) at S_1, which lie nearer
+    # their pole than one ulp of the shift.  Measured: within 44 ulps, at
+    # J(2000,20) and 10 S_1.
+    offsets = []
+    weights = scheme._weights
+
+    def record(unit, t, poles, zo):
+        offsets.append((unit, t))
+        return weights(unit, t, poles, zo)
+
+    monkeypatch.setattr(scheme, "_weights", record)
+    s1 = scheme.critical_rate(n, k)
+    gamma = s1 if rate is None else rate * float(s1)
+    spectrum = scheme.secular_spectrum(n, k, gamma)
+    theta, mult = scheme.scheme_spectrum(n, k)
+    exact, gamma = Fraction(gamma), float(gamma)
+    assert len(offsets) == k + 1
+    for i, (energy, (unit, t)) in enumerate(zip(spectrum.energies, offsets)):
+        o = min(range(k + 1), key=lambda j: abs(-gamma * theta[j] + unit * t - energy))
+        gaps = [exact * (theta[o] - tj) for tj in theta]
+        u, step = Fraction(unit), 64 * Fraction(math.ulp(t))
+        lo, hi = Fraction(t) - step, Fraction(t) + step
+        assert not any(lo <= gap / u <= hi for gap in gaps), i
+
+        def secular(x):
+            return 1 - sum(m / (gap - u * x) for gap, m in zip(gaps, mult)) / sum(mult)
+
+        assert secular(lo) * secular(hi) < 0, i
+
+
 @pytest.mark.parametrize("n,k", [(100, 3), (30, 10), (2000, 20)])
 def test_secular_curve_matches_extended_precision(n, k):
     # The curve simulate prints at the float S_1, against the walk on the
