@@ -159,26 +159,25 @@ def render_svg(path: Optional[str],
                x_label: str = "", y_label: str = "") -> None:
     """Render (x, y) series as a standalone SVG line chart.
 
-    Each series becomes one polyline (one circle marker when it has a
-    single point).  Axes carry five tick labels per direction; degenerate
-    data ranges are padded so a flat series still renders.  Empty input is
-    a domain error, not an empty picture.
+    Each series becomes one polyline, and a series of fewer than 2 points
+    is refused, as is a chart of none.  Each axis spans every value of every
+    series, so a NaN anywhere makes that axis's extent NaN; it carries five
+    tick labels, and a degenerate range is padded so a flat series still
+    renders.
     """
     cleaned = []
     for xs, ys in series:
         xs, ys = list(map(float, xs)), list(map(float, ys))
         if len(xs) != len(ys):
             raise ValueError("each series needs matching 1-d x and y arrays")
-        if not xs:
-            raise ValueError("cannot render an empty series")
+        if len(xs) < 2:
+            raise ValueError("a series needs at least 2 points")
         cleaned.append((xs, ys))
     if not cleaned:
         raise ValueError("cannot render an empty chart")
 
-    x_ends = [_extent(xs) for xs, _ in cleaned]
-    y_ends = [_extent(ys) for _, ys in cleaned]
-    x_lo, x_hi = _padded(min(lo for lo, _ in x_ends), max(hi for _, hi in x_ends))
-    y_lo, y_hi = _padded(min(lo for lo, _ in y_ends), max(hi for _, hi in y_ends))
+    x_lo, x_hi = _padded(*_extent([x for xs, _ in cleaned for x in xs]))
+    y_lo, y_hi = _padded(*_extent([y for _, ys in cleaned for y in ys]))
     plot_w = CANVAS_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = CANVAS_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     base_y = CANVAS_HEIGHT - _MARGIN_BOTTOM
@@ -220,10 +219,6 @@ def render_svg(path: Optional[str],
                      f'y="18" font-size="14" text-anchor="middle">{y_label}</text>')
     for idx, (xs, ys) in enumerate(cleaned):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        if len(xs) == 1:
-            parts.append(f'<circle cx="{px(xs)[0]:.2f}" cy="{py(ys)[0]:.2f}" '
-                         f'r="4" fill="{color}"/>')
-            continue
         coords = [0.0] * (2 * len(xs))
         coords[0::2] = px(xs)
         coords[1::2] = py(ys)

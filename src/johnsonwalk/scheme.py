@@ -23,7 +23,10 @@ with g_j = gamma*D_j.  No term is a difference of numbers of order one, and
 ``_pole_roots`` solves the two roots beside delta = 0 from it, for both the
 balance search (``gamma_c_numeric``) and ``secular_spectrum``.  The other
 roots take the two-pole rational step of LAPACK's dlaed4 (Bunch, Nielsen &
-Sorensen, Numer. Math. 31, 31 (1978); Li's "middle way").
+Sorensen, Numer. Math. 31, 31 (1978); Li's "middle way").  Each spectrum
+carries its own check: ``secular_spectrum`` refuses one whose overlaps with
+|s> or with |w> do not sum to 1 within 4(k+1) eps, or whose weights
+<w|psi_i><psi_i|s> do not sum to 1/sqrt(N) within 1e-15.
 
 The module imports the standard library only: critical-gamma, spectrum,
 sweep-gamma and every input rule of the package run without numpy.  It also
@@ -556,6 +559,23 @@ def _weights(sigma: float, t: float, poles: list[tuple[float, float, float, floa
     return poles[0][3] * ratio * ratio / total, tau * (tau / zo) / total
 
 
+def _checked(spectrum: SecularSpectrum, k: int, r: float) -> SecularSpectrum:
+    """``spectrum``, once both its overlap sums are within 4(k+1) eps of 1 and
+    its weights' sum within 1e-15 of 1/sqrt(N) = 1/r; else ValueError naming
+    the sum.  The weights need an absolute bound: near S_1 the two largest,
+    near +-1/2, cancel to 1/sqrt(N)."""
+    bound = 4.0 * (k + 1) * sys.float_info.epsilon
+    for name, values, target, tolerance in (
+            ("overlap_s", spectrum.overlap_s, 1.0, bound),
+            ("overlap_w", spectrum.overlap_w, 1.0, bound),
+            ("weights", spectrum.weights(), 1.0 / r, 1e-15)):
+        error = math.fsum(values) - target
+        if not abs(error) <= tolerance:
+            raise ValueError(f"secular spectrum FAILED: sum of {name} off by "
+                             f"{error:.3e}, above tolerance {tolerance:.1e}")
+    return spectrum
+
+
 def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
     """The k+1 eigenvalues of the search Hamiltonian, ascending, with the
     squared overlaps of their eigenvectors with |s> and |w>.
@@ -575,15 +595,17 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
 
     At gamma = 0, H is -|w><w|: the eigenvalue -1 with |w>, then k zeros
     (-0) whose eigenvectors are taken to be the other distance states, as
-    the eigensolver of the distance basis returns them.
+    the eigensolver of the distance basis returns them.  Every spectrum,
+    that one included, passes ``_checked`` before it is returned.
     """
     _check_model(n, k, gamma)
     scheme = _scheme(n, k)
     theta, d, z2, r = scheme.theta, scheme.d, scheme.z2, scheme.r
     if gamma == 0:
         parts = [math.sqrt(float(size)) / r for size in class_sizes(n, k)]
-        return SecularSpectrum([-1.0] + [-0.0] * k, [p * p for p in parts],
-                               [1.0] + [0.0] * k, [-1.0] + [0.0] * k)
+        return _checked(SecularSpectrum([-1.0] + [-0.0] * k, [p * p for p in parts],
+                                        [1.0] + [0.0] * k, [-1.0] + [0.0] * k),
+                        k, r)
     from fractions import Fraction
 
     exact_gamma, gamma = Fraction(gamma), float(gamma)
@@ -640,7 +662,7 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
         add(o, sigma, _root(_pole_step(h, poles, o, i), lo, hi, t, False), poles)
-    return result
+    return _checked(result, k, r)
 
 
 def _jacobi(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:

@@ -379,10 +379,13 @@ def test_run_verification_zero_window():
 
 
 def test_run_verification_zero_window_sees_wrong_weights(monkeypatch):
-    # Doubled secular weights put the reduced curve at 4/N at t = 0.
+    # Doubled secular weights put the reduced curve at 4/N at t = 0.  The
+    # spectrum's own sum check would refuse them first, so it is skipped
+    # here to show that the comparison with the full graph sees them too.
     weights = scheme.SecularSpectrum.weights
     monkeypatch.setattr(scheme.SecularSpectrum, "weights",
                         lambda self: [2.0 * w for w in weights(self)])
+    monkeypatch.setattr(scheme, "_checked", lambda spectrum, k, r: spectrum)
     result = johnson.run_verification(6, 3, 0.1, t_max=0.0)
     assert result.max_deviation == pytest.approx(3.0 / 20.0, rel=1e-12)
 

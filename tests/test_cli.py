@@ -556,12 +556,45 @@ def test_simulate_svg_single_curve(tmp_path):
     assert "<svg xmlns=" in text and text.rstrip().endswith("</svg>")
 
 
-def test_render_svg_single_point_marker(tmp_path):
+def test_render_svg_refuses_a_one_point_series(tmp_path):
+    # No command draws a grid of fewer than 2 points, so the chart has one
+    # drawing path: a polyline per series.
     target = tmp_path / "point.svg"
-    output.render_svg(str(target), [(np.array([1.0]), np.array([0.5]))])
-    text = target.read_text(encoding="utf-8")
-    assert "<circle" in text
-    assert "<polyline" not in text
+    with pytest.raises(ValueError, match="at least 2 points"):
+        output.render_svg(str(target), [(np.linspace(0.0, 1.0, 3), np.zeros(3)),
+                                        (np.array([1.0]), np.array([0.5]))])
+    assert not target.exists()
+
+
+def test_render_svg_refuses_series_of_unequal_lengths():
+    with pytest.raises(ValueError, match="matching"):
+        output.render_svg(None, [(np.linspace(0.0, 1.0, 3), np.zeros(4))])
+
+
+def test_render_svg_to_stdout_writes_the_file_bytes(tmp_path, capsys):
+    ts = np.linspace(0.0, 1.0, 7)
+    series = [(ts, np.sin(ts)), (ts, np.cos(ts))]
+    target = tmp_path / "chart.svg"
+    output.render_svg(str(target), series, "t", "p")
+    output.render_svg(None, series, "t", "p")
+    assert capsys.readouterr().out == target.read_text(encoding="utf-8")
+
+
+def test_render_svg_nan_in_either_series_makes_its_axis_nan(tmp_path):
+    # Each axis is one extent over every value of every series, so where
+    # the NaN sits does not matter: every y pixel and y label is NaN.
+    ts = np.linspace(0.0, 1.0, 5)
+    charts = []
+    for faulty in range(2):
+        series = [(ts, np.full(5, 0.25)), (ts, np.linspace(0.0, 1.0, 5))]
+        series[faulty][1][2] = math.nan
+        target = tmp_path / f"nan{faulty}.svg"
+        output.render_svg(str(target), series)
+        charts.append(target.read_text(encoding="utf-8"))
+    assert charts[0] == charts[1]
+    assert re.findall(r'text-anchor="end">([^<]*)<', charts[0]) == ["nan"] * 5
+    assert re.findall(r'text-anchor="middle">([^<]*)<', charts[0]) == [
+        "0", "0.25", "0.5", "0.75", "1"]
 
 
 def test_render_svg_rejects_empty():
@@ -769,6 +802,40 @@ def test_refused_input_is_one_error_line(argv, message, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+@pytest.fixture
+def faulty_overlap(monkeypatch):
+    """``scheme._weights`` with a 1e-12 relative fault in the first overlap
+    with |s> above 1/4, which every spectrum of k = 3 has."""
+    weights = scheme._weights
+    faults = []
+
+    def faulty(*args):
+        weight_s, weight_w = weights(*args)
+        if not faults and weight_s > 0.25:
+            faults.append(weight_s)
+            weight_s *= 1.0 + 1e-12
+        return weight_s, weight_w
+
+    monkeypatch.setattr(scheme, "_weights", faulty)
+    return faults
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "100", "--k", "3"],
+    ["sweep-gamma", "--n", "100", "--k", "3", "--points", "5"],
+    ["simulate", "--n", "100", "--k", "3", "--steps", "50"],
+    ["verify", "--n", "9", "--k", "3"],
+], ids=["spectrum", "sweep-gamma", "simulate", "verify"])
+def test_a_spectrum_failing_its_sums_is_one_error_line(argv, faulty_overlap, capsys):
+    assert cli.main(argv) == 1
+    assert len(faulty_overlap) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: secular spectrum FAILED: sum of overlap_s off by ")
 
 
 def test_analyze_pt_reports_just_below_overflow(capsys):

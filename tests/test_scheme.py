@@ -120,6 +120,54 @@ def test_two_vertices_have_no_balance_point():
         scheme.gamma_c_numeric(2, 1)
 
 
+def _scripted_search(monkeypatch, balances):
+    """gamma_c_numeric(100, 3) with ``_balance`` returning balances[i] at its
+    i-th call, and the etas of those calls."""
+    etas = []
+
+    def scripted(eta, *args):
+        etas.append(eta)
+        return balances[len(etas) - 1]
+
+    monkeypatch.setattr(scheme, "_balance", scripted)
+    return scheme.gamma_c_numeric(100, 3), etas
+
+
+@pytest.mark.parametrize("second,bisects", [
+    (1.0, True), (-1.0, False), (2.0, True), (-2.0, False)],
+    ids=["equal-above", "equal-below", "secant-out-above", "secant-out-below"])
+def test_balance_search_steps_back_into_its_bracket(monkeypatch, second, bisects):
+    # A second balance equal to the first has no secant, and one farther
+    # from zero on the same side sends the secant out of the bracket.  The
+    # third eta then bisects the bracket when it is closed above (both
+    # balances positive), and is 2|eta| + 1 while it is open above.
+    first = math.copysign(1.0, second)
+    result, etas = _scripted_search(
+        monkeypatch, [(first, 0.5), (second, 0.25), (0.0, 0.125)])
+    assert len(etas) == 3
+    assert etas[2] == (0.5 * (-1.0 + etas[1]) if bisects else 2.0 * abs(etas[1]) + 1.0)
+    # The answer is still the rate at the last balance, with its residual.
+    assert result.gamma == float(scheme.critical_rate(100, 3) * (1 + Fraction(etas[2])))
+    assert result.residual == 0.125
+
+
+def test_root_between_two_adjacent_doubles_ends_on_its_bracket():
+    # The root of this sign function, 1 + 2^-53, lies between the doubles 1
+    # and 1 + eps: no value is zero and no correction is small, so the
+    # search ends where the bracket's midpoint rounds to one of its ends.
+    # The bracket halves at least every two steps, 2 * 54 steps from width 2.
+    root = 1 + Fraction(1, 2 ** 53)
+    calls = []
+
+    def sign(x):
+        calls.append(x)
+        assert len(calls) <= 2 * 54
+        f = 1.0 if Fraction(x) > root else -1.0
+        return f, f
+
+    assert scheme._root(sign, 0.0, 2.0, 1.5, True) in (1.0, 1.0 + sys.float_info.epsilon)
+
+
 def test_numpy_integers_are_integers():
     np = pytest.importorskip("numpy")
     assert scheme._check_reduced_params(np.int64(100), np.int32(3)) == 161700.0

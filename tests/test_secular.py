@@ -247,6 +247,30 @@ def test_weights_sum_to_the_marked_overlap():
             assert abs(total - 1.0 / math.sqrt(math.comb(n, k))) <= 4.0 * eps, (n, k)
 
 
+@pytest.mark.parametrize("fault,name", [
+    ({"overlap_s": [0.5, 0.5 + 1e-14]}, "overlap_s"),
+    ({"overlap_w": [0.5 - 1e-14, 0.5]}, "overlap_w"),
+    ({"shifts": [-1.0, 1.0]}, "weights"),
+    ({"overlap_s": [0.5, math.nan]}, "overlap_s"),
+], ids=["overlap_s", "overlap_w", "weights", "nan"])
+def test_a_spectrum_is_refused_by_the_sum_it_fails(fault, name):
+    # k = 1: the overlaps each sum to 1 within 8 eps, and the weights, here
+    # 1/2 + 1/2, to 1/sqrt(N) = 1 within 1e-15.
+    spectrum = scheme.SecularSpectrum([], [0.5, 0.5], [0.5, 0.5], [-1.0, -1.0])
+    assert scheme._checked(spectrum, 1, 1.0) is spectrum
+    with pytest.raises(ValueError, match=f"sum of {name} off by "):
+        scheme._checked(spectrum._replace(**fault), 1, 1.0)
+
+
+def test_a_spectrum_at_zero_rate_is_checked(monkeypatch):
+    # One vertex more in the last distance class moves the sum of the
+    # overlaps with |s> by 1/N.
+    sizes = scheme.class_sizes(100, 3)
+    monkeypatch.setattr(scheme, "class_sizes", lambda n, k: sizes[:-1] + [sizes[-1] + 1])
+    with pytest.raises(ValueError, match="sum of overlap_s off by 6.184e-06"):
+        scheme.secular_spectrum(100, 3, 0.0)
+
+
 @st.composite
 def _scan_rates(draw):
     """(n, k, gamma) with k <= 40 and n log-uniform from 2k to 1e7, where
