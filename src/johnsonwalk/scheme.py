@@ -20,13 +20,14 @@ as S_1 (1 + eta), where S_1 = sum_{j>=1} z_j^2/D_j, D_j = theta_0 - theta_j
     eta/(1+eta) + z_0^2/delta - delta * sum_{j>=1} z_j^2 / (g_j (g_j - delta))
 
 with g_j = gamma*D_j.  No term is a difference of numbers of order one, and
-``_pole_roots`` solves the two roots beside delta = 0 from it, for both the
-balance search (``gamma_c_numeric``) and ``secular_spectrum``.  The other
-roots take the two-pole rational step of LAPACK's dlaed4 (Bunch, Nielsen &
-Sorensen, Numer. Math. 31, 31 (1978); Li's "middle way").  Each spectrum
-carries its own check: ``secular_spectrum`` refuses one whose overlaps with
-|s> or with |w> do not sum to 1 within 4(k+1) eps, or whose weights
-<w|psi_i><psi_i|s> do not sum to 1/sqrt(N) within 1e-15.
+``_pole_step`` solves the roots from it at their nearest pole, for both the
+balance search (``gamma_c_numeric``) and ``secular_spectrum``, with the
+two-pole rational step of LAPACK's dlaed4 (Bunch, Nielsen & Sorensen,
+Numer. Math. 31, 31 (1978); Li's "middle way"), or below the lowest pole
+the one-pole step from above.  Each spectrum carries its own check:
+``secular_spectrum`` refuses one whose overlaps with |s> or with |w> do not
+sum to 1 within 4(k+1) eps, or whose weights <w|psi_i><psi_i|s> do not sum
+to 1/sqrt(N) within 1e-15.
 
 The module imports the standard library only: critical-gamma, spectrum,
 sweep-gamma and every input rule of the package run without numpy.  It also
@@ -287,8 +288,9 @@ def gamma_c_formula_k3(n: int) -> float:
     return 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
 
 
-def _root(phi, lo: float, hi: float, x: float, negative_below: bool) -> float:
-    """The root of phi in (lo, hi), from x, by safeguarded steps.
+def _root(phi, lo: float, hi: float, x: float) -> float:
+    """The root of phi in (lo, hi), where phi falls through zero, by
+    safeguarded steps from x, or from the midpoint when x is not inside.
 
     ``phi`` returns (value, correction): the step is x - correction, a Newton
     step when the correction is value/slope.  Each evaluation shrinks the
@@ -296,15 +298,17 @@ def _root(phi, lo: float, hi: float, x: float, negative_below: bool) -> float:
     last, is replaced by the bracket's midpoint (Press et al., rtsafe), so
     the bracket at least halves every two steps.
     """
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
     last = hi - lo
     while True:
         f, correction = phi(x)
         if f == 0.0:
             return x
-        if (f < 0.0) == negative_below:
-            lo = x
-        else:
+        if f < 0.0:
             hi = x
+        else:
+            lo = x
         before_last, last = last, correction
         if abs(last) <= 4.0 * sys.float_info.epsilon * abs(x):
             return x - last
@@ -317,53 +321,53 @@ def _root(phi, lo: float, hi: float, x: float, negative_below: bool) -> float:
         x = step
 
 
-def _pole_roots(c: float, a: list[float], g: list[float], r: float, top: float
-                ) -> tuple[float, Optional[float]]:
-    """The two roots x = delta*r beside the pole delta = 0, r = sqrt(N).
+def _pole_row(z2: list[float], gaps: list[float], o: int
+              ) -> list[tuple[float, float, float, float]]:
+    """Row o of the secular equation: (z_j^2, p_j, 1/p_j, z_j^2/z_o^2) for the
+    poles p_j measured from pole o, with 0 for 1/p_o."""
+    return [(zj, pj, 1.0 / pj if pj else 0.0, zj / z2[o]) for zj, pj in zip(z2, gaps)]
 
-    In x the secular function times x is 1 + c x - x^2 sum_j a_j/(g_j - x/r),
-    c = r*eta/(1+eta), a_j = z_j^2/g_j (j >= 1), close to a quadratic for
-    large N whose roots start the searches.  x_0 lies in [-r, 0), and x_1 is
-    solved in (0, top), below g_1 r; it is None when top is 0, for a root 1
-    nearer the pole g_1.
+
+def _pole_start(h: float, poles: list[tuple[float, float, float, float]]
+                ) -> tuple[float, float]:
+    """The roots t_0 < 0 < t_1 of h + z_0^2/t - c t, c = sum_j z_j^2/p_j^2: the
+    secular function beside pole 0 with its other terms to first order in t.
+    For large N they are close to the two roots beside the pole, and start
+    their searches; where c underflows, one is infinite, and ``_root`` starts
+    from the midpoint instead.
     """
-    def phi(x: float) -> tuple[float, float]:
-        u = x / r
-        t1 = t2 = 0.0
-        for aj, gj in zip(a, g):
-            inv = 1.0 / (gj - u)
-            t1 += aj * inv
-            t2 += aj * inv * inv
-        value = 1.0 + x * (c - x * t1)
-        slope = c - 2.0 * x * t1 - x * x * t2 / r
-        return value, (value / slope if slope else math.inf)
-
-    curvature = sum(aj / gj for aj, gj in zip(a, g))
-    t = math.hypot(c, 2.0 * math.sqrt(curvature))
-    x0, x1 = ((-2.0 / (c + t), (c + t) / (2.0 * curvature)) if c >= 0.0
-              else ((c - t) / (2.0 * curvature), 2.0 / (t - c)))
-    x0 = _root(phi, -r, 0.0, min(max(x0, -r), 0.0), True)
-    if not top:
-        return x0, None
-    return x0, _root(phi, 0.0, top, x1 if x1 < top else 0.5 * top, False)
+    zo = poles[0][0]
+    c = sum(zj * ipj * ipj for zj, _, ipj, _ in poles)
+    near = abs(h) + math.sqrt(h * h + 4.0 * c * zo)
+    far = near / (2.0 * c) if c else math.inf
+    near = 2.0 * zo / near if near else math.inf
+    return (-near, far) if h >= 0.0 else (-far, near)
 
 
-def _balance(eta: float, s1: float, d: list[int], z2: list[float], r: float
+def _balance(eta: float, s1: float, d: list[int], z2: list[float]
              ) -> tuple[float, float]:
     """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta.
 
-    q_i = (1 - |<s|psi_i>|^2) / |<s|psi_i>|^2 for the two roots beside the
-    pole, from ``_pole_roots``.
+    q_i = (1 - |<s|psi_i>|^2) / |<s|psi_i>|^2 for the two roots beside pole
+    0, in units of one, from pole rows built in O(k).  Root 1 is taken from
+    pole 1 past the point halfway to it, as in ``secular_spectrum``: as an
+    offset from pole 0 it can round to pole 1.
     """
-    g = [s1 * (1.0 + eta) * dj for dj in d]
-    a = [zj / gj for zj, gj in zip(z2, g)]
-    logs, weights = [], []
-    for x in _pole_roots(eta / (1.0 + eta) * r, a, g, r, g[0] * r):
-        u = x / r
-        q = x * x * sum(zj / (gj - u) ** 2 for zj, gj in zip(z2, g))
-        logs.append(math.log(q))
-        weights.append(1.0 / (1.0 + q))
-    return logs[1] - logs[0], weights[0] - weights[1]
+    gamma, h = s1 * (1.0 + eta), eta / (1.0 + eta)
+    row = _pole_row(z2, [gamma * dj for dj in d], 0)
+    t0, t1 = _pole_start(h, row)
+    roots = [(row, _root(_pole_step(h, row, 0, 0), -1.0, 0.0, t0))]
+    gap = row[1][1]
+    if gap < 2.0 and sum(zj / (pj - 0.5 * gap) for zj, pj, _, _ in row) >= 1.0:
+        o, lo, hi, t = 0, 0.0, 0.5 * gap, t1
+    else:
+        o, row = 1, _pole_row(z2, [gamma * (dj - d[1]) for dj in d], 1)
+        h = 1.0 - sum(zj * ipj for zj, _, ipj, _ in row)
+        lo, hi, t = max(-0.5 * gap, -1.0), 0.0, -z2[1] / h if h else math.inf
+    roots.append((row, _root(_pole_step(h, row, o, 1), lo, hi, t)))
+    q = [(row[0][1] - t) ** 2 * sum(zj / (pj - t) ** 2 for zj, pj, _, _ in row[1:])
+         / row[0][0] for row, t in roots]
+    return math.log(q[1]) - math.log(q[0]), 1.0 / (1.0 + q[0]) - 1.0 / (1.0 + q[1])
 
 
 def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
@@ -388,9 +392,9 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
 
     theta, mult = scheme_spectrum(n, k)
     rate = critical_rate(n, k)
-    d = [theta[0] - t for t in theta[1:]]
+    d = [theta[0] - t for t in theta]
     count = sum(mult)
-    z2 = [m / count for m in mult[1:]]
+    z2 = [m / count for m in mult]
     r = math.sqrt(n_vertices)
     s1 = float(rate)
 
@@ -400,7 +404,7 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     lo, hi = -1.0, math.inf
     eta, prev = -1.0 / n_vertices, None
     while True:
-        f, residual = _balance(eta, s1, d, z2, r)
+        f, residual = _balance(eta, s1, d, z2)
         if f == 0.0:
             break
         if f < 0.0:
@@ -469,11 +473,7 @@ def _scheme(n: int, k: int) -> _Scheme:
     count = sum(mult)
     d = [theta[0] - t for t in theta]
     z2 = [m / count for m in mult]
-    poles = []
-    for do, zo in zip(d, z2):
-        gaps = [float(dj - do) for dj in d]
-        poles.append([(zj, pj, 1.0 / pj if pj else 0.0, zj / zo)
-                      for zj, pj in zip(z2, gaps)])
+    poles = [_pole_row(z2, [float(dj - do) for dj in d], o) for o, do in enumerate(d)]
     consts = [sum(zj * ipj for zj, _, ipj, _ in row) for row in poles]
     halves = [0.0] + [sum(zj / (pj + 0.5 * (d[i] - d[i - 1]))
                           for zj, pj, _, _ in poles[i]) for i in range(1, k + 1)]
@@ -503,7 +503,8 @@ def _pole_step(h: float, poles: list[tuple[float, float, float, float]], o: int,
                i: int):
     """phi for ``_root``: the secular function at an offset t from pole o,
     between the poles i-1 and i, with the step of the two-pole rational model
-    of LAPACK's dlaed4 ("middle way") as its correction.
+    of LAPACK's dlaed4 ("middle way") as its correction; below the lowest
+    pole (i = 0, o = 0), with the one-pole step of ``_lowest_step``.
 
     The function is taken as h + z_o^2/t - t sum_{j != o} z_j^2/(p_j (p_j - t)),
     where h is its value at the pole without the pole's own term, so that
@@ -531,6 +532,9 @@ def _pole_step(h: float, poles: list[tuple[float, float, float, float]], o: int,
             term = zj * inv
             f -= term * (t * ipj)
             qb += term * (b * inv)
+        if not i:  # no pole below: b = -t, and qb is -t times the slope
+            den = f + qb
+            return f, (t * f / den if den else math.inf)
         a, b = a / width, b / width
         c, q = f + pa + qb, f * (a + b) + b * pa + a * qb
         root = math.sqrt(max(q * q - 4.0 * c * a * b * f, 0.0))
@@ -586,12 +590,12 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
     function's value without the pole's own term, h, is a difference of two
     nearly equal numbers; where that loses more than six bits, h is rounded
     once from exact fractions: eta/(1+eta) at pole 0, and gamma minus
-    ``_pole_balance`` at the others.  For -1/2 <= eta <= 1 the two roots
-    beside pole 0 come from ``_pole_roots``; elsewhere root 0 takes the
-    one-pole step of ``_lowest_step``.  The other roots take the two-pole
-    step of ``_pole_step``, in units of sigma = min(gamma, 1), so that
-    neither a small nor a large gamma pushes an offset out of the float
-    range.
+    ``_pole_balance`` at the others.  The roots take the two-pole step of
+    ``_pole_step``, in units of sigma = min(gamma, 1), so that neither a
+    small nor a large gamma pushes an offset out of the float range.  For
+    -1/2 <= eta <= 1 the two beside pole 0 are solved as the balance search
+    solves them, in units of one from the exact eta/(1+eta), root 0 with the
+    one-pole step of ``_pole_step`` (elsewhere, ``_lowest_step``'s).
 
     At gamma = 0, H is -|w><w|: the eigenvalue -1 with |w>, then k zeros
     (-0) whose eigenvectors are taken to be the other distance states, as
@@ -623,45 +627,38 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
 
     def nearest(i: int) -> tuple[int, float, float]:
         """The pole nearest root i >= 1, and the root's bracket measured
-        from it in units of sigma: within 1 below pole i, and nearer pole
-        i-1 when the secular function is not positive halfway."""
+        from it in units of sigma: within 1 below pole i, or from pole i-1
+        (a bound 1 below pole i can round past a root there, as on K_n at
+        S_1) when the secular function is not positive halfway."""
         gap = scale * (d[i] - d[i - 1])
         low, half = max(-gap, -1.0 / sigma), -0.5 * gap
         if low < half and gamma <= scheme.halves[i]:
-            return i - 1, max(low + gap, 0.0), -half
+            return i - 1, 0.0, -half
         return i, max(low, half), 0.0
 
-    # Root 0's poles, in units of one
-    lowest = [(zj, gamma * pj, 0.0, wj) for zj, pj, _, wj in scheme.poles[0]]
-    first = nearest(1)
-    x1 = None
-    if 0.5 * s1 <= gamma <= 2.0 * s1:
-        h = float(1 - scheme.rate / exact_gamma)
-        g = [gj for _, gj, _, _ in lowest[1:]]
-        a = [zj / gj for zj, gj, _, _ in lowest[1:]]
-        top = sigma * first[2] * r if first[0] == 0 else 0.0
-        x0, x1 = _pole_roots(h * r, a, g, r, top)
-        add(0, 1.0, x0 / r, lowest)
-    else:
-        h = 1.0 - s1 / gamma
-        t = -z2[0] / h if h > z2[0] else -0.5
-        add(0, 1.0, _root(_lowest_step(lowest), -1.0, 0.0, t, False),
-            lowest)
+    # Root 0, in units of one, where h at pole 0 is eta/(1+eta)
+    lowest = _pole_row(z2, [gamma * dj for dj in d], 0)
+    window = 0.5 * s1 <= gamma <= 2.0 * s1
+    if window:
+        h0 = float(1 - scheme.rate / exact_gamma)
+        t, phi = _pole_start(h0, lowest)[0], _pole_step(h0, lowest, 0, 0)
+    else:  # where 1/(gamma p_j) may overflow, and |h0| > 1/2
+        h0 = 1.0 - s1 / gamma
+        t, phi = -z2[0] / h0, _lowest_step(lowest)
+    add(0, 1.0, _root(phi, -1.0, 0.0, t), lowest)
     for i in range(1, k + 1):
-        if i == 1 and x1 is not None:
-            add(0, 1.0, x1 / r, lowest)
-            continue
-        o, lo, hi = first if i == 1 else nearest(i)
-        poles = scheme.poles[o]
-        if scale != 1.0:
-            poles = [(zj, scale * pj, ipj / scale, wj) for zj, pj, ipj, wj in poles]
-        h = (gamma - scheme.consts[o]) / scale
-        if abs(h) < sigma / 64.0:  # rounded from the exact value instead
-            h = float((exact_gamma - _pole_balance(n, k, o)) / Fraction(scale))
-        t = -z2[o] / h if h else math.inf
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        add(o, sigma, _root(_pole_step(h, poles, o, i), lo, hi, t, False), poles)
+        o, lo, hi = nearest(i)
+        if o == 0 and window:  # in units of sigma = gamma, f can underflow
+            unit, poles, h, hi = 1.0, lowest, h0, sigma * hi
+        else:
+            unit, poles = sigma, scheme.poles[o]
+            if scale != 1.0:
+                poles = [(zj, scale * pj, ipj / scale, wj) for zj, pj, ipj, wj in poles]
+            h = (gamma - scheme.consts[o]) / scale
+            if abs(h) < sigma / 64.0:  # rounded from the exact value instead
+                h = float((exact_gamma - _pole_balance(n, k, o)) / Fraction(scale))
+        t = _pole_start(h, poles)[1] if o == 0 else -z2[o] / h if h else math.inf
+        add(o, unit, _root(_pole_step(h, poles, o, i), lo, hi, t), poles)
     return _checked(result, k, r)
 
 

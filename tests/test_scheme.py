@@ -79,6 +79,54 @@ def test_complete_graph_balances_at_minus_one_over_n_minus_one(monkeypatch, n):
     assert abs(result.residual) <= 1e-14
 
 
+def test_complete_graphs_up_to_399_balance_at_minus_one_over_n_minus_one(monkeypatch):
+    # The three bounds above for every K_n, n = 3 .. 399, through one
+    # recording of the balance.  Measured: K_4's last eta is eps from -1/3,
+    # on the bound, and every gamma within 1.5 ulps of (n-2)/n^2.
+    etas = []
+    balance = scheme._balance
+
+    def recording_balance(eta, *args):
+        etas.append(eta)
+        return balance(eta, *args)
+
+    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    for n in range(3, 400):
+        result = scheme.gamma_c_numeric(n, 1)
+        assert abs(etas[-1] + 1.0 / (n - 1)) <= sys.float_info.epsilon, n
+        exact = (n - 2) / n ** 2
+        assert abs(result.gamma - exact) <= 2 * math.ulp(exact), n
+        assert abs(result.residual) <= 1e-14, n
+
+
+@pytest.mark.parametrize("n,k", [
+    (100, 3), (2000, 20), (150000, 3), (40, 20), (16, 1), (9, 4)])
+def test_balance_is_the_spectrum_it_balances(monkeypatch, n, k):
+    # The search's bracket opens to (-1, inf), so the balance is taken far
+    # from eta* too.  At every eta it is the spectrum at S_1 (1 + eta): the
+    # residual its overlap_s[0] - overlap_s[1] (measured: within 2 eps), and
+    # log(q_1/q_0) the log-ratio of q_i = (1 - overlap_s[i]) / overlap_s[i]
+    # (within 4 eps).  At J(2000,20) and eta = 0.4 root 1 lies next to pole
+    # 1, where its offset from pole 0 rounds to the pole.
+    calls = []
+    balance = scheme._balance
+
+    def recording_balance(eta, *args):
+        calls.append(args)
+        return balance(eta, *args)
+
+    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    scheme.gamma_c_numeric(n, k)
+    rate, eps = scheme.critical_rate(n, k), sys.float_info.epsilon
+    for eta in (-0.3, -1e-3, -1.0 / math.comb(n, k), 0.0, 1e-3, 0.4):
+        log_ratio, residual = balance(eta, *calls[-1])
+        overlaps = scheme.secular_spectrum(n, k, rate * (1 + Fraction(eta))).overlap_s
+        assert abs(residual - (overlaps[0] - overlaps[1])) <= 4.0 * eps, eta
+        q = [math.fsum(overlaps[:i] + overlaps[i + 1:]) / overlaps[i] for i in (0, 1)]
+        expected = math.log(q[1]) - math.log(q[0])
+        assert abs(log_ratio - expected) <= 16.0 * eps * max(1.0, abs(expected)), eta
+
+
 @pytest.mark.parametrize("k,n_small,n_large", [
     (2, 200, 20000), (3, 300, 3000), (4, 100, 1000), (5, 100, 500),
     (6, 60, 200), (7, 70, 150), (8, 80, 110)])
@@ -152,9 +200,9 @@ def test_balance_search_steps_back_into_its_bracket(monkeypatch, second, bisects
 
 
 def test_root_between_two_adjacent_doubles_ends_on_its_bracket():
-    # The root of this sign function, 1 + 2^-53, lies between the doubles 1
-    # and 1 + eps: no value is zero and no correction is small, so the
-    # search ends where the bracket's midpoint rounds to one of its ends.
+    # The root of this falling sign function, 1 + 2^-53, lies between the
+    # doubles 1 and 1 + eps: no value is zero and no correction is small, so
+    # the search ends where the bracket's midpoint rounds to one of its ends.
     # The bracket halves at least every two steps, 2 * 54 steps from width 2.
     root = 1 + Fraction(1, 2 ** 53)
     calls = []
@@ -162,10 +210,10 @@ def test_root_between_two_adjacent_doubles_ends_on_its_bracket():
     def sign(x):
         calls.append(x)
         assert len(calls) <= 2 * 54
-        f = 1.0 if Fraction(x) > root else -1.0
-        return f, f
+        f = -1.0 if Fraction(x) > root else 1.0
+        return f, -f
 
-    assert scheme._root(sign, 0.0, 2.0, 1.5, True) in (1.0, 1.0 + sys.float_info.epsilon)
+    assert scheme._root(sign, 0.0, 2.0, 1.5) in (1.0, 1.0 + sys.float_info.epsilon)
 
 
 def test_numpy_integers_are_integers():

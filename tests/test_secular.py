@@ -72,10 +72,15 @@ def _reference(n, k, gamma, digits):
 
 
 @pytest.mark.parametrize("n,k", [(150000, 3), (150, 20), (2000, 20)])
-@pytest.mark.parametrize("rate", ["gamma_c", "float_s1"])
+@pytest.mark.parametrize("rate", ["gamma_c", "float_s1", 0.49, 0.5, 0.7, 2.0, 2.01])
 def test_secular_spectrum_matches_extended_precision(n, k, rate):
+    # The multiples of the float S_1 are the edges of the window
+    # [S_1/2, 2 S_1], where root 0 changes its step, and a rate inside it.
     s1 = scheme.critical_rate(n, k)
-    gamma = scheme.gamma_c_numeric(n, k).gamma if rate == "gamma_c" else float(s1)
+    if rate == "gamma_c":
+        gamma = scheme.gamma_c_numeric(n, k).gamma
+    else:
+        gamma = float(s1) * (1.0 if rate == "float_s1" else rate)
     roots = scheme.secular_spectrum(n, k, gamma)
     energies, overlap_s, overlap_w, shifts = _reference(
         n, k, Fraction(gamma), int(math.log10(math.comb(n, k))) + 40)
@@ -212,6 +217,19 @@ def test_secular_spectrum_in_range_near_the_float_limit(n, k):
         assert all(x > 0.0 for x in spectrum.overlap_w)
         assert abs(math.fsum(spectrum.overlap_s) - 1.0) <= 1e-12
         assert abs(math.fsum(spectrum.overlap_w) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(10**300, 1), (10**200, 1), (10**154, 2)],
+                         ids=["1e300-1", "1e200-1", "1e154-2"])
+def test_the_crossing_where_the_rate_is_tiny(n, k):
+    # At the exact S_1 of K_1e300, gamma = 1e-300: in its units the secular
+    # function beside pole 0 underflows to zero 1e126 times past the root.
+    # In units of one, the two roots beside the pole split |s> evenly, as
+    # at J(2000,20).
+    spectrum = scheme.secular_spectrum(n, k, scheme.critical_rate(n, k))
+    assert spectrum.overlap_s[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
+    gap = spectrum.shifts[1] - spectrum.shifts[0]
+    assert gap * math.sqrt(math.comb(n, k)) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("n,k,gamma", [
