@@ -404,8 +404,8 @@ _LONG_SIMULATE = ["simulate", "--n", "100", "--k", "3", "--steps", "70000"]
 
 
 def test_simulate_bytes_do_not_depend_on_workers(tmp_path):
-    # A fresh program pinned to 1, 2 or 3 CPUs, so a BLAS library sizes its
-    # thread pool to each, prints the same curve.
+    # A fresh program pinned to 1, 2 or 3 CPUs prints the same curve:
+    # pinning to fewer CPUs moves no byte.
     env = _program_env()
     outputs = []
     for count in (1, 2, 3):
@@ -875,6 +875,76 @@ def test_simulate_bytes_do_not_depend_on_blas_threads():
     assert outputs[0].count(b"\n") == 50002
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+#: Runs the CLI as a program, through ``cli.main_entry()`` or as
+#: ``python -m johnsonwalk.cli``, and writes the number of OS threads the
+#: process has at exit to stderr.
+_THREAD_COUNTING_PROGRAM = (
+    "import atexit, os, runpy, sys\n"
+    "atexit.register(lambda: os.write(\n"
+    "    2, b'%d threads\\n' % len(os.listdir('/proc/self/task'))))\n"
+    "if sys.argv.pop(1) == 'main_entry':\n"
+    "    from johnsonwalk import cli\n"
+    "    cli.main_entry()\n"
+    "else:\n"
+    "    runpy.run_module('johnsonwalk.cli', run_name='__main__')\n")
+
+# On one CPU OpenBLAS starts no worker, so a count of one would test nothing.
+_COUNTS_OS_THREADS = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/self/task and at least 2 allowed CPUs")
+
+
+def _run_counting_threads(entry, argv, **blas_env):
+    """(stdout, threads at exit) of the CLI run as a program through ``entry``,
+    with no BLAS thread count in its environment but ``blas_env``."""
+    env = _program_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    env.update(blas_env)
+    run = subprocess.run([sys.executable, "-c", _THREAD_COUNTING_PROGRAM, entry, *argv],
+                         env=env, capture_output=True, check=True, timeout=60)
+    threads = re.fullmatch(rb"(\d+) threads\n", run.stderr)
+    assert threads, run.stderr
+    return run.stdout, int(threads.group(1))
+
+
+_SIMULATE_CSV = ["simulate", "--n", "1500", "--k", "3", "--steps", "2000"]
+
+
+@_COUNTS_OS_THREADS
+@pytest.mark.parametrize("entry", ["main_entry", "run_module"])
+@pytest.mark.parametrize("argv", [
+    _SIMULATE_CSV,
+    ["simulate", "--n", "150", "--k", "3", "--steps", "2000", "--format", "svg"],
+    ["critical-gamma", "--n", "100", "--k", "3"],
+], ids=["simulate-csv", "simulate-svg", "critical-gamma"])
+def test_cli_process_runs_on_one_os_thread(argv, entry):
+    # No command makes a BLAS call, so the program starts no BLAS worker
+    # pool when it loads numpy, and no thread of its own.
+    _, threads = _run_counting_threads(entry, argv)
+    assert threads == 1
+
+
+@_COUNTS_OS_THREADS
+def test_a_blas_thread_count_in_the_environment_wins():
+    default, threads = _run_counting_threads("main_entry", _SIMULATE_CSV)
+    assert threads == 1
+    asked, threads = _run_counting_threads("main_entry", _SIMULATE_CSV,
+                                           OPENBLAS_NUM_THREADS="2")
+    assert threads == 2
+    assert asked == default
+    assert default.count(b"\n") == 2001
+
+
+def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
+    # Only the program sets the BLAS thread count; an in-process caller
+    # keeps its own environment.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert cli.main(_SIMULATE_CSV + ["--output", str(tmp_path / "curve.csv")]) == 0
+    assert dict(os.environ) == before
 
 
 def test_import_loads_neither_csv_nor_subprocess():
