@@ -15,20 +15,22 @@ import math
 import numpy as np
 
 from .linalg import eig_sym
-from .scheme import (_adjacency_entries, _check_model, _check_reduced_params,
-                     class_sizes)
+from .reduced import intersection_array
+from .scheme import _check_model, _check_reduced_params, class_sizes
 
 
 def reduced_adjacency(n: int, k: int) -> np.ndarray:
     """Adjacency matrix collapsed onto the normalized distance states.
 
-    Tridiagonal and symmetric: the diagonal carries the same-class counts
-    a_i, and the off-diagonal entry between classes i and i+1 is
-    (i+1) * sqrt((k-i)(n-k-i)), the geometric mean sqrt(b_i * c_{i+1}) that
-    symmetrizes the up/down neighbor counts.
+    Tridiagonal and symmetric, from ``reduced.intersection_array``: the
+    diagonal carries the same-class counts a_i, and the off-diagonal entry
+    between classes i and i+1 is (i+1) * sqrt(b_i), the geometric mean
+    sqrt(b_i * c_{i+1}) that symmetrizes the up/down neighbor counts.  No
+    entry exceeds the degree k(n-k).
     """
-    diagonal, off = _adjacency_entries(n, k)
-    return np.diag(np.array(diagonal, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
+    counts = intersection_array(n, k)
+    off = [(i + 1) * math.sqrt(b) for i, b in enumerate(counts.b)]
+    return np.diag(np.array(counts.a, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
@@ -37,8 +39,9 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
     The marked vertex sits alone in class 0, so the oracle projector is the
     single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
     negative and non-finite values are rejected (gamma = 0 is admitted and
-    leaves just the oracle term), and so is a gamma so large that
-    gamma * A overflows (``scheme._check_model``).
+    leaves just the oracle term), and so is a gamma whose product with the
+    degree k(n-k) overflows (``scheme._check_model``); no entry of gamma * A
+    is larger.
     """
     _check_model(n, k, gamma)
     hamiltonian = -float(gamma) * reduced_adjacency(n, k)

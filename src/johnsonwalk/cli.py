@@ -103,11 +103,12 @@ def create_parser() -> argparse.ArgumentParser:
     n_only.add_argument("--n", type=int, required=True)
     n_and_k = argparse.ArgumentParser(add_help=False, parents=[n_only])
     n_and_k.add_argument("--k", type=int, required=True)
+    rate = argparse.ArgumentParser(add_help=False, parents=[n_and_k])
+    rate.add_argument("--gamma", type=float, default=None,
+                      help="jumping rate (default: the critical rate S_1, exact)")
 
-    sim = commands.add_parser("simulate", parents=[n_and_k],
+    sim = commands.add_parser("simulate", parents=[rate],
                               help="success probability as a function of time")
-    sim.add_argument("--gamma", type=float, default=None,
-                     help="jumping rate (default: the critical rate S_1, exact)")
     sim.add_argument("--t-max", type=float, default=None,
                      help="end of the time grid (default: 1.5x predicted peak)")
     sim.add_argument("--steps", type=int, default=1000,
@@ -127,16 +128,12 @@ def create_parser() -> argparse.ArgumentParser:
     crit = commands.add_parser("critical-gamma", parents=[n_and_k],
                                help="critical jumping rate (formula and numeric)")
 
-    spec = commands.add_parser("spectrum", parents=[n_and_k],
+    spec = commands.add_parser("spectrum", parents=[rate],
                                help="eigenvalues and overlaps at one gamma")
-    spec.add_argument("--gamma", type=float, default=None,
-                      help="jumping rate (default: the critical rate S_1, exact)")
     _add_output_options(spec, formats=False)
 
-    verify = commands.add_parser("verify", parents=[n_and_k],
+    verify = commands.add_parser("verify", parents=[rate],
                                  help="compare against the brute-force graph")
-    verify.add_argument("--gamma", type=float, default=None,
-                        help="jumping rate (default: the critical rate S_1, exact)")
     verify.add_argument("--t-max", type=float, default=None,
                         help="end of the time grid (default: 2*pi*sqrt(N))")
     verify.add_argument("--steps", type=int, default=200,

@@ -161,21 +161,15 @@ def _check_positive_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
-def _adjacency_entries(n: int, k: int) -> tuple[list[int], list[float]]:
-    """The reduced adjacency's diagonal a_i = i(n-2i), i = 0..k, and its
-    off-diagonal (i+1) sqrt((k-i)(n-k-i)), i = 0..k-1, for n >= 2k >= 2."""
-    _check_reduced_params(n, k)
-    return ([i * (n - 2 * i) for i in range(k + 1)],
-            [(i + 1) * math.sqrt((k - i) * (n - k - i)) for i in range(k)])
-
-
 def _check_model(n: int, k: int, gamma: float) -> None:
     """The search Hamiltonian's input rules, in order: gamma, (n, k), and a
-    gamma whose product with an entry of the reduced adjacency overflows
-    (the entries are non-negative, so the largest decides)."""
+    gamma whose product with the degree k(n-k) overflows.  The model forms
+    the energies -gamma*theta_j, and |theta_j| <= theta_0 = k(n-k); every
+    entry of the reduced adjacency is at most the degree too.  The degree is
+    at most N = C(n,k), so it is a float once (n, k) pass."""
     _check_gamma(gamma)
-    diagonal, off = _adjacency_entries(n, k)
-    if not math.isfinite(gamma * max(map(float, diagonal + off))):
+    _check_reduced_params(n, k)
+    if not math.isfinite(gamma * float(k * (n - k))):
         raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
 
 

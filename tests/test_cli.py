@@ -1320,16 +1320,16 @@ def test_sweep_rejects_bad_grid(capsys):
 
 
 def _run_cli(argv):
-    """Exit code and stderr of cli.main, with warnings raised as errors."""
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+    """Exit code, stdout and stderr of cli.main, with warnings raised as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 _ADVERSE = ["nan", "inf", "-inf", "0", "-1", "1e308"]
@@ -1373,13 +1373,52 @@ def _argv(draw):
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(_argv())
 def test_cli_contract_on_adversarial_arguments(argv):
-    code, err = _run_cli(argv)
+    code, out, err = _run_cli(argv)
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
+        # a run that succeeds answers in finite numbers
+        fields = re.split(r"[\s,=]+", out)
+        assert not any(f.lower().lstrip("+-") in ("inf", "nan") for f in fields), out
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def _largest_rate(n, k):
+    """The largest double gamma with gamma * k(n-k) finite."""
+    degree = float(k * (n - k))
+    gamma = sys.float_info.max / degree
+    while not math.isfinite(gamma * degree):
+        gamma = math.nextafter(gamma, 0.0)
+    while math.isfinite(math.nextafter(gamma, math.inf) * degree):
+        gamma = math.nextafter(gamma, math.inf)
+    return gamma
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (10, 3), (14, 7)])
+def test_the_first_rate_past_the_degree_is_refused_everywhere(n, k):
+    # Every energy -gamma*theta_j is at most gamma * k(n-k) in size.  Up to
+    # the largest rate where that product is finite, spectrum prints finite
+    # energies; the next double is refused by the model, by the dense
+    # Hamiltonian and by every command that takes a rate, with one line.
+    top = _largest_rate(n, k)
+    over = math.nextafter(top, math.inf)
+    size = ["--n", str(n), "--k", str(k)]
+    code, out, err = _run_cli(["spectrum", *size, "--gamma", repr(top)])
+    assert (code, err) == (0, "")
+    assert all(math.isfinite(float(row.split(",")[1]))
+               for row in out.splitlines()[1:])
+    message = f"gamma={over!r} overflows the J({n},{k}) Hamiltonian"
+    for build in (scheme.secular_spectrum, analysis.search_hamiltonian):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(n, k, over)
+    for argv in (["spectrum", *size, "--gamma", repr(over)],
+                 ["sweep-gamma", *size, "--gamma-min", repr(top),
+                  "--gamma-max", repr(over), "--points", "2"],
+                 ["simulate", *size, "--gamma", repr(over)],
+                 ["verify", *size, "--gamma", repr(over)]):
+        assert _run_cli(argv) == (1, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("exc", [

@@ -234,13 +234,16 @@ def test_the_crossing_where_the_rate_is_tiny(n, k):
 
 @pytest.mark.parametrize("n,k,gamma", [
     (2, 1, 1e308), (3, 1, 8.5e307), (10, 3, 5e-324), (10**7, 4, 1e-300),
-    (10**150, 2, 1e-150), (10**7, 4, 5e-08), (2000, 20, 1e10)],
+    (10**150, 2, 1e-150), (10**7, 4, 5e-08), (2000, 20, 1e10),
+    (4, 1, 5.992310449541052e+307), (10, 3, 8.56044349934436e+306)],
     ids=["2-1-1e308", "3-1-8.5e307", "10-3-5e-324", "1e7-4-1e-300",
-         "1e150-2-1e-150", "1e7-4-5e-08", "2000-20-1e10"])
+         "1e150-2-1e-150", "1e7-4-5e-08", "2000-20-1e10",
+         "4-1-largest", "10-3-largest"])
 def test_secular_spectrum_at_extreme_rates(n, k, gamma):
-    # Rates where a pole gap overflows, where gamma is subnormal, and where
+    # Rates where a pole gap overflows, where gamma is subnormal, where
     # a pole's own term balances the others (J(1e150,2) at 1/n, J(1e7,4) at
-    # 2 S_1): the overlaps still sum to one.
+    # 2 S_1), and the largest rates the model accepts, gamma * k(n-k) just
+    # below the float range: the overlaps still sum to one.
     # The shifts from the top pole overflow where its gap does.
     spectrum = scheme.secular_spectrum(n, k, gamma)
     for column in spectrum[:3]:
