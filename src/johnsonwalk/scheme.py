@@ -340,27 +340,21 @@ def _pole_start(h: float, poles: list[tuple[float, float, float, float]]
 
 def _balance(eta: float, s1: float, d: list[int], z2: list[float]
              ) -> tuple[float, float]:
-    """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta.
+    """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta < 0.
 
-    q_i = (1 - |<s|psi_i>|^2) / |<s|psi_i>|^2 for the two roots beside pole
-    0, in units of one, from pole rows built in O(k).  Root 1 is taken from
-    pole 1 past the point halfway to it, as in ``secular_spectrum``: as an
-    offset from pole 0 it can round to pole 1.
+    q_i = (1 - o_i)/o_i, o_i = |<s|psi_i>|^2, for the offsets t_0 in (-1, 0) and
+    t_1 in (0, p_1/2) of the roots from pole 0, p_j = gamma*D_j.  Below S_1 <
+    1/D_1, p_1 < 1, and the secular function at p_1/2 is negative while gamma <
+    H = (1/N) sum_j m_j/(D_j - D_1/2) = S_1 + (n-3)/(nN) + (1/N) sum_{j>=2} m_j
+    D_1/(2 D_j (D_j - D_1/2)): S_1 on K_3, else measured >= S_1 (1 + 2.5e-3).
     """
     gamma, h = s1 * (1.0 + eta), eta / (1.0 + eta)
     row = _pole_row(z2, [gamma * dj for dj in d], 0)
     t0, t1 = _pole_start(h, row)
-    roots = [(row, _root(_pole_step(h, row, 0, 0), -1.0, 0.0, t0))]
-    gap = row[1][1]
-    if gap < 2.0 and sum(zj / (pj - 0.5 * gap) for zj, pj, _, _ in row) >= 1.0:
-        o, lo, hi, t = 0, 0.0, 0.5 * gap, t1
-    else:
-        o, row = 1, _pole_row(z2, [gamma * (dj - d[1]) for dj in d], 1)
-        h = 1.0 - sum(zj * ipj for zj, _, ipj, _ in row)
-        lo, hi, t = max(-0.5 * gap, -1.0), 0.0, -z2[1] / h if h else math.inf
-    roots.append((row, _root(_pole_step(h, row, o, 1), lo, hi, t)))
-    q = [(row[0][1] - t) ** 2 * sum(zj / (pj - t) ** 2 for zj, pj, _, _ in row[1:])
-         / row[0][0] for row, t in roots]
+    roots = [_root(_pole_step(h, row, 0, 0), -1.0, 0.0, t0),
+             _root(_pole_step(h, row, 0, 1), 0.0, 0.5 * row[1][1], t1)]
+    q = [t ** 2 * sum(zj / (pj - t) ** 2 for zj, pj, _, _ in row[1:]) / row[0][0]
+         for t in roots]
     return math.log(q[1]) - math.log(q[0]), 1.0 / (1.0 + q[0]) - 1.0 / (1.0 + q[1])
 
 
@@ -368,14 +362,19 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     """The rate at which |s> is equally supported on the two lowest eigenstates.
 
     The balance point eta* is found by secant steps on log(q_1/q_0), nearly
-    linear in eta around it, inside a bracket that starts as (-1, inf) and
-    shrinks with each evaluation, from eta = -1/N, the balance point to
-    leading order (on K_n it is -1/(n-1) exactly).  It ends when a step would
-    move eta by at most two ulps, or when the balance is at rounding level
-    and the step would not change the rate: at large N double precision
-    cannot place eta* to its last bits, but every eta it cannot tell apart
-    rounds to the same rate.  J(2,1) balances only at gamma = 0 (eta = -1)
-    and is refused with SearchBracketError.
+    linear in eta around it, from eta = -1/N, the balance point to leading
+    order (on K_n it is -1/(n-1) exactly), inside a bracket that starts as
+    (-1, 0), shrinks with each evaluation and bisects where a step leaves it.
+    It ends when a step would move eta by at most two ulps, or when the
+    balance is at rounding level and the step would not change the rate: at
+    large N double precision cannot place eta* to its last bits, but every
+    eta it cannot tell apart rounds to the same rate.  J(2,1) balances only
+    at gamma = 0 (eta = -1) and is refused with SearchBracketError.
+
+    eta* < 0: at S_1 (h = 0) a root t_i beside pole 0 has z_0^2 = t_i^2 G(t_i),
+    G(t) = sum_{j>=1} z_j^2/(p_j (p_j - t)); so q_i = K(t_i)/G(t_i), K(t) =
+    sum_{j>=1} z_j^2/(p_j - t)^2, a positive-weight mean of p_j/(p_j - t_i),
+    below 1 at t_0 < 0 and above 1 at t_1 > 0: q_0 < 1 < q_1.
     """
     n_vertices = _check_reduced_params(n, k)
     if n_vertices <= 2.0:
@@ -395,7 +394,7 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     def rounded(eta: float) -> float:
         return float(rate * (1 + Fraction(eta)))
 
-    lo, hi = -1.0, math.inf
+    lo, hi = -1.0, 0.0
     eta, prev = -1.0 / n_vertices, None
     while True:
         f, residual = _balance(eta, s1, d, z2)
@@ -412,7 +411,7 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
         else:
             step = math.inf
         if not lo < step < hi:
-            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * abs(eta) + 1.0
+            step = 0.5 * (lo + hi)
         if abs(step - eta) <= 2.0 * sys.float_info.epsilon * abs(eta) or (
                 abs(f) <= 16.0 * sys.float_info.epsilon
                 and rounded(step) == rounded(eta)):
@@ -587,9 +586,9 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
     ``_pole_balance`` at the others.  The roots take the two-pole step of
     ``_pole_step``, in units of sigma = min(gamma, 1), so that neither a
     small nor a large gamma pushes an offset out of the float range.  For
-    -1/2 <= eta <= 1 the two beside pole 0 are solved as the balance search
-    solves them, in units of one from the exact eta/(1+eta), root 0 with the
-    one-pole step of ``_pole_step`` (elsewhere, ``_lowest_step``'s).
+    -1/2 <= eta <= 1 the roots taken from pole 0 are solved as the balance
+    search solves them, in units of one from the exact eta/(1+eta), root 0
+    with the one-pole step of ``_pole_step`` (elsewhere, ``_lowest_step``'s).
 
     At gamma = 0, H is -|w><w|: the eigenvalue -1 with |w>, then k zeros
     (-0) whose eigenvectors are taken to be the other distance states, as

@@ -71,7 +71,7 @@ def test_critical_rate_expansion():
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 100, 236, 1001])
 def test_complete_graph_balances_at_minus_one_over_n_minus_one(monkeypatch, n):
     # On K_n the balance point is gamma = (n-2)/n^2, eta* = -1/(n-1) exactly;
-    # K_3 sits at eta* = -1/2, halfway down the bracket (-1, inf).
+    # K_3 sits at eta* = -1/2, the midpoint of the bracket (-1, 0).
     result, eta = _last_eta(monkeypatch, n, 1)
     assert abs(eta + 1.0 / (n - 1)) <= sys.float_info.epsilon
     exact = (n - 2) / n ** 2
@@ -102,12 +102,11 @@ def test_complete_graphs_up_to_399_balance_at_minus_one_over_n_minus_one(monkeyp
 @pytest.mark.parametrize("n,k", [
     (100, 3), (2000, 20), (150000, 3), (40, 20), (16, 1), (9, 4)])
 def test_balance_is_the_spectrum_it_balances(monkeypatch, n, k):
-    # The search's bracket opens to (-1, inf), so the balance is taken far
-    # from eta* too.  At every eta it is the spectrum at S_1 (1 + eta): the
-    # residual its overlap_s[0] - overlap_s[1] (measured: within 2 eps), and
-    # log(q_1/q_0) the log-ratio of q_i = (1 - overlap_s[i]) / overlap_s[i]
-    # (within 4 eps).  At J(2000,20) and eta = 0.4 root 1 lies next to pole
-    # 1, where its offset from pole 0 rounds to the pole.
+    # The search's bracket is (-1, 0), so the balance is taken far from eta*
+    # too, up to S_1 itself.  At every eta it is the spectrum at S_1 (1 + eta):
+    # the residual its overlap_s[0] - overlap_s[1] (measured: within 2 eps),
+    # and log(q_1/q_0) the log-ratio of q_i = (1 - overlap_s[i]) / overlap_s[i]
+    # (within 4 eps).
     calls = []
     balance = scheme._balance
 
@@ -118,7 +117,7 @@ def test_balance_is_the_spectrum_it_balances(monkeypatch, n, k):
     monkeypatch.setattr(scheme, "_balance", recording_balance)
     scheme.gamma_c_numeric(n, k)
     rate, eps = scheme.critical_rate(n, k), sys.float_info.epsilon
-    for eta in (-0.3, -1e-3, -1.0 / math.comb(n, k), 0.0, 1e-3, 0.4):
+    for eta in (-0.3, -1e-3, -1.0 / math.comb(n, k), 0.0):
         log_ratio, residual = balance(eta, *calls[-1])
         overlaps = scheme.secular_spectrum(n, k, rate * (1 + Fraction(eta))).overlap_s
         assert abs(residual - (overlaps[0] - overlaps[1])) <= 4.0 * eps, eta
@@ -152,6 +151,70 @@ def test_balance_resolved_at_large_n(n, k):
     assert abs(shift) <= 4.0 / math.comb(n, k) + 1e-15
 
 
+def _midpoint_rate(n, k):
+    """H = (1/N) sum_j m_j / (D_j - D_1/2), exactly: below it the secular
+    function is negative halfway from pole 0 to pole 1."""
+    theta, mult = scheme.scheme_spectrum(n, k)
+    half = Fraction(theta[0] - theta[1], 2)
+    return sum(Fraction(m, 1) / (theta[0] - t - half)
+               for t, m in zip(theta, mult)) / sum(mult)
+
+
+def test_midpoint_rate_is_above_s1_except_on_k3():
+    # H - S_1 = (n-3)/(nN) + (1/N) sum_{j>=2} m_j (D_1/2)/(D_j (D_j - D_1/2)),
+    # so below S_1 root 1 lies in the lower half of its gap, as ``_balance``
+    # brackets it; equality holds only on K_3.
+    for n in range(3, 80):
+        for k in range(1, n // 2 + 1):
+            theta, mult = scheme.scheme_spectrum(n, k)
+            count = sum(mult)
+            d = [theta[0] - t for t in theta]
+            excess = _midpoint_rate(n, k) - scheme.critical_rate(n, k)
+            assert excess == Fraction(n - 3, n * count) + sum(
+                Fraction(m * n, dj * (2 * dj - n))
+                for dj, m in zip(d[2:], mult[2:])) / Fraction(count), (n, k)
+            assert excess == 0 if (n, k) == (3, 1) else excess > 0, (n, k)
+
+
+def test_s1_leans_toward_the_lowest_eigenstate():
+    # At S_1 the two roots beside pole 0 have q_0 < 1 < q_1, so |s> lies
+    # more on the lowest eigenstate and the balance point is below S_1:
+    # in the spectrum at the exact rate, and in the search's own balance
+    # at eta = 0.
+    graphs = 0
+    for n in range(3, 80):
+        for k in range(1, n // 2 + 1):
+            if math.comb(n, k) >= 1e20:
+                continue
+            graphs += 1
+            overlaps = scheme.secular_spectrum(
+                n, k, scheme.critical_rate(n, k)).overlap_s
+            assert overlaps[0] > 0.5 > overlaps[1], (n, k)
+            table = scheme._scheme(n, k)
+            log_ratio, residual = scheme._balance(
+                0.0, float(table.rate), table.d, table.z2)
+            assert log_ratio > 0.0 and residual > 0.0, (n, k)
+    assert graphs == 1453
+
+
+def test_balance_search_evaluates_only_below_s1(monkeypatch):
+    # The bracket closes at eta = 0: no balance is taken at or above S_1.
+    etas = []
+    balance = scheme._balance
+
+    def recording_balance(eta, *args):
+        etas.append(eta)
+        return balance(eta, *args)
+
+    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    graphs = [(n, k) for n in range(3, 60) for k in range(1, n // 2 + 1)]
+    graphs += [(2000, 20), (150000, 3), (10 ** 7, 8), (1029, 514), (10 ** 300, 1)]
+    for n, k in graphs:
+        etas.clear()
+        scheme.gamma_c_numeric(n, k)
+        assert etas and all(-1.0 < eta < 0.0 for eta in etas), (n, k, etas)
+
+
 def test_balance_search_builds_no_spectrum_table():
     # The search needs theta, the multiplicities and S_1 only.  The table of
     # secular_spectrum holds (k+1)^2 pole rows: through it, this search took
@@ -181,19 +244,24 @@ def _scripted_search(monkeypatch, balances):
     return scheme.gamma_c_numeric(100, 3), etas
 
 
-@pytest.mark.parametrize("second,bisects", [
-    (1.0, True), (-1.0, False), (2.0, True), (-2.0, False)],
+@pytest.mark.parametrize("second,toward", [
+    (1.0, -1.0), (-1.0, 0.0), (2.0, -1.0), (-2.0, 0.0)],
     ids=["equal-above", "equal-below", "secant-out-above", "secant-out-below"])
-def test_balance_search_steps_back_into_its_bracket(monkeypatch, second, bisects):
-    # A second balance equal to the first has no secant, and one farther
-    # from zero on the same side sends the secant out of the bracket.  The
-    # third eta then bisects the bracket when it is closed above (both
-    # balances positive), and is 2|eta| + 1 while it is open above.
+def test_balance_search_steps_back_into_its_bracket(monkeypatch, second, toward):
+    # The bracket starts as (-1, 0), since the balance lies below S_1.  A
+    # second balance equal to the first has no secant, and one farther from
+    # zero on the same side sends the secant out of the bracket.  The third
+    # eta then bisects the bracket, toward -1 when both balances are positive
+    # and toward 0 when both are negative.  Below, the first step, +1.24e-3
+    # from eta = -1/N, leaves the bracket too and is bisected back.
     first = math.copysign(1.0, second)
     result, etas = _scripted_search(
         monkeypatch, [(first, 0.5), (second, 0.25), (0.0, 0.125)])
     assert len(etas) == 3
-    assert etas[2] == (0.5 * (-1.0 + etas[1]) if bisects else 2.0 * abs(etas[1]) + 1.0)
+    assert all(-1.0 < eta < 0.0 for eta in etas), etas
+    if toward == 0.0:
+        assert etas[1] == 0.5 * etas[0]
+    assert etas[2] == 0.5 * (toward + etas[1])
     # The answer is still the rate at the last balance, with its residual.
     assert result.gamma == float(scheme.critical_rate(100, 3) * (1 + Fraction(etas[2])))
     assert result.residual == 0.125
