@@ -26,7 +26,8 @@ def reduced_adjacency(n: int, k: int) -> np.ndarray:
     diagonal carries the same-class counts a_i, and the off-diagonal entry
     between classes i and i+1 is (i+1) * sqrt(b_i), the geometric mean
     sqrt(b_i * c_{i+1}) that symmetrizes the up/down neighbor counts.  No
-    entry exceeds the degree k(n-k).
+    entry exceeds the degree k(n-k), which is below the top pole k(n-k+1)
+    that ``scheme._check_model`` bounds gamma by.
     """
     counts = intersection_array(n, k)
     off = [(i + 1) * math.sqrt(b) for i, b in enumerate(counts.b)]
@@ -40,8 +41,9 @@ def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
     single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
     negative and non-finite values are rejected (gamma = 0 is admitted and
     leaves just the oracle term), and so is a gamma whose product with the
-    degree k(n-k) overflows (``scheme._check_model``); no entry of gamma * A
-    is larger.
+    top pole k(n-k+1) overflows (``scheme._check_model``).  That one product
+    bounds every energy, every pole shift and every entry of gamma * A, so
+    this matrix is built at exactly the rates every command accepts.
     """
     _check_model(n, k, gamma)
     hamiltonian = -float(gamma) * reduced_adjacency(n, k)

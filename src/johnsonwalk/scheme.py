@@ -163,13 +163,21 @@ def _check_positive_gamma(gamma: float) -> None:
 
 def _check_model(n: int, k: int, gamma: float) -> None:
     """The search Hamiltonian's input rules, in order: gamma, (n, k), and a
-    gamma whose product with the degree k(n-k) overflows.  The model forms
-    the energies -gamma*theta_j, and |theta_j| <= theta_0 = k(n-k); every
-    entry of the reduced adjacency is at most the degree too.  The degree is
-    at most N = C(n,k), so it is a float once (n, k) pass."""
+    gamma whose product with the top pole D_k = k(n-k+1) overflows.  This
+    one product bounds every number the model forms from gamma: the
+    energies -gamma*theta_j, since |theta_j| <= theta_0 = k(n-k) < D_k; the
+    shifts gamma*D_j of the poles from pole 0, the gaps between them, and
+    the roots' shifts, which lie in [-1, gamma*D_k]; and every entry of
+    gamma times the reduced adjacency, none above the degree k(n-k).
+
+    D_k is at most N = C(n,k), so it is a float once (n, k) pass: for
+    k = 1, D_1 = n = N; for 2 <= k <= n/2, D_k <= ((n+1)/2)^2 by the
+    arithmetic-geometric mean of k and n-k+1, and N >= C(n,2) = n(n-1)/2,
+    which is at least (n+1)^2/4 once n >= 5; the one graph left, J(4,2),
+    has N = D_2 = 6."""
     _check_gamma(gamma)
     _check_reduced_params(n, k)
-    if not math.isfinite(gamma * float(k * (n - k))):
+    if not math.isfinite(gamma * float(k * (n - k + 1))):
         raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
 
 

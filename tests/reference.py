@@ -12,11 +12,14 @@ forms and its two-level report must match.
 
 ``on_cpus`` runs a block of a test as on a machine with fewer CPUs, for the
 tests that hold output bytes to not depending on the CPU count.
+``largest_rate`` is the edge of the rates the model takes, found by walking
+the doubles, so that no test of that edge holds a literal rate.
 """
 
 import contextlib
 import math
 import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +43,18 @@ def on_cpus(count):
         yield
     finally:
         os.sched_setaffinity(0, allowed)
+
+
+def largest_rate(n, k):
+    """The largest double gamma with gamma * k(n-k+1), the top pole of
+    J(n,k), finite."""
+    pole = float(k * (n - k + 1))
+    gamma = sys.float_info.max / pole
+    while not math.isfinite(gamma * pole):
+        gamma = math.nextafter(gamma, 0.0)
+    while math.isfinite(math.nextafter(gamma, math.inf) * pole):
+        gamma = math.nextafter(gamma, math.inf)
+    return gamma
 
 
 class FullGraph(NamedTuple):

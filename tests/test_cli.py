@@ -1385,39 +1385,39 @@ def test_cli_contract_on_adversarial_arguments(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
-def _largest_rate(n, k):
-    """The largest double gamma with gamma * k(n-k) finite."""
-    degree = float(k * (n - k))
-    gamma = sys.float_info.max / degree
-    while not math.isfinite(gamma * degree):
-        gamma = math.nextafter(gamma, 0.0)
-    while math.isfinite(math.nextafter(gamma, math.inf) * degree):
-        gamma = math.nextafter(gamma, math.inf)
-    return gamma
-
-
 @pytest.mark.parametrize("n,k", [(4, 1), (10, 3), (14, 7)])
 def test_the_first_rate_past_the_degree_is_refused_everywhere(n, k):
-    # Every energy -gamma*theta_j is at most gamma * k(n-k) in size.  Up to
-    # the largest rate where that product is finite, spectrum prints finite
-    # energies; the next double is refused by the model, by the dense
-    # Hamiltonian and by every command that takes a rate, with one line.
-    top = _largest_rate(n, k)
-    over = math.nextafter(top, math.inf)
+    # The model's one rate rule bounds gamma * k(n-k+1), the top pole, which
+    # is above the degree k(n-k), so the first rate past either edge is
+    # refused.  Up to the largest rate where the product is finite, every
+    # command that takes a rate answers in finite numbers, a walk at t = 0
+    # included; the next double is refused by the model, by the dense
+    # Hamiltonian and by every one of those commands, with the same line.
+    top = reference.largest_rate(n, k)
+    below, over = math.nextafter(top, 0.0), math.nextafter(top, math.inf)
     size = ["--n", str(n), "--k", str(k)]
-    code, out, err = _run_cli(["spectrum", *size, "--gamma", repr(top)])
-    assert (code, err) == (0, "")
-    assert all(math.isfinite(float(row.split(",")[1]))
-               for row in out.splitlines()[1:])
+
+    def commands(previous, gamma):
+        at_zero = ["--t-max", "0", "--steps", "2"]
+        return (["spectrum", *size, "--gamma", repr(gamma)],
+                ["sweep-gamma", *size, "--gamma-min", repr(previous),
+                 "--gamma-max", repr(gamma), "--points", "2"],
+                ["simulate", *size, "--gamma", repr(gamma), *at_zero],
+                ["verify", *size, "--gamma", repr(gamma), *at_zero])
+
+    for argv in commands(below, top):
+        code, out, err = _run_cli(argv)
+        assert (code, err) == (0, ""), argv
+        fields = re.split(r"[\s,=]+", out)
+        assert not any(f.lower().lstrip("+-") in ("inf", "nan") for f in fields), out
+        if argv[0] == "simulate":
+            rows = [float(row.split(",")[1]) for row in out.splitlines()[1:]]
+            assert rows == pytest.approx([1.0 / math.comb(n, k)] * 2, abs=1e-15)
     message = f"gamma={over!r} overflows the J({n},{k}) Hamiltonian"
     for build in (scheme.secular_spectrum, analysis.search_hamiltonian):
         with pytest.raises(ValueError, match=re.escape(message)):
             build(n, k, over)
-    for argv in (["spectrum", *size, "--gamma", repr(over)],
-                 ["sweep-gamma", *size, "--gamma-min", repr(top),
-                  "--gamma-max", repr(over), "--points", "2"],
-                 ["simulate", *size, "--gamma", repr(over)],
-                 ["verify", *size, "--gamma", repr(over)]):
+    for argv in commands(top, over):
         assert _run_cli(argv) == (1, "", f"error: {message}\n"), argv
 
 

@@ -47,6 +47,21 @@ def test_scheme_spectrum_is_the_johnson_scheme(n, k):
     assert theta == sorted(theta, reverse=True)
 
 
+def test_top_pole_is_at_most_the_vertex_count():
+    # The rate rule forms float(k(n-k+1)) once N = C(n,k) is known to be a
+    # float, so D_k <= N keeps it one: equal on K_n and on J(4,2), below on
+    # every other graph.  At the largest gamma the rule then refuses with
+    # its one message, not with the OverflowError of an int too large.
+    graphs = [(n, k) for n in range(2, 400) for k in range(1, n // 2 + 1)]
+    for n, k in graphs + [(1029, 514), (10**300, 1)]:
+        top, count = k * (n - k + 1), math.comb(n, k)
+        assert top <= count, (n, k)
+        assert (top == count) == (k == 1 or (n, k) == (4, 2)), (n, k)
+    for n, k in [(1029, 514), (10**300, 1)]:
+        with pytest.raises(ValueError, match=r"overflows the J\(.*\) Hamiltonian$"):
+            scheme._check_model(n, k, sys.float_info.max)
+
+
 @pytest.mark.parametrize("n,k,s1,gamma_c", S1_TABLE)
 def test_critical_rate_and_balance_point_match_the_table(n, k, s1, gamma_c):
     rate = scheme.critical_rate(n, k)

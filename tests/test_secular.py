@@ -8,14 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from johnsonwalk import scheme
 
 
 def _eigensolver(n, k, gamma):
     """The distance-basis H's spectrum through the dense eigensolver."""
-    pytest.importorskip("numpy")
-    import reference
-
     return reference.overlap_spectrum(n, k, gamma)
 
 
@@ -163,7 +161,6 @@ def test_secular_curve_matches_extended_precision(n, k):
     # curve: at most 1.0e-15 in p and 5.6e-16 in |amplitude|, as before the
     # phase tables (7.8e-16 and 4.4e-16).
     mpmath = pytest.importorskip("mpmath")
-    pytest.importorskip("numpy")
     from johnsonwalk import linalg
 
     gamma = float(scheme.critical_rate(n, k))
@@ -232,25 +229,42 @@ def test_the_crossing_where_the_rate_is_tiny(n, k):
     assert gap * math.sqrt(math.comb(n, k)) == pytest.approx(2.0)
 
 
+_EDGES = [(2, 1), (3, 1), (4, 1), (10, 3)]
+
+
 @pytest.mark.parametrize("n,k,gamma", [
-    (2, 1, 1e308), (3, 1, 8.5e307), (10, 3, 5e-324), (10**7, 4, 1e-300),
-    (10**150, 2, 1e-150), (10**7, 4, 5e-08), (2000, 20, 1e10),
-    (4, 1, 5.992310449541052e+307), (10, 3, 8.56044349934436e+306)],
-    ids=["2-1-1e308", "3-1-8.5e307", "10-3-5e-324", "1e7-4-1e-300",
-         "1e150-2-1e-150", "1e7-4-5e-08", "2000-20-1e10",
-         "4-1-largest", "10-3-largest"])
+    (10, 3, 5e-324), (10**7, 4, 1e-300), (10**150, 2, 1e-150),
+    (10**7, 4, 5e-08), (2000, 20, 1e10)]
+    + [(n, k, reference.largest_rate(n, k)) for n, k in _EDGES],
+    ids=["10-3-5e-324", "1e7-4-1e-300", "1e150-2-1e-150", "1e7-4-5e-08",
+         "2000-20-1e10"] + [f"{n}-{k}-largest" for n, k in _EDGES])
 def test_secular_spectrum_at_extreme_rates(n, k, gamma):
-    # Rates where a pole gap overflows, where gamma is subnormal, where
-    # a pole's own term balances the others (J(1e150,2) at 1/n, J(1e7,4) at
-    # 2 S_1), and the largest rates the model accepts, gamma * k(n-k) just
-    # below the float range: the overlaps still sum to one.
-    # The shifts from the top pole overflow where its gap does.
+    # Rates where gamma is subnormal, where a pole's own term balances the
+    # others (J(1e150,2) at 1/n, J(1e7,4) at 2 S_1), far above S_1, and the
+    # largest rates the model accepts, gamma * k(n-k+1) just below the float
+    # range: every column, the shifts too, is finite, and the overlaps still
+    # sum to one.
     spectrum = scheme.secular_spectrum(n, k, gamma)
-    for column in spectrum[:3]:
+    for column in spectrum:
         assert all(math.isfinite(x) for x in column)
     assert spectrum.energies == sorted(spectrum.energies)
     assert abs(math.fsum(spectrum.overlap_s) - 1.0) <= 1e-12
     assert abs(math.fsum(spectrum.overlap_w) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,gamma", [
+    (2, 1, 1e308), (3, 1, 8.5e307), (4, 1, 5.992310449541052e+307),
+    (10, 3, 8.56044349934436e+306)],
+    ids=["2-1-1e308", "3-1-8.5e307", "4-1-6e307", "10-3-8.6e306"])
+def test_rates_past_the_top_pole_are_refused(n, k, gamma):
+    # Rates whose product with the degree k(n-k) is finite, but not the
+    # shift of the top pole, gamma * k(n-k+1): the model refuses them.
+    assert math.isfinite(gamma * k * (n - k))
+    assert gamma > reference.largest_rate(n, k)
+    message = f"gamma={gamma!r} overflows the J({n},{k}) Hamiltonian"
+    with pytest.raises(ValueError) as refused:
+        scheme.secular_spectrum(n, k, gamma)
+    assert str(refused.value) == message
 
 
 def test_weights_sum_to_the_marked_overlap():
