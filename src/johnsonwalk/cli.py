@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import numbers
 import os
 import sys
@@ -176,11 +175,9 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     scheme._check_reduced_params(n, k)
     lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * k * n)
     hi = args.gamma_max if args.gamma_max is not None else 2.0 / (k * n)
-    if points < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {points}")
-    scheme._check_steps(points)  # refuses a grid too large to address
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"gamma range [{lo}, {hi}] is not finite")
+    scheme._check_steps(points)
+    scheme._check_gamma(lo)
+    scheme._check_gamma(hi)
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
     gammas = list(scheme._grid(lo, hi, points))

@@ -22,8 +22,8 @@ import sys
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .scheme import (SIGN_EPS, _check_gamma, _check_k3_params, _check_positive_gamma,
-                     _check_reduced_params, _jacobi, gamma_c_formula_k3)
+from .scheme import (SIGN_EPS, _check_gamma, _check_reduced_params, _jacobi,
+                     gamma_c_formula_k3)
 
 Rows = tuple[tuple[float, ...], ...]
 
@@ -60,12 +60,15 @@ def basis_change_T(n: int) -> Rows:
         |r''> = (9 sqrt(2) / sqrt((n^2+2)(n+4)))
                 * (0, (n+4) sqrt(n-4) / (9 sqrt(2)), -1, -sqrt(n-5)/3)
 
-    Requires n >= 6 so all radicands are non-negative.
+    Requires what the graph rule requires at k = 3: an integer n >= 6, so
+    every radicand is non-negative, with C(n,3) a float.  Each root is taken
+    of factors that are floats on that whole range; (n^2+2)(n+4) is not one
+    from n = 5.6e102.
     """
-    _check_k3_params(n)
+    _check_reduced_params(n, 3)
     c_r = math.sqrt(18.0 / (n * n + 2))
     c_rp = math.sqrt(9.0 / (n + 4))
-    c_rpp = 9.0 * math.sqrt(2.0) / math.sqrt((n * n + 2) * (n + 4))
+    c_rpp = 9.0 * math.sqrt(2.0) / (math.sqrt(n * n + 2) * math.sqrt(n + 4))
     return (
         (1.0, 0.0, 0.0, 0.0),
         (0.0, c_r, 0.0, c_rpp * (n + 4) * math.sqrt(n - 4.0) / (9.0 * math.sqrt(2.0))),
@@ -78,24 +81,29 @@ def basis_change_T(n: int) -> Rows:
 def transformed_hamiltonian_closed(n: int, gamma: float) -> Rows:
     """Closed-form entries of H' = T^T H T in the {d_0, r, r', r''} basis.
 
-    Written as -gamma * M with M symmetric; the (0,2) and (1,2) entries are
-    structural zeros.
+    Written as H' = -gamma M - |d_0><d_0|, with M = T^T A T symmetric and
+    A the reduced adjacency; M's (0,0) entry is a_0 = 0, so H'[0][0] is -1
+    at every rate, and the (0,2) and (1,2) entries are structural zeros.
+    Each root is taken of factors that are floats for every n the graph
+    rule accepts.
     """
-    _check_k3_params(n)
-    _check_positive_gamma(gamma)
+    _check_reduced_params(n, 3)
+    _check_gamma(gamma)
     s = math.sqrt
     q = n * n + 2
     m01 = 3 * s(6 * (n - 3)) / s(q)
-    m03 = s(3 * (n - 3) * (n - 4) * (n + 4)) / s(q)
+    m03 = s(3 * (n - 3)) * s((n - 4) * (n + 4)) / s(q)
     m13 = -3 * s(2 * (n - 4) * (n + 4)) / q
-    m23 = -2 * s(2 * (n - 5) * q) / (n + 4)
+    m23 = -2 * s(2 * (n - 5)) * s(q) / (n + 4)
     M = (
-        (1.0 / gamma, m01, 0.0, m03),
+        (0.0, m01, 0.0, m03),
         (m01, 3 * (n**3 - 3 * n**2 + 2 * n - 12) / q, 0.0, m13),
         (0.0, 0.0, (2 * n * n - 9 * n - 32) / (n + 4), m23),
         (m03, m13, m23, (n**4 + 2 * n**3 - 42 * n**2 + 22 * n - 16) / ((n + 4) * q)),
     )
-    return tuple(tuple(-gamma * entry for entry in row) for row in M)
+    h = [[-gamma * entry for entry in row] for row in M]
+    h[0][0] -= 1.0  # the oracle, -|d_0><d_0|
+    return tuple(map(tuple, h))
 
 
 def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]:
@@ -111,7 +119,7 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
     expanded in closed form; its roots are the block eigenvalues, one of
     which is lambda_u.
     """
-    _check_k3_params(n)
+    _check_reduced_params(n, 3)
     _check_gamma(gamma)
     g = float(gamma)
     return (
@@ -131,15 +139,17 @@ def _signed(vector: tuple[float, ...]) -> tuple[float, ...]:
 
 def _block_pair(n: int, gamma: float) -> tuple[float, tuple[float, float, float]]:
     """The eigenpair of the block B of ``char_cubic_coeffs`` with its
-    eigenvalue nearest -1 - 1/(2n), by ``scheme._jacobi``.  B is refused
-    unless 4 sum |b_ij| is finite, a bound on every number the rotations
-    form."""
+    eigenvalue nearest -1 - 1/(2n), by ``scheme._jacobi``.
+
+    4 sum |b_ij| bounds every number the rotations form, and it is finite
+    wherever the cubic is, which ``perturbation_report`` checks first: a
+    finite constant term bounds g^3 |6n^2 - 51n|, which keeps g n below 1e137
+    for every n the graph rule accepts, and no entry of B exceeds 1 + 2 g n.
+    """
     g = float(gamma)
     b02, b12 = -g * math.sqrt(3.0 * n), 2.0 * g * math.sqrt(2.0 * n)
     block = [[-1.0, 0.0, b02], [0.0, -g * (2.0 * n - 17.0), b12],
              [b02, b12, -g * (n - 2.0)]]
-    if not math.isfinite(4.0 * sum(abs(x) for row in block for x in row)):
-        raise ValueError(f"the k=3 block at n={n}, gamma={gamma} is not a finite matrix")
     values, vectors = _jacobi(block)
     seed = -1.0 - 1.0 / (2.0 * n)
     i = min(range(3), key=lambda i: abs(values[i] - seed))
@@ -178,7 +188,8 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     """Project the transformed Hamiltonian onto span{|r>, |u>} at one rate.
 
     gamma defaults to the closed-form critical rate, where the reduction is
-    designed to hold, and must otherwise be finite and positive.
+    designed to hold, and must otherwise be finite and non-negative, the
+    rate rule of the search Hamiltonian.
     (lambda_u, |u>) is the (d0, r', r'') block eigenpair with lambda_u
     nearest -1 - 1/(2n), from ``_block_pair``.  With |u> embedded at zero
     r-component, the 2x2 entries are quadratic forms of
@@ -188,13 +199,16 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     sign rule.  The gap is a difference of eigenvalues of size ~1, so it is
     refused with ValueError once it is within 1e3 ulps of them (n above
     about 7.5e8 at the critical rate), as is a report with any value outside
-    the float range (the cubic's gamma^3 n^2 term overflows near
-    gamma = 1e102 at n = 100).
+    the float range.  The cubic is checked before the block is solved (its
+    gamma^3 n^2 term overflows near gamma = 1e102 at n = 100), then the gap,
+    then every other value.
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n)
-    _check_positive_gamma(gamma)
+    _check_gamma(gamma)
     cubic = char_cubic_coeffs(n, gamma)
+    if not _finite(cubic):
+        raise ValueError(f"cubic_coefficients overflows at n={n}, gamma={gamma}")
     lam, u = _block_pair(n, gamma)
     hp = transformed_hamiltonian_closed(n, gamma)
     u4 = (u[0], 0.0, u[1], u[2])

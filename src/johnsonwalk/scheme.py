@@ -49,7 +49,8 @@ if TYPE_CHECKING:
 
 #: Default ceiling on C(n,k) for brute-force construction, the dense oracle's
 #: old limit; the matrix-free one runs far past it when the cap is raised.  It
-#: is defined here so that the command line's help can show it without numpy.
+#: is defined here because ``scheme`` is the one module the command line
+#: imports at start-up, and its help shows the cap.
 DEFAULT_VERTEX_CAP = 4000
 
 #: The eigenvector sign rule of ``linalg.eig_sym`` and ``reduced`` makes the
@@ -143,22 +144,10 @@ def _check_reduced_params(n: int, k: int) -> float:
                      f"(about {sys.float_info.max:.1e})")
 
 
-def _check_k3_params(n: int) -> None:
-    """Validate n for the k = 3 perturbation picture: an integer n >= 6."""
-    if not isinstance(n, numbers.Integral) or n < 6:
-        raise ValueError(f"the k=3 analysis requires integer n >= 6, got {n}")
-    _check_reduced_params(n, 3)
-
-
 def _check_gamma(gamma: float) -> None:
     """Validate a jumping rate: finite and non-negative (0 leaves the oracle)."""
     if not math.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-
-
-def _check_positive_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 def _check_model(n: int, k: int, gamma: float) -> None:
@@ -201,7 +190,7 @@ def _check_vertex_cap(n: int, k: int, cap: int) -> int:
 def _check_steps(steps) -> None:
     """Validate a grid size: an integer >= 2 that a float64 array can hold."""
     if not isinstance(steps, numbers.Integral) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps}")
+        raise ValueError(f"a grid needs an integer number of points >= 2, got {steps}")
     if steps > sys.maxsize // 8:  # the most float64s numpy addresses
         raise ValueError(f"a grid of {steps} points is too large to address")
 
@@ -286,7 +275,7 @@ def critical_rate(n: int, k: int) -> Fraction:
 
 def gamma_c_formula_k3(n: int) -> float:
     """Closed-form critical jumping rate 1/(3n) + 7/(6n^2) for k = 3."""
-    _check_k3_params(n)
+    _check_reduced_params(n, 3)
     return 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
 
 

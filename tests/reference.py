@@ -129,7 +129,7 @@ def distance_classes(graph, w=0):
 def pt_block(n, gamma):
     """3x3 leading-order Hamiltonian block over (d0, r', r''), the matrix
     whose characteristic polynomial is ``reduced.char_cubic_coeffs``."""
-    scheme._check_k3_params(n)
+    scheme._check_reduced_params(n, 3)
     scheme._check_gamma(gamma)
     g = float(gamma)
     return np.array([
@@ -164,7 +164,7 @@ class NaiveSplitting(NamedTuple):
 
 def naive_splitting_diagnostic(n, gamma):
     """Split H (k = 3) into the naive leading and first-order pieces."""
-    scheme._check_k3_params(n)
+    scheme._check_reduced_params(n, 3)
     scheme._check_gamma(gamma)
     h0 = np.diag([-1.0, -gamma * n, -2.0 * gamma * n, -3.0 * gamma * n])
     h1 = -gamma * np.array([

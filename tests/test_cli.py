@@ -751,7 +751,8 @@ def test_verify_zero_window_still_checks_steps(steps, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: steps must be an integer >= 2, got {steps}\n"
+    assert captured.err == ("error: a grid needs an integer number of points >= 2, "
+                            f"got {steps}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -794,7 +795,9 @@ def test_overflowing_input_exits_one(argv, capsys):
     (["critical-gamma", "--n", "3", "--k", "2"], "requires n >= 2k"),
     (["critical-gamma", "--n", "2", "--k", "1"], "no sign change"),
     (["analyze-pt", "--n", str(10**25)], "not resolved in double precision"),
-], ids=["n0-k0", "n-below-2k", "no-bracket", "pt-unresolved-gap"])
+    (["analyze-pt", "--n", str(10**103)], "not resolved in double precision"),
+], ids=["n0-k0", "n-below-2k", "no-bracket", "pt-unresolved-gap",
+        "pt-top-of-n-range"])
 def test_refused_input_is_one_error_line(argv, message, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -1419,6 +1422,44 @@ def test_the_first_rate_past_the_degree_is_refused_everywhere(n, k):
             build(n, k, over)
     for argv in commands(top, over):
         assert _run_cli(argv) == (1, "", f"error: {message}\n"), argv
+
+
+def _bad_inputs():
+    """Each bad input, with every command that takes it."""
+    cases = {}
+    for n in ("5", "3"):
+        graph = ["--n", n, "--k", "3"]
+        cases[f"J({n},3)"] = [
+            *([command, *graph] for command in ("spectrum", "simulate", "verify",
+                                                "sweep-gamma", "critical-gamma")),
+            ["analyze-pt", "--n", n]]
+    graph = ["--n", "100", "--k", "3"]
+    for gamma in ("nan", "inf", "-1"):
+        lo, hi = ("0.001", gamma) if gamma == "inf" else (gamma, "0.1")
+        cases[f"gamma={gamma}"] = [
+            *([command, *graph, "--gamma", gamma]
+              for command in ("spectrum", "simulate", "verify")),
+            ["analyze-pt", "--n", "100", "--gamma", gamma],
+            ["sweep-gamma", *graph, "--gamma-min", lo, "--gamma-max", hi]]
+    graph = ["--n", "7", "--k", "3"]
+    cases["1-point-grid"] = [["simulate", *graph, "--steps", "1"],
+                             ["verify", *graph, "--steps", "1"],
+                             ["sweep-gamma", *graph, "--points", "1"]]
+    return cases
+
+
+_BAD_INPUTS = _bad_inputs()
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_INPUTS))
+def test_a_bad_input_is_the_same_line_in_every_command(bad):
+    # Each input has one rule, so every command that takes it refuses it
+    # with the same single line.
+    first, *others = _BAD_INPUTS[bad]
+    code, out, err = _run_cli(first)
+    assert (code, out) == (1, "") and re.fullmatch(r"error: [^\n]*\n", err), err
+    for argv in others:
+        assert _run_cli(argv) == (code, out, err), argv
 
 
 @pytest.mark.parametrize("exc", [

@@ -100,9 +100,9 @@ def test_search_hamiltonian_rejects_overflowing_gamma():
         analysis.search_hamiltonian(7, 3, 1e308)
 
 
-@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -0.1])
 def test_transformed_hamiltonian_closed_rejects_bad_gamma(gamma):
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="finite and non-negative"):
         reduced.transformed_hamiltonian_closed(100, gamma)
 
 
@@ -112,6 +112,19 @@ def test_k3_basis_change_rejects_vertex_count_beyond_float():
         reduced.basis_change_T(10**200)
     with pytest.raises(ValueError, match="float range"):
         reduced.transformed_hamiltonian_closed(10**200, 0.1)
+
+
+@pytest.mark.parametrize("n", [4 * 10**102, 10**103], ids=["4e102", "1e103"])
+def test_k3_closed_forms_at_the_top_of_the_n_range(n):
+    # C(n,3) is a float up to n = 1.0255e103, but 3(n-3)(n-4)(n+4), the
+    # square of a numerator of H', is not from n = 3.9e102: its root is
+    # taken factor by factor.
+    t = np.array(reduced.basis_change_T(n))
+    assert np.abs(t.T @ t - np.eye(4)).max() <= 1e-15
+    h = reduced.transformed_hamiltonian_closed(n, scheme.gamma_c_formula_k3(n))
+    assert all(math.isfinite(entry) for row in h for entry in row)
+    assert h[0][0] == -1.0
+    assert reduced.perturbation_report(n, 1e-200).predicted_gap == 1.0
 
 
 def test_initial_state_rejects_vertex_count_beyond_float():
@@ -186,13 +199,16 @@ def test_basis_change_requires_n_at_least_6():
 
 @pytest.mark.parametrize("n", [6, 10, 100, 1000])
 def test_transformed_hamiltonian_closed_form(n):
-    gamma = 1.0 / (3.0 * n) + 7.0 / (6.0 * n * n)
-    numeric = reference.transformed_hamiltonian(n, gamma)
-    closed = np.array(reduced.transformed_hamiltonian_closed(n, gamma))
-    assert np.abs(numeric - closed).max() < 1e-12
-    # the (d0, r') and (r, r') couplings vanish identically
-    assert closed[0, 2] == 0.0
-    assert closed[1, 2] == 0.0
+    # At gamma = 0 and at the smallest subnormal rate, H' is the oracle
+    # alone within rounding: its (0,0) entry is -1, with no 1/gamma formed.
+    for gamma in (1.0 / (3.0 * n) + 7.0 / (6.0 * n * n), 0.0, 5e-324):
+        numeric = reference.transformed_hamiltonian(n, gamma)
+        closed = np.array(reduced.transformed_hamiltonian_closed(n, gamma))
+        assert np.abs(numeric - closed).max() < 1e-12
+        assert closed[0, 0] == -1.0
+        # the (d0, r') and (r, r') couplings vanish identically
+        assert closed[0, 2] == 0.0
+        assert closed[1, 2] == 0.0
 
 
 def test_transformed_hamiltonian_same_spectrum():
@@ -206,8 +222,6 @@ def test_transformed_hamiltonian_same_spectrum():
 def test_transformed_hamiltonian_closed_rejects_bad_params():
     with pytest.raises(ValueError):
         reduced.transformed_hamiltonian_closed(5, 0.01)
-    with pytest.raises(ValueError):
-        reduced.transformed_hamiltonian_closed(10, 0.0)
 
 
 def test_reduced_params_validation():
