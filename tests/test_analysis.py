@@ -451,3 +451,28 @@ def test_k3_closed_forms_share_search_hamiltonians_gamma_rule(name, gamma):
     with pytest.raises(ValueError, match="finite and non-negative"):
         K3_ENTRY_POINTS[name](100, gamma)
     K3_ENTRY_POINTS[name](100, 0.0)
+
+
+#: The package's k=3 closed forms, each with the reference it is checked
+#: against.
+K3_CLOSED_FORM_REFERENCES = {
+    "transformed_hamiltonian_closed": "transformed_hamiltonian",
+    "perturbation_report": "pt_block",
+}
+
+
+def _refusal(name, n, gamma):
+    try:
+        K3_ENTRY_POINTS[name](n, gamma)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(K3_CLOSED_FORM_REFERENCES))
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_k3_entry_points_share_the_gamma_domain(name, gamma):
+    # Each closed form refuses a rate, with the same line, exactly where its
+    # reference does, and accepts one exactly where its reference does.
+    assert (_refusal(name, 100, gamma)
+            == _refusal(K3_CLOSED_FORM_REFERENCES[name], 100, gamma))
