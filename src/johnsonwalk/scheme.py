@@ -79,7 +79,7 @@ class VertexCapError(ValueError):
     refused without computing it.
     """
 
-    def __init__(self, n_vertices: Optional[int], cap: int):
+    def __init__(self, n: int, k: int, n_vertices: Optional[int], cap: int):
         self.n_vertices = n_vertices
         self.cap = cap
         if n_vertices is None:
@@ -88,7 +88,7 @@ class VertexCapError(ValueError):
             size = (f"{_count_text(n_vertices)} vertices, above the configured "
                     f"cap {_count_text(cap)}")
         super().__init__(
-            f"J(n,k) has {size}; raise the cap to force brute-force construction")
+            f"J({n},{k}) has {size}; raise the cap to force brute-force construction")
 
 
 class CriticalGammaResult(NamedTuple):
@@ -108,13 +108,6 @@ def _check_params(n: int, k: int) -> None:
         raise ValueError(f"require 1 <= k < n, got n={n}, k={k}")
 
 
-def _check_class_params(n: int, k: int) -> None:
-    """Validate integers n >= 2k >= 2, where all k+1 distance classes exist."""
-    _check_params(n, k)
-    if n < 2 * k:
-        raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
-
-
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient C(n,k), through ``math.comb``."""
     if not isinstance(n, numbers.Integral) or not isinstance(k, numbers.Integral):
@@ -124,24 +117,36 @@ def binomial(n: int, k: int) -> int:
     return math.comb(int(n), int(k))
 
 
+def _vertex_count(n: int, k: int, limit: float) -> Optional[int]:
+    """C(n,k) for 1 <= k < n, or None once it is far above ``limit``.
+
+    The lower bound C(n,k) >= (n/m)^m, m = min(k, n-k), refuses a count more
+    than 2^64 times ``limit`` before the exact count is computed, which
+    takes most of a minute at m ~ 1e6.  Where the bound passes, m <= n/2 and
+    C(n,k) <= (e n/m)^m keep m below 1.1e3 (for ``limit`` the float maximum)
+    and the count below e^1850, so the exact count is cheap.
+    """
+    m = min(k, n - k)
+    if m * (math.log(n) - math.log(m)) > math.log(max(limit, 1)) + 64 * math.log(2):
+        return None
+    return binomial(n, k)
+
+
 def _check_reduced_params(n: int, k: int) -> float:
-    """Validate integers n >= 2k >= 2 and return N = C(n,k) as a float.
+    """Validate integers n >= 2k >= 2, where all k+1 distance classes exist,
+    and return N = C(n,k) as a float.
 
     N must be within the float range; every class size |d_i| is at most N,
     and N >= n, so n and the entries built from it are then in range too.
-
-    The lower bound C(n,k) >= (n/k)^k refuses a far-out N before the exact
-    value is computed, which takes most of a minute at k ~ 1e6.  Where the
-    bound passes, k <= n/2 and C(n,k) <= (e n/k)^k keep k below 1030 and N
-    below e^1740, so the exact value is cheap.
     """
-    _check_class_params(n, k)
-    if k * (math.log(n) - math.log(k)) <= math.log(sys.float_info.max) + 1.0:
-        count = binomial(n, k)
-        if count <= sys.float_info.max:
-            return float(count)
-    raise ValueError(f"C({n},{k}) vertices exceed the float range "
-                     f"(about {sys.float_info.max:.1e})")
+    _check_params(n, k)
+    if n < 2 * k:
+        raise ValueError(f"reduced model requires n >= 2k, got n={n}, k={k}")
+    count = _vertex_count(n, k, sys.float_info.max)
+    if count is None or count > sys.float_info.max:
+        raise ValueError(f"C({n},{k}) vertices exceed the float range "
+                         f"(about {sys.float_info.max:.1e})")
+    return float(count)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -171,19 +176,11 @@ def _check_model(n: int, k: int, gamma: float) -> None:
 
 
 def _check_vertex_cap(n: int, k: int, cap: int) -> int:
-    """Validate 1 <= k < n and return C(n,k), refusing a count above ``cap``.
-
-    The lower bound C(n,k) >= (n/m)^m, m = min(k, n-k), refuses a count more
-    than 2^64 times the cap before the exact count is computed, which takes
-    most of a minute at m ~ 1e6.
-    """
+    """Validate 1 <= k < n and return C(n,k), refusing a count above ``cap``."""
     _check_params(n, k)
-    m = min(k, n - k)
-    if m * (math.log(n) - math.log(m)) > math.log(max(cap, 1)) + 64 * math.log(2):
-        raise VertexCapError(None, cap)
-    n_vertices = binomial(n, k)
-    if n_vertices > cap:
-        raise VertexCapError(n_vertices, cap)
+    n_vertices = _vertex_count(n, k, cap)
+    if n_vertices is None or n_vertices > cap:
+        raise VertexCapError(n, k, n_vertices, cap)
     return n_vertices
 
 
@@ -225,10 +222,11 @@ def _check_grid(t_max: float, steps) -> None:
 def class_sizes(n: int, k: int) -> list[int]:
     """Sizes |d_i| = C(k,i) * C(n-k,i) of the k+1 distance classes.
 
-    Requires n >= 2k so that all k+1 classes are nonempty.  The sizes sum
-    to C(n,k).
+    Takes the graph rule of ``_check_reduced_params``: n >= 2k, so that all
+    k+1 classes are nonempty, and C(n,k), which the sizes sum to, within the
+    float range.
     """
-    _check_class_params(n, k)
+    _check_reduced_params(n, k)
     return [binomial(k, i) * binomial(n - k, i) for i in range(k + 1)]
 
 

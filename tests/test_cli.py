@@ -387,6 +387,16 @@ def test_svg_bytes_are_frozen(tmp_path, argv):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _FROZEN_SVG[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(_FROZEN_SVG))
+def test_svg_to_stdout_is_the_frozen_file(argv):
+    # The program draws to stdout the bytes it writes to a file.
+    run = subprocess.run([sys.executable, "-m", "johnsonwalk.cli", *argv.split()],
+                         env=_program_env(), capture_output=True, check=True,
+                         timeout=120)
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == _FROZEN_SVG[argv]
+
+
 def test_mixed_csv_bytes_are_frozen(tmp_path):
     written = _written_csv(tmp_path, *_mixed_table())
     assert hashlib.sha256(written).hexdigest() == _FROZEN_MIXED_CSV
@@ -439,6 +449,24 @@ def test_simulate_without_simd_dispatch_stays_within_the_curve_bound():
     assert len(plain) == len(baseline) == 70000
     assert [row[0] for row in baseline] == [row[0] for row in plain]
     assert max(abs(float(a[1]) - float(b[1])) for a, b in zip(plain, baseline)) <= 2e-15
+
+
+@pytest.mark.parametrize("argv", [
+    _LONG_SIMULATE,
+    ["simulate", "--n", "100", "--k", "3", "--steps", "3", "--t-max", "1e-320"],
+    ["sweep-gamma", "--n", "2000", "--k", "20", "--points", "200"],
+    ["spectrum", "--n", "100", "--k", "3"],
+], ids=["curve", "subnormal-times", "sweep", "spectrum"])
+def test_every_csv_field_is_its_float_at_17_digits(argv, capsys):
+    # Both formatters of the chunk loop: numpy's on the curve and on
+    # subnormal times, which take the '%.17g' fallback, and the printf
+    # template on a sweep and a spectrum.  An eig_index prints the same way.
+    assert cli.main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) > 0
+    for row in rows:
+        fields = row.split(",")
+        assert ["%.17g" % float(field) for field in fields] == fields, row
 
 
 def test_simulate_starts_no_thread(tmp_path, monkeypatch):
@@ -524,6 +552,16 @@ def test_sweep_gamma_blocks_are_the_spectrum_at_each_rate(capsys):
         assert cli.main(["spectrum", "--n", "20", "--k", "3", "--gamma", gamma]) == 0
         spectrum = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",", 1)[1] for row in rows[start:start + 4]] == spectrum
+
+
+def test_sweep_overlap_columns_sum_to_one_in_every_block(capsys):
+    assert cli.main(["sweep-gamma", "--n", "2000", "--k", "20", "--points", "200"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 200 * 21
+    for start in range(0, len(rows), 21):
+        for column in (3, 4):
+            total = math.fsum(float(row[column]) for row in rows[start:start + 21])
+            assert abs(total - 1.0) <= 1e-12, (rows[start][0], column, total)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -667,6 +705,15 @@ def test_critical_gamma_output(capsys):
     assert "residual" in out
 
 
+@pytest.mark.parametrize("n,k", [(3, 1), (100, 3), (2000, 20)])
+def test_printed_numeric_rate_is_at_most_s1(n, k, capsys):
+    # The balance lies below S_1, so the printed rate is at most S_1 rounded
+    # (on K_3 it is 1/9 = S_1/2).
+    assert cli.main(["critical-gamma", "--n", str(n), "--k", str(k)]) == 0
+    match = re.search(r"^numeric +gamma_c = (\S+)  ", capsys.readouterr().out, re.M)
+    assert match and float(match.group(1)) <= float(scheme.critical_rate(n, k))
+
+
 def test_critical_gamma_k2_numeric_only(capsys):
     rc = cli.main(["critical-gamma", "--n", "10", "--k", "2"])
     assert rc == 0
@@ -724,6 +771,14 @@ def test_analyze_pt_where_the_block_has_a_zero_component(capsys):
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
     assert u[0] > 0
     assert np.linalg.norm(block @ u - lam * u) <= 1e-14
+
+
+@pytest.mark.parametrize("gamma", ["0", "5e-324"])
+def test_analyze_pt_at_a_vanishing_rate_is_the_oracle(gamma, capsys):
+    # At gamma = 0 and at the smallest subnormal rate, H' is the oracle and
+    # the report's h_uu is -1.
+    assert cli.main(["analyze-pt", "--n", "100", "--gamma", gamma]) == 0
+    assert "h_uu,-1" in capsys.readouterr().out.splitlines()
 
 
 def test_domain_error_exits_one(capsys):
@@ -1202,6 +1257,18 @@ def test_program_matches_in_process_main(argv, capsys):
     assert run.stderr == captured.err.encode()
 
 
+def test_console_script_runs_main_entry():
+    # The installed johnsonwalk script calls the function pyproject.toml names.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+        text = handle.read()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert scripts, "no [project.scripts] table"
+    entries = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts.group(1), re.M)
+    assert entries == [("johnsonwalk", "johnsonwalk.cli", "main_entry")]
+    assert callable(cli.main_entry)
+
+
 def test_verbose_writes_one_info_line_to_stderr():
     src = os.path.dirname(os.path.dirname(johnsonwalk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1292,7 +1359,35 @@ def test_verify_names_the_closure_bound_it_fails_on(capsys):
 
 def test_cap_error_exits_one(capsys):
     assert cli.main(["verify", "--n", "30", "--k", "3", "--cap", "50"]) == 1
-    assert "cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: J(30,3) has 4060 vertices, above the configured cap 50; "
+        "raise the cap to force brute-force construction\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "4000", "--k", "1", "--steps", "20"],
+    ["--n", "14", "--k", "7"],
+    ["--n", "40", "--k", "4", "--cap", "100000"],
+], ids=["K4000-at-the-cap", "J14-7-largest-k-under-it", "J40-4-past-it"])
+def test_the_oracle_reaches_as_far_as_its_cap(argv, capsys):
+    # K_4000 has N equal to the default cap, J(14,7) (N = 3432) is the
+    # largest k under it, and J(40,4) (N = 91390) runs with the cap raised.
+    assert cli.main(["verify", *argv]) == 0
+    match = re.fullmatch(r"J\(\d+,\d+\) gamma=\S+: max \|p_full - p_reduced\| "
+                         r"= (\S+) over \d+ points\n", capsys.readouterr().out)
+    assert match and float(match.group(1)) <= 1e-8
+
+
+@pytest.mark.parametrize("n,k,cap", [(4001, 1, None), (40, 4, 91389)],
+                         ids=["K4001-default-cap", "J40-4-cap-one-below"])
+def test_one_vertex_past_the_cap_is_the_cap_line(n, k, cap):
+    argv = ["verify", "--n", str(n), "--k", str(k)]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    message = (f"J({n},{k}) has {math.comb(n, k)} vertices, above the configured "
+               f"cap {cap or scheme.DEFAULT_VERTEX_CAP}; raise the cap to force "
+               "brute-force construction")
+    assert _run_cli(argv) == (1, "", f"error: {message}\n")
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):

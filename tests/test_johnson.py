@@ -136,9 +136,9 @@ def test_vertex_cap_refuses_far_past_the_cap_without_the_exact_count(
     with pytest.raises(VertexCapError) as err:
         johnson.incidence(n, k)
     assert err.value.n_vertices is None
-    assert str(err.value) == ("J(n,k) has far more vertices than the configured "
-                              "cap 4000; raise the cap to force brute-force "
-                              "construction")
+    assert str(err.value) == (f"J({n},{k}) has far more vertices than the "
+                              "configured cap 4000; raise the cap to force "
+                              "brute-force construction")
 
 
 @pytest.mark.parametrize("n,k,cap,text", [
@@ -151,7 +151,8 @@ def test_vertex_cap_reports_a_near_count(n, k, cap, text):
     with pytest.raises(VertexCapError) as err:
         johnson.incidence(n, k, cap=cap)
     assert err.value.n_vertices == math.comb(n, k)
-    assert text in str(err.value)
+    assert str(err.value) == (f"J({n},{k}) has {text}; raise the cap to force "
+                              "brute-force construction")
 
 
 def _bfs_distances(adjacency, source):
@@ -224,6 +225,15 @@ def test_class_sizes_and_reduced_model_share_the_n_2k_rule():
                  reduced.intersection_array):
         with pytest.raises(ValueError, match=message):
             call(5, 3)
+
+
+def test_class_sizes_and_reduced_model_share_the_float_range_rule():
+    # C(1030, 515) ~ 2.4e308 is past the float maximum.
+    message = re.escape("C(1030,515) vertices exceed the float range")
+    for call in (johnson.class_sizes, analysis.initial_state,
+                 reduced.intersection_array):
+        with pytest.raises(ValueError, match=message):
+            call(1030, 515)
 
 
 def test_parameter_validation():
