@@ -17,8 +17,10 @@ grid (--steps, --points) of over 2^60 - 1 points, refused before any array
 is made, and an error inside simulate's curve (``linalg.secular_curve``),
 such as running out of memory.  It also includes a failed final write, such
 as buffered stdout flushed to a full disk or a closed pipe.
-With --verbose, simulate logs the rows it wrote as CSV, the
-seconds that took, and how many values the formatter left to '%.17g'.
+With --verbose, a command that defaults to the critical rate logs the S_1
+it takes; verify logs N, the Krylov dimension and the closure residual; and
+simulate logs the rows it wrote as CSV, the seconds that took, and how many
+values the formatter left to '%.17g'.
 
 critical-gamma, spectrum, sweep-gamma (as CSV or SVG), verify and
 analyze-pt run without numpy: what they print comes from ``scheme``, the
@@ -55,6 +57,11 @@ from .scheme import DEFAULT_VERTEX_CAP
 
 #: verify exits nonzero when the deviation or the oracle's bound exceeds this.
 VERIFY_TOLERANCE = 1e-8
+
+#: critical-gamma exits nonzero when its overlap-balance residual exceeds
+#: this (measured: at most 7.8e-16 over 326 graphs with k <= 60 and n up to
+#: about 1e8, and k = 3 up to 1e12).
+BALANCE_TOLERANCE = 1e-12
 
 
 def _info(args: argparse.Namespace, message: str, *values) -> None:
@@ -203,10 +210,14 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_critical_gamma(args: argparse.Namespace) -> int:
-    if args.k == 3:
-        formula = scheme.gamma_c_formula_k3(args.n)
-        print(f"formula_k3 gamma_c = {formula:.17g}")
+    formula = scheme.gamma_c_formula_k3(args.n) if args.k == 3 else None
     numeric = scheme.gamma_c_numeric(args.n, args.k)
+    if not abs(numeric.residual) <= BALANCE_TOLERANCE:
+        raise ValueError(f"critical-gamma FAILED: overlap-balance residual "
+                         f"{numeric.residual:.3e} above tolerance "
+                         f"{BALANCE_TOLERANCE:.1e}")
+    if formula is not None:
+        print(f"formula_k3 gamma_c = {formula:.17g}")
     print(f"numeric    gamma_c = {numeric.gamma:.17g}  "
           f"(overlap-balance residual {numeric.residual:.3e})")
     return 0

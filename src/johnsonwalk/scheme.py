@@ -251,16 +251,6 @@ def scheme_spectrum(n: int, k: int) -> tuple[list[int], list[int]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _pole_balance(n: int, k: int, o: int) -> Fraction:
-    """sum_{j != o} m_j / (N (D_j - D_o)), exactly: at this rate pole o's own
-    term of the secular function balances the others (at o = 0 it is S_1)."""
-    from fractions import Fraction  # 2.3 ms that analyze-pt and early refusals skip
-
-    theta, mult = scheme_spectrum(n, k)
-    return sum(Fraction(m, theta[o] - t) for j, (t, m) in enumerate(zip(theta, mult))
-               if j != o) / sum(mult)  # the m_j add up to N = C(n,k)
-
-
 def critical_rate(n: int, k: int) -> Fraction:
     """S_1 = (1/N) sum_{j>=1} m_j / D_j, exactly, with D_j = j(n-j+1).
 
@@ -268,7 +258,11 @@ def critical_rate(n: int, k: int) -> Fraction:
     k >= 2; at k = 3 the first two terms are the closed form 1/(3n) +
     7/(6n^2), and the n^-3 coefficient is 29/6.
     """
-    return _pole_balance(n, k, 0)
+    from fractions import Fraction  # 2.3 ms that analyze-pt and early refusals skip
+
+    theta, mult = scheme_spectrum(n, k)
+    return sum(Fraction(m, theta[0] - t) for t, m in zip(theta[1:], mult[1:])
+               ) / sum(mult)  # the m_j add up to N = C(n,k)
 
 
 def gamma_c_formula_k3(n: int) -> float:
@@ -440,19 +434,52 @@ class _Scheme(NamedTuple):
 
     In units of gamma the secular function at an offset t from pole o is
     gamma - sum_j z_j^2/(p_j - t), p_j = D_j - D_o.  Row o of ``poles``
-    holds (z_j^2, p_j, 1/p_j, z_j^2/z_o^2), with 0 for 1/p_o; ``consts[o]``
-    is ``_pole_balance(n, k, o)`` summed in floats, and ``halves[i]`` the sum
-    at the point halfway from pole i down to pole i-1.
+    holds (z_j^2, p_j, 1/p_j, z_j^2/z_o^2), with 0 for 1/p_o;
+    ``balances[o]`` is the rate B_o = sum_{j != o} z_j^2/(D_j - D_o) at
+    which pole o's own term balances the others (B_0 = S_1), as a pair of
+    doubles from ``_balance_pair``, and ``halves[i]`` the sum at the point
+    halfway from pole i down to pole i-1.
     """
 
     theta: list[int]
     d: list[int]
     z2: list[float]
     poles: list[list[tuple[float, float, float, float]]]
-    consts: list[float]
+    balances: list[tuple[float, float]]
     halves: list[float]
     rate: Fraction
     r: float
+
+
+def _split(num: int, den: int) -> tuple[float, float]:
+    """num/den as a pair of doubles: the quotient rounded, and the rest
+    rounded.  Python's division of two integers rounds correctly."""
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _balance_pair(scaled: list[int], d: list[int], count: int, o: int, shift: int
+                  ) -> tuple[float, float]:
+    """B_o = sum_{j != o} m_j / (N (D_j - D_o)) as a pair of doubles: hi,
+    the sum rounded, and lo, the rest rounded, from a sum that holds B_o to
+    2^-110 relative; ``scaled`` holds m_j * 2^shift.
+
+    Each term is floored to an integer in units of 2^-shift, which loses
+    under one unit, so the k floored terms hold the sum to 2^-110 relative
+    once it is at least (k+1) 2^110 units; below that, where the terms
+    cancel, B_o is summed exactly in ``Fraction``s instead.
+    """
+    do = d[o]
+    total = sum(mj // (dj - do) for mj, dj in zip(scaled, d) if dj != do)
+    den = count << shift
+    if abs(total) < len(d) << 110:
+        from fractions import Fraction
+
+        exact = sum(Fraction(mj >> shift, dj - do) for mj, dj in zip(scaled, d)
+                    if dj != do) / count
+        total, den = exact.numerator, exact.denominator
+    return _split(total, den)
 
 
 @functools.lru_cache(maxsize=4)
@@ -462,10 +489,16 @@ def _scheme(n: int, k: int) -> _Scheme:
     d = [theta[0] - t for t in theta]
     z2 = [m / count for m in mult]
     poles = [_pole_row(z2, [float(dj - do) for dj in d], o) for o, do in enumerate(d)]
-    consts = [sum(zj * ipj for zj, _, ipj, _ in row) for row in poles]
+    # Every pole has a term m_j/|D_j - D_o| >= m/D_k, m the second largest
+    # m_j; scaled by 2^shift, it is 2^24 times the (k+1) 2^110 units that
+    # _balance_pair needs, so only a sum cancelling 24 bits falls back.
+    shift = max(0, 135 + len(d).bit_length() + d[-1].bit_length()
+                - sorted(mult)[-2].bit_length())
+    scaled = [m << shift for m in mult]
+    balances = [_balance_pair(scaled, d, count, o, shift) for o in range(k + 1)]
     halves = [0.0] + [sum(zj / (pj + 0.5 * (d[i] - d[i - 1]))
                           for zj, pj, _, _ in poles[i]) for i in range(1, k + 1)]
-    return _Scheme(theta, d, z2, poles, consts, halves,
+    return _Scheme(theta, d, z2, poles, balances, halves,
                    critical_rate(n, k), math.sqrt(count))
 
 
@@ -575,12 +608,14 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
     ``gamma`` is a float or, for an exact eta, a ``Fraction``.  Root 0 lies
     in [-1, 0) from the pole -gamma*theta_0, and root i >= 1 between the
     poles i-1 and i, within 1 below pole i.  Near pole o, the secular
-    function's value without the pole's own term, h, is a difference of two
-    nearly equal numbers; where that loses more than six bits, h is rounded
-    once from exact fractions: eta/(1+eta) at pole 0, and gamma minus
-    ``_pole_balance`` at the others.  The roots take the two-pole step of
-    ``_pole_step``, in units of sigma = min(gamma, 1), so that neither a
-    small nor a large gamma pushes an offset out of the float range.  For
+    function's value without the pole's own term, h, is gamma - B_o, where
+    B_o is the rate at which the pole's own term balances the others: a
+    difference of two nearly equal numbers.  It is taken from B_o's pair of
+    doubles in ``_scheme`` and the rest of a ``Fraction`` gamma beyond its
+    double, so the difference loses no bits to the cancellation.  The roots
+    take the two-pole step of ``_pole_step``, in units of sigma =
+    min(gamma, 1), so that neither a small nor a large gamma pushes an
+    offset out of the float range.  For
     -1/2 <= eta <= 1 the roots taken from pole 0 are solved as the balance
     search solves them, in units of one from the exact eta/(1+eta), root 0
     with the one-pole step of ``_pole_step`` (elsewhere, ``_lowest_step``'s).
@@ -600,7 +635,9 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
                         k, r)
     from fractions import Fraction
 
-    exact_gamma, gamma = Fraction(gamma), float(gamma)
+    exact_gamma = Fraction(gamma)
+    gamma, gamma_lo = ((float(gamma), 0.0) if isinstance(gamma, float)
+                       else _split(exact_gamma.numerator, exact_gamma.denominator))
     scale = max(gamma, 1.0)
     sigma = gamma / scale
     s1 = float(scheme.rate)
@@ -642,9 +679,8 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
             unit, poles = sigma, scheme.poles[o]
             if scale != 1.0:
                 poles = [(zj, scale * pj, ipj / scale, wj) for zj, pj, ipj, wj in poles]
-            h = (gamma - scheme.consts[o]) / scale
-            if abs(h) < sigma / 64.0:  # rounded from the exact value instead
-                h = float((exact_gamma - _pole_balance(n, k, o)) / Fraction(scale))
+            b_hi, b_lo = scheme.balances[o]
+            h = ((gamma - b_hi) + (gamma_lo - b_lo)) / scale
         t = _pole_start(h, poles)[1] if o == 0 else -z2[o] / h if h else math.inf
         add(o, unit, _root(_pole_step(h, poles, o, i), lo, hi, t), poles)
     return _checked(result, k, r)

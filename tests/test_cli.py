@@ -722,6 +722,18 @@ def test_critical_gamma_k2_numeric_only(capsys):
     assert "numeric" in out
 
 
+@pytest.mark.parametrize("k", [3, 2])
+def test_critical_gamma_refuses_an_unresolved_balance(monkeypatch, capsys, k):
+    # A balance search that ends with a residual of 1e-9, above the 1e-12
+    # the command holds, prints no rate, not even the k = 3 formula's.
+    monkeypatch.setattr(scheme, "_balance", lambda *args: (0.0, 1e-9))
+    assert cli.main(["critical-gamma", "--n", "100", "--k", str(k)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: critical-gamma FAILED: overlap-balance residual "
+                            "1.000e-09 above tolerance 1.0e-12\n")
+
+
 def test_verify_exit_zero(capsys):
     rc = cli.main(["verify", "--n", "6", "--k", "3"])
     assert rc == 0

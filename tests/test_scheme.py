@@ -83,6 +83,43 @@ def test_critical_rate_expansion():
     assert abs(third - Fraction(29, 6)) < 1e-4
 
 
+def _pole_balances(n, k):
+    """B_o = sum_{j != o} m_j / (N (D_j - D_o)) for every pole o, exactly."""
+    theta, mult = scheme.scheme_spectrum(n, k)
+    count, d = sum(mult), [theta[0] - t for t in theta]
+    return [sum(Fraction(m, dj - do) for m, dj in zip(mult, d) if dj != do) / count
+            for do in d]
+
+
+@pytest.mark.parametrize("n,k", [
+    (100, 3), (2000, 20), (200, 100), (85, 37), (1029, 514), (10**7, 4), (10**150, 2),
+], ids=["100-3", "2000-20", "200-100", "85-37", "1029-514", "1e7-4", "1e150-2"])
+def test_every_pole_balance_is_its_pair(n, k):
+    # hi is B_o rounded, and hi + lo holds it to 2^-104 relative, or to half
+    # the least subnormal where lo is subnormal (pole 2 of J(1e150,2), where
+    # B_2 = -2e-300).  J(85,37)'s pole 36 cancels the most of any graph with
+    # n <= 120, 13 bits; B_0 is S_1.
+    balances = scheme._scheme(n, k).balances
+    exact = _pole_balances(n, k)
+    assert len(balances) == k + 1 and exact[0] == scheme.critical_rate(n, k)
+    for o, ((hi, lo), b) in enumerate(zip(balances, exact)):
+        assert hi == float(b), o
+        bound = max(abs(b) / 2 ** 104, Fraction(1, 2 ** 1075))
+        assert abs(Fraction(hi) + Fraction(lo) - b) <= bound, o
+
+
+def test_a_balance_that_cancels_is_summed_exactly():
+    # Scaled by 2^0, J(100,3)'s floored terms sum to below (k+1) 2^110 at
+    # every pole, so each pair comes from Fractions, and is the same pair.
+    # A balance that cancels to exactly 0 is (0, 0).
+    theta, mult = scheme.scheme_spectrum(100, 3)
+    count, d = sum(mult), [theta[0] - t for t in theta]
+    for o, do in enumerate(d):
+        assert abs(sum(m // (dj - do) for m, dj in zip(mult, d) if dj != do)) < 4 << 110
+        assert scheme._balance_pair(mult, d, count, o, 0) == scheme._scheme(100, 3).balances[o]
+    assert scheme._balance_pair([1, 5, 1], [0, 1, 2], 7, 1, 0) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 100, 236, 1001])
 def test_complete_graph_balances_at_minus_one_over_n_minus_one(monkeypatch, n):
     # On K_n the balance point is gamma = (n-2)/n^2, eta* = -1/(n-1) exactly;

@@ -70,13 +70,22 @@ def _reference(n, k, gamma, digits):
 
 
 @pytest.mark.parametrize("n,k", [(150000, 3), (150, 20), (2000, 20)])
-@pytest.mark.parametrize("rate", ["gamma_c", "float_s1", 0.49, 0.5, 0.7, 2.0, 2.01])
+@pytest.mark.parametrize("rate", ["gamma_c", "float_s1", 0.49, 0.5, 0.7, 2.0, 2.01,
+                                  1.03, 1.38, "grid-80", "grid-110"])
 def test_secular_spectrum_matches_extended_precision(n, k, rate):
     # The multiples of the float S_1 are the edges of the window
-    # [S_1/2, 2 S_1], where root 0 changes its step, and a rate inside it.
+    # [S_1/2, 2 S_1], where root 0 changes its step, and rates inside it,
+    # where the roots taken from the other poles start from the balances'
+    # pairs: 1.03 and 1.38 S_1, and points 80 and 110 of the default
+    # sweep-gamma grid (1.09 and 1.32 S_1 at J(2000,20)).  Measured with h
+    # from the float row sums: 7.8 eps on the shifts at 1.03 S_1 and 131 eps
+    # on the overlaps at grid point 110, both at J(2000,20).
     s1 = scheme.critical_rate(n, k)
     if rate == "gamma_c":
         gamma = scheme.gamma_c_numeric(n, k).gamma
+    elif isinstance(rate, str) and rate.startswith("grid-"):
+        grid = list(scheme._grid(1.0 / (2.0 * k * n), 2.0 / (k * n), 200))
+        gamma = grid[int(rate[len("grid-"):])]
     else:
         gamma = float(s1) * (1.0 if rate == "float_s1" else rate)
     roots = scheme.secular_spectrum(n, k, gamma)
@@ -107,6 +116,23 @@ def test_secular_spectrum_where_a_pole_balances(n, k, o):
                       for j, (m, dj) in enumerate(zip(mult, d)) if j != o))
     roots = scheme.secular_spectrum(n, k, gamma)
     reference = _reference(n, k, Fraction(gamma), int(math.log10(count)) + 40)
+    for ours, theirs in zip(roots[:3], reference):
+        for x, y in zip(ours, theirs):
+            assert abs(x - y) <= 1e-15
+
+
+@pytest.mark.parametrize("n,k,o", [(2000, 20, 5), (10**7, 4, 2)],
+                         ids=["2000-20-pole5", "1e7-4-pole2"])
+def test_secular_spectrum_at_a_pole_balance_given_exactly(n, k, o):
+    # The same balances as Fractions: h takes the rest of gamma beyond its
+    # double, which cancels the rest of the pole's pair.  Without it, h is
+    # that rest alone, and overlap_w is off by 0.25 at J(2000,20).
+    theta, mult = scheme.scheme_spectrum(n, k)
+    count, d = sum(mult), [theta[0] - t for t in theta]
+    gamma = sum(Fraction(m, (dj - d[o]) * count)
+                for j, (m, dj) in enumerate(zip(mult, d)) if j != o)
+    roots = scheme.secular_spectrum(n, k, gamma)
+    reference = _reference(n, k, gamma, int(math.log10(count)) + 40)
     for ours, theirs in zip(roots[:3], reference):
         for x, y in zip(ours, theirs):
             assert abs(x - y) <= 1e-15
