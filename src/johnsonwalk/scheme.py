@@ -258,11 +258,18 @@ def critical_rate(n: int, k: int) -> Fraction:
     k >= 2; at k = 3 the first two terms are the closed form 1/(3n) +
     7/(6n^2), and the n^-3 coefficient is 29/6.
     """
+    theta, mult = scheme_spectrum(n, k)
+    return _exact_balance(mult, [theta[0] - t for t in theta], sum(mult), 0)
+
+
+def _exact_balance(mult: list[int], d: list[int], count: int, o: int) -> Fraction:
+    """B_o = sum_{j != o} m_j / (N (D_j - D_o)), exactly, N = ``count``: at
+    this rate pole o's own term of the secular function balances the others
+    (B_0 = S_1)."""
     from fractions import Fraction  # 2.3 ms that analyze-pt and early refusals skip
 
-    theta, mult = scheme_spectrum(n, k)
-    return sum(Fraction(m, theta[0] - t) for t, m in zip(theta[1:], mult[1:])
-               ) / sum(mult)  # the m_j add up to N = C(n,k)
+    do = d[o]
+    return sum(Fraction(m, dj - do) for m, dj in zip(mult, d) if dj != do) / count
 
 
 def gamma_c_formula_k3(n: int) -> float:
@@ -459,27 +466,25 @@ def _split(num: int, den: int) -> tuple[float, float]:
     return hi, (num * b - a * den) / (den * b)
 
 
-def _balance_pair(scaled: list[int], d: list[int], count: int, o: int, shift: int
-                  ) -> tuple[float, float]:
-    """B_o = sum_{j != o} m_j / (N (D_j - D_o)) as a pair of doubles: hi,
-    the sum rounded, and lo, the rest rounded, from a sum that holds B_o to
-    2^-110 relative; ``scaled`` holds m_j * 2^shift.
+def _balance_pair(mult: list[int], scaled: list[int], shift: int, d: list[int],
+                  count: int, o: int) -> tuple[float, float]:
+    """B_o = sum_{j != o} m_j / (N (D_j - D_o)) as a pair of doubles whose
+    sum holds B_o to about 2^-106 relative; ``scaled`` holds m_j * 2^shift.
 
     Each term is floored to an integer in units of 2^-shift, which loses
     under one unit, so the k floored terms hold the sum to 2^-110 relative
     once it is at least (k+1) 2^110 units; below that, where the terms
-    cancel, B_o is summed exactly in ``Fraction``s instead.
+    cancel, B_o is summed exactly in ``Fraction``s instead.  hi is that sum
+    rounded and lo its rest rounded, so on the integer route hi may lie one
+    unit in the last place from B_o rounded where B_o is within 2^-110 of a
+    rounding midpoint.
     """
     do = d[o]
     total = sum(mj // (dj - do) for mj, dj in zip(scaled, d) if dj != do)
-    den = count << shift
-    if abs(total) < len(d) << 110:
-        from fractions import Fraction
-
-        exact = sum(Fraction(mj >> shift, dj - do) for mj, dj in zip(scaled, d)
-                    if dj != do) / count
-        total, den = exact.numerator, exact.denominator
-    return _split(total, den)
+    if abs(total) >= len(d) << 110:
+        return _split(total, count << shift)
+    exact = _exact_balance(mult, d, count, o)
+    return _split(exact.numerator, exact.denominator)
 
 
 @functools.lru_cache(maxsize=4)
@@ -495,7 +500,7 @@ def _scheme(n: int, k: int) -> _Scheme:
     shift = max(0, 135 + len(d).bit_length() + d[-1].bit_length()
                 - sorted(mult)[-2].bit_length())
     scaled = [m << shift for m in mult]
-    balances = [_balance_pair(scaled, d, count, o, shift) for o in range(k + 1)]
+    balances = [_balance_pair(mult, scaled, shift, d, count, o) for o in range(k + 1)]
     halves = [0.0] + [sum(zj / (pj + 0.5 * (d[i] - d[i - 1]))
                           for zj, pj, _, _ in poles[i]) for i in range(1, k + 1)]
     return _Scheme(theta, d, z2, poles, balances, halves,
@@ -636,8 +641,7 @@ def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
     from fractions import Fraction
 
     exact_gamma = Fraction(gamma)
-    gamma, gamma_lo = ((float(gamma), 0.0) if isinstance(gamma, float)
-                       else _split(exact_gamma.numerator, exact_gamma.denominator))
+    gamma, gamma_lo = _split(exact_gamma.numerator, exact_gamma.denominator)
     scale = max(gamma, 1.0)
     sigma = gamma / scale
     s1 = float(scheme.rate)

@@ -95,10 +95,12 @@ def _pole_balances(n, k):
     (100, 3), (2000, 20), (200, 100), (85, 37), (1029, 514), (10**7, 4), (10**150, 2),
 ], ids=["100-3", "2000-20", "200-100", "85-37", "1029-514", "1e7-4", "1e150-2"])
 def test_every_pole_balance_is_its_pair(n, k):
-    # hi is B_o rounded, and hi + lo holds it to 2^-104 relative, or to half
-    # the least subnormal where lo is subnormal (pole 2 of J(1e150,2), where
-    # B_2 = -2e-300).  J(85,37)'s pole 36 cancels the most of any graph with
-    # n <= 120, 13 bits; B_0 is S_1.
+    # hi + lo holds B_o to 2^-104 relative, or to half the least subnormal
+    # where lo is subnormal (pole 2 of J(1e150,2), where B_2 = -2e-300).
+    # hi is B_o rounded on these graphs because none of their B_o lies
+    # within 2^-110 of a rounding midpoint; the integer route rounds a sum
+    # that close to B_o, so elsewhere hi may be one unit off.  J(85,37)'s
+    # pole 36 cancels the most of any graph with n <= 120, 13 bits; B_0 is S_1.
     balances = scheme._scheme(n, k).balances
     exact = _pole_balances(n, k)
     assert len(balances) == k + 1 and exact[0] == scheme.critical_rate(n, k)
@@ -116,8 +118,8 @@ def test_a_balance_that_cancels_is_summed_exactly():
     count, d = sum(mult), [theta[0] - t for t in theta]
     for o, do in enumerate(d):
         assert abs(sum(m // (dj - do) for m, dj in zip(mult, d) if dj != do)) < 4 << 110
-        assert scheme._balance_pair(mult, d, count, o, 0) == scheme._scheme(100, 3).balances[o]
-    assert scheme._balance_pair([1, 5, 1], [0, 1, 2], 7, 1, 0) == (0.0, 0.0)
+        assert scheme._balance_pair(mult, mult, 0, d, count, o) == scheme._scheme(100, 3).balances[o]
+    assert scheme._balance_pair([1, 5, 1], [1, 5, 1], 0, [0, 1, 2], 7, 1) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 16, 100, 236, 1001])
