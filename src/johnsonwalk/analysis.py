@@ -11,6 +11,7 @@ and the brute-force verification is ``johnson.run_verification``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,19 +35,19 @@ def reduced_adjacency(n: int, k: int) -> np.ndarray:
     return np.diag(np.array(counts.a, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def search_hamiltonian(n: int, k: int, gamma: float) -> np.ndarray:
+def search_hamiltonian(n: int, k: int, gamma: numbers.Real) -> np.ndarray:
     """H = -gamma * A_reduced - |d_0><d_0| in the distance basis.
 
     The marked vertex sits alone in class 0, so the oracle projector is the
-    single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate;
-    negative and non-finite values are rejected (gamma = 0 is admitted and
+    single entry (0,0).  ``gamma`` is the amplitude-per-time jumping rate,
+    taken as its double from ``scheme._check_model``; negative and
+    non-finite values are rejected (gamma = 0 is admitted and
     leaves just the oracle term), and so is a gamma whose product with the
     top pole k(n-k+1) overflows (``scheme._check_model``).  That one product
     bounds every energy, every pole shift and every entry of gamma * A, so
     this matrix is built at exactly the rates every command accepts.
     """
-    _check_model(n, k, gamma)
-    hamiltonian = -float(gamma) * reduced_adjacency(n, k)
+    hamiltonian = -_check_model(n, k, gamma) * reduced_adjacency(n, k)
     hamiltonian[0, 0] -= 1.0
     return hamiltonian
 
@@ -63,7 +64,7 @@ def initial_state(n: int, k: int) -> np.ndarray:
     return state / math.sqrt(n_vertices)
 
 
-def overlap_balance(n: int, k: int, gamma: float) -> float:
+def overlap_balance(n: int, k: int, gamma: numbers.Real) -> float:
     """|<s|psi_0>|^2 - |<s|psi_1>|^2 for the two lowest eigenstates.
 
     Positive when the ground state dominates the uniform superposition,

@@ -183,8 +183,7 @@ def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * k * n)
     hi = args.gamma_max if args.gamma_max is not None else 2.0 / (k * n)
     scheme._check_steps(points)
-    scheme._check_gamma(lo)
-    scheme._check_gamma(hi)
+    lo, hi = scheme._check_gamma(lo), scheme._check_gamma(hi)
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
     gammas = list(scheme._grid(lo, hi, points))
@@ -244,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           "closure residual %.3e", scheme.binomial(args.n, args.k),
           result.krylov_dimension, result.closure_residual)
     if result.closure_residual <= VERIFY_TOLERANCE:  # else no full-graph curve
-        print(f"J({args.n},{args.k}) gamma={float(gamma):.10g}: "
+        print(f"J({args.n},{args.k}) gamma={result.gamma:.10g}: "
               f"max |p_full - p_reduced| = {result.max_deviation:.3e} "
               f"over {result.steps} points")
     for bound, value in (("closure bound", result.closure_residual),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -128,24 +129,27 @@ class VerificationResult(NamedTuple):
     closure_residual: float
 
 
-def run_verification(n: int, k: int, gamma: float,
+def run_verification(n: int, k: int, gamma: numbers.Real,
                      t_max: Optional[float] = None, steps: int = 200,
                      cap: int = DEFAULT_VERTEX_CAP) -> VerificationResult:
     """The largest difference between the full graph's success curve, from
     ``_krylov_curve``, and simulate's, from the secular roots, streamed over
-    ``np.linspace``'s grid.  The marked vertex is the first k-subset; the
-    graph rounds a ``Fraction`` gamma to a double.  The default window
+    ``np.linspace``'s grid.  The marked vertex is the first k-subset.  The
+    full graph takes gamma's double from ``scheme._check_model``, and the
+    secular roots also a ``Fraction`` or int gamma's exact rest beyond it;
+    the result holds the double.  The default window
     [0, 2*pi*sqrt(N)] covers a full revival.  A deviation beyond ~1e-10
     indicates a broken reduction, not numerical noise.
     """
     # Checked first, so a bad gamma or n < 2k is reported before the cap.
+    rate = scheme._check_model(n, k, gamma)
     spectrum = scheme.secular_spectrum(n, k, gamma)
     graph = incidence(n, k, cap)
     if t_max is None:
         t_max = 2.0 * math.pi * math.sqrt(len(graph.faces))
     scheme._check_grid(t_max, steps)
     scheme._check_phases(max(map(abs, spectrum.shifts)), t_max)
-    full, drift = _krylov_curve(graph, float(gamma))
+    full, drift = _krylov_curve(graph, rate)
     scheme._check_phases(max(abs(e) for e, _ in full), t_max)
     # Each curve as (-E_i, c_i), so a term is rect(c_i, -E_i t).
     full_terms = [(-e, c) for e, c in full]
@@ -155,5 +159,5 @@ def run_verification(n: int, k: int, gamma: float,
         p = abs(sum([rect(c, e * t) for e, c in full_terms]))
         q = abs(sum([rect(c, e * t) for e, c in reduced_terms]))
         worst = max(worst, abs(p * p - q * q))
-    return VerificationResult(n, k, float(gamma), float(t_max), int(steps), worst,
+    return VerificationResult(n, k, rate, float(t_max), int(steps), worst,
                               krylov_dimension=len(full), closure_residual=drift * t_max)

@@ -18,6 +18,7 @@ Hamiltonian as an ndarray.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from operator import mul
 from typing import NamedTuple, Optional
@@ -39,7 +40,10 @@ class IntersectionArray(NamedTuple):
 def intersection_array(n: int, k: int) -> IntersectionArray:
     """Closed-form intersection array c_i = i^2, a_i = i(n-2i), b_i = (k-i)(n-k-i).
 
-    Every column c_i + a_i + b_i sums to the degree k(n-k).
+    Every column c_i + a_i + b_i sums to the degree k(n-k).  Only
+    ``analysis.reduced_adjacency`` calls it, and no command runs that
+    module; it stays while the benchmark's layer tracer still loads
+    ``analysis``.
     """
     _check_reduced_params(n, k)
     c = tuple(i * i for i in range(1, k + 1))
@@ -64,6 +68,11 @@ def basis_change_T(n: int) -> Rows:
     every radicand is non-negative, with C(n,3) a float.  Each root is taken
     of factors that are floats on that whole range; (n^2+2)(n+4) is not one
     from n = 5.6e102.
+
+    No command calls it.  It stays because it is the paper's change of
+    basis, written out, and the tests tie ``transformed_hamiltonian_closed``
+    to it: they check the closed form's H' against T^T H T built from this
+    T.
     """
     _check_reduced_params(n, 3)
     c_r = math.sqrt(18.0 / (n * n + 2))
@@ -78,7 +87,7 @@ def basis_change_T(n: int) -> Rows:
     )
 
 
-def transformed_hamiltonian_closed(n: int, gamma: float) -> Rows:
+def transformed_hamiltonian_closed(n: int, gamma: numbers.Real) -> Rows:
     """Closed-form entries of H' = T^T H T in the {d_0, r, r', r''} basis.
 
     Written as H' = -gamma M - |d_0><d_0|, with M = T^T A T symmetric and
@@ -88,7 +97,7 @@ def transformed_hamiltonian_closed(n: int, gamma: float) -> Rows:
     rule accepts.
     """
     _check_reduced_params(n, 3)
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     s = math.sqrt
     q = n * n + 2
     m01 = 3 * s(6 * (n - 3)) / s(q)
@@ -106,7 +115,7 @@ def transformed_hamiltonian_closed(n: int, gamma: float) -> Rows:
     return tuple(map(tuple, h))
 
 
-def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]:
+def char_cubic_coeffs(n: int, gamma: numbers.Real) -> tuple[float, float, float, float]:
     """Coefficients (lambda^3, lambda^2, lambda, 1) of the block cubic.
 
     This is the characteristic polynomial det(B - lambda) of the 3x3
@@ -120,8 +129,7 @@ def char_cubic_coeffs(n: int, gamma: float) -> tuple[float, float, float, float]
     which is lambda_u.
     """
     _check_reduced_params(n, 3)
-    _check_gamma(gamma)
-    g = float(gamma)
+    g = _check_gamma(gamma)
     return (
         -1.0,
         -(3.0 * g * n - 19.0 * g + 1.0),
@@ -137,7 +145,7 @@ def _signed(vector: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(0.0 - x for x in vector) if lead < 0.0 else vector  # no -0.0
 
 
-def _block_pair(n: int, gamma: float) -> tuple[float, tuple[float, float, float]]:
+def _block_pair(n: int, g: float) -> tuple[float, tuple[float, float, float]]:
     """The eigenpair of the block B of ``char_cubic_coeffs`` with its
     eigenvalue nearest -1 - 1/(2n), by ``scheme._jacobi``.
 
@@ -146,7 +154,6 @@ def _block_pair(n: int, gamma: float) -> tuple[float, tuple[float, float, float]
     finite constant term bounds g^3 |6n^2 - 51n|, which keeps g n below 1e137
     for every n the graph rule accepts, and no entry of B exceeds 1 + 2 g n.
     """
-    g = float(gamma)
     b02, b12 = -g * math.sqrt(3.0 * n), 2.0 * g * math.sqrt(2.0 * n)
     block = [[-1.0, 0.0, b02], [0.0, -g * (2.0 * n - 17.0), b12],
              [b02, b12, -g * (n - 2.0)]]
@@ -184,7 +191,8 @@ def _finite(value) -> bool:
     return math.isfinite(value)
 
 
-def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationReport:
+def perturbation_report(n: int, gamma: Optional[numbers.Real] = None
+                        ) -> PerturbationReport:
     """Project the transformed Hamiltonian onto span{|r>, |u>} at one rate.
 
     gamma defaults to the closed-form critical rate, where the reduction is
@@ -205,7 +213,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
     """
     if gamma is None:
         gamma = gamma_c_formula_k3(n)
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     cubic = char_cubic_coeffs(n, gamma)
     if not _finite(cubic):
         raise ValueError(f"cubic_coefficients overflows at n={n}, gamma={gamma}")
@@ -225,7 +233,7 @@ def perturbation_report(n: int, gamma: Optional[float] = None) -> PerturbationRe
         raise ValueError(f"the two-level gap at n={n}, gamma={gamma} is not "
                          "resolved in double precision")
     report = PerturbationReport(
-        n=n, gamma=float(gamma),
+        n=n, gamma=gamma,
         cubic_coefficients=cubic,
         lambda_u=lam, u=u, effective_2x2=((h_rr, h_ru), (h_ru, h_uu)),
         e_minus=e_minus, e_plus=e_plus,

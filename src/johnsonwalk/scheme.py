@@ -149,30 +149,48 @@ def _check_reduced_params(n: int, k: int) -> float:
     return float(count)
 
 
-def _check_gamma(gamma: float) -> None:
-    """Validate a jumping rate: finite and non-negative (0 leaves the oracle)."""
-    if not math.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+def _check_gamma(gamma: numbers.Real) -> float:
+    """Read a jumping rate once, as its double, and return that double once
+    it is finite and non-negative (0 leaves the oracle).
+
+    This is the one place a caller's rate is read.  A rate is any real
+    number ``float()`` reads (a string is not one); its double is what every
+    entry point takes, and a ``Fraction`` or int also passes its exact rest
+    beyond the double to ``secular_spectrum``'s roots.  A ``Fraction`` or int
+    beyond the float range reads as an infinity, and one too small for a
+    double as 0.  A refusal names the double.
+    """
+    if isinstance(gamma, (str, bytes, bytearray)):
+        raise TypeError(f"gamma must be a real number, not {type(gamma).__name__}")
+    try:
+        rate = float(gamma)
+    except OverflowError:
+        rate = math.inf if gamma > 0 else -math.inf
+    if not math.isfinite(rate) or rate < 0:
+        raise ValueError(f"gamma must be finite and non-negative, got {rate}")
+    return rate
 
 
-def _check_model(n: int, k: int, gamma: float) -> None:
+def _check_model(n: int, k: int, gamma: numbers.Real) -> float:
     """The search Hamiltonian's input rules, in order: gamma, (n, k), and a
-    gamma whose product with the top pole D_k = k(n-k+1) overflows.  This
-    one product bounds every number the model forms from gamma: the
-    energies -gamma*theta_j, since |theta_j| <= theta_0 = k(n-k) < D_k; the
-    shifts gamma*D_j of the poles from pole 0, the gaps between them, and
-    the roots' shifts, which lie in [-1, gamma*D_k]; and every entry of
-    gamma times the reduced adjacency, none above the degree k(n-k).
+    gamma whose product with the top pole D_k = k(n-k+1) overflows; it
+    returns gamma's double from ``_check_gamma``.  This one product bounds
+    every number the model forms from gamma: the energies -gamma*theta_j,
+    since |theta_j| <= theta_0 = k(n-k) < D_k; the shifts gamma*D_j of the
+    poles from pole 0, the gaps between them, and the roots' shifts, which
+    lie in [-1, gamma*D_k]; and every entry of gamma times the reduced
+    adjacency, none above the degree k(n-k).
 
     D_k is at most N = C(n,k), so it is a float once (n, k) pass: for
     k = 1, D_1 = n = N; for 2 <= k <= n/2, D_k <= ((n+1)/2)^2 by the
     arithmetic-geometric mean of k and n-k+1, and N >= C(n,2) = n(n-1)/2,
     which is at least (n+1)^2/4 once n >= 5; the one graph left, J(4,2),
     has N = D_2 = 6."""
-    _check_gamma(gamma)
+    rate = _check_gamma(gamma)
     _check_reduced_params(n, k)
-    if not math.isfinite(gamma * float(k * (n - k + 1))):
-        raise ValueError(f"gamma={gamma} overflows the J({n},{k}) Hamiltonian")
+    if not math.isfinite(rate * float(k * (n - k + 1))):
+        raise ValueError(f"gamma={rate} overflows the J({n},{k}) Hamiltonian")
+    return rate
 
 
 def _check_vertex_cap(n: int, k: int, cap: int) -> int:
@@ -606,41 +624,51 @@ def _checked(spectrum: SecularSpectrum, k: int, r: float) -> SecularSpectrum:
     return spectrum
 
 
-def secular_spectrum(n: int, k: int, gamma: float) -> SecularSpectrum:
+def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     """The k+1 eigenvalues of the search Hamiltonian, ascending, with the
     squared overlaps of their eigenvectors with |s> and |w>.
 
-    ``gamma`` is a float or, for an exact eta, a ``Fraction``.  Root 0 lies
-    in [-1, 0) from the pole -gamma*theta_0, and root i >= 1 between the
-    poles i-1 and i, within 1 below pole i.  Near pole o, the secular
-    function's value without the pole's own term, h, is gamma - B_o, where
-    B_o is the rate at which the pole's own term balances the others: a
-    difference of two nearly equal numbers.  It is taken from B_o's pair of
-    doubles in ``_scheme`` and the rest of a ``Fraction`` gamma beyond its
-    double, so the difference loses no bits to the cancellation.  The roots
-    take the two-pole step of ``_pole_step``, in units of sigma =
+    ``gamma`` is taken as its double from ``_check_model``; a ``Fraction``
+    or int, for an exact eta, also keeps its exact rest beyond the double.
+    Root 0 lies in [-1, 0) from the pole -gamma*theta_0, and root i >= 1
+    between the poles i-1 and i, within 1 below pole i.  Near pole o, the
+    secular function's value without the pole's own term, h, is gamma - B_o,
+    where B_o is the rate at which the pole's own term balances the others:
+    a difference of two nearly equal numbers.  It is taken from B_o's pair
+    of doubles in ``_scheme`` and the rest of a ``Fraction`` gamma beyond
+    its double, so the difference loses no bits to the cancellation.  The
+    roots take the two-pole step of ``_pole_step``, in units of sigma =
     min(gamma, 1), so that neither a small nor a large gamma pushes an
-    offset out of the float range.  For
-    -1/2 <= eta <= 1 the roots taken from pole 0 are solved as the balance
-    search solves them, in units of one from the exact eta/(1+eta), root 0
-    with the one-pole step of ``_pole_step`` (elsewhere, ``_lowest_step``'s).
+    offset out of the float range.  For -1/2 <= eta <= 1 the roots taken
+    from pole 0 are solved as the balance search solves them, in units of
+    one from the exact eta/(1+eta), root 0 with the one-pole step of
+    ``_pole_step`` (elsewhere, ``_lowest_step``'s).
+
+    Pole 0 keeps that exact route because the pairs cannot resolve its
+    window.  They hold S_1 to about 2^-106, an error of about 2^-106 S_1
+    in gamma - S_1, and the avoided crossing is about 2 S_1/sqrt(N) wide,
+    so that error is about sqrt(N) 2^-107 of its width: 2e-3 at J(200,100)
+    (N = 9.1e58), and the whole window once N passes about 2^214 = 3e64.
+    The ``Fraction`` division has no such limit.
 
     At gamma = 0, H is -|w><w|: the eigenvalue -1 with |w>, then k zeros
     (-0) whose eigenvectors are taken to be the other distance states, as
-    the eigensolver of the distance basis returns them.  Every spectrum,
-    that one included, passes ``_checked`` before it is returned.
+    the eigensolver of the distance basis returns them.  A rate whose double
+    is 0 takes that spectrum.  Every spectrum, that one included, passes
+    ``_checked`` before it is returned.
     """
-    _check_model(n, k, gamma)
+    rate = _check_model(n, k, gamma)
     scheme = _scheme(n, k)
     theta, d, z2, r = scheme.theta, scheme.d, scheme.z2, scheme.r
-    if gamma == 0:
+    if rate == 0:
         parts = [math.sqrt(float(size)) / r for size in class_sizes(n, k)]
         return _checked(SecularSpectrum([-1.0] + [-0.0] * k, [p * p for p in parts],
                                         [1.0] + [0.0] * k, [-1.0] + [0.0] * k),
                         k, r)
     from fractions import Fraction
 
-    exact_gamma = Fraction(gamma)
+    exact_gamma = (Fraction(int(gamma.numerator), int(gamma.denominator))
+                   if isinstance(gamma, numbers.Rational) else Fraction(rate))
     gamma, gamma_lo = _split(exact_gamma.numerator, exact_gamma.denominator)
     scale = max(gamma, 1.0)
     sigma = gamma / scale

@@ -130,8 +130,7 @@ def pt_block(n, gamma):
     """3x3 leading-order Hamiltonian block over (d0, r', r''), the matrix
     whose characteristic polynomial is ``reduced.char_cubic_coeffs``."""
     scheme._check_reduced_params(n, 3)
-    scheme._check_gamma(gamma)
-    g = float(gamma)
+    g = scheme._check_gamma(gamma)
     return np.array([
         [-1.0, 0.0, -g * math.sqrt(3.0 * n)],
         [0.0, -g * (2.0 * n - 17.0), 2.0 * g * math.sqrt(2.0 * n)],
@@ -165,7 +164,7 @@ class NaiveSplitting(NamedTuple):
 def naive_splitting_diagnostic(n, gamma):
     """Split H (k = 3) into the naive leading and first-order pieces."""
     scheme._check_reduced_params(n, 3)
-    scheme._check_gamma(gamma)
+    gamma = scheme._check_gamma(gamma)
     h0 = np.diag([-1.0, -gamma * n, -2.0 * gamma * n, -3.0 * gamma * n])
     h1 = -gamma * np.array([
         [0.0, math.sqrt(3.0 * n), 0.0, 0.0],

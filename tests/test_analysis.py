@@ -5,6 +5,7 @@ dense-eigensolver pipeline (numpy.linalg.eigh) over the same models.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -416,6 +417,52 @@ def test_run_verification_refuses_float_range_before_the_graph(monkeypatch):
     with pytest.raises(ValueError, match="float range"):
         johnson.run_verification(10**7, 10**6, 0.001)
 
+
+
+#: Every library entry point that takes a jumping rate, on a graph it accepts.
+RATE_ENTRY_POINTS = {
+    "secular_spectrum": lambda g: scheme.secular_spectrum(9, 3, g),
+    "run_verification": lambda g: johnson.run_verification(9, 3, g, steps=20),
+    "perturbation_report": lambda g: reduced.perturbation_report(100, g),
+    "transformed_hamiltonian_closed":
+        lambda g: reduced.transformed_hamiltonian_closed(100, g),
+    "char_cubic_coeffs": lambda g: reduced.char_cubic_coeffs(100, g),
+    "search_hamiltonian": lambda g: analysis.search_hamiltonian(9, 3, g),
+}
+
+
+def _bits(result):
+    """A result as text that tells apart every value and every float type."""
+    if isinstance(result, np.ndarray):
+        return repr((result.dtype, result.tolist()))
+    return repr(result)
+
+
+@pytest.mark.parametrize("name", sorted(RATE_ENTRY_POINTS))
+@pytest.mark.parametrize("rate,double", [
+    (Fraction(10**400), None), (Fraction(1, 10**400), 0.0),
+    (np.float32(0.003), float(np.float32(0.003))), (Decimal("0.003"), 0.003)],
+    ids=["fraction-past-float-range", "fraction-below-float-range", "float32", "decimal"])
+def test_every_entry_point_reads_a_rate_as_its_double(name, rate, double):
+    # scheme._check_gamma reads a rate once, as its double: one past the
+    # float range is refused with the line of inf, one below it is the zero
+    # rate, and a float32 or Decimal rate gives its double's result, with no
+    # float32 arithmetic inside.
+    entry = RATE_ENTRY_POINTS[name]
+    if double is None:
+        with pytest.raises(ValueError,
+                           match=r"^gamma must be finite and non-negative, got inf$"):
+            entry(rate)
+    else:
+        assert _bits(entry(rate)) == _bits(entry(double))
+
+
+def test_a_rate_is_a_number_not_its_text():
+    # float() would read "0.003"; a rate must be a number.
+    with pytest.raises(TypeError, match="gamma must be a real number, not str"):
+        scheme.secular_spectrum(9, 3, "0.003")
+    with pytest.raises(ValueError, match="got -inf$"):
+        scheme.secular_spectrum(9, 3, Fraction(-10**400))
 
 # Every k=3 entry point with a valid jumping rate; n and gamma are swapped in
 # per case.

@@ -217,6 +217,22 @@ def test_secular_gap_at_the_exact_critical_rate():
     assert spectrum.overlap_s[:2] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
+@pytest.mark.parametrize("n,k", [(2000, 20), (200, 100), (1000, 31), (800, 400),
+                                 (10**5, 60)])
+def test_exact_rates_resolve_the_crossing_at_any_n(n, k):
+    # gamma_x = S_1 (1 + x/floor(sqrt(N))) sweeps the avoided crossing, where
+    # overlap_s[0] = (1 + x/sqrt(x^2 + 4))/2 (measured: within 9.3e-6, at
+    # J(200,100)).  The seven rates share one double, so only pole 0's exact
+    # eta/(1+eta) tells them apart: h taken from S_1's pair of doubles, as at
+    # every other pole, missed the law by 1.2e-4 at J(200,100) and by 0.45 at
+    # J(800,400) and J(1e5,60).
+    rate, root = scheme.critical_rate(n, k), math.isqrt(math.comb(n, k))
+    for x in (-4, -2, -1, 0, 1, 2, 4):
+        gamma = rate * (1 + Fraction(x, root))
+        assert float(gamma) == float(rate), x
+        overlap = scheme.secular_spectrum(n, k, gamma).overlap_s[0]
+        assert abs(overlap - (1 + x / math.sqrt(x * x + 4)) / 2) <= 5e-5, x
+
 @pytest.mark.parametrize("n,k", [(7, 3), (2, 1), (40, 20), (100, 1)])
 def test_secular_spectrum_at_zero_rate_is_the_eigensolver_s(n, k):
     # H = -|w><w|: the eigensolver returns the distance states themselves.
