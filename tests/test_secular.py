@@ -233,6 +233,7 @@ def test_exact_rates_resolve_the_crossing_at_any_n(n, k):
         overlap = scheme.secular_spectrum(n, k, gamma).overlap_s[0]
         assert abs(overlap - (1 + x / math.sqrt(x * x + 4)) / 2) <= 5e-5, x
 
+
 @pytest.mark.parametrize("n,k", [(7, 3), (2, 1), (40, 20), (100, 1)])
 def test_secular_spectrum_at_zero_rate_is_the_eigensolver_s(n, k):
     # H = -|w><w|: the eigensolver returns the distance states themselves.
