@@ -20,14 +20,19 @@ as S_1 (1 + eta), where S_1 = sum_{j>=1} z_j^2/D_j, D_j = theta_0 - theta_j
     eta/(1+eta) + z_0^2/delta - delta * sum_{j>=1} z_j^2 / (g_j (g_j - delta))
 
 with g_j = gamma*D_j.  No term is a difference of numbers of order one, and
-``_pole_step`` solves the roots from it at their nearest pole, for both the
-balance search (``gamma_c_numeric``) and ``secular_spectrum``, with the
+``_pole_step`` solves the roots from it at their nearest pole with the
 two-pole rational step of LAPACK's dlaed4 (Bunch, Nielsen & Sorensen,
 Numer. Math. 31, 31 (1978); Li's "middle way"), or below the lowest pole
-the one-pole step from above.  Each spectrum carries its own check:
-``secular_spectrum`` refuses one whose overlaps with |s> or with |w> do not
-sum to 1 within 4(k+1) eps, or whose weights <w|psi_i><psi_i|s> do not sum
-to 1/sqrt(N) within 1e-15.
+the one-pole step from above.  The two roots beside pole 0, whose avoided
+crossing near S_1 is where the search is fast, have one solve,
+``_pole0_root``: the balance search (``gamma_c_numeric``) takes both from
+it, and ``secular_spectrum`` takes them from it near S_1.  Each graph has
+one cached record, ``_graph``, of theta_j, D_j, m_j, N, z_j^2, sqrt(N) and
+the exact S_1, which every solve starts from.
+
+Each spectrum carries its own check: ``secular_spectrum`` refuses one whose
+overlaps with |s> or with |w> do not sum to 1 within 4(k+1) eps, or whose
+weights <w|psi_i><psi_i|s> do not sum to 1/sqrt(N) within 1e-15.
 
 The module imports the standard library only: critical-gamma, spectrum,
 sweep-gamma and every input rule of the package run without numpy.  It also
@@ -269,15 +274,26 @@ def scheme_spectrum(n: int, k: int) -> tuple[list[int], list[int]]:
 
 
 @functools.lru_cache(maxsize=64)
+def _graph(n: int, k: int) -> tuple[list[int], list[int], list[int], int, list[float],
+                                     float, Fraction]:
+    """The record of J(n,k) that every solve starts from: theta_j, D_j =
+    theta_0 - theta_j, m_j, N, z_j^2 = m_j/N, sqrt(N) and the exact S_1."""
+    theta, mult = scheme_spectrum(n, k)
+    d = [theta[0] - t for t in theta]
+    count = sum(mult)
+    return (theta, d, mult, count, [m / count for m in mult], math.sqrt(count),
+            _exact_balance(mult, d, count, 0))
+
+
 def critical_rate(n: int, k: int) -> Fraction:
     """S_1 = (1/N) sum_{j>=1} m_j / D_j, exactly, with D_j = j(n-j+1).
 
     In powers of 1/n, S_1 = 1/(kn) + (k^2-k+1)/(k(k-1)n^2) + O(n^-3) for
     k >= 2; at k = 3 the first two terms are the closed form 1/(3n) +
-    7/(6n^2), and the n^-3 coefficient is 29/6.
+    7/(6n^2), and the n^-3 coefficient is 29/6.  It is read from the
+    graph's record, ``_graph``, which holds it once per graph.
     """
-    theta, mult = scheme_spectrum(n, k)
-    return _exact_balance(mult, [theta[0] - t for t in theta], sum(mult), 0)
+    return _graph(n, k)[6]
 
 
 def _exact_balance(mult: list[int], d: list[int], count: int, o: int) -> Fraction:
@@ -352,6 +368,18 @@ def _pole_start(h: float, poles: list[tuple[float, float, float, float]]
     return (-near, far) if h >= 0.0 else (-far, near)
 
 
+def _pole0_root(h: float, row: list[tuple[float, float, float, float]], i: int
+                ) -> float:
+    """Root i in {0, 1} beside pole 0, as its offset from the pole in units of
+    one, from h = eta/(1+eta) given exactly: root 0 in (-1, 0) with the
+    one-pole step of ``_pole_step``, root 1 in (0, p_1/2) with its two-pole
+    step, each from ``_pole_start``.  The balance search and
+    ``secular_spectrum``'s window both solve the pair here.
+    """
+    bracket = (-1.0, 0.0) if i == 0 else (0.0, 0.5 * row[1][1])
+    return _root(_pole_step(h, row, 0, i), *bracket, _pole_start(h, row)[i])
+
+
 def _balance(eta: float, s1: float, d: list[int], z2: list[float]
              ) -> tuple[float, float]:
     """log(q_1/q_0) and the balance |<s|psi_0>|^2 - |<s|psi_1>|^2 at eta < 0.
@@ -364,11 +392,8 @@ def _balance(eta: float, s1: float, d: list[int], z2: list[float]
     """
     gamma, h = s1 * (1.0 + eta), eta / (1.0 + eta)
     row = _pole_row(z2, [gamma * dj for dj in d], 0)
-    t0, t1 = _pole_start(h, row)
-    roots = [_root(_pole_step(h, row, 0, 0), -1.0, 0.0, t0),
-             _root(_pole_step(h, row, 0, 1), 0.0, 0.5 * row[1][1], t1)]
     q = [t ** 2 * sum(zj / (pj - t) ** 2 for zj, pj, _, _ in row[1:]) / row[0][0]
-         for t in roots]
+         for t in (_pole0_root(h, row, 0), _pole0_root(h, row, 1))]
     return math.log(q[1]) - math.log(q[0]), 1.0 / (1.0 + q[0]) - 1.0 / (1.0 + q[1])
 
 
@@ -389,27 +414,25 @@ def gamma_c_numeric(n: int, k: int) -> CriticalGammaResult:
     G(t) = sum_{j>=1} z_j^2/(p_j (p_j - t)); so q_i = K(t_i)/G(t_i), K(t) =
     sum_{j>=1} z_j^2/(p_j - t)^2, a positive-weight mean of p_j/(p_j - t_i),
     below 1 at t_0 < 0 and above 1 at t_1 > 0: q_0 < 1 < q_1.
+
+    D_j, z_j^2, sqrt(N) and S_1 come from the graph's record, ``_graph``, and
+    each balance solves its two roots with ``_pole0_root``; the search builds
+    no pole table.
     """
-    n_vertices = _check_reduced_params(n, k)
-    if n_vertices <= 2.0:
+    _, d, _, count, z2, r, rate = _graph(n, k)
+    if count <= 2:
         raise SearchBracketError(
             f"overlap balance has no sign change for gamma > 0 (J({n},{k}) "
             "balances only at gamma = 0)")
     from fractions import Fraction
 
-    theta, mult = scheme_spectrum(n, k)
-    rate = critical_rate(n, k)
-    d = [theta[0] - t for t in theta]
-    count = sum(mult)
-    z2 = [m / count for m in mult]
-    r = math.sqrt(n_vertices)
     s1 = float(rate)
 
     def rounded(eta: float) -> float:
         return float(rate * (1 + Fraction(eta)))
 
     lo, hi = -1.0, 0.0
-    eta, prev = -1.0 / n_vertices, None
+    eta, prev = -1.0 / count, None
     while True:
         f, residual = _balance(eta, s1, d, z2)
         if f == 0.0:
@@ -455,7 +478,8 @@ class SecularSpectrum(NamedTuple):
 
 
 class _Scheme(NamedTuple):
-    """What the secular equation of J(n,k) needs apart from gamma.
+    """What the secular equation of J(n,k) needs apart from gamma: the
+    graph's record from ``_graph``, and three tables built from it.
 
     In units of gamma the secular function at an offset t from pole o is
     gamma - sum_j z_j^2/(p_j - t), p_j = D_j - D_o.  Row o of ``poles``
@@ -466,14 +490,10 @@ class _Scheme(NamedTuple):
     halfway from pole i down to pole i-1.
     """
 
-    theta: list[int]
-    d: list[int]
-    z2: list[float]
+    graph: tuple
     poles: list[list[tuple[float, float, float, float]]]
     balances: list[tuple[float, float]]
     halves: list[float]
-    rate: Fraction
-    r: float
 
 
 def _split(num: int, den: int) -> tuple[float, float]:
@@ -507,10 +527,8 @@ def _balance_pair(mult: list[int], scaled: list[int], shift: int, d: list[int],
 
 @functools.lru_cache(maxsize=4)
 def _scheme(n: int, k: int) -> _Scheme:
-    theta, mult = scheme_spectrum(n, k)
-    count = sum(mult)
-    d = [theta[0] - t for t in theta]
-    z2 = [m / count for m in mult]
+    graph = _graph(n, k)
+    _, d, mult, count, z2, _, _ = graph
     poles = [_pole_row(z2, [float(dj - do) for dj in d], o) for o, do in enumerate(d)]
     # Every pole has a term m_j/|D_j - D_o| >= m/D_k, m the second largest
     # m_j; scaled by 2^shift, it is 2^24 times the (k+1) 2^110 units that
@@ -521,8 +539,7 @@ def _scheme(n: int, k: int) -> _Scheme:
     balances = [_balance_pair(mult, scaled, shift, d, count, o) for o in range(k + 1)]
     halves = [0.0] + [sum(zj / (pj + 0.5 * (d[i] - d[i - 1]))
                           for zj, pj, _, _ in poles[i]) for i in range(1, k + 1)]
-    return _Scheme(theta, d, z2, poles, balances, halves,
-                   critical_rate(n, k), math.sqrt(count))
+    return _Scheme(graph, poles, balances, halves)
 
 
 def _lowest_step(poles: list[tuple[float, float, float, float]]):
@@ -640,9 +657,11 @@ def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     roots take the two-pole step of ``_pole_step``, in units of sigma =
     min(gamma, 1), so that neither a small nor a large gamma pushes an
     offset out of the float range.  For -1/2 <= eta <= 1 the roots taken
-    from pole 0 are solved as the balance search solves them, in units of
-    one from the exact eta/(1+eta), root 0 with the one-pole step of
-    ``_pole_step`` (elsewhere, ``_lowest_step``'s).
+    from pole 0 (root 0, and root 1 where it is nearer pole 0) come from
+    ``_pole0_root``, the balance search's own solve, in units of one from
+    the exact eta/(1+eta); elsewhere root 0 takes ``_lowest_step``'s
+    one-pole step.  theta, D_j, z_j^2, sqrt(N) and S_1 come from the
+    graph's record, which ``_scheme`` holds with its tables.
 
     Pole 0 keeps that exact route because the pairs cannot resolve its
     window.  They hold S_1 to about 2^-106, an error of about 2^-106 S_1
@@ -659,7 +678,7 @@ def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     """
     rate = _check_model(n, k, gamma)
     scheme = _scheme(n, k)
-    theta, d, z2, r = scheme.theta, scheme.d, scheme.z2, scheme.r
+    theta, d, _, _, z2, r, critical = scheme.graph
     if rate == 0:
         parts = [math.sqrt(float(size)) / r for size in class_sizes(n, k)]
         return _checked(SecularSpectrum([-1.0] + [-0.0] * k, [p * p for p in parts],
@@ -672,7 +691,7 @@ def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     gamma, gamma_lo = _split(exact_gamma.numerator, exact_gamma.denominator)
     scale = max(gamma, 1.0)
     sigma = gamma / scale
-    s1 = float(scheme.rate)
+    s1 = float(critical)
     result = SecularSpectrum([], [], [], [])
 
     def add(o: int, unit: float, t: float, poles: list[tuple[float, ...]]) -> None:
@@ -697,24 +716,23 @@ def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     lowest = _pole_row(z2, [gamma * dj for dj in d], 0)
     window = 0.5 * s1 <= gamma <= 2.0 * s1
     if window:
-        h0 = float(1 - scheme.rate / exact_gamma)
-        t, phi = _pole_start(h0, lowest)[0], _pole_step(h0, lowest, 0, 0)
+        h0 = float(1 - critical / exact_gamma)
+        add(0, 1.0, _pole0_root(h0, lowest, 0), lowest)
     else:  # where 1/(gamma p_j) may overflow, and |h0| > 1/2
         h0 = 1.0 - s1 / gamma
-        t, phi = -z2[0] / h0, _lowest_step(lowest)
-    add(0, 1.0, _root(phi, -1.0, 0.0, t), lowest)
+        add(0, 1.0, _root(_lowest_step(lowest), -1.0, 0.0, -z2[0] / h0), lowest)
     for i in range(1, k + 1):
         o, lo, hi = nearest(i)
         if o == 0 and window:  # in units of sigma = gamma, f can underflow
-            unit, poles, h, hi = 1.0, lowest, h0, sigma * hi
-        else:
-            unit, poles = sigma, scheme.poles[o]
-            if scale != 1.0:
-                poles = [(zj, scale * pj, ipj / scale, wj) for zj, pj, ipj, wj in poles]
-            b_hi, b_lo = scheme.balances[o]
-            h = ((gamma - b_hi) + (gamma_lo - b_lo)) / scale
+            add(0, 1.0, _pole0_root(h0, lowest, 1), lowest)
+            continue
+        poles = scheme.poles[o]
+        if scale != 1.0:
+            poles = [(zj, scale * pj, ipj / scale, wj) for zj, pj, ipj, wj in poles]
+        b_hi, b_lo = scheme.balances[o]
+        h = ((gamma - b_hi) + (gamma_lo - b_lo)) / scale
         t = _pole_start(h, poles)[1] if o == 0 else -z2[o] / h if h else math.inf
-        add(o, unit, _root(_pole_step(h, poles, o, i), lo, hi, t), poles)
+        add(o, sigma, _root(_pole_step(h, poles, o, i), lo, hi, t), poles)
     return _checked(result, k, r)
 
 

@@ -14,6 +14,7 @@ forms and its two-level report must match.
 tests that hold output bytes to not depending on the CPU count.
 ``largest_rate`` is the edge of the rates the model takes, found by walking
 the doubles, so that no test of that edge holds a literal rate.
+``record_balances`` records each balance the critical-rate search takes.
 """
 
 import contextlib
@@ -55,6 +56,29 @@ def largest_rate(n, k):
     while math.isfinite(math.nextafter(gamma, math.inf) * pole):
         gamma = math.nextafter(gamma, math.inf)
     return gamma
+
+
+class BalanceCall(NamedTuple):
+    """One call of ``scheme._balance``: its eta, its other arguments and
+    its (log-ratio, residual)."""
+
+    eta: float
+    args: tuple
+    result: tuple
+
+
+def record_balances(monkeypatch):
+    """Wrap ``scheme._balance`` for the test, and return the list to which
+    each of its calls then appends a ``BalanceCall``."""
+    calls = []
+    balance = scheme._balance
+
+    def recording_balance(eta, *args):
+        calls.append(BalanceCall(eta, args, balance(eta, *args)))
+        return calls[-1].result
+
+    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    return calls
 
 
 class FullGraph(NamedTuple):

@@ -71,18 +71,11 @@ def test_gamma_c_numeric_complete_graph(n):
 
 @pytest.mark.parametrize("n,k", [(100, 3), (50, 2), (9, 4), (16, 1)])
 def test_gamma_c_numeric_residual_is_the_eta_balance(monkeypatch, n, k):
-    calls = []
-    balance = scheme._balance
-
-    def recording_balance(eta, *args):
-        calls.append((eta, balance(eta, *args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    calls = reference.record_balances(monkeypatch)
     result = scheme.gamma_c_numeric(n, k)
     # The search ends on its last balance evaluation: the rate is S_1 (1 + eta)
     # there, and the residual is the balance there.
-    eta, (_, residual) = calls[-1]
+    eta, _, (_, residual) = calls[-1]
     assert result.gamma == float(scheme.critical_rate(n, k) * (1 + Fraction(eta)))
     assert result.residual == residual
     assert abs(residual) <= 1e-14

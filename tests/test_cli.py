@@ -9,6 +9,7 @@ import functools
 import glob
 import hashlib
 import io
+import json
 import math
 import numbers
 import os
@@ -837,6 +838,8 @@ def test_verify_zero_window_still_checks_steps(steps, capsys):
      "--gamma-max", "1e308"],
     ["sweep-gamma", "--n", "10", "--k", "3", "--gamma-min=-inf",
      "--gamma-max=inf"],
+    # The top-pole rate rule refuses this rate before any phase is formed;
+    # test_refused_input_is_one_error_line reaches the phase refusal.
     ["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"],
     # Grids of 2^63 - 1 points: numpy's linspace raised an IndexError.
     ["simulate", "--n", "100", "--k", "3", "--steps", "9223372036854775807"],
@@ -863,8 +866,13 @@ def test_overflowing_input_exits_one(argv, capsys):
     (["critical-gamma", "--n", "2", "--k", "1"], "no sign change"),
     (["analyze-pt", "--n", str(10**25)], "not resolved in double precision"),
     (["analyze-pt", "--n", str(10**103)], "not resolved in double precision"),
+    # Rates the model takes, with energies times t_max past the float range.
+    (["simulate", "--n", "100", "--k", "3", "--gamma", "1", "--t-max", "1e307",
+      "--steps", "3"], "phases E*t overflow"),
+    (["verify", "--n", "7", "--k", "3", "--gamma", "1", "--t-max", "1e308",
+      "--steps", "3"], "phases E*t overflow"),
 ], ids=["n0-k0", "n-below-2k", "no-bracket", "pt-unresolved-gap",
-        "pt-top-of-n-range"])
+        "pt-top-of-n-range", "simulate-phases-overflow", "verify-phases-overflow"])
 def test_refused_input_is_one_error_line(argv, message, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -1093,6 +1101,8 @@ def test_package_import_loads_no_submodule_or_numpy():
     (["verify", "--n", "30", "--k", "3"], 1),
     (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], 1),
     (["simulate", "--n", "2", "--k", "1", "--gamma", "1e308"], 1),
+    (["simulate", "--n", "100", "--k", "3", "--gamma", "1", "--t-max", "1e307",
+      "--steps", "3"], 1),
     (["sweep-gamma", "--n", "0", "--k", "0"], 1),
     (["analyze-pt", "--n", "5"], 1),
     (["verify", "--n", "9", "--k", "4"], 0),
@@ -1102,8 +1112,8 @@ def test_package_import_loads_no_submodule_or_numpy():
 ], ids=["k3", "2000-20", "n0-k0", "n-below-2k", "no-bracket", "k3-n5",
         "simulate-gamma-nan", "spectrum-float-range", "spectrum", "sweep-csv",
         "sweep-svg", "verify-vertex-cap", "simulate-t-max-inf",
-        "simulate-phase-overflow", "sweep-n0-k0", "pt-n5", "verify", "pt",
-        "pt-150000", "pt-9-gamma-1"])
+        "simulate-phase-overflow", "simulate-phases-overflow", "sweep-n0-k0",
+        "pt-n5", "verify", "pt", "pt-150000", "pt-9-gamma-1"])
 def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     # critical-gamma, spectrum and a sweep (CSV or SVG) need only the
     # scheme's spectrum and its secular roots, verify adds the full graph's
@@ -1146,6 +1156,89 @@ def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
                          env=_program_env(), capture_output=True, check=True,
                          timeout=60)
     assert run.stdout.decode().splitlines()[-1] == str(modules)
+
+
+#: Every package function that no command line enters, with the reason it
+#: is kept in ``src``.
+UNRUN_FUNCTIONS = {
+    "analysis.initial_state": "used by the benchmark harness and the test references",
+    "analysis.overlap_balance": "used by the benchmark harness and the test references",
+    "analysis.reduced_adjacency": "used by the benchmark harness and the test references",
+    "analysis.search_hamiltonian": "used by the benchmark harness and the test references",
+    "linalg.eig_sym": "used by the benchmark harness and the test references",
+    "reduced.intersection_array": "called only by analysis.reduced_adjacency",
+    "reduced.basis_change_T": "the paper's change of basis",
+    "cli.main_entry": "runs only as a program, the console script",
+}
+
+_TRACE_PROGRAM = """
+import importlib, inspect, json, pkgutil, sys
+import johnsonwalk
+from johnsonwalk import cli
+
+out, argvs = sys.argv[1], json.loads(sys.argv[2])
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(profile)
+codes = [cli.main([arg.replace("{out}", out) for arg in argv]) for argv in argvs]
+sys.setprofile(None)
+unrun = []
+for info in pkgutil.iter_modules(johnsonwalk.__path__):
+    module = importlib.import_module("johnsonwalk." + info.name)
+    for obj in list(vars(module).values()):
+        for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+            member = inspect.unwrap(getattr(member, "__func__", member))
+            # A NamedTuple's generated methods have no code in the package.
+            if (inspect.isfunction(member)
+                    and member.__code__.co_filename == module.__file__
+                    and member.__code__ not in entered):
+                unrun.append(info.name + "." + member.__qualname__)
+print(json.dumps([codes, sorted(unrun)]))
+"""
+
+
+def test_every_function_but_the_listed_ones_runs_in_a_command(tmp_path):
+    # Every command, the rates 0, 5e-324 and 1e300, both output formats and
+    # the cap, phase and overflow refusals, each through cli.main in one
+    # interpreter under a profile hook: every package function is entered
+    # by some command line but those of UNRUN_FUNCTIONS.
+    runs = [
+        (["critical-gamma", "--n", "100", "--k", "3"], 0),
+        (["critical-gamma", "--n", "2", "--k", "1"], 1),
+        (["spectrum", "--n", "100", "--k", "3"], 0),
+        (["spectrum", "--n", "10", "--k", "3", "--gamma", "0"], 0),
+        (["spectrum", "--n", "10", "--k", "3", "--gamma", "5e-324"], 0),
+        (["spectrum", "--n", "10", "--k", "3", "--gamma", "1e300"], 0),
+        (["spectrum", "--n", "10", "--k", "3", "--gamma", "1e307"], 1),
+        (["sweep-gamma", "--n", "100", "--k", "3", "--points", "5"], 0),
+        (["sweep-gamma", "--n", "100", "--k", "3", "--points", "5",
+          "--format", "svg", "--output", "{out}/sweep.svg"], 0),
+        (["simulate", "--n", "100", "--k", "3", "--steps", "50"], 0),
+        (["simulate", "--n", "100", "--k", "3", "--steps", "50", "--gamma", "0"], 0),
+        (["--verbose", "simulate", "--n", "100", "--k", "3", "--steps", "50",
+          "--output", "{out}/curve.csv"], 0),
+        (["simulate", "--n", "100", "--k", "3", "--steps", "50", "--format", "svg",
+          "--output", "{out}/curve.svg"], 0),
+        (["simulate", "--n", "100", "--k", "3", "--gamma", "1", "--t-max", "1e307",
+          "--steps", "3"], 1),
+        (["verify", "--n", "9", "--k", "3"], 0),
+        (["verify", "--n", "9", "--k", "3", "--gamma", "5e-324"], 0),
+        (["verify", "--n", "30", "--k", "3"], 1),
+        (["analyze-pt", "--n", "100"], 0),
+        (["analyze-pt", "--n", "100", "--gamma", "0"], 0),
+        (["analyze-pt", "--n", "100", "--gamma", "1e300"], 1),
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACE_PROGRAM, str(tmp_path),
+         json.dumps([argv for argv, _ in runs])],
+        env=_program_env(), capture_output=True, check=True, timeout=120)
+    codes, unrun = json.loads(run.stdout.decode().splitlines()[-1])
+    assert codes == [code for _, code in runs]
+    assert unrun == sorted(UNRUN_FUNCTIONS)
 
 
 def test_linalg_import_loads_no_numpy():

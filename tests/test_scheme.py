@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from johnsonwalk import scheme
 
 # S_1 to 17 significant digits, from exact fractions, and the balance point
@@ -25,15 +26,8 @@ S1_TABLE = [
 
 def _last_eta(monkeypatch, n, k):
     """gamma_c_numeric(n, k) and the eta of its last balance evaluation."""
-    etas = []
-    balance = scheme._balance
-
-    def recording_balance(eta, *args):
-        etas.append(eta)
-        return balance(eta, *args)
-
-    monkeypatch.setattr(scheme, "_balance", recording_balance)
-    return scheme.gamma_c_numeric(n, k), etas[-1]
+    calls = reference.record_balances(monkeypatch)
+    return scheme.gamma_c_numeric(n, k), calls[-1].eta
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 3), (9, 4), (50, 2), (40, 20)])
@@ -137,17 +131,10 @@ def test_complete_graphs_up_to_399_balance_at_minus_one_over_n_minus_one(monkeyp
     # The three bounds above for every K_n, n = 3 .. 399, through one
     # recording of the balance.  Measured: K_4's last eta is eps from -1/3,
     # on the bound, and every gamma within 1.5 ulps of (n-2)/n^2.
-    etas = []
-    balance = scheme._balance
-
-    def recording_balance(eta, *args):
-        etas.append(eta)
-        return balance(eta, *args)
-
-    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    calls = reference.record_balances(monkeypatch)
     for n in range(3, 400):
         result = scheme.gamma_c_numeric(n, 1)
-        assert abs(etas[-1] + 1.0 / (n - 1)) <= sys.float_info.epsilon, n
+        assert abs(calls[-1].eta + 1.0 / (n - 1)) <= sys.float_info.epsilon, n
         exact = (n - 2) / n ** 2
         assert abs(result.gamma - exact) <= 2 * math.ulp(exact), n
         assert abs(result.residual) <= 1e-14, n
@@ -161,18 +148,12 @@ def test_balance_is_the_spectrum_it_balances(monkeypatch, n, k):
     # the residual its overlap_s[0] - overlap_s[1] (measured: within 2 eps),
     # and log(q_1/q_0) the log-ratio of q_i = (1 - overlap_s[i]) / overlap_s[i]
     # (within 4 eps).
-    calls = []
-    balance = scheme._balance
-
-    def recording_balance(eta, *args):
-        calls.append(args)
-        return balance(eta, *args)
-
-    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    calls = reference.record_balances(monkeypatch)
     scheme.gamma_c_numeric(n, k)
     rate, eps = scheme.critical_rate(n, k), sys.float_info.epsilon
+    args = calls[-1].args
     for eta in (-0.3, -1e-3, -1.0 / math.comb(n, k), 0.0):
-        log_ratio, residual = balance(eta, *calls[-1])
+        log_ratio, residual = scheme._balance(eta, *args)
         overlaps = scheme.secular_spectrum(n, k, rate * (1 + Fraction(eta))).overlap_s
         assert abs(residual - (overlaps[0] - overlaps[1])) <= 4.0 * eps, eta
         q = [math.fsum(overlaps[:i] + overlaps[i + 1:]) / overlaps[i] for i in (0, 1)]
@@ -244,28 +225,21 @@ def test_s1_leans_toward_the_lowest_eigenstate():
             overlaps = scheme.secular_spectrum(
                 n, k, scheme.critical_rate(n, k)).overlap_s
             assert overlaps[0] > 0.5 > overlaps[1], (n, k)
-            table = scheme._scheme(n, k)
-            log_ratio, residual = scheme._balance(
-                0.0, float(table.rate), table.d, table.z2)
+            _, d, _, _, z2, _, rate = scheme._graph(n, k)
+            log_ratio, residual = scheme._balance(0.0, float(rate), d, z2)
             assert log_ratio > 0.0 and residual > 0.0, (n, k)
     assert graphs == 1453
 
 
 def test_balance_search_evaluates_only_below_s1(monkeypatch):
     # The bracket closes at eta = 0: no balance is taken at or above S_1.
-    etas = []
-    balance = scheme._balance
-
-    def recording_balance(eta, *args):
-        etas.append(eta)
-        return balance(eta, *args)
-
-    monkeypatch.setattr(scheme, "_balance", recording_balance)
+    calls = reference.record_balances(monkeypatch)
     graphs = [(n, k) for n in range(3, 60) for k in range(1, n // 2 + 1)]
     graphs += [(2000, 20), (150000, 3), (10 ** 7, 8), (1029, 514), (10 ** 300, 1)]
     for n, k in graphs:
-        etas.clear()
+        calls.clear()
         scheme.gamma_c_numeric(n, k)
+        etas = [call.eta for call in calls]
         assert etas and all(-1.0 < eta < 0.0 for eta in etas), (n, k, etas)
 
 
