@@ -17,6 +17,19 @@ grid (--steps, --points) of over 2^60 - 1 points, refused before any array
 is made, and an error inside simulate's curve (``linalg.secular_curve``),
 such as running out of memory.  It also includes a failed final write, such
 as buffered stdout flushed to a full disk or a closed pipe.
+
+Every command checks its input in one order, and the line names the first
+rule that fails: the rate's own rule (finite and non-negative; for
+sweep-gamma, each bound it is given), then the graph (integers n >= 2k >= 2,
+C(n,k) within the float range), then the rate against the top pole
+k(n-k+1), then verify's vertex cap, then the grid (--steps, --t-max).  A
+command solves the secular roots, or builds their pole table, only once the
+last rule has passed, so no refusal pays for either.  sweep-gamma's rates
+are its grid's points: it checks the grid's size and range before it holds
+each of its rates to the top pole, all before the first solve, and names
+the first rate that overflows.  The phases (max|E| * t_max) need the roots,
+and are checked once they are solved.
+
 With --verbose, a command that defaults to the critical rate logs the S_1
 it takes; verify logs N, the Krylov dimension and the closure residual; and
 simulate logs the rows it wrote as CSV, the seconds that took, and how many
@@ -160,9 +173,11 @@ def create_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     gamma = _rate(args)
+    scheme._check_model(args.n, args.k, gamma)
     t_max = (args.t_max if args.t_max is not None
              else 1.5 * scheme.predicted_peak_time(args.n, args.k))
-    spectrum = scheme.secular_spectrum(args.n, args.k, gamma)  # checks the model
+    scheme._check_grid(t_max, args.steps)
+    spectrum = scheme.secular_spectrum(args.n, args.k, gamma)
     from . import linalg
     curve = linalg.secular_curve(spectrum, t_max, args.steps)
     from . import output
@@ -180,15 +195,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep_gamma(args: argparse.Namespace) -> int:
     n, k, points = args.n, args.k, args.points
+    lo, hi = (None if bound is None else scheme._check_gamma(bound)
+              for bound in (args.gamma_min, args.gamma_max))
     # Validates (n, k) before the default bounds divide by them.
     scheme._check_reduced_params(n, k)
-    lo = args.gamma_min if args.gamma_min is not None else 1.0 / (2.0 * k * n)
-    hi = args.gamma_max if args.gamma_max is not None else 2.0 / (k * n)
+    lo = lo if lo is not None else 1.0 / (2.0 * k * n)
+    hi = hi if hi is not None else 2.0 / (k * n)
     scheme._check_steps(points)
-    lo, hi = scheme._check_gamma(lo), scheme._check_gamma(hi)
     if not hi > lo:
         raise ValueError(f"empty gamma range [{lo}, {hi}]")
     gammas = list(scheme._grid(lo, hi, points))
+    for gamma in gammas:  # the first rate that overflows, before any solve
+        scheme._check_model(n, k, gamma)
     spectra = [scheme.secular_spectrum(n, k, gamma) for gamma in gammas]
     from . import output
     if args.format == "svg":

@@ -140,14 +140,18 @@ def run_verification(n: int, k: int, gamma: numbers.Real,
     the result holds the double.  The default window
     [0, 2*pi*sqrt(N)] covers a full revival.  A deviation beyond ~1e-10
     indicates a broken reduction, not numerical noise.
+
+    The input rules run in the order the commands share (see ``cli``): the
+    model's, then the vertex cap, then the grid, all before the secular
+    roots are solved or the graph is built.
     """
-    # Checked first, so a bad gamma or n < 2k is reported before the cap.
     rate = scheme._check_model(n, k, gamma)
+    n_vertices = _check_vertex_cap(n, k, cap)
+    if t_max is None:
+        t_max = 2.0 * math.pi * math.sqrt(n_vertices)
+    scheme._check_grid(t_max, steps)
     spectrum = scheme.secular_spectrum(n, k, gamma)
     graph = incidence(n, k, cap)
-    if t_max is None:
-        t_max = 2.0 * math.pi * math.sqrt(len(graph.faces))
-    scheme._check_grid(t_max, steps)
     scheme._check_phases(max(map(abs, spectrum.shifts)), t_max)
     full, drift = _krylov_curve(graph, rate)
     scheme._check_phases(max(abs(e) for e, _ in full), t_max)

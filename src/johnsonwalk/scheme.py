@@ -478,8 +478,10 @@ class SecularSpectrum(NamedTuple):
 
 
 class _Scheme(NamedTuple):
-    """What the secular equation of J(n,k) needs apart from gamma: the
-    graph's record from ``_graph``, and three tables built from it.
+    """What the secular equation of J(n,k) needs apart from gamma and the
+    graph's record, ``_graph``: three tables built from that record, once
+    per graph.  ``secular_spectrum`` builds them only for a nonzero rate
+    that has passed every input rule.
 
     In units of gamma the secular function at an offset t from pole o is
     gamma - sum_j z_j^2/(p_j - t), p_j = D_j - D_o.  Row o of ``poles``
@@ -490,7 +492,6 @@ class _Scheme(NamedTuple):
     halfway from pole i down to pole i-1.
     """
 
-    graph: tuple
     poles: list[list[tuple[float, float, float, float]]]
     balances: list[tuple[float, float]]
     halves: list[float]
@@ -527,8 +528,7 @@ def _balance_pair(mult: list[int], scaled: list[int], shift: int, d: list[int],
 
 @functools.lru_cache(maxsize=4)
 def _scheme(n: int, k: int) -> _Scheme:
-    graph = _graph(n, k)
-    _, d, mult, count, z2, _, _ = graph
+    _, d, mult, count, z2, _, _ = _graph(n, k)
     poles = [_pole_row(z2, [float(dj - do) for dj in d], o) for o, do in enumerate(d)]
     # Every pole has a term m_j/|D_j - D_o| >= m/D_k, m the second largest
     # m_j; scaled by 2^shift, it is 2^24 times the (k+1) 2^110 units that
@@ -539,7 +539,7 @@ def _scheme(n: int, k: int) -> _Scheme:
     balances = [_balance_pair(mult, scaled, shift, d, count, o) for o in range(k + 1)]
     halves = [0.0] + [sum(zj / (pj + 0.5 * (d[i] - d[i - 1]))
                           for zj, pj, _, _ in poles[i]) for i in range(1, k + 1)]
-    return _Scheme(graph, poles, balances, halves)
+    return _Scheme(poles, balances, halves)
 
 
 def _lowest_step(poles: list[tuple[float, float, float, float]]):
@@ -661,7 +661,10 @@ def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     ``_pole0_root``, the balance search's own solve, in units of one from
     the exact eta/(1+eta); elsewhere root 0 takes ``_lowest_step``'s
     one-pole step.  theta, D_j, z_j^2, sqrt(N) and S_1 come from the
-    graph's record, which ``_scheme`` holds with its tables.
+    graph's record, ``_graph``; the pole tables of ``_scheme`` are built
+    only once the rate is nonzero and has passed its rules, so the
+    zero-rate spectrum and every refused input skip them.  Its own rules run in the order the commands share
+    (see ``cli``): the rate, the graph, then the rate against the top pole.
 
     Pole 0 keeps that exact route because the pairs cannot resolve its
     window.  They hold S_1 to about 2^-106, an error of about 2^-106 S_1
@@ -677,13 +680,13 @@ def secular_spectrum(n: int, k: int, gamma: numbers.Real) -> SecularSpectrum:
     ``_checked`` before it is returned.
     """
     rate = _check_model(n, k, gamma)
-    scheme = _scheme(n, k)
-    theta, d, _, _, z2, r, critical = scheme.graph
+    theta, d, _, _, z2, r, critical = _graph(n, k)
     if rate == 0:
         parts = [math.sqrt(float(size)) / r for size in class_sizes(n, k)]
         return _checked(SecularSpectrum([-1.0] + [-0.0] * k, [p * p for p in parts],
                                         [1.0] + [0.0] * k, [-1.0] + [0.0] * k),
                         k, r)
+    scheme = _scheme(n, k)
     from fractions import Fraction
 
     exact_gamma = (Fraction(int(gamma.numerator), int(gamma.denominator))

@@ -15,6 +15,8 @@ tests that hold output bytes to not depending on the CPU count.
 ``largest_rate`` is the edge of the rates the model takes, found by walking
 the doubles, so that no test of that edge holds a literal rate.
 ``record_balances`` records each balance the critical-rate search takes.
+``forbid_pole_table`` makes building the secular roots' pole table fail,
+for the tests that a run refuses, or answers, without it.
 """
 
 import contextlib
@@ -79,6 +81,15 @@ def record_balances(monkeypatch):
 
     monkeypatch.setattr(scheme, "_balance", recording_balance)
     return calls
+
+
+def forbid_pole_table(monkeypatch):
+    """Make ``scheme._scheme``, the pole table the secular roots are solved
+    from, raise AssertionError when entered, for the rest of the test."""
+    def forbidden(n, k):
+        raise AssertionError(f"the pole table of J({n},{k}) was built")
+
+    monkeypatch.setattr(scheme, "_scheme", forbidden)
 
 
 class FullGraph(NamedTuple):

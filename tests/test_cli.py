@@ -1138,7 +1138,7 @@ def test_scalar_run_or_refusal_loads_no_numpy(argv, code):
     (["sweep-gamma", "--n", "100", "--k", "3", "--gamma-min", "1e308",
       "--gamma-max", "1.7e308", "--points", "3"], ["cli", "scheme"]),
     (["analyze-pt", "--n", "100", "--gamma", "6e305"], ["cli", "reduced", "scheme"]),
-    (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], ["cli", "linalg", "scheme"]),
+    (["simulate", "--n", "100", "--k", "3", "--t-max", "inf"], ["cli", "scheme"]),
     (["simulate", "--n", "150", "--k", "3", "--gamma", "nan"], ["cli", "scheme"]),
 ], ids=["critical-gamma", "spectrum", "sweep-csv", "verify", "analyze-pt",
         "refused-spectrum", "refused-sweep", "refused-analyze-pt",
@@ -1147,8 +1147,8 @@ def test_numpy_free_run_loads_only_the_modules_it_runs(argv, modules):
     # Each process compiles the package modules it imports.  The secular
     # roots live in scheme, which every command loads, so these runs
     # compile no module that they do not run; a refused run loads no
-    # CSV writer.  simulate loads linalg once the model is accepted, and
-    # linalg refuses a grid or phase before it loads numpy.
+    # CSV writer.  simulate loads linalg once its grid is accepted, and
+    # linalg refuses a phase before it loads numpy.
     program = ("import sys; from johnsonwalk import cli; cli.main(sys.argv[1:]); "
                "print(sorted(m.split('.', 1)[1] for m in sys.modules "
                "if m.startswith('johnsonwalk.')))")
@@ -1645,21 +1645,76 @@ def _bad_inputs():
     cases["1-point-grid"] = [["simulate", *graph, "--steps", "1"],
                              ["verify", *graph, "--steps", "1"],
                              ["sweep-gamma", *graph, "--points", "1"]]
+    # Two bad inputs: the rate's own rule comes before the graph's and the
+    # grid's, in every command.
+    for name, n, k in (("J(5,3)", "5", "3"), ("C(3000,500)", "3000", "500")):
+        graph = ["--n", n, "--k", k]
+        cases[f"gamma=nan,{name}"] = [
+            *([command, *graph, "--gamma", "nan"]
+              for command in ("spectrum", "simulate", "verify")),
+            ["sweep-gamma", *graph, "--gamma-min", "nan", "--gamma-max", "0.1"]]
+    cases["gamma=nan,J(5,3)"].append(["analyze-pt", "--n", "5", "--gamma", "nan"])
+    graph = ["--n", "7", "--k", "3"]
+    cases["gamma=nan,1-point-grid"] = [
+        ["simulate", *graph, "--gamma", "nan", "--steps", "1"],
+        ["verify", *graph, "--gamma", "nan", "--steps", "1"],
+        ["sweep-gamma", *graph, "--gamma-min", "nan", "--gamma-max", "0.1",
+         "--points", "1"]]
     return cases
 
 
 _BAD_INPUTS = _bad_inputs()
 
+#: The line of each input with two faults: the first rule it fails.
+_FIRST_FAULT = dict.fromkeys(
+    ("gamma=nan,J(5,3)", "gamma=nan,C(3000,500)", "gamma=nan,1-point-grid"),
+    "error: gamma must be finite and non-negative, got nan\n")
+
 
 @pytest.mark.parametrize("bad", sorted(_BAD_INPUTS))
 def test_a_bad_input_is_the_same_line_in_every_command(bad):
     # Each input has one rule, so every command that takes it refuses it
-    # with the same single line.
+    # with the same single line; an input with two faults, with the line
+    # of the first rule in the order every command checks them.
     first, *others = _BAD_INPUTS[bad]
     code, out, err = _run_cli(first)
     assert (code, out) == (1, "") and re.fullmatch(r"error: [^\n]*\n", err), err
+    assert err == _FIRST_FAULT.get(bad, err)
     for argv in others:
         assert _run_cli(argv) == (code, out, err), argv
+
+
+_CAP = "raise the cap to force brute-force construction"
+
+
+@pytest.mark.parametrize("argv,line", [
+    ("verify --n 800 --k 400",
+     f"J(800,400) has far more vertices than the configured cap 4000; {_CAP}"),
+    ("verify --n 30 --k 3",
+     f"J(30,3) has 4060 vertices, above the configured cap 4000; {_CAP}"),
+    ("verify --n 7 --k 3 --t-max inf", "t_max must be finite, got inf"),
+    ("simulate --n 800 --k 400 --t-max inf", "t_max must be finite, got inf"),
+    ("simulate --n 100 --k 3 --steps 1",
+     "a grid needs an integer number of points >= 2, got 1"),
+    ("sweep-gamma --n 10 --k 3 --gamma-min 0.001 --gamma-max 1e307",
+     "gamma=7.575757575757575e+306 overflows the J(10,3) Hamiltonian"),
+], ids=["verify-far-over-cap", "verify-over-cap", "verify-t-max-inf",
+        "simulate-t-max-inf", "simulate-1-step", "sweep-overflow"])
+def test_a_refusal_builds_no_pole_table(argv, line, monkeypatch):
+    # Every input rule runs before the secular roots are solved, so a
+    # refused run never enters the pole table.
+    reference.forbid_pole_table(monkeypatch)
+    assert _run_cli(argv.split()) == (1, "", f"error: {line}\n")
+
+
+def test_the_zero_rate_spectrum_builds_no_pole_table(monkeypatch):
+    # At gamma = 0 the spectrum comes from the graph's record alone.
+    reference.forbid_pole_table(monkeypatch)
+    code, out, err = _run_cli(["spectrum", "--n", "1029", "--k", "514",
+                               "--gamma", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["eig_index,energy,overlap_s,overlap_w",
+                                    "0,-1,6.993883984491967e-309,1"]
 
 
 @pytest.mark.parametrize("exc", [
